@@ -149,7 +149,6 @@ def simulate_runs(
     workers: int | None = None,
     cache: object = None,
     backend: object = None,
-    precision: object = None,
 ) -> list[list[Trace]]:
     """Record ``runs_per_class`` executions of every class under the defense.
 
@@ -170,7 +169,6 @@ def simulate_runs(
     )
     traces = run_sessions(
         jobs, workers=workers, cache=cache, factory=factory, backend=backend,
-        precision=precision,
     )
     per_class = scenario.runs_per_class
     return [
@@ -298,7 +296,6 @@ def run_attack(
     workers: int | None = None,
     cache: object = None,
     backend: object = None,
-    precision: object = None,
 ) -> AttackOutcome:
     """The full pipeline: simulate, sample, train, evaluate.
 
@@ -309,7 +306,6 @@ def run_attack(
     """
     runs = simulate_runs(
         scenario, factory, workers=workers, cache=cache, backend=backend,
-        precision=precision,
     )
     sampled = sample_runs(scenario, runs)
     outcome = train_and_evaluate(scenario, sampled)

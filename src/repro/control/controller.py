@@ -146,76 +146,6 @@ class MatrixController:
         self._u_applied = self.bank.normalize(settings) - self._u_op
         return settings
 
-    @staticmethod
-    def step_fleet(controllers: "list[MatrixController]", targets_w, measured_w) -> list:
-        """Fast-tier :meth:`step` for a fleet sharing one design.
-
-        Stacks the per-controller states into ``(B, n)`` matrices and runs
-        the Equation-1 updates as whole-fleet BLAS matmuls instead of B
-        per-session matvecs.  This deliberately reassociates the inner
-        dot-product accumulations, so fleet results are *not* bit-identical
-        to :meth:`step` — the drift is bounded by the matmul sites
-        certified in ``certs/numeric/repro.control.controller.json`` and
-        re-measured at runtime by the equivalence certificate (``settings``
-        field; a saturation/quantization knife-edge flip exceeds the bound
-        and fails the run loudly).  Everything else — the anti-windup
-        freeze test, clipping, quantization, the applied-input writeback —
-        replays the serial expressions elementwise.
-        """
-        design = controllers[0].design
-        for controller in controllers:
-            if controller.design is not design:
-                raise ValueError("step_fleet requires a shared controller design")
-        plant_ss = design.plant_ss
-        head = controllers[0]
-
-        x_pred = np.stack([c._x_pred for c in controllers])        # (B, n)
-        u_applied = np.stack([c._u_applied for c in controllers])  # (B, m)
-        z = np.array([c._z for c in controllers])                  # (B,)
-        error = (np.asarray(targets_w, dtype=float)
-                 - np.asarray(measured_w, dtype=float)) / head._y_scale
-
-        # Measurement update (one (B,n)·(n,) matmul per term).
-        y_meas_dev = -error
-        y_pred = x_pred @ plant_ss.c[0] + u_applied @ plant_ss.d[0]
-        innovation = y_meas_dev - y_pred
-        x_filt = x_pred + design.m_gain[:, 0][None, :] * innovation[:, None]
-
-        # Time update: the (B,n)·(n,n) / (B,m)·(m,n) fleet matmul.
-        x_pred = x_filt @ plant_ss.a.T + u_applied @ plant_ss.b.T
-
-        # Conditional integration, vectorized over the fleet with the
-        # exact comparisons of _saturated_towards.
-        u_prev_norm = u_applied + head._u_op
-        signs = np.asarray(head._input_signs, dtype=float)
-        directions = np.sign(error)[:, None] * np.where(signs.astype(bool), signs, 1.0)[None, :]
-        railed = np.where(directions > 0, u_prev_norm >= 1.0, u_prev_norm <= 0.0)
-        frozen = railed.all(axis=1) & (np.abs(error) >= 1e-12)
-        # where(frozen, z, z + error) would rewrite an untouched z with
-        # z + 0-addition artifacts; keep frozen rows' stored values as-is.
-        z = np.where(frozen, z, z + error)
-
-        u_centered = -(x_pred @ design.k_x.T) - z[:, None] * design.k_z[:, 0][None, :]
-        u_norm = u_centered + head._u_center[None, :]
-        sat_hi = (u_norm > 1.0).sum(axis=1)
-        sat_lo = (u_norm < 0.0).sum(axis=1)
-        clipped = np.clip(u_norm, 0.0, 1.0)
-
-        settings = []
-        for row, controller in enumerate(controllers):
-            applied = controller.bank.quantize_normalized(clipped[row])
-            controller._x_pred = x_pred[row].copy()
-            controller._z = float(z[row])
-            controller._u_applied = controller.bank.normalize(applied) - controller._u_op
-            controller.last_sat_hi = int(sat_hi[row])
-            controller.last_sat_lo = int(sat_lo[row])
-            controller.last_antiwindup = int(frozen[row])
-            if controller.last_sat_hi or controller.last_sat_lo:
-                controller.saturation_steps += 1
-            controller.antiwindup_steps += controller.last_antiwindup
-            settings.append(applied)
-        return settings
-
     def _saturated_towards(self, error: float, u_norm: np.ndarray) -> bool:
         """True if every input is railed in the direction demanded by ``error``."""
         if abs(error) < 1e-12:

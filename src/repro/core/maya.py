@@ -106,41 +106,6 @@ class MayaInstance:
             )
         return settings
 
-    @staticmethod
-    def decide_fleet_fast(
-        instances: "list[MayaInstance]", measured_w: "list[float]"
-    ) -> "list[ActuatorSettings]":
-        """Fast-tier fleet wake-up: vectorized masks + one BLAS controller step.
-
-        The loosened twin of :meth:`decide_fleet`: mask sinusoids evaluate
-        through one batched ``np.sin`` (:func:`repro.masks.next_targets_fast`)
-        and the Equation-1 updates run as whole-fleet matmuls
-        (:meth:`MatrixController.step_fleet`), grouped by shared design in
-        first-appearance order.  RNG streams and state writebacks are
-        serial-identical; the numeric drift is bounded by the certified
-        transcendental/matmul sites and re-measured by the runtime
-        equivalence certificate.
-        """
-        from ..masks import next_targets_fast
-
-        targets_w = next_targets_fast([instance.mask for instance in instances])
-        for instance, target_w in zip(instances, targets_w):
-            instance.current_target_w = float(target_w)
-        groups: dict = {}
-        for index, instance in enumerate(instances):
-            groups.setdefault(id(instance.controller.design), []).append(index)
-        measured = np.asarray(measured_w, dtype=float)
-        settings: list = [None] * len(instances)
-        for indices in groups.values():
-            fleet_settings = MatrixController.step_fleet(
-                [instances[i].controller for i in indices],
-                targets_w[indices],
-                measured[indices],
-            )
-            for index, applied in zip(indices, fleet_settings):
-                settings[index] = applied
-        return settings
-
 
 def build_maya_design(
     spec: PlatformSpec,

@@ -1,6 +1,6 @@
 """The defense designs compared in the paper (Table V)."""
 
-from .base import Defense, decide_batch, decide_batch_fast
+from .base import Defense, decide_batch
 from .selective import SelectiveMaya
 from .designs import (
     DESIGN_NAMES,
@@ -14,7 +14,6 @@ from .designs import (
 __all__ = [
     "Defense",
     "decide_batch",
-    "decide_batch_fast",
     "DESIGN_NAMES",
     "Baseline",
     "DefenseFactory",

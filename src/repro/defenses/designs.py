@@ -17,6 +17,7 @@ import numpy as np
 from ..core.config import MayaConfig
 from ..core.maya import MayaDesign, MayaInstance, build_maya_design
 from ..machine import ActuatorBank, ActuatorSettings, PlatformSpec, SimulatedMachine
+from ..masks import MASK_FAMILIES
 from .base import Defense
 
 __all__ = [
@@ -26,10 +27,20 @@ __all__ = [
     "MayaDefense",
     "DESIGN_NAMES",
     "DefenseFactory",
+    "maya_design_name",
 ]
 
 #: Table V, in the paper's order.
 DESIGN_NAMES = ("baseline", "noisy_baseline", "random_inputs", "maya_constant", "maya_gs")
+
+
+def maya_design_name(mask_family: str) -> str:
+    """The defense name of Maya deploying ``mask_family`` (``maya_gs`` for GS)."""
+    return "maya_gs" if mask_family == "gaussian_sinusoid" else f"maya_{mask_family}"
+
+
+#: Maya defense name -> mask family, for every mask family.
+_MAYA_FAMILIES = {maya_design_name(family): family for family in MASK_FAMILIES}
 
 
 class Baseline(Defense):
@@ -101,15 +112,12 @@ class RandomInputs(Defense):
 
 
 class MayaDefense(Defense):
-    """Maya with any mask family (``maya_constant`` / ``maya_gs``)."""
+    """Maya with any mask family (``maya_constant``, ``maya_gs``, ...)."""
 
     def __init__(self, design: MayaDesign) -> None:
         super().__init__()
         self.design = design
-        self.name = (
-            "maya_gs" if design.config.mask_family == "gaussian_sinusoid"
-            else f"maya_{design.config.mask_family}"
-        )
+        self.name = maya_design_name(design.config.mask_family)
         self._instance: MayaInstance | None = None
 
     def prepare(self, machine: SimulatedMachine, rng: np.random.Generator) -> None:
@@ -154,20 +162,6 @@ class MayaDefense(Defense):
             defense.current_target_w = instance.current_target_w
         return settings
 
-    @staticmethod
-    def decide_fleet_fast(
-        defenses: "list[MayaDefense]", measured_w: "list[float]"
-    ) -> "list[ActuatorSettings]":
-        """Fast-tier :meth:`decide_fleet` (see ``MayaInstance.decide_fleet_fast``)."""
-        instances = []
-        for defense in defenses:
-            assert defense._instance is not None, "prepare() must be called first"
-            instances.append(defense._instance)
-        settings = MayaInstance.decide_fleet_fast(instances, measured_w)
-        for defense, instance in zip(defenses, instances):
-            defense.current_target_w = instance.current_target_w
-        return settings
-
 
 class DefenseFactory:
     """Builds fresh per-run defense instances for a platform.
@@ -207,15 +201,20 @@ class DefenseFactory:
         return self._designs[key]
 
     def create(self, design_name: str) -> Defense:
-        """Instantiate one Table V design by name."""
+        """Instantiate one design by name.
+
+        Besides the Table V designs, Maya resolves with every mask family
+        (``maya_<family>``, see :func:`maya_design_name`), so ablations
+        name their defense like any other job.
+        """
         if design_name == "baseline":
             return Baseline()
         if design_name == "noisy_baseline":
             return NoisyBaseline()
         if design_name == "random_inputs":
             return RandomInputs()
-        if design_name == "maya_constant":
-            return MayaDefense(self.maya_design("constant"))
-        if design_name == "maya_gs":
-            return MayaDefense(self.maya_design("gaussian_sinusoid"))
-        raise KeyError(f"unknown design {design_name!r}; known: {DESIGN_NAMES}")
+        family = _MAYA_FAMILIES.get(design_name)
+        if family is not None:
+            return MayaDefense(self.maya_design(family))
+        known = DESIGN_NAMES[:3] + tuple(_MAYA_FAMILIES)
+        raise KeyError(f"unknown design {design_name!r}; known: {known}")

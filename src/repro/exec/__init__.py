@@ -10,7 +10,6 @@ results guaranteed bit-identical to the serial path.  See
 """
 
 from .batch import (
-    BatchedMachine,
     batch_key,
     execute_jobs_batched,
     resolve_batch_size,
@@ -29,22 +28,12 @@ from .engine import (
     resolve_workers,
     run_sessions,
 )
-from .equivalence import (
-    CERT_SCHEMA,
-    EquivalenceError,
-    certify_traces,
-    load_certificate,
-    require,
-    write_certificate,
-)
 from .jobs import (
     CACHE_EPOCH,
-    PRECISIONS,
     SessionJob,
     code_salt,
     execute_job,
     register_factory,
-    resolve_precision,
 )
 from .registry import (
     MANIFEST_SCHEMA,
@@ -64,7 +53,6 @@ __all__ = [
     "default_registry",
     "record_run",
     "BACKENDS",
-    "BatchedMachine",
     "batch_key",
     "choose_backend",
     "execute_jobs_batched",
@@ -73,16 +61,8 @@ __all__ = [
     "resolve_workers",
     "run_sessions",
     "CACHE_EPOCH",
-    "CERT_SCHEMA",
-    "EquivalenceError",
-    "PRECISIONS",
     "SessionJob",
-    "certify_traces",
     "code_salt",
     "execute_job",
-    "load_certificate",
     "register_factory",
-    "require",
-    "resolve_precision",
-    "write_certificate",
 ]

@@ -12,7 +12,6 @@ Layout (v2)::
     <root>/journal.jsonl                     append-only stats/LRU journal
     <root>/shards/<id[:2]>/<key>.npz         one session entry
     <root>/shards/<id[:2]>/<key>.events.jsonl   telemetry sidecar
-    <root>/shards/<id[:2]>/<key>.equiv.json     equivalence certificate
     <root>/shards/<d[:2]>/pack-<d>.npz       packed group entry (see below)
 
 Entries fan out into 256 shard directories by content-address prefix so no
@@ -40,7 +39,7 @@ Properties:
   ``max_bytes`` (``REPRO_CACHE_MAX_MB``, default 512 MB), evicting the
   least-recently-used entries (hits move an entry to the journal's tail).
   The newest entry is never evicted, and eviction deletes the entry's
-  sidecars (telemetry events *and* equivalence certificates) with it;
+  telemetry sidecars with it;
 * **bulk I/O** — :meth:`get_many`/:meth:`put_many` resolve a whole job
   group against one journal refresh and one journal append.
   :meth:`put_many` stores a lock-step batch as a single *packed group
@@ -49,9 +48,9 @@ Properties:
   so each ``.npy`` payload maps directly).  Packed groups hit and evict as
   a unit; per-session ``get``/``put`` semantics and content addresses are
   unchanged;
-* **corruption tolerance** — an unreadable entry is treated as a miss and
-  overwritten by the fresh simulation; torn journal tails and foreign
-  lines are skipped;
+* **corruption tolerance** — an unreadable entry (truncated, garbled, or
+  not a zip archive at all) is treated as a miss and overwritten by the
+  fresh simulation; torn journal tails and foreign lines are skipped;
 * **telemetry sidecars** — when recording is enabled
   (:mod:`repro.telemetry`), each entry carries a ``.events.jsonl`` sidecar
   holding the session's telemetry stream, replayed byte-for-byte on a
@@ -83,6 +82,7 @@ import json
 import os
 import tarfile
 import zipfile
+import zlib
 from pathlib import Path, PurePosixPath
 
 import numpy as np
@@ -112,7 +112,11 @@ PACK_SCHEMA = "maya.trace.pack.npz.v1"
 _JOURNAL = "journal.jsonl"
 _SHARDS = "shards"
 #: Sidecar files an entry may carry per session key.
-_SIDECAR_SUFFIXES = (".events.jsonl", ".equiv.json")
+_SIDECAR_SUFFIXES = (".events.jsonl",)
+#: What reading a damaged entry raises: a truncated or garbled ``.npz`` fails
+#: in the zip layer, the decompressor, the npy header parser or the mmap.
+_UNREADABLE = (OSError, ValueError, KeyError, IndexError, EOFError,
+               zipfile.BadZipFile, zlib.error)
 #: Compact the journal once it holds this many records beyond the live set.
 _COMPACT_SLACK = 4096
 
@@ -201,10 +205,6 @@ class TraceCache:
     def _sidecar(self, path: Path) -> Path:
         """The telemetry sidecar of a cache entry (``<key>.events.jsonl``)."""
         return path.with_name(path.stem + ".events.jsonl")
-
-    def certificate_path(self, job) -> Path:
-        """Where ``job``'s equivalence certificate sidecar lives."""
-        return self._key_sidecar(job.key(), ".equiv.json")
 
     # -- journal -------------------------------------------------------
 
@@ -407,7 +407,7 @@ class TraceCache:
             entry_id = "g-" + path.name[len("pack-"):-len(".npz")]
             try:
                 keys = _pack_keys(path)
-            except (OSError, ValueError, KeyError):
+            except _UNREADABLE:
                 return None
         else:
             entry_id = path.stem
@@ -509,16 +509,16 @@ class TraceCache:
                 with profile.span("cache.pack_read", key=entry_id):
                     try:
                         pack = _Pack(self._entry_path(entry_id))
-                    except (OSError, ValueError, KeyError):
+                    except _UNREADABLE:
                         return None
                 packs[entry_id] = pack
             try:
                 return pack.trace_for(key)
-            except (KeyError, ValueError, IndexError):
+            except _UNREADABLE:
                 return None
         try:
             return Trace.load_npz(self._entry_path(entry_id))
-        except (OSError, ValueError, KeyError):
+        except _UNREADABLE:
             return None
 
     # -- storage -------------------------------------------------------
@@ -573,7 +573,7 @@ class TraceCache:
             # Recording is off (or the session left no stream): a sidecar
             # from an earlier recording run still occupies disk — count it.
             written = _file_bytes(sidecar)
-        return written + _file_bytes(self._key_sidecar(key, ".equiv.json"))
+        return written
 
     def _put_single(self, job, trace: Trace) -> dict:
         key = job.key()
@@ -593,30 +593,6 @@ class TraceCache:
         for job, key in zip(jobs, keys):
             nbytes += self._sidecar_bytes(job, key)
         return {"op": "put", "id": entry_id, "bytes": nbytes, "keys": keys}
-
-    def put_certificate(self, job, cert: dict) -> Path:
-        """Write ``job``'s equivalence certificate beside its entry.
-
-        The certificate's bytes join the owning entry's size accounting
-        (a ``resize`` journal record), so certified stores stay within
-        ``REPRO_CACHE_MAX_MB`` too.
-        """
-        from .equivalence import write_certificate
-
-        self._refresh()
-        key = job.key()
-        path = self.certificate_path(job)
-        old_bytes = _file_bytes(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_certificate(cert, path)
-        entry_id = self._by_key.get(key)
-        if entry_id is not None:
-            entry = self._entries.get(entry_id)
-            if entry is not None:
-                new_total = entry[0] + _file_bytes(path) - old_bytes
-                self._commit([{"op": "resize", "id": entry_id,
-                               "bytes": new_total}])
-        return path
 
     # -- maintenance ---------------------------------------------------
 
@@ -738,7 +714,6 @@ class TraceCache:
                     continue
                 if path.suffix == ".npz":
                     path.with_name(path.stem + ".events.jsonl").unlink(missing_ok=True)
-                    path.with_name(path.stem + ".equiv.json").unlink(missing_ok=True)
                     removed += 1
         self._commit([{"op": "clear"}])
         self._maybe_compact_after_clear()
@@ -922,7 +897,9 @@ def _mmap_npz(path: Path) -> dict:
     payload can be mapped in place: parse the zip local header for the
     data offset, read the npy header, and hand the tail to ``np.memmap``.
     Members that cannot be mapped (string dtypes, compressed or misaligned
-    members) fall back to a plain read.
+    members) fall back to a plain read.  A mapped member's CRC-32 is checked
+    against the zip directory — the plain read checks its own — so a
+    garbled payload raises ``zipfile.BadZipFile`` instead of loading.
     """
     arrays = {}
     with zipfile.ZipFile(path) as archive, open(path, "rb") as raw:
@@ -942,7 +919,8 @@ def _load_member(archive, raw, info, path: Path):
             if local[:4] == b"PK\x03\x04":
                 name_len = int.from_bytes(local[26:28], "little")
                 extra_len = int.from_bytes(local[28:30], "little")
-                raw.seek(info.header_offset + 30 + name_len + extra_len)
+                data_start = info.header_offset + 30 + name_len + extra_len
+                raw.seek(data_start)
                 version = np.lib.format.read_magic(raw)
                 if version == (1, 0):
                     shape, fortran, dtype = np.lib.format.read_array_header_1_0(raw)
@@ -951,6 +929,10 @@ def _load_member(archive, raw, info, path: Path):
                 else:
                     raise ValueError(f"unsupported npy version {version}")
                 if dtype.kind == "f" and not fortran:
+                    stored = np.memmap(path, dtype=np.uint8, mode="r",
+                                       offset=data_start, shape=(info.file_size,))
+                    if zlib.crc32(stored) != info.CRC:
+                        raise zipfile.BadZipFile(f"bad CRC-32 for {info.filename}")
                     return np.memmap(path, dtype=dtype, mode="r",
                                      offset=raw.tell(), shape=shape)
         except (OSError, ValueError):

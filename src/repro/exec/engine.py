@@ -14,10 +14,8 @@ attack pipeline route their simulation batches through.  It
 * fans cache misses out over a :class:`~concurrent.futures.ProcessPoolExecutor`
   and collates results **strictly in job order** — never in completion
   order — so the output is independent of worker scheduling;
-* under the batch backend, groups compatible fixed-duration jobs by
-  :func:`~repro.exec.batch.batch_key` and advances each group lock-step,
-  falling back to the serial runner for jobs that cannot batch
-  (completion-mode or temperature-recording sessions);
+* under the batch backend, groups jobs by
+  :func:`~repro.exec.batch.batch_key` and advances each group lock-step;
 * applies a per-job timeout and retries a crashed or wedged worker's job
   exactly once, in-process (the spawn-keyed RNG makes the redo
   bit-identical).
@@ -41,7 +39,7 @@ from ..defenses.designs import DefenseFactory
 from ..machine import Trace
 from .batch import batch_key, execute_jobs_batched, resolve_batch_size
 from .cache import TraceCache, default_cache
-from .jobs import SessionJob, execute_job, register_factory, resolve_precision
+from .jobs import SessionJob, execute_job, register_factory
 
 __all__ = [
     "BACKENDS",
@@ -55,7 +53,7 @@ __all__ = [
 DEFAULT_JOB_TIMEOUT_S = 600.0
 
 #: Execution backends :func:`run_sessions` can route jobs through.
-#: ``"auto"`` resolves to one of the concrete three per run (see
+#: ``"auto"`` resolves to ``"serial"`` or ``"batch"`` per run (see
 #: :func:`choose_backend`).
 BACKENDS = ("auto", "serial", "process", "batch")
 
@@ -76,31 +74,14 @@ def resolve_backend(backend: object = None) -> str:
     return backend
 
 
-def choose_backend(jobs, workers: object = None) -> str:
-    """The concrete backend ``"auto"`` picks for ``jobs`` on this host.
+def choose_backend(jobs) -> str:
+    """The concrete backend ``"auto"`` picks for ``jobs``.
 
-    The heuristic is deliberately conservative — it must never pick a
-    backend slower than serial on the host it runs on:
-
-    * one (or zero) jobs: ``"serial"`` — nothing to amortize;
-    * a majority of jobs groupable by :func:`batch_key`: ``"batch"`` —
-      lock-step vectorization wins even on one core (measured ≥2x on the
-      smoke bench) and batches of ≥2 amortize its setup;
-    * otherwise ``"process"``, but only when both the resolved worker
-      count and ``os.cpu_count()`` exceed 1 — a process pool on a
-      single-core host loses outright to the serial loop;
-    * else ``"serial"``.
+    One (or zero) jobs run ``"serial"`` — there is nothing to amortize;
+    anything more runs ``"batch"``: every job can batch, lock-step
+    vectorization wins even on one core, and its traces equal serial.
     """
-    jobs = list(jobs)
-    workers = resolve_workers(workers)
-    if len(jobs) <= 1:
-        return "serial"
-    batchable = sum(1 for job in jobs if batch_key(job) is not None)
-    if 2 * batchable >= len(jobs):
-        return "batch"
-    if workers > 1 and (os.cpu_count() or 1) > 1 and len(jobs) >= 4:
-        return "process"
-    return "serial"
+    return "serial" if len(list(jobs)) <= 1 else "batch"
 
 
 def resolve_workers(workers: object = None) -> int:
@@ -168,7 +149,6 @@ def run_sessions(
     timeout_s: object = None,
     backend: object = None,
     batch_size: object = None,
-    precision: object = None,
 ) -> list:
     """Execute ``jobs`` and return their traces **in job order**.
 
@@ -182,28 +162,16 @@ def run_sessions(
       workers).
     * ``timeout_s`` — per-job timeout (default ``REPRO_JOB_TIMEOUT_S`` or
       600 s); a timed-out or crashed job is retried once in-process.
-    * ``backend`` — see :func:`resolve_backend`.  Under the ``"exact"``
-      tier every backend returns bit-identical traces; only the fan-out
-      strategy differs.
+    * ``backend`` — see :func:`resolve_backend`.  Every backend returns
+      bit-identical traces; only the fan-out strategy differs.
     * ``batch_size`` — sessions per lock-step batch under the batch
       backend (:func:`~repro.exec.batch.resolve_batch_size`).
-    * ``precision`` — force a numeric tier on every job
-      (:func:`~repro.exec.jobs.resolve_precision`: explicit argument >
-      ``REPRO_PRECISION`` env > each job's own ``precision`` field).
     """
-    from dataclasses import replace
-
     jobs = list(jobs)
-    forced = resolve_precision(precision)
-    if forced is not None:
-        jobs = [
-            job if job.precision == forced else replace(job, precision=forced)
-            for job in jobs
-        ]
     backend = resolve_backend(backend)
     workers = resolve_workers(workers)
     if backend == "auto":
-        backend = choose_backend(jobs, workers)
+        backend = choose_backend(jobs)
         telemetry.ops("run.auto_backend", backend=backend)
     if cache is None:
         cache = default_cache()
@@ -295,24 +263,17 @@ def _execute_parallel(jobs, pending, results, workers, factory, cache, timeout_s
 
 
 def _execute_batched(jobs, pending, results, factory, cache, batch_size):
-    """Advance compatible pending jobs lock-step; serial-fallback the rest.
+    """Advance pending jobs lock-step, one group per :func:`batch_key`.
 
-    Jobs are grouped by :func:`batch_key` through an insertion-ordered
-    dict, so grouping — like everything else in this layer — is a pure
-    function of job order (MAYA030).  Each group is chunked to the batch
-    size and simulated by :func:`execute_jobs_batched`; ungroupable jobs
-    (completion-mode, temperature-recording) run through the ordinary
-    serial runner.  Results land at their job's index either way.
+    Jobs are grouped through an insertion-ordered dict, so grouping — like
+    everything else in this layer — is a pure function of job order
+    (MAYA030).  Each group is chunked to the batch size and simulated by
+    :func:`execute_jobs_batched`; results land at their job's index.
     """
     batch_size = resolve_batch_size(batch_size)
     groups: dict = {}
-    ungroupable: list = []
     for index in pending:
-        key = batch_key(jobs[index])
-        if key is None:
-            ungroupable.append(index)
-        else:
-            groups.setdefault(key, []).append(index)
+        groups.setdefault(batch_key(jobs[index]), []).append(index)
     for indices in groups.values():
         group_jobs = [jobs[index] for index in indices]
         with profile.span("group", key=_chunk_span_key(group_jobs), sessions=len(indices)):
@@ -334,50 +295,6 @@ def _execute_batched(jobs, pending, results, factory, cache, batch_size):
                         # packs the whole chunk into a single group entry.
                         with profile.span("cache.put"):
                             cache.put_many(chunk_jobs, traces)
-                if jobs[chunk[0]].precision == "fast" and _certify_enabled():
-                    _certify_group(chunk_jobs, traces, factory, cache)
-    for index in ungroupable:
-        telemetry.ops("job.begin", index=index, fallback="serial")
-        with profile.span("job", key=_span_key(jobs[index]), index=index):
-            results[index] = jobs[index].execute(factory=factory)
-            if cache is not None:
-                with profile.span("cache.put"):
-                    cache.put(jobs[index], results[index])
-        telemetry.ops("job.end", index=index)
-
-
-def _certify_enabled() -> bool:
-    """Whether ``REPRO_CERTIFY`` asks for runtime equivalence certification."""
-    return os.environ.get("REPRO_CERTIFY", "").strip().lower() in {
-        "1", "true", "yes", "on",
-    }
-
-
-def _certify_group(group_jobs, fast_traces, factory, cache) -> None:
-    """Re-run a fast batch group exactly and emit its equivalence certificate.
-
-    Certification mode (``REPRO_CERTIFY=1``) trades throughput for proof:
-    every fast group is re-simulated through the serial exact runner, the
-    per-field errors are measured against the static ``certs/numeric/``
-    bounds, and the certificate lands next to the group's first cache
-    entry (``<key>.equiv.json`` in the key's shard, charged to the
-    entry's size accounting).  A certificate whose measured error
-    exceeds its cited bound fails the run loudly *after* the certificate
-    is written, so the evidence survives the crash.
-    """
-    from dataclasses import replace
-
-    from .equivalence import certify_traces, require
-
-    exact_traces = [
-        replace(job, precision="exact").execute(factory=factory)
-        for job in group_jobs
-    ]
-    cert = certify_traces(exact_traces, fast_traces)
-    if cache is not None:
-        cache.put_certificate(group_jobs[0], cert)
-    telemetry.ops("batch.certified", ok=bool(cert["ok"]), size=len(group_jobs))
-    require(cert)
 
 
 def _result_or_retry(future, job: SessionJob, factory, timeout_s: float) -> Trace:

@@ -37,45 +37,19 @@ __all__ = [
     "register_factory",
     "code_salt",
     "CACHE_EPOCH",
-    "PRECISIONS",
-    "resolve_precision",
 ]
-
-#: Supported numeric tiers for a session, in contract-strength order.
-PRECISIONS = ("exact", "fast")
-
-
-def resolve_precision(precision: str | None = None) -> str | None:
-    """The precision tier to force on a batch of jobs, or ``None``.
-
-    Explicit argument wins; otherwise the ``REPRO_PRECISION`` environment
-    variable; otherwise ``None``, meaning each job's own ``precision``
-    field is respected as-is.
-    """
-    import os
-
-    if precision is None:
-        precision = os.environ.get("REPRO_PRECISION", "").strip() or None
-    if precision is not None and precision not in PRECISIONS:
-        raise ValueError(
-            f"precision must be one of {PRECISIONS}, got {precision!r}"
-        )
-    return precision
 
 #: Bump to invalidate every cached trace when simulation *semantics* change
 #: without a source-text change (e.g. a numpy upgrade known to alter
 #: results).  Source-text changes are caught automatically by the salt.
 CACHE_EPOCH = 1
 
-#: Packages (or single modules, like the fast-tier kernels) whose sources
-#: define what a simulated session computes.  The cache key is salted with
-#: their content digest, so editing any of them invalidates every cached
-#: trace.  ``exec/fast`` is salted even though the rest of ``exec`` is not:
-#: the exact backends are bit-identical by contract (their code cannot
-#: change trace values), while fast-tier traces *are* a function of the
-#: fast kernels.
+#: Packages whose sources define what a simulated session computes.  The cache key is salted with their content digest, so
+#: editing any of them invalidates every cached trace.  ``exec`` is not
+#: salted: the lock-step backend's traces equal the serial runner's by
+#: contract, so its code cannot change trace values.
 _SIMULATION_PACKAGES = (
-    "core", "machine", "defenses", "workloads", "control", "masks", "exec/fast",
+    "core", "machine", "defenses", "workloads", "control", "masks",
 )
 
 
@@ -89,12 +63,7 @@ def _digest_simulation_sources(root: Path, packages: tuple, epoch: int) -> str:
     digest = hashlib.sha256()
     digest.update(f"epoch={epoch}".encode())
     for package in packages:
-        if (root / package).is_dir():
-            paths = sorted((root / package).rglob("*.py"))
-        elif (root / f"{package}.py").is_file():
-            paths = [root / f"{package}.py"]
-        else:
-            paths = []
+        paths = sorted((root / package).rglob("*.py"))
         if not paths:
             raise RuntimeError(
                 f"code_salt: salt entry '{package}' matches no Python "
@@ -191,19 +160,34 @@ class SessionJob:
     tail_s: float = 2.0
     record_temperature: bool = False
     workload_jitter: float = 0.08
-    #: Numeric tier: ``"exact"`` traces are bit-identical across backends,
-    #: ``"fast"`` traces are certified-equivalent (see ``exec/equivalence``).
-    #: Part of :meth:`describe`, so exact and fast traces never collide in
-    #: the cache.
-    precision: str = "exact"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "workload_kwargs", _as_pairs(self.workload_kwargs))
         object.__setattr__(self, "design_overrides", _as_pairs(self.design_overrides))
-        if self.precision not in PRECISIONS:
+        # Validate eagerly: one malformed job would otherwise fail a whole
+        # lock-step batch mid-simulation instead of failing at submission.
+        if not (self.interval_s > 0 and self.tick_s > 0):
             raise ValueError(
-                f"precision must be one of {PRECISIONS}, got {self.precision!r}"
+                f"interval_s and tick_s must be positive, got "
+                f"interval_s={self.interval_s!r}, tick_s={self.tick_s!r}"
             )
+        if self.interval_s < self.tick_s:
+            raise ValueError(
+                f"interval_s={self.interval_s!r} is shorter than "
+                f"tick_s={self.tick_s!r}"
+            )
+        if self.duration_s is not None and not self.duration_s >= self.interval_s:
+            raise ValueError(
+                f"duration_s={self.duration_s!r} must be None or at least "
+                f"interval_s={self.interval_s!r}"
+            )
+        if not self.max_duration_s >= self.interval_s:
+            raise ValueError(
+                f"max_duration_s={self.max_duration_s!r} is shorter than "
+                f"interval_s={self.interval_s!r}"
+            )
+        if not self.tail_s >= 0:
+            raise ValueError(f"tail_s must be non-negative, got {self.tail_s!r}")
 
     @classmethod
     def for_factory(
@@ -291,13 +275,6 @@ class SessionJob:
     def execute(self, factory: DefenseFactory | None = None) -> Trace:
         """Run the session and return its trace (see :meth:`resolve_factory`)."""
         factory = self.resolve_factory(factory)
-        if self.precision == "fast":
-            # One code path for the fast tier everywhere: serial/process
-            # execution of a fast job routes through the batched fast
-            # runner with a fleet of one.
-            from .batch import execute_jobs_batched
-
-            return execute_jobs_batched([self], factory)[0]
         # Bind the session's telemetry manifest to this job's content
         # address (key computation is skipped entirely when recording is
         # off — the job key hashes the whole simulation source tree).

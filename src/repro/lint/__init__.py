@@ -13,8 +13,7 @@ Two halves, both motivated by the paper's formal-guarantee story:
   (MAYA010-MAYA013), secret-taint certification of the mask/control
   packages (MAYA020-MAYA022, with a JSON leakage certificate), and
   reassociation-safety analysis of the simulation hot paths
-  (MAYA040-MAYA043, with per-module numeric certificates consumed by the
-  planned ``precision="fast"`` tier), and purity & cache-salt soundness
+  (MAYA040-MAYA043, with per-module numeric certificates), and purity & cache-salt soundness
   certification of the simulation closure (MAYA050-MAYA053, with
   per-entry-point certificates that pin the trace cache's content
   address).

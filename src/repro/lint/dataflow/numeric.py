@@ -1,9 +1,9 @@
 """Reassociation-safety certification (MAYA040-MAYA043) for the hot paths.
 
-The batched execution backend's contract is bit-identity with the serial
-runner (DESIGN.md §7), which is why the mask transcendentals and the
+The lock-step backend's contract is bit-identity with the serial runner
+(DESIGN.md §7), which is why the mask transcendentals and the
 controller's K·x matmul stay scalar: SIMD/BLAS evaluation may reassociate
-floating-point operations.  The planned ``precision="fast"`` tier needs a
+floating-point operations.  A change that vectorizes one of them needs a
 principled inventory of *what* is order-sensitive and *at what error
 cost*, instead of hand-maintained lists.  This analysis classifies every
 floating-point expression reachable from the simulation hot paths as
@@ -31,8 +31,7 @@ Four rules are layered on that classification:
   serial twin, checked by abstract interpretation of both bodies.
 
 The per-module inventory is emitted as the machine-checkable certificate
-``maya.lint.numeric-certificate.v1`` (see :func:`numeric_certificates`),
-which the fast tier's runtime equivalence oracle will consume.
+``maya.lint.numeric-certificate.v1`` (see :func:`numeric_certificates`).
 """
 
 from __future__ import annotations
@@ -141,7 +140,6 @@ _SCOPE_SUFFIXES = (
     "control/controller.py",
     "control/fixedpoint.py",
     "exec/batch.py",
-    "exec/fast.py",
     "core/runtime.py",
     "core/maya.py",
     "defenses/base.py",

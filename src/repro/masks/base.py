@@ -27,7 +27,6 @@ __all__ = [
     "SegmentedMask",
     "NHOLD_RANGE",
     "next_targets",
-    "next_targets_fast",
 ]
 
 #: Section V-B: parameters are held for 6..120 samples.
@@ -57,18 +56,6 @@ class MaskGenerator(abc.ABC):
     def next_target(self) -> float:
         """The target power (watts) for the next control interval."""
 
-    def next_target_deferred(self) -> tuple:
-        """Advance one interval but defer the transcendental evaluation.
-
-        Returns either ``("value", v)`` — a final (already clipped) target —
-        or ``("sin", offset_w, amp_w, angle, extra_w)``, whose value is
-        ``clip((offset_w + amp_w * sin(angle)) + extra_w)``.  All RNG
-        consumption happens here, in the serial runner's order; only the
-        ``sin`` itself is deferred so :func:`next_targets_fast` can batch
-        it into one vector call.  The default wraps :meth:`next_target`.
-        """
-        return ("value", self.next_target())
-
     def generate(self, n_samples: int) -> np.ndarray:
         """Convenience: materialize ``n_samples`` targets."""
         targets_w = np.empty(n_samples, dtype=np.float64)
@@ -97,42 +84,6 @@ def next_targets(masks: "list[MaskGenerator]") -> np.ndarray:
     targets_w = np.empty(len(masks), dtype=np.float64)
     for index, mask in enumerate(masks):
         targets_w[index] = mask.next_target()
-    return targets_w
-
-
-def next_targets_fast(masks: "list[MaskGenerator]") -> np.ndarray:
-    """Fast-tier fleet mask evaluation: one vector ``np.sin`` per interval.
-
-    Every per-session draw still happens on that mask's own RNG stream in
-    fleet order (:meth:`MaskGenerator.next_target_deferred`), so the
-    streams are identical to the serial runner's.  The deferred sinusoid
-    angles are then evaluated through a single batched ``np.sin`` — the
-    one loosening versus :func:`next_targets`, covered by the
-    transcendental bound certified in
-    ``certs/numeric/repro.masks.generators.json`` and re-measured at
-    runtime by the equivalence certificate (``target_w`` field).
-    """
-    targets_w = np.empty(len(masks), dtype=np.float64)
-    sin_rows: list = []
-    sin_parts: list = []
-    for index, mask in enumerate(masks):
-        part = mask.next_target_deferred()
-        if part[0] == "value":
-            targets_w[index] = part[1]
-        else:
-            sin_rows.append(index)
-            sin_parts.append(part[1:])
-    if sin_rows:
-        offset_w, amp_w, angle, extra_w = (
-            np.asarray(column, dtype=np.float64) for column in zip(*sin_parts)
-        )
-        # Association replays the serial expression: (offset + amp*sin) +
-        # extra, then the per-mask clip — elementwise-identical apart from
-        # the vector sin kernel.
-        values = (offset_w + amp_w * np.sin(angle)) + extra_w
-        lows = np.asarray([masks[row].low_w for row in sin_rows])
-        highs = np.asarray([masks[row].high_w for row in sin_rows])
-        targets_w[np.asarray(sin_rows)] = np.clip(values, lows, highs)
     return targets_w
 
 
@@ -167,18 +118,6 @@ class SegmentedMask(MaskGenerator):
         self._sample_index += 1
         return self._clip(value)
 
-    def next_target_deferred(self) -> tuple:
-        """Segment bookkeeping of :meth:`next_target` with a deferred value."""
-        if self._samples_left == 0:
-            self._samples_left = int(
-                self._rng.integers(self.nhold_range[0], self.nhold_range[1] + 1)
-            )
-            self._draw_parameters(self._rng)
-        self._samples_left -= 1
-        part = self._evaluate_deferred(self._sample_index, self._rng)
-        self._sample_index += 1
-        return part
-
     @abc.abstractmethod
     def _draw_parameters(self, rng: np.random.Generator) -> None:
         """Draw a fresh parameter set for the next segment."""
@@ -186,7 +125,3 @@ class SegmentedMask(MaskGenerator):
     @abc.abstractmethod
     def _evaluate(self, sample_index: int, rng: np.random.Generator) -> float:
         """Target value at the global sample index with current parameters."""
-
-    def _evaluate_deferred(self, sample_index: int, rng: np.random.Generator) -> tuple:
-        """Deferred-form :meth:`_evaluate` (see ``next_target_deferred``)."""
-        return ("value", self._clip(self._evaluate(sample_index, rng)))

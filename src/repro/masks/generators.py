@@ -95,12 +95,10 @@ class _SinusoidParams:
         self.period = rng.uniform(2.0, 32.0)
         self.phase = rng.uniform(0.0, 2.0 * np.pi)
 
-    def angle(self, sample_index: int) -> float:
-        """The sin argument at ``sample_index`` (the fast tier defers the sin)."""
-        return 2.0 * np.pi * sample_index / self.period + self.phase
-
     def value(self, sample_index: int) -> float:
-        return self.offset_w + self.amp_w * np.sin(self.angle(sample_index))
+        return self.offset_w + self.amp_w * np.sin(
+            2.0 * np.pi * sample_index / self.period + self.phase
+        )
 
 
 class SinusoidMask(SegmentedMask):
@@ -112,10 +110,6 @@ class SinusoidMask(SegmentedMask):
 
     def _evaluate(self, sample_index: int, rng: np.random.Generator) -> float:
         return float(self._params.value(sample_index))
-
-    def _evaluate_deferred(self, sample_index: int, rng: np.random.Generator) -> tuple:
-        params = self._params
-        return ("sin", params.offset_w, params.amp_w, params.angle(sample_index), 0.0)
 
 
 class GaussianSinusoidMask(SegmentedMask):
@@ -130,13 +124,6 @@ class GaussianSinusoidMask(SegmentedMask):
     def _evaluate(self, sample_index: int, rng: np.random.Generator) -> float:
         noise_w = rng.normal(self._mu_w, self._sigma_w)
         return float(self._params.value(sample_index) + noise_w)
-
-    def _evaluate_deferred(self, sample_index: int, rng: np.random.Generator) -> tuple:
-        # The draw happens first, exactly as in _evaluate, so the RNG
-        # stream is untouched by the deferral (value() consumes no RNG).
-        noise_w = float(rng.normal(self._mu_w, self._sigma_w))
-        params = self._params
-        return ("sin", params.offset_w, params.amp_w, params.angle(sample_index), noise_w)
 
 
 MASK_FAMILIES = {

@@ -231,7 +231,6 @@ _IDENTITY_FIELDS = (
     "max_duration_s",
     "tail_s",
     "record_temperature",
-    "precision",
 )
 
 
@@ -274,7 +273,6 @@ def job_identity(job) -> str:
         max_duration_s=job.max_duration_s,
         tail_s=job.tail_s,
         record_temperature=job.record_temperature,
-        precision=getattr(job, "precision", "exact"),
     )
 
 
@@ -560,7 +558,6 @@ def session_begin(
     max_duration_s,
     tail_s,
     record_temperature,
-    precision: str = "exact",
     engine: str = "run_session",
 ) -> None:
     """Open the ambient session channel (no-op when recording is off).
@@ -588,7 +585,6 @@ def session_begin(
             max_duration_s=max_duration_s,
             tail_s=tail_s,
             record_temperature=record_temperature,
-            precision=precision,
         )
     )
 

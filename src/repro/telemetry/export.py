@@ -40,8 +40,7 @@ HISTORY_SCHEMA = "maya.bench.history.v1"
 #: ``--check`` gates (see :mod:`repro.bench`).
 SPEEDUP_FLOORS = {
     "parallel_speedup": 1.3,
-    "batched_speedup": 2.0,
-    "fast_speedup": 10.0,
+    "batched_speedup": 10.0,
     "auto_speedup": 1.0,
     "packed_read_speedup": 2.0,
 }

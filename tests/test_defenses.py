@@ -112,6 +112,13 @@ class TestDefenseFactory:
         with pytest.raises(KeyError):
             sys1_factory.create("maya_fourier")
 
+    def test_every_mask_family_resolves_by_name(self, sys1_factory):
+        # Maya with any mask family is a plain defense name, so a
+        # declarative SessionJob (an ablation, say) can describe it.
+        defense = sys1_factory.create("maya_uniform")
+        assert defense.name == "maya_uniform"
+        assert defense.design.config.mask_family == "uniform"
+
     def test_designs_cached(self, sys1_factory):
         a = sys1_factory.create("maya_gs")
         b = sys1_factory.create("maya_gs")

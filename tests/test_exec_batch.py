@@ -13,7 +13,6 @@ import pytest
 from repro.attacks.mlp import MLPConfig
 from repro.attacks.pipeline import AttackScenario, run_attack
 from repro.exec import (
-    BatchedMachine,
     SessionJob,
     TraceCache,
     batch_key,
@@ -93,14 +92,16 @@ class TestBatchKey:
         b = make_job(workload="water_nsquared", defense="random_inputs", seed=3)
         assert batch_key(a) == batch_key(b) is not None
 
-    def test_completion_mode_is_ungroupable(self):
-        assert batch_key(make_job(duration_s=None)) is None
-
-    def test_temperature_recording_is_ungroupable(self):
-        assert batch_key(make_job(record_temperature=True)) is None
+    def test_per_row_parameters_share_a_key(self):
+        # Duration, cap, tail and temperature recording are per row.
+        base = batch_key(make_job())
+        assert batch_key(make_job(duration_s=None)) == base
+        assert batch_key(make_job(record_temperature=True)) == base
+        assert batch_key(make_job(duration_s=2.0, max_duration_s=1.0, tail_s=0.5)) == base
 
     def test_different_grids_get_different_keys(self):
-        assert batch_key(make_job(duration_s=1.0)) != batch_key(make_job(duration_s=2.0))
+        assert batch_key(make_job(interval_s=0.02)) != batch_key(make_job(interval_s=0.04))
+        assert batch_key(make_job(tick_s=0.001)) != batch_key(make_job(tick_s=0.002))
         assert batch_key(make_job(spec=SYS1)) != batch_key(make_job(spec=SYS2))
 
 
@@ -171,18 +172,9 @@ class TestBitIdentity:
 
 
 class TestBatchedMachineValidation:
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            BatchedMachine([])
-
-    def test_mixed_spec_rejected(self):
-        machines = [make_job(spec=SYS1).build_machine(), make_job(spec=SYS2).build_machine()]
-        with pytest.raises(ValueError, match="share spec and tick"):
-            BatchedMachine(machines)
-
     def test_mixed_batch_key_rejected(self):
         with pytest.raises(ValueError, match="batch_key"):
-            execute_jobs_batched([make_job(duration_s=1.0), make_job(duration_s=2.0)])
+            execute_jobs_batched([make_job(spec=SYS1), make_job(spec=SYS2)])
 
     def test_empty_job_list_is_empty_result(self):
         assert execute_jobs_batched([]) == []
@@ -190,11 +182,11 @@ class TestBatchedMachineValidation:
 
 class TestEngineIntegration:
     def test_mixed_groups_and_fallback_keep_job_order(self):
-        """Ungroupable jobs fall back to serial, results stay in job order."""
+        """Jobs of several groups and regimes come back in job order."""
         jobs = [
             make_job(workload="volrend", duration_s=1.0),
             make_job(workload="water_nsquared", duration_s=None, max_duration_s=1.0),
-            make_job(workload="water_nsquared", duration_s=2.0),
+            make_job(workload="water_nsquared", duration_s=2.0, spec=SYS2),
             make_job(workload="volrend", duration_s=1.0, run=1),
         ]
         serial = run_sessions(jobs, cache=False, backend="serial")

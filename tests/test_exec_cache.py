@@ -2,7 +2,9 @@
 
 import json
 
-from repro.exec import SessionJob, TraceCache, default_cache
+import pytest
+
+from repro.exec import SessionJob, TraceCache, default_cache, run_sessions
 from repro.exec.__main__ import main as cache_cli
 from repro.machine import SYS1
 
@@ -192,33 +194,6 @@ class TestAccounting:
         finally:
             telemetry.set_recorder(None)
 
-    def test_clear_removes_equivalence_certificates(self, tmp_path):
-        # Regression: certificates written beside entries by the fast tier
-        # must not be orphaned by clear().
-        cache = TraceCache(root=tmp_path)
-        job = tiny_job()
-        cache.put(job, job.execute())
-        cert = cache.certificate_path(job)
-        cert.write_text('{"ok": true}\n')
-        cache.clear()
-        assert not cert.exists()
-        assert not shard_files(tmp_path, "*.equiv.json")
-
-    def test_evict_removes_equivalence_certificates(self, tmp_path):
-        # Regression: _evict() must delete <key>.equiv.json with the entry.
-        cache = TraceCache(root=tmp_path)
-        jobs = [tiny_job(run=i) for i in range(3)]
-        for job in jobs:
-            cache.put(job, job.execute())
-        victim_cert = cache.certificate_path(jobs[0])
-        victim_cert.write_text('{"ok": true}\n')
-        entry_size = cache._path(jobs[0]).stat().st_size
-        cache.max_bytes = int(entry_size * 1.5)
-        cache.put(jobs[1], jobs[1].execute())  # trigger eviction of jobs[0]
-        assert cache.evictions >= 1
-        assert not cache._path(jobs[0]).exists()
-        assert not victim_cert.exists()
-
     def test_sidecar_bytes_are_accounted(self, tmp_path):
         from repro import telemetry
         from repro.telemetry import TelemetryRecorder
@@ -240,18 +215,6 @@ class TestAccounting:
         sidecar = shard_files(tmp_path / "sidecars", "*.events.jsonl")
         assert len(sidecar) == 1 and sidecar[0].stat().st_size > 0
         assert accounted >= npz_only + sidecar[0].stat().st_size
-
-    def test_certificate_bytes_join_the_accounting(self, tmp_path):
-        cache = TraceCache(root=tmp_path)
-        job = tiny_job()
-        cache.put(job, job.execute())
-        before = cache.stats()["total_bytes"]
-        cache.put_certificate(job, {"schema": "test", "ok": True})
-        after = cache.stats()["total_bytes"]
-        cert_size = cache.certificate_path(job).stat().st_size
-        assert cert_size > 0
-        assert after == before + cert_size
-
 
 class TestPackedGroups:
     def test_put_many_packs_a_group(self, tmp_path):
@@ -306,6 +269,42 @@ class TestPackedGroups:
         assert not shard_files(tmp_path, "pack-*.npz")
         assert len(shard_files(tmp_path)) == 2
         assert cache.stats()["groups"] == 0
+
+
+def _truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def _garble(path):
+    data = bytearray(path.read_bytes())
+    middle = len(data) // 2
+    data[middle:middle + 64] = b"\xff" * 64
+    path.write_bytes(bytes(data))
+
+
+class TestDamagedEntries:
+    """A damaged entry degrades to a recompute, never to a crash."""
+
+    @pytest.mark.parametrize("damage", [_truncate, _garble])
+    def test_damaged_single_and_packed_entries_recompute(self, tmp_path, damage):
+        cache = TraceCache(root=tmp_path)
+        single = tiny_job(run=0)
+        group = [tiny_job(run=i) for i in (1, 2)]
+        originals = [job.execute() for job in [single] + group]
+        cache.put(single, originals[0])
+        cache.put_many(group, originals[1:])
+        damage(cache._path(single))
+        (pack,) = shard_files(tmp_path, "pack-*.npz")
+        damage(pack)
+
+        fresh = TraceCache(root=tmp_path)
+        assert fresh.get_many([single] + group) == [None, None, None]
+        traces = run_sessions([single] + group, cache=fresh, backend="serial")
+        assert all(got.equals(want) for got, want in zip(traces, originals))
+        # The recompute overwrote the damaged entries: every key hits now.
+        replay = TraceCache(root=tmp_path).get_many([single] + group)
+        assert all(got.equals(want) for got, want in zip(replay, originals))
 
 
 class TestJournal:
@@ -406,16 +405,6 @@ class TestMigration:
             telemetry.set_recorder(None)
         migrated = shard_files(tmp_path / "cache", "*.events.jsonl")
         assert len(migrated) == 1 and migrated[0].read_bytes() == sidecar_bytes
-
-    def test_migrated_certificates_move_into_shards(self, tmp_path):
-        job = tiny_job()
-        trace = job.execute()
-        self.build_flat_layout(tmp_path, [job], [trace])
-        (tmp_path / f"{job.key()}.equiv.json").write_text('{"ok": true}\n')
-        cache = TraceCache(root=tmp_path)
-        assert cache.get(job) is not None
-        assert cache.certificate_path(job).is_file()
-        assert not (tmp_path / f"{job.key()}.equiv.json").exists()
 
     def test_migration_disabled_is_a_cold_miss(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_MIGRATE", "0")

@@ -20,28 +20,11 @@ REPO_ROOT = PACKAGE_ROOT.parent.parent
 
 
 def copy_salted_tree(tmp_path):
-    """A private copy of the salted packages, safe to mutate.
-
-    Salt entries can name whole packages or single modules (``exec/fast``);
-    mirror whichever form each entry takes.
-    """
+    """A private copy of the salted packages, safe to mutate."""
     root = tmp_path / "repro"
     for package in _SIMULATION_PACKAGES:
-        if (PACKAGE_ROOT / package).is_dir():
-            shutil.copytree(PACKAGE_ROOT / package, root / package)
-        else:
-            source = PACKAGE_ROOT / f"{package}.py"
-            target = root / f"{package}.py"
-            target.parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(source, target)
+        shutil.copytree(PACKAGE_ROOT / package, root / package)
     return root
-
-
-def salted_sources(root, package):
-    """Every digested source file of one salt entry, sorted."""
-    if (root / package).is_dir():
-        return sorted((root / package).rglob("*.py"))
-    return [root / f"{package}.py"]
 
 
 class TestDigestSensitivity:
@@ -49,7 +32,7 @@ class TestDigestSensitivity:
         root = copy_salted_tree(tmp_path)
         base = _digest_simulation_sources(root, _SIMULATION_PACKAGES, CACHE_EPOCH)
         for package in _SIMULATION_PACKAGES:
-            target = salted_sources(root, package)[0]
+            target = sorted((root / package).rglob("*.py"))[0]
             original = target.read_bytes()
             target.write_bytes(original + b"\n# perturbed\n")
             changed = _digest_simulation_sources(

@@ -73,12 +73,9 @@ class TestCacheIntegration:
         cache = TraceCache(root=tmp_path)
         jobs = batch_jobs(n_runs=1)
         # Prime only the second job: the engine must interleave the cached
-        # and freshly-simulated traces back into submission order.  The
-        # tier is pinned because the primed key hashes the job's own
-        # precision field — an ambient REPRO_PRECISION would rewrite the
-        # jobs and (correctly) miss the primed entry.
+        # and freshly-simulated traces back into submission order.
         cache.put(jobs[1], jobs[1].execute())
-        traces = run_sessions(jobs, workers=1, cache=cache, precision="exact")
+        traces = run_sessions(jobs, workers=1, cache=cache)
         assert [t.workload for t in traces] == ["volrend", "water_nsquared"]
         assert cache.hits == 1
 
@@ -91,34 +88,6 @@ class TestCacheIntegration:
         assert cache.hits == len(jobs)
         for a, b in zip(first, second):
             assert a.equals(b)
-
-    def test_certified_fast_group_writes_shard_certificate(
-        self, monkeypatch, tmp_path
-    ):
-        """REPRO_CERTIFY=1 lands the group certificate inside the shard."""
-        from dataclasses import replace
-
-        monkeypatch.setenv("REPRO_CERTIFY", "1")
-        cache = TraceCache(root=tmp_path)
-        jobs = batch_jobs(n_runs=2, workloads=("volrend",))
-        run_sessions(jobs, workers=1, cache=cache, backend="batch",
-                     precision="fast")
-        # The engine certified the forced-fast jobs, so the certificate
-        # keys off the fast-tier job identity.
-        first = replace(jobs[0], precision="fast")
-        cert_path = cache.certificate_path(first)
-        assert cert_path.is_file()
-        assert cert_path.is_relative_to(tmp_path / "shards")
-        # The certificate's bytes joined the entry's size accounting: a
-        # fresh handle's journal-replayed total matches the shard tree.
-        fresh = TraceCache(root=tmp_path)
-        tree_bytes = sum(
-            path.stat().st_size
-            for path in sorted((tmp_path / "shards").rglob("*"))
-            if path.is_file()
-        )
-        assert fresh.stats()["total_bytes"] == tree_bytes
-        assert fresh.stats()["tree_scans"] == 0
 
     def test_cache_false_disables_default(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE", "1")

@@ -1,16 +1,12 @@
-"""Tests for the ``precision="fast"`` tier and its equivalence oracle.
+"""Tests for the lock-step kernel's fast paths against the serial oracle.
 
-The exact tier's oracle is bit-identity; the fast tier's is the runtime
-equivalence certificate of :mod:`repro.exec.equivalence`: measured
-per-field error within the cited static bounds from ``certs/numeric/``,
-plus an *identical* end-to-end attack outcome.  These tests exercise the
-certificate machinery itself (round-trip, loud failure past a bound), the
-fast runner across every execution regime (fixed-duration, completion
-mode, temperature recording, mixed defenses), the adaptive ``"auto"``
-backend heuristic, and the precision axis of the job content address.
+The batch backend's two fold-exact structures — the whole-session
+fast-forward of constant-settings defenses and masked per-row termination
+(completion mode, temperature recording, per-row caps) — must reproduce
+``run_session`` bit for bit (``Trace.equals``) in every execution regime,
+and so must every end-to-end attack outcome built on their traces.  Also
+covered: the adaptive ``"auto"`` backend heuristic.
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -22,19 +18,8 @@ from repro.attacks.pipeline import (
     simulate_runs,
     train_and_evaluate,
 )
-from repro.exec import SessionJob, choose_backend, run_sessions
-from repro.exec.equivalence import (
-    CERT_SCHEMA,
-    FIELD_SITES,
-    LOOSENED_SITES,
-    EquivalenceError,
-    attach_attack_outcome,
-    certify_traces,
-    load_certificate,
-    require,
-    write_certificate,
-)
-from repro.machine import SYS1, Trace
+from repro.exec import SessionJob, batch_key, choose_backend, run_sessions
+from repro.machine import SYS1
 
 from .conftest import TEST_SEED
 
@@ -45,7 +30,6 @@ def make_job(
     defense="baseline",
     run=0,
     duration_s=1.0,
-    precision="exact",
     **kwargs,
 ):
     return SessionJob.for_factory(
@@ -55,199 +39,51 @@ def make_job(
         seed=TEST_SEED,
         run_id=("fast-test", workload, defense, run),
         duration_s=duration_s,
-        precision=precision,
         **kwargs,
     )
 
 
-def synthetic_trace(**overrides) -> Trace:
-    n_ticks, n_intervals = 60, 3
-    fields = dict(
-        workload="volrend",
-        platform="sys1",
-        defense="baseline",
-        tick_s=0.001,
-        interval_s=0.020,
-        power_w=np.linspace(10.0, 20.0, n_ticks),
-        measured_w=np.array([12.0, 15.0, 18.0]),
-        target_w=np.full(n_intervals, np.nan),
-        settings=np.tile([3.2, 0.0, 0.3], (n_intervals, 1)),
-        completed_at_s=float("nan"),
-    )
-    fields.update(overrides)
-    return Trace(**fields)
-
-
-class TestPrecisionAxis:
-    def test_precision_enters_the_job_key(self, sys1_factory):
-        exact = make_job(sys1_factory, precision="exact")
-        fast = make_job(sys1_factory, precision="fast")
-        assert exact.key() != fast.key()
-        assert exact.describe()["precision"] == "exact"
-        assert fast.describe()["precision"] == "fast"
-
-    def test_default_is_exact(self, sys1_factory):
-        assert make_job(sys1_factory).precision == "exact"
-
-    def test_unknown_precision_raises(self, sys1_factory):
-        with pytest.raises(ValueError, match="precision"):
-            make_job(sys1_factory, precision="sloppy")
+def assert_matches_serial(jobs, factory):
+    """Run ``jobs`` serially and under the default backend; compare traces."""
+    serial = run_sessions(jobs, factory=factory, backend="serial", cache=False)
+    batched = run_sessions(jobs, factory=factory, cache=False)
+    assert len(serial) == len(batched) == len(jobs)
+    for a, b in zip(serial, batched):
+        assert a.equals(b)
+    return serial
 
 
 class TestChooseBackend:
     def test_single_job_is_serial(self, sys1_factory):
-        assert choose_backend([make_job(sys1_factory)], workers=8) == "serial"
-        assert choose_backend([], workers=8) == "serial"
+        assert choose_backend([make_job(sys1_factory)]) == "serial"
+        assert choose_backend([]) == "serial"
 
     def test_batchable_majority_is_batch(self, sys1_factory):
         jobs = [make_job(sys1_factory, run=run) for run in range(4)]
-        assert choose_backend(jobs, workers=1) == "batch"
+        assert choose_backend(jobs) == "batch"
 
-    def test_unbatchable_jobs_on_one_core(self, sys1_factory, monkeypatch):
-        # Completion-mode exact jobs cannot batch; with no parallelism
-        # available the only non-losing choice is serial.
-        import repro.exec.engine as engine_mod
-
-        monkeypatch.setattr(engine_mod.os, "cpu_count", lambda: 1)
-        jobs = [
-            make_job(sys1_factory, run=run, duration_s=None, max_duration_s=1.0)
-            for run in range(4)
-        ]
-        assert choose_backend(jobs, workers=4) == "serial"
-
-    def test_unbatchable_jobs_on_many_cores(self, sys1_factory, monkeypatch):
+    def test_auto_never_picks_process(self, sys1_factory, monkeypatch):
+        # Lock-step batching wins on any host, so auto leaves the process
+        # pool to explicit backend="process" callers.
         import repro.exec.engine as engine_mod
 
         monkeypatch.setattr(engine_mod.os, "cpu_count", lambda: 8)
-        jobs = [
-            make_job(sys1_factory, run=run, duration_s=None, max_duration_s=1.0)
-            for run in range(4)
-        ]
-        assert choose_backend(jobs, workers=4) == "process"
-        # ... but never with a single worker.
-        assert choose_backend(jobs, workers=1) == "serial"
+        jobs = [make_job(sys1_factory, run=run) for run in range(4)]
+        assert choose_backend(jobs) == "batch"
 
     def test_fast_jobs_always_batch(self, sys1_factory):
-        # The fast tier batches completion-mode and temperature jobs too.
+        # Masked per-row termination batches completion-mode and
+        # temperature-recording jobs too.
         jobs = [
-            make_job(sys1_factory, run=0, duration_s=None, max_duration_s=1.0,
-                     precision="fast"),
-            make_job(sys1_factory, run=1, record_temperature=True,
-                     precision="fast"),
+            make_job(sys1_factory, run=0, duration_s=None, max_duration_s=1.0),
+            make_job(sys1_factory, run=1, record_temperature=True),
         ]
-        assert choose_backend(jobs, workers=1) == "batch"
-
-
-class TestCertificateRoundTrip:
-    def test_write_then_load_round_trips(self, tmp_path):
-        trace = synthetic_trace()
-        cert = certify_traces([trace], [trace])
-        assert cert["schema"] == CERT_SCHEMA
-        assert cert["ok"] is True
-        for field in FIELD_SITES:
-            assert cert["fields"][field]["max_abs"] == 0.0
-        path = write_certificate(cert, tmp_path / "group.equiv.json")
-        assert load_certificate(path) == cert
-        # Deterministic serialization: re-writing is byte-identical.
-        text = path.read_text()
-        write_certificate(cert, path)
-        assert path.read_text() == text
-
-    def test_load_rejects_foreign_schema(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text(json.dumps({"schema": "maya.bench.pipeline.v3"}))
-        with pytest.raises(EquivalenceError, match="schema"):
-            load_certificate(path)
-
-    def test_every_loosened_site_cites_a_committed_bound(self):
-        # certify_traces resolves each site against certs/numeric/ — a
-        # loosened site whose static certificate vanished must fail.
-        cert = certify_traces([synthetic_trace()], [synthetic_trace()])
-        for name in LOOSENED_SITES:
-            site = cert["sites"][name]
-            assert site["n_static_sites"] >= 1
-            assert site["ulp_bound"] > 0.0
-
-    def test_missing_static_certificate_fails_loudly(self, tmp_path):
-        with pytest.raises(EquivalenceError, match="no static numeric"):
-            certify_traces(
-                [synthetic_trace()], [synthetic_trace()], certs_dir=tmp_path
-            )
-
-
-class TestExceedingBoundsFailsLoudly:
-    def test_error_past_the_cited_bound_fails(self):
-        exact = synthetic_trace()
-        # Drift the measured power far past any transcendental/recurrence
-        # rounding bound: the certificate must record the failure and
-        # require() must raise.
-        fast = synthetic_trace(measured_w=exact.measured_w + 1.0)
-        cert = certify_traces([exact], [fast])
-        assert cert["ok"] is False
-        assert cert["fields"]["measured_w"]["ok"] is False
-        assert cert["fields"]["power_w"]["ok"] is True
-        with pytest.raises(EquivalenceError, match="measured_w"):
-            require(cert)
-
-    def test_zero_bound_field_must_be_bit_identical(self):
-        exact = synthetic_trace(completed_at_s=0.750)
-        fast = synthetic_trace(completed_at_s=0.751)
-        cert = certify_traces([exact], [fast])
-        assert cert["fields"]["completed_at_s"]["ok"] is False
-        with pytest.raises(EquivalenceError, match="completed_at_s"):
-            require(cert)
-
-    def test_single_sided_nan_is_infinite_error(self):
-        exact = synthetic_trace(completed_at_s=0.750)
-        fast = synthetic_trace(completed_at_s=float("nan"))
-        cert = certify_traces([exact], [fast])
-        assert cert["fields"]["completed_at_s"]["max_abs"] == np.inf
-        assert cert["ok"] is False
-
-    def test_changed_attack_outcome_fails(self):
-        trace = synthetic_trace()
-        cert = certify_traces([trace], [trace])
-
-        class Result:
-            def __init__(self, matrix):
-                self.matrix = np.asarray(matrix)
-                self.class_names = ("a", "b")
-
-        class Outcome:
-            def __init__(self, matrix, accuracy):
-                self.result = Result(matrix)
-                self.n_train, self.n_val, self.n_test = 8, 2, 2
-                self.average_accuracy = accuracy
-
-        attach_attack_outcome(
-            cert, Outcome([[1.0, 0.0], [0.0, 1.0]], 1.0),
-            Outcome([[0.5, 0.5], [0.0, 1.0]], 0.75),
-        )
-        assert cert["attack_outcome"]["identical"] is False
-        assert cert["ok"] is False
-        with pytest.raises(EquivalenceError, match="attack_outcome"):
-            require(cert)
+        assert choose_backend(jobs) == "batch"
+        assert batch_key(jobs[0]) == batch_key(jobs[1])
 
 
 class TestFastMatchesSerial:
-    """The fast runner against the serial oracle, per execution regime.
-
-    Each case runs the same jobs exact-serially and fast-batched, then
-    certifies the fast traces against the exact ones — the tier's actual
-    contract (`require` raises on any excess).
-    """
-
-    def certify(self, jobs, factory):
-        exact = run_sessions(
-            [j for j in jobs], factory=factory, backend="serial",
-            precision="exact", cache=False,
-        )
-        fast = run_sessions(
-            jobs, factory=factory, backend="batch", precision="fast",
-            cache=False,
-        )
-        cert = require(certify_traces(exact, fast))
-        return exact, fast, cert
+    """The lock-step kernel against the serial oracle, per execution regime."""
 
     def test_fixed_duration_mixed_defenses(self, sys1_factory):
         jobs = [
@@ -259,25 +95,18 @@ class TestFastMatchesSerial:
                 ("water_nsquared", "random_inputs"),
             ])
         ]
-        exact, fast, cert = self.certify(jobs, sys1_factory)
-        assert cert["ok"] is True
-        for a, b in zip(exact, fast):
-            assert a.workload == b.workload
-            assert a.settings.shape == b.settings.shape
+        assert_matches_serial(jobs, sys1_factory)
 
     def test_completion_mode(self, sys1_factory):
         jobs = [
-            make_job(sys1_factory, workload=workload, run=run,
+            make_job(sys1_factory, workload=workload, defense=defense, run=run,
                      duration_s=None, max_duration_s=1.0, tail_s=0.1)
-            for run, workload in enumerate(("volrend", "water_nsquared"))
+            for run, (workload, defense) in enumerate([
+                ("volrend", "baseline"),
+                ("water_nsquared", "maya_gs"),
+            ])
         ]
-        exact, fast, cert = self.certify(jobs, sys1_factory)
-        assert cert["ok"] is True
-        # completed_at_s has no loosened site: bit-identical or both NaN.
-        for a, b in zip(exact, fast):
-            assert (a.completed_at_s == b.completed_at_s) or (
-                np.isnan(a.completed_at_s) and np.isnan(b.completed_at_s)
-            )
+        assert_matches_serial(jobs, sys1_factory)
 
     def test_temperature_recording(self, sys1_factory):
         jobs = [
@@ -285,10 +114,29 @@ class TestFastMatchesSerial:
                      record_temperature=True)
             for run, defense in enumerate(("baseline", "maya_gs"))
         ]
-        exact, fast, cert = self.certify(jobs, sys1_factory)
-        assert cert["ok"] is True
-        for a, b in zip(exact, fast):
-            assert a.temperature_c.size == b.temperature_c.size > 0
+        serial = assert_matches_serial(jobs, sys1_factory)
+        for trace in serial:
+            assert trace.temperature_c.size == trace.power_w.size > 0
+
+
+class TestPerRowCaps:
+    @pytest.mark.parametrize("defense", ["baseline", "maya_gs"])
+    def test_rows_with_different_caps_share_one_batch(self, sys1_factory, defense):
+        """A short loop that completes and one capped before it completes
+        share one batch key, and each row stops exactly where
+        ``run_session`` stops it."""
+        jobs = [
+            make_job(sys1_factory, workload="loop_imul", defense=defense, run=run,
+                     workload_kwargs={"duration_s": 0.5}, duration_s=None,
+                     max_duration_s=cap, tail_s=0.1)
+            for run, cap in enumerate((5.0, 0.3))
+        ]
+        assert batch_key(jobs[0]) == batch_key(jobs[1]) is not None
+        completes, capped = assert_matches_serial(jobs, sys1_factory)
+        assert completes.completed
+        assert completes.duration_s < 5.0
+        assert not capped.completed
+        assert capped.measured_w.size == 15
 
 
 class TestAttackOutcomeIdentity:
@@ -306,63 +154,20 @@ class TestAttackOutcomeIdentity:
             mlp=MLPConfig(hidden_sizes=(16,), max_epochs=6),
             seed=TEST_SEED,
         )
-        exact_runs = simulate_runs(
-            scenario, sys1_factory, cache=False, backend="serial",
-            precision="exact",
+        serial_runs = simulate_runs(
+            scenario, sys1_factory, cache=False, backend="serial"
         )
-        fast_runs = simulate_runs(
-            scenario, sys1_factory, cache=False, backend="batch",
-            precision="fast",
+        batched_runs = simulate_runs(scenario, sys1_factory, cache=False)
+        for serial_class, batched_class in zip(serial_runs, batched_runs):
+            for a, b in zip(serial_class, batched_class):
+                assert a.equals(b)
+        serial_outcome = train_and_evaluate(
+            scenario, sample_runs(scenario, serial_runs)
         )
-        exact_outcome = train_and_evaluate(
-            scenario, sample_runs(scenario, exact_runs)
+        batched_outcome = train_and_evaluate(
+            scenario, sample_runs(scenario, batched_runs)
         )
-        fast_outcome = train_and_evaluate(
-            scenario, sample_runs(scenario, fast_runs)
+        assert batched_outcome.average_accuracy == serial_outcome.average_accuracy
+        assert np.array_equal(
+            batched_outcome.result.matrix, serial_outcome.result.matrix
         )
-        cert = certify_traces(
-            [t for runs in exact_runs for t in runs],
-            [t for runs in fast_runs for t in runs],
-        )
-        attach_attack_outcome(cert, exact_outcome, fast_outcome)
-        require(cert)
-        assert cert["attack_outcome"]["identical"] is True
-        assert (
-            cert["attack_outcome"]["exact_accuracy"]
-            == cert["attack_outcome"]["fast_accuracy"]
-        )
-
-
-class TestTelemetryPrecisionDiff:
-    def test_precision_pair_detection(self):
-        from repro.telemetry.__main__ import _precision_pair
-
-        exact = {"type": "manifest", "identity": "abc", "precision": "exact",
-                 "workload": "volrend", "engine": "serial"}
-        fast = {"type": "manifest", "identity": "abc", "precision": "fast",
-                "workload": "volrend", "engine": "fast"}
-        assert _precision_pair(exact, fast) is True
-        # Same tier -> a plain diff, not an expected-divergent pair.
-        assert _precision_pair(exact, dict(exact)) is False
-        # Different session -> never an expected-divergent pair.
-        other = dict(fast, workload="water_nsquared")
-        assert _precision_pair(exact, other) is False
-        assert _precision_pair(None, fast) is False
-
-    def test_divergent_diff_reports_bounded_deltas(self, capsys):
-        from repro.telemetry.__main__ import _diff_divergent
-
-        a = [json.dumps({"type": "event", "ev": "interval", "t": 0.02,
-                         "measured_w": 15.0})]
-        b = [json.dumps({"type": "event", "ev": "interval", "t": 0.02,
-                         "measured_w": 15.0 + 1e-12})]
-        assert _diff_divergent(a, b) == 0
-        out = capsys.readouterr().out
-        assert "max abs deltas" in out
-
-    def test_divergent_diff_rejects_structural_mismatch(self, capsys):
-        from repro.telemetry.__main__ import _diff_divergent
-
-        a = [json.dumps({"type": "event", "ev": "interval", "t": 0.02})]
-        b = [json.dumps({"type": "event", "ev": "decision", "t": 0.02})]
-        assert _diff_divergent(a, b) == 1

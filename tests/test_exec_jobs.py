@@ -36,6 +36,27 @@ class TestNormalization:
         assert len({tiny_job(), tiny_job()}) == 1
 
 
+class TestValidation:
+    @pytest.mark.parametrize("overrides", [
+        {"interval_s": 0.0},
+        {"interval_s": -0.02},
+        {"tick_s": 0.0},
+        {"interval_s": 0.0005, "tick_s": 0.001},
+        {"duration_s": 0.01},
+        {"duration_s": float("nan")},
+        {"duration_s": None, "max_duration_s": 0.01},
+        {"tail_s": -1.0},
+    ], ids=lambda overrides: ",".join(f"{k}={v}" for k, v in overrides.items()))
+    def test_bad_grid_is_rejected_at_construction(self, overrides):
+        with pytest.raises(ValueError):
+            tiny_job(**overrides)
+
+    def test_boundary_values_are_accepted(self):
+        job = tiny_job(duration_s=0.02, max_duration_s=0.02, tail_s=0.0,
+                       interval_s=0.02, tick_s=0.02)
+        assert job.duration_s == job.interval_s
+
+
 class TestContentAddress:
     def test_key_is_stable(self):
         assert tiny_job().key() == tiny_job().key()

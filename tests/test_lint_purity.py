@@ -51,7 +51,7 @@ ENTRY_POINTS = {
 }
 
 SALT_PACKAGES = [
-    "control", "core", "defenses", "exec/fast", "machine", "masks", "workloads",
+    "control", "core", "defenses", "machine", "masks", "workloads",
 ]
 
 
@@ -236,16 +236,9 @@ class TestCertificates:
     def test_waivers_are_enumerated_with_reasons(self):
         certs = self.certs()
         waived = {w["module"]: w["reason"] for w in certs["execute_job"]["waivers"]}
-        # repro.exec.batch joined the execute_job closure when fast-tier
-        # jobs started routing execute() through the batched runner; it
-        # stays waived (not salted) under the exact-tier bit-identity
-        # contract, while the fast kernels themselves are salted.
-        # repro.telemetry.profile followed when the engine grew span
-        # instrumentation: out-of-band by the same telemetry contract.
-        assert set(waived) == {
-            "repro", "repro.exec.batch", "repro.exec.jobs", "repro.telemetry",
-            "repro.telemetry.profile",
-        }
+        # execute() runs the serial runner only, so the lock-step backend
+        # and the engine's span profiler stay outside its closure.
+        assert set(waived) == {"repro", "repro.exec.jobs", "repro.telemetry"}
         assert "code_salt()" in waived["repro.exec.jobs"]
         batched = {
             w["module"]: w["reason"]
@@ -257,8 +250,8 @@ class TestCertificates:
     def test_job_key_accounts_for_every_field(self):
         job_key = self.certs()["execute_job"]["job_key"]
         assert job_key["class"] == "SessionJob"
-        assert len(job_key["fields"]) == 16
-        assert "precision" in job_key["fields"]
+        assert len(job_key["fields"]) == 15
+        assert "max_duration_s" in job_key["fields"]
         assert job_key["hashed"] == job_key["fields"]
         assert job_key["missing"] == []
 

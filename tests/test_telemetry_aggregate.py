@@ -246,8 +246,8 @@ class TestBenchHistory:
 
     def test_flags_below_floor_results(self, tmp_path):
         registry = self.fake_registry(tmp_path, [
-            {"parallel_speedup": 2.0, "batched_speedup": 3.0},
-            {"parallel_speedup": 1.1, "batched_speedup": 3.0},
+            {"parallel_speedup": 2.0, "batched_speedup": 12.0},
+            {"parallel_speedup": 1.1, "batched_speedup": 12.0},
         ])
         report = bench_history(registry=registry)
         assert len(report["rows"]) == 2  # the attack run is excluded

@@ -26,12 +26,13 @@ def _ambient_profiler_reset(monkeypatch):
     profile.set_profiler(None)
 
 
-def profile_jobs(n_runs=1, duration_s=2.0, workloads=("volrend", "water_nsquared")):
+def profile_jobs(n_runs=1, duration_s=2.0, workloads=("volrend", "water_nsquared"),
+                 defense="baseline"):
     return [
         SessionJob(
             spec=SYS1,
             workload=workload,
-            defense="baseline",
+            defense=defense,
             seed=11,
             run_id=("profile-test", workload, run),
             duration_s=duration_s,
@@ -125,7 +126,9 @@ class TestSpanRecords:
 class TestEngineIntegration:
     def test_engine_emits_span_hierarchy(self, tmp_path):
         profile.set_profiler(SpanProfiler(root=tmp_path))
-        jobs = profile_jobs()
+        # A runtime defense: constant-settings ones never decide, they
+        # fast-forward whole sessions without a kernel.decide span.
+        jobs = profile_jobs(defense="random_inputs")
         run_sessions(jobs, workers=1, cache=False, backend="batch")
         profile.set_profiler(None)
         spans = read_spans(tmp_path)
@@ -139,8 +142,11 @@ class TestEngineIntegration:
     def test_run_span_child_coverage(self, tmp_path):
         """The span tree accounts for >=95% of the engine's wall-clock."""
         profile.set_profiler(SpanProfiler(root=tmp_path))
-        run_sessions(profile_jobs(duration_s=8.0), workers=1, cache=False,
-                     backend="batch")
+        # A runtime defense, so the control loop does the work: a baseline
+        # fleet's whole-session fast-forward finishes in milliseconds,
+        # where the profiler's own per-span cost is no longer negligible.
+        run_sessions(profile_jobs(duration_s=8.0, defense="random_inputs"),
+                     workers=1, cache=False, backend="batch")
         profile.set_profiler(None)
         tree = span_tree([tmp_path / PROFILE_FILE])
         run_node = next(n for n in tree["roots"] if n["name"] == "run")
