@@ -125,7 +125,7 @@ def scenario_jobs(
 
     In label-major, run-minor order — the order :func:`simulate_runs`
     reshapes back into the paper's ``classes x runs`` nesting.  Exposed so
-    tooling (the bench's backend-selection probe, job-count accounting) can
+    tooling (the bench's serial reference loop, job-count accounting) can
     reason about the same job list the pipeline executes.
     """
     return [
@@ -148,13 +148,12 @@ def simulate_runs(
     factory: DefenseFactory,
     workers: int | None = None,
     cache: object = None,
-    backend: object = None,
 ) -> list[list[Trace]]:
     """Record ``runs_per_class`` executions of every class under the defense.
 
     Every ``(class, run)`` session is an independent declarative job, so
-    the whole collection fans out through :func:`repro.exec.run_sessions`
-    (``workers`` processes or the lock-step ``backend="batch"``, optional
+    the whole collection runs through :func:`repro.exec.run_sessions`
+    (lock-step chunks over ``workers`` processes, optional
     content-addressed trace cache) and is reshaped back to the paper's
     ``classes x runs`` nesting — in the same order, with bit-identical
     traces, as the serial loop this replaces.
@@ -167,9 +166,7 @@ def simulate_runs(
         classes=len(scenario.class_workloads),
         runs_per_class=scenario.runs_per_class,
     )
-    traces = run_sessions(
-        jobs, workers=workers, cache=cache, factory=factory, backend=backend,
-    )
+    traces = run_sessions(jobs, workers=workers, cache=cache, factory=factory)
     per_class = scenario.runs_per_class
     return [
         traces[label * per_class:(label + 1) * per_class]
@@ -295,18 +292,15 @@ def run_attack(
     factory: DefenseFactory,
     workers: int | None = None,
     cache: object = None,
-    backend: object = None,
 ) -> AttackOutcome:
     """The full pipeline: simulate, sample, train, evaluate.
 
-    ``workers``, ``cache`` and ``backend`` reach the trace-collection phase
-    only; the sensor sampling and training stages are deterministic
-    functions of the collected traces, so a cached or batched re-run
-    reproduces the identical outcome.
+    ``workers`` and ``cache`` reach the trace-collection phase only; the
+    sensor sampling and training stages are deterministic functions of
+    the collected traces, so a cached or parallel re-run reproduces the
+    identical outcome.
     """
-    runs = simulate_runs(
-        scenario, factory, workers=workers, cache=cache, backend=backend,
-    )
+    runs = simulate_runs(scenario, factory, workers=workers, cache=cache)
     sampled = sample_runs(scenario, runs)
     outcome = train_and_evaluate(scenario, sampled)
     # Bind the outcome to its inputs in the run registry (no-op unless

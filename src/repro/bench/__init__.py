@@ -1,21 +1,20 @@
 """Pipeline micro-benchmark (``python -m repro.bench``).
 
 Times the dominant stages of the attack pipeline — trace collection
-(serially, through the process-parallel execution engine, through the
-lock-step batch backend, through adaptive ``"auto"`` backend selection,
+(the serial reference loop over ``SessionJob.execute``, the execution
+engine in-process at ``workers=1`` and fanned out over worker processes,
 and replayed from the content-addressed cache), featurization, and MLP
 training — and writes the numbers to ``BENCH_pipeline.json``.
 
-The benchmark is also a correctness check: the parallel, batched, auto,
+The benchmark is also a correctness check: the parallel, batched,
 profiled and cache-replayed traces are compared bit-for-bit against the
-serial ones on every run, and the batch-collected traces must reproduce
-the identical attack outcome.  A speedup that comes at the price of
-changed results fails loudly rather than silently.  Every collection leg
-pins its backend explicitly (the auto probe excepted — the backend pick
-is what it measures), so an ambient ``REPRO_BACKEND`` (e.g. the CI batch
-matrix leg) cannot silently reroute the baselines it is measured
-against.  Host wall-clock reads here measure *our* runtime, never the
-simulation (this module is a sanctioned MAYA002 timing site).
+serial reference on every run, and the batch-collected traces must
+reproduce the identical attack outcome.  A speedup that comes at the
+price of changed results fails loudly rather than silently.  Every engine
+leg pins its worker count, so an ambient ``REPRO_WORKERS`` cannot
+reroute the legs it is measured against.  Host wall-clock reads here
+measure *our* runtime, never the simulation (this module is a sanctioned
+MAYA002 timing site).
 """
 
 from __future__ import annotations
@@ -40,46 +39,24 @@ from ..attacks.pipeline import (
     train_and_evaluate,
 )
 from ..defenses.designs import DefenseFactory
-from ..exec import TraceCache, choose_backend, record_run, resolve_workers
+from ..exec import TraceCache, record_run, resolve_workers
 from ..machine import SYS1, Trace
 from ..telemetry import MetricsRegistry
 from ..telemetry import profile as _profile
+from ..telemetry.export import SPEEDUP_FLOORS
 
 __all__ = ["DEFAULT_OUT", "SCHEMA", "bench_scenario", "run_bench", "store_bench"]
 
 DEFAULT_OUT = "BENCH_pipeline.json"
-SCHEMA = "maya.bench.pipeline.v6"
+SCHEMA = "maya.bench.pipeline.v7"
 
-#: Minimum parallel-over-serial collection speedup ``--check`` demands on
-#: multi-core hosts.  The issue targets ~2x with 4 workers; 1.3x keeps the
-#: gate robust against noisy CI machines.
-CHECK_MIN_SPEEDUP = 1.3
-
-#: Minimum batched-over-serial collection speedup ``--check`` demands.  The
-#: batch backend needs no extra cores: the smoke scenario's constant-settings
-#: defense takes the whole-session fast-forward, which batches the AR(1)
-#: noise and RAPL reduction across the fleet and folds whole windows of
-#: phase bookkeeping, so 10x holds even on one CPU.
-BATCH_CHECK_MIN_SPEEDUP = 10.0
-
-#: Floor for the ``backend="auto"`` probe: adaptive selection must never
-#: pick a backend slower than just running the jobs serially.  This is a
-#: sanity gate on the selection heuristic, not a performance target, so it
-#: sits exactly at parity.
-AUTO_CHECK_MIN_SPEEDUP = 1.0
-
-#: Profiler overhead gate (``--check``): the profiled serial leg must stay
-#: within the same 10% budget + absolute slack the CI telemetry overhead
-#: gate allows, so ``REPRO_PROFILE=1`` is safe to leave on in production
-#: runs.  The slack absorbs timer noise on short smoke legs.
+#: Profiler overhead gate (``--check``): the profiled ``workers=1`` leg
+#: must stay within the same 10% budget + absolute slack the CI telemetry
+#: overhead gate allows over the unprofiled ``workers=1`` leg, so
+#: ``REPRO_PROFILE=1`` is safe to leave on in production runs.  The slack
+#: absorbs timer noise on short smoke legs.
 PROFILE_CHECK_BUDGET = 0.10
 PROFILE_CHECK_SLACK_S = 1.0
-
-#: Minimum packed-group-over-per-session read speedup ``--check`` demands
-#: in the store micro-bench.  A packed group entry skips per-file opens
-#: and zlib inflation (its members memory-map), so one batch-group replay
-#: comfortably clears 2x; measured ~20x on the reference host.
-STORE_PACKED_MIN_SPEEDUP = 2.0
 
 #: Sessions the store micro-bench writes and reads back (the throughput
 #: leg), and the bulk-call chunk it feeds ``put_many``/``get_many``.
@@ -243,6 +220,19 @@ def store_bench(
     }
 
 
+def _reference_runs(scenario: AttackScenario, factory: DefenseFactory) -> list:
+    """The serial reference: every job through ``SessionJob.execute``.
+
+    Reshaped into the ``classes x runs`` nesting of :func:`simulate_runs`.
+    """
+    traces = [job.execute(factory=factory) for job in scenario_jobs(scenario, factory)]
+    per_class = scenario.runs_per_class
+    return [
+        traces[label * per_class:(label + 1) * per_class]
+        for label in range(len(scenario.class_workloads))
+    ]
+
+
 def _traces_equal(serial: list, other: list) -> bool:
     return len(serial) == len(other) and all(
         len(a) == len(b) and all(x.equals(y) for x, y in zip(a, b))
@@ -291,36 +281,22 @@ def run_bench(
         return result
 
     serial_runs = _timed(
-        "collect_serial_s",
-        lambda: simulate_runs(
-            scenario, factory, workers=1, cache=False, backend="serial",
-        ),
+        "collect_serial_s", lambda: _reference_runs(scenario, factory)
     )
 
-    parallel_runs = _timed(
-        "collect_parallel_s",
-        lambda: simulate_runs(
-            scenario, factory, workers=workers, cache=False, backend="process",
-        ),
-    )
-    parallel_matches = _traces_equal(serial_runs, parallel_runs)
-
+    # The engine's one path, twice: lock-step chunks in this process, then
+    # the same chunks fanned out over the worker pool.
     batched_runs = _timed(
         "collect_batched_s",
-        lambda: simulate_runs(scenario, factory, cache=False, backend="batch"),
+        lambda: simulate_runs(scenario, factory, workers=1, cache=False),
     )
     batched_matches = _traces_equal(serial_runs, batched_runs)
 
-    # The auto probe measures what a caller who sets nothing gets: the
-    # heuristic's pick for this job list on this host, timed end to end.
-    auto_backend = choose_backend(scenario_jobs(scenario, factory))
-    auto_runs = _timed(
-        "collect_auto_s",
-        lambda: simulate_runs(
-            scenario, factory, workers=workers, cache=False, backend="auto",
-        ),
+    parallel_runs = _timed(
+        "collect_parallel_s",
+        lambda: simulate_runs(scenario, factory, workers=workers, cache=False),
     )
-    auto_matches = _traces_equal(serial_runs, auto_runs)
+    parallel_matches = _traces_equal(serial_runs, parallel_runs)
 
     with ExitStack() as stack:
         if cache_dir is None:
@@ -331,19 +307,17 @@ def run_bench(
             bench_root = Path(cache_dir)
             bench_root.mkdir(parents=True, exist_ok=True)
         cache = TraceCache(root=bench_root / "replay")
-        simulate_runs(scenario, factory, workers=1, cache=cache, backend="serial")
+        simulate_runs(scenario, factory, workers=1, cache=cache)
         cached_runs = _timed(
             "collect_cached_s",
-            lambda: simulate_runs(
-                scenario, factory, workers=1, cache=cache, backend="serial",
-            ),
+            lambda: simulate_runs(scenario, factory, workers=1, cache=cache),
         )
         cache_hits = cache.hits
         cached_matches = _traces_equal(serial_runs, cached_runs)
 
         store = _timed("store_bench_s", lambda: store_bench(bench_root))
 
-        # Profiled leg: the serial collection re-run with a span profiler
+        # Profiled leg: the workers=1 collection re-run with a span profiler
         # injected (its own instance, rooted in the bench dir, independent
         # of REPRO_PROFILE).  Two oracles: traces stay bit-identical with
         # spans on, and the wall-clock overhead stays under the same
@@ -353,9 +327,7 @@ def run_bench(
         try:
             profiled_runs = _timed(
                 "collect_profiled_s",
-                lambda: simulate_runs(
-                    scenario, factory, workers=1, cache=False, backend="serial",
-                ),
+                lambda: simulate_runs(scenario, factory, workers=1, cache=False),
             )
         finally:
             _profile.set_profiler(previous_profiler)
@@ -378,7 +350,7 @@ def run_bench(
     )
 
     profile_overhead_pct = (
-        timings["collect_profiled_s"] / max(timings["collect_serial_s"], 1e-9) - 1.0
+        timings["collect_profiled_s"] / max(timings["collect_batched_s"], 1e-9) - 1.0
     ) * 100.0
     # A gauge, not a timing: registered after the timings block is built so
     # the overhead CLI keeps summing seconds only.
@@ -386,7 +358,6 @@ def run_bench(
 
     speedup = timings["collect_serial_s"] / max(timings["collect_parallel_s"], 1e-9)
     batched_speedup = timings["collect_serial_s"] / max(timings["collect_batched_s"], 1e-9)
-    auto_speedup = timings["collect_serial_s"] / max(timings["collect_auto_s"], 1e-9)
     cache_speedup = timings["collect_serial_s"] / max(timings["collect_cached_s"], 1e-9)
     cpu_count = os.cpu_count() or 1
     report = {
@@ -401,15 +372,12 @@ def run_bench(
         "metrics": registry.render(),
         "parallel_speedup": speedup,
         "batched_speedup": batched_speedup,
-        "auto_speedup": auto_speedup,
-        "auto_backend": auto_backend,
         "cache_speedup": cache_speedup,
         "cache_hits": int(cache_hits),
         "store": store,
         "parallel_matches_serial": bool(parallel_matches),
         "batched_matches_serial": bool(batched_matches),
         "batched_outcome_matches_serial": outcome_matches,
-        "auto_matches_serial": bool(auto_matches),
         "cached_matches_serial": bool(cached_matches),
         "profiled_matches_serial": bool(profiled_matches),
         "profile_overhead_pct": profile_overhead_pct,
@@ -430,7 +398,6 @@ def run_bench(
             "attack_accuracy": outcome.average_accuracy,
             "parallel_speedup": speedup,
             "batched_speedup": batched_speedup,
-            "auto_speedup": auto_speedup,
             "cache_speedup": cache_speedup,
             "store_put_per_s": store["put_per_s"],
             "store_get_per_s": store["get_per_s"],
@@ -452,8 +419,6 @@ def run_bench(
         raise AssertionError("batched traces differ from serial traces")
     if not outcome_matches:
         raise AssertionError("batch-collected traces changed the attack outcome")
-    if not auto_matches:
-        raise AssertionError("auto-backend traces differ from serial traces")
     if not cached_matches:
         raise AssertionError("cached traces differ from serial traces")
     if not profiled_matches:
@@ -476,36 +441,25 @@ def run_bench(
             raise AssertionError(
                 f"cache replay hit {cache_hits}/{report['n_sessions']} sessions"
             )
-        # The speedup gate only makes sense when the host can actually run
-        # workers side by side; single-core CI still checks determinism.
-        if cpu_count >= 2 and speedup < CHECK_MIN_SPEEDUP:
-            raise AssertionError(
-                f"parallel speedup {speedup:.2f}x below the "
-                f"{CHECK_MIN_SPEEDUP}x floor on a {cpu_count}-core host"
-            )
-        if batched_speedup < BATCH_CHECK_MIN_SPEEDUP:
-            raise AssertionError(
-                f"batched speedup {batched_speedup:.2f}x below the "
-                f"{BATCH_CHECK_MIN_SPEEDUP}x floor"
-            )
-        # The auto floor applies to whatever backend the heuristic picked
-        # — on a single-core host that pick is typically batch or serial,
-        # so unlike the parallel gate it needs no core-count guard.
-        if auto_speedup < AUTO_CHECK_MIN_SPEEDUP:
-            raise AssertionError(
-                f"auto backend chose {auto_backend!r} but ran "
-                f"{auto_speedup:.2f}x vs serial, below parity"
-            )
-        if store["packed_read_speedup"] < STORE_PACKED_MIN_SPEEDUP:
-            raise AssertionError(
-                f"packed-group replay {store['packed_read_speedup']:.2f}x "
-                f"vs per-session reads, below the "
-                f"{STORE_PACKED_MIN_SPEEDUP}x floor"
-            )
+        # One table of floors (shared with ``--history``).  The parallel
+        # floor only makes sense when the host can actually run workers
+        # side by side; single-core CI still checks determinism.
+        measured = {
+            "parallel_speedup": speedup,
+            "batched_speedup": batched_speedup,
+            "packed_read_speedup": store["packed_read_speedup"],
+        }
+        if cpu_count < 2:
+            del measured["parallel_speedup"]
+        for name, value in measured.items():
+            if value < SPEEDUP_FLOORS[name]:
+                raise AssertionError(
+                    f"{name} {value:.2f}x below its {SPEEDUP_FLOORS[name]}x floor"
+                )
         # Span profiling must stay cheap enough to leave on in CI: same
         # 10% + slack budget the telemetry overhead gate uses.
         profile_budget_s = (
-            timings["collect_serial_s"] * (1.0 + PROFILE_CHECK_BUDGET)
+            timings["collect_batched_s"] * (1.0 + PROFILE_CHECK_BUDGET)
             + PROFILE_CHECK_SLACK_S
         )
         if timings["collect_profiled_s"] > profile_budget_s:
@@ -513,6 +467,6 @@ def run_bench(
                 f"profiled collection took {timings['collect_profiled_s']:.2f}s, "
                 f"over the {profile_budget_s:.2f}s budget "
                 f"({PROFILE_CHECK_BUDGET:.0%} + {PROFILE_CHECK_SLACK_S:g}s slack "
-                f"over the {timings['collect_serial_s']:.2f}s serial baseline)"
+                f"over the {timings['collect_batched_s']:.2f}s workers=1 baseline)"
             )
     return report

@@ -2,18 +2,15 @@
 
 Every simulation batch in the reproduction — the per-figure experiments
 and the attack pipeline's trace collection — routes through
-:func:`run_sessions`, which fans declarative :class:`SessionJob` specs
-out over worker processes and collates the traces in job order, with
-results guaranteed bit-identical to the serial path.  See
+:func:`run_sessions`, which advances declarative :class:`SessionJob`
+specs lock-step in chunks, fans the chunks out over worker processes and
+collates the traces in job order, with results guaranteed bit-identical
+to the serial path.  See
 :mod:`repro.exec.engine` for the determinism contract and
 :mod:`repro.exec.cache` for the cache layout and environment knobs.
 """
 
-from .batch import (
-    batch_key,
-    execute_jobs_batched,
-    resolve_batch_size,
-)
+from .batch import batch_key, execute_jobs_batched
 from .cache import (
     DEFAULT_CACHE_DIR,
     LAYOUT_VERSION,
@@ -21,13 +18,7 @@ from .cache import (
     TraceCache,
     default_cache,
 )
-from .engine import (
-    BACKENDS,
-    choose_backend,
-    resolve_backend,
-    resolve_workers,
-    run_sessions,
-)
+from .engine import resolve_workers, run_sessions
 from .jobs import (
     CACHE_EPOCH,
     SessionJob,
@@ -52,12 +43,8 @@ __all__ = [
     "RunRegistry",
     "default_registry",
     "record_run",
-    "BACKENDS",
     "batch_key",
-    "choose_backend",
     "execute_jobs_batched",
-    "resolve_batch_size",
-    "resolve_backend",
     "resolve_workers",
     "run_sessions",
     "CACHE_EPOCH",

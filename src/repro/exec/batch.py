@@ -1,4 +1,4 @@
-"""The lock-step batch backend: whole fleets advance bit-identically.
+"""The lock-step kernel: whole fleets advance bit-identically.
 
 The serial runner (:func:`repro.core.runtime.run_session`) pays the full
 Python control-loop cost once per 20 ms interval per session.  Sessions
@@ -47,7 +47,6 @@ return traces of identical shapes, which lets :meth:`TraceCache.put_many
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -71,10 +70,9 @@ __all__ = [
     "batch_key",
     "build_fleet",
     "execute_jobs_batched",
-    "resolve_batch_size",
 ]
 
-#: Sessions simulated lock-step per batch unless overridden.  Large enough
+#: Most sessions simulated lock-step per chunk.  Large enough
 #: to amortize the per-interval numpy dispatch over a typical fleet, small
 #: enough that the ``(B, ticks)`` blocks stay cache-resident.
 DEFAULT_BATCH_SIZE = 32
@@ -87,22 +85,6 @@ _COMPLETION_CAPACITY = 2048
 #: path: bounds the ``(B, ticks)`` working set while keeping the vector
 #: lengths long enough to amortize every numpy dispatch.
 CONST_CHUNK_INTERVALS = 512
-
-def resolve_batch_size(batch_size: object = None) -> int:
-    """Batch size: explicit argument > ``REPRO_BATCH_SIZE`` env > default."""
-    if batch_size is not None and int(batch_size) > 0:
-        return int(batch_size)
-    env = os.environ.get("REPRO_BATCH_SIZE", "").strip()
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_BATCH_SIZE must be an integer, got {env!r}"
-            ) from None
-        if value > 0:
-            return value
-    return DEFAULT_BATCH_SIZE
 
 
 def batch_key(job: SessionJob) -> tuple:
@@ -641,7 +623,7 @@ def _materialize(spans: list, activity_out: np.ndarray, core_out: np.ndarray) ->
     every array length on the builds this project tests, so the values
     match the serial runner bit for bit; a numpy build whose SIMD sin
     rounds differently by vector length would break bit-identity here and
-    nowhere else (the backend tests would catch it).
+    nowhere else (the bit-identity tests would catch it).
     """
     position = 0
     for phase, bases, work_per_tick, seg_ticks in spans:

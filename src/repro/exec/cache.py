@@ -15,9 +15,7 @@ Layout (v2)::
     <root>/shards/<d[:2]>/pack-<d>.npz       packed group entry (see below)
 
 Entries fan out into 256 shard directories by content-address prefix so no
-single directory grows unboundedly.  A v1 flat layout found at the root is
-migrated in place on first open (``REPRO_CACHE_MIGRATE=0`` disables the
-migration, turning old entries into cold misses).
+single directory grows unboundedly.
 
 Properties:
 
@@ -70,8 +68,7 @@ Environment:
 * ``REPRO_CACHE=1`` — enable the default cache for every
   :func:`~repro.exec.engine.run_sessions` call;
 * ``REPRO_CACHE_DIR`` — cache directory (default ``.maya-cache/``);
-* ``REPRO_CACHE_MAX_MB`` — size bound in megabytes;
-* ``REPRO_CACHE_MIGRATE=0`` — leave v1 flat entries in place (cold miss).
+* ``REPRO_CACHE_MAX_MB`` — size bound in megabytes.
 """
 
 from __future__ import annotations
@@ -102,9 +99,8 @@ __all__ = [
 DEFAULT_CACHE_DIR = ".maya-cache"
 _DEFAULT_MAX_MB = 512.0
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
-_FALSY = frozenset({"0", "false", "no", "off"})
 
-#: On-disk layout generation (v1 = flat directory, v2 = sharded + journal).
+#: On-disk layout generation (v2 = sharded + journal).
 LAYOUT_VERSION = 2
 #: Schema tag of packed group entries.
 PACK_SCHEMA = "maya.trace.pack.npz.v1"
@@ -161,8 +157,6 @@ class TraceCache:
         #: Full shard-tree scans this handle performed (recovery only —
         #: steady-state operation must keep this at 0; the bench asserts it).
         self.tree_scans = 0
-        #: v1 flat entries this handle migrated into shards.
-        self.migrated = 0
         # Journal-replayed state: entry id -> [bytes, (keys...)], in LRU
         # order (dict insertion order; a hit re-inserts at the tail).
         self._entries: dict | None = None
@@ -174,8 +168,6 @@ class TraceCache:
         # Lifetime compaction count, carried in the journal's "layout"
         # header so fresh handles (and the stats CLI) see it.
         self._compactions = 0
-        flag = os.environ.get("REPRO_CACHE_MIGRATE", "").strip().lower()
-        self._migrate_on_open = flag not in _FALSY
 
     # -- paths ---------------------------------------------------------
 
@@ -221,8 +213,6 @@ class TraceCache:
             self._replay()
         elif (self.root / _SHARDS).is_dir():
             self._rebuild_from_scan()
-        if self._migrate_on_open:
-            self._migrate_flat()
 
     def _replay(self) -> None:
         """Apply journal records from ``_journal_pos`` to the current end.
@@ -372,7 +362,7 @@ class TraceCache:
         self._journal_pos = len(data)
         self._records_seen = len(self._entries) + 1
 
-    # -- recovery & migration ------------------------------------------
+    # -- recovery ------------------------------------------------------
 
     def _rebuild_from_scan(self) -> None:
         """Re-derive the journal from the shard tree (recovery path).
@@ -417,50 +407,6 @@ class TraceCache:
             for suffix in _SIDECAR_SUFFIXES:
                 nbytes += _file_bytes(self._key_sidecar(key, suffix))
         return {"op": "put", "id": entry_id, "bytes": nbytes, "keys": keys}
-
-    def _migrate_flat(self) -> int:
-        """Move v1 flat-layout entries into shards (one-time, idempotent)."""
-        if not self.root.is_dir():
-            return 0
-        stamped = []
-        for path in sorted(self.root.glob("*.npz")):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            stamped.append((stat.st_mtime, path.name, path))
-        records = []
-        for _, _, path in sorted(stamped):  # oldest first: keep v1 LRU order
-            key = path.stem
-            target = self.root / _SHARDS / key[:2] / path.name
-            target.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                os.replace(path, target)
-            except OSError:
-                continue
-            nbytes = _file_bytes(target)
-            for suffix in _SIDECAR_SUFFIXES:
-                side = path.with_name(key + suffix)
-                try:
-                    os.replace(side, target.with_name(key + suffix))
-                except OSError:
-                    continue
-                nbytes += _file_bytes(target.with_name(key + suffix))
-            records.append({"op": "put", "id": key, "bytes": nbytes,
-                            "keys": [key]})
-        self._commit(records)
-        if records:
-            self.migrated += len(records)
-            telemetry.count("exec.cache.migrated", len(records))
-        return len(records)
-
-    def migrate(self) -> int:
-        """Migrate any v1 flat entries into shards; returns the count."""
-        if self._entries is None:
-            self._migrate_on_open = True
-            self._ensure_state()
-            return self.migrated
-        return self._migrate_flat()
 
     # -- lookup --------------------------------------------------------
 
@@ -705,16 +651,9 @@ class TraceCache:
                 except OSError:
                     pass
         if self.root.is_dir():
-            # v1 leftovers and stale temp files at the root.
-            flat = sorted(self.root.glob("*.npz")) + sorted(self.root.glob(".*.tmp"))
-            for path in flat:
-                try:
-                    path.unlink()
-                except OSError:
-                    continue
-                if path.suffix == ".npz":
-                    path.with_name(path.stem + ".events.jsonl").unlink(missing_ok=True)
-                    removed += 1
+            # Stale journal temp files a crashed compaction left at the root.
+            for path in sorted(self.root.glob(".*.tmp")):
+                path.unlink(missing_ok=True)
         self._commit([{"op": "clear"}])
         self._maybe_compact_after_clear()
         return removed

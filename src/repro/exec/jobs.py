@@ -46,7 +46,7 @@ CACHE_EPOCH = 1
 
 #: Packages whose sources define what a simulated session computes.  The cache key is salted with their content digest, so
 #: editing any of them invalidates every cached trace.  ``exec`` is not
-#: salted: the lock-step backend's traces equal the serial runner's by
+#: salted: the lock-step kernel's traces equal the serial runner's by
 #: contract, so its code cannot change trace values.
 _SIMULATION_PACKAGES = (
     "core", "machine", "defenses", "workloads", "control", "masks",

@@ -33,7 +33,7 @@ ever feeding back into them:
 
 CLI: ``python -m repro.telemetry summarize|diff|overhead`` renders
 per-run metric tables, diffs two event streams (proving bit-identity
-extends to *behavioural* identity across backends), and gates the
+extends to *behavioural* identity across execution paths), and gates the
 recording overhead against a benchmark budget.
 """
 
@@ -218,7 +218,7 @@ class MetricsRegistry:
 
 #: The fields that identify one session run (a behavioural identity: two
 #: runs sharing them must emit identical event streams).  Deliberately
-#: excludes *how* the session was executed (backend, cache state).
+#: excludes *how* the session was executed (serial runner or lock-step, worker count, cache state).
 _IDENTITY_FIELDS = (
     "platform",
     "workload",

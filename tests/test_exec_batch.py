@@ -1,9 +1,9 @@
-"""Tests for repro.exec.batch: the lock-step batched execution backend.
+"""Tests for repro.exec.batch: the lock-step kernel behind the engine.
 
-The contract under test is absolute: every trace the batched backend
+The contract under test is absolute: every trace the lock-step kernel
 produces must be bit-identical (``Trace.equals``) to the serial runner's,
 for every platform, any mix of workloads/defenses/seeds within a batch,
-and any batch size — and traces it feeds the cache must replay into the
+and any chunk size — and traces it feeds the cache must replay into the
 identical attack outcome.
 """
 
@@ -11,17 +11,20 @@ import numpy as np
 import pytest
 
 from repro.attacks.mlp import MLPConfig
-from repro.attacks.pipeline import AttackScenario, run_attack
+from repro.attacks.pipeline import (
+    AttackScenario,
+    run_attack,
+    sample_runs,
+    scenario_jobs,
+    train_and_evaluate,
+)
 from repro.exec import (
     SessionJob,
     TraceCache,
     batch_key,
     execute_jobs_batched,
-    resolve_backend,
-    resolve_batch_size,
     run_sessions,
 )
-from repro.exec.batch import DEFAULT_BATCH_SIZE
 from repro.machine import SYS1, SYS2, SYS3
 
 
@@ -43,47 +46,6 @@ def make_job(
         duration_s=duration_s,
         **kwargs,
     )
-
-
-class TestResolveBackend:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "batch")
-        assert resolve_backend("serial") == "serial"
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "batch")
-        assert resolve_backend() == "batch"
-        assert resolve_backend("") == "batch"  # "" = unset, defer to env
-
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_backend() == "auto"
-
-    def test_unknown_backend_raises(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("threads")
-        monkeypatch.setenv("REPRO_BACKEND", "quantum")
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend()
-
-
-class TestResolveBatchSize:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_SIZE", "64")
-        assert resolve_batch_size(3) == 3
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_SIZE", "7")
-        assert resolve_batch_size() == 7
-
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
-        assert resolve_batch_size() == DEFAULT_BATCH_SIZE
-
-    def test_garbage_env_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_SIZE", "lots")
-        with pytest.raises(ValueError):
-            resolve_batch_size()
 
 
 class TestBatchKey:
@@ -139,19 +101,17 @@ class TestBitIdentity:
         for job, trace in zip(jobs, batched):
             assert trace.equals(job.execute(factory=sys1_factory))
 
-    @pytest.mark.parametrize("batch_size", [1, 3, 8])
-    def test_batch_size_never_changes_results(self, batch_size):
+    @pytest.mark.parametrize("workers", [1, 3, 8])
+    def test_batch_size_never_changes_results(self, workers):
+        """The worker count sets the chunk size: 6, 2 and 1 sessions here."""
         jobs = [
             make_job(workload=workload, seed=9, run=run)
             for run in range(3)
             for workload in ("volrend", "water_nsquared")
         ]
-        serial = run_sessions(jobs, cache=False, backend="serial")
-        batched = run_sessions(
-            jobs, cache=False, backend="batch", batch_size=batch_size
-        )
-        for a, b in zip(serial, batched):
-            assert a.equals(b)
+        batched = run_sessions(jobs, cache=False, workers=workers)
+        for job, trace in zip(jobs, batched):
+            assert trace.equals(job.execute())
 
     def test_target_and_settings_logs_match(self, sys1_factory):
         """The per-interval logs (mask targets, actuations) are replayed too."""
@@ -189,26 +149,17 @@ class TestEngineIntegration:
             make_job(workload="water_nsquared", duration_s=2.0, spec=SYS2),
             make_job(workload="volrend", duration_s=1.0, run=1),
         ]
-        serial = run_sessions(jobs, cache=False, backend="serial")
-        batched = run_sessions(jobs, cache=False, backend="batch")
-        assert [t.workload for t in batched] == [j.workload for j in jobs]
-        for a, b in zip(serial, batched):
-            assert a.equals(b)
-
-    def test_env_routes_to_batch_backend(self, monkeypatch):
-        jobs = [make_job(run=run) for run in range(2)]
-        serial = run_sessions(jobs, cache=False, backend="serial")
-        monkeypatch.setenv("REPRO_BACKEND", "batch")
         batched = run_sessions(jobs, cache=False)
-        for a, b in zip(serial, batched):
-            assert a.equals(b)
+        assert [t.workload for t in batched] == [j.workload for j in jobs]
+        for job, trace in zip(jobs, batched):
+            assert trace.equals(job.execute())
 
     def test_batch_results_populate_the_cache(self, tmp_path):
         cache = TraceCache(root=tmp_path)
         jobs = [make_job(run=run) for run in range(3)]
-        first = run_sessions(jobs, cache=cache, backend="batch")
+        first = run_sessions(jobs, cache=cache)
         assert cache.misses == len(jobs)
-        second = run_sessions(jobs, cache=cache, backend="serial")
+        second = run_sessions(jobs, cache=cache)
         assert cache.hits == len(jobs)
         for a, b in zip(first, second):
             assert a.equals(b)
@@ -216,9 +167,9 @@ class TestEngineIntegration:
 
 class TestAttackPipelineReplay:
     def test_batch_collected_traces_replay_into_identical_outcome(self, tmp_path):
-        """Cache traces with backend="batch", re-run the attack serially from
-        the cache: segments, training and the confusion matrix must be
-        byte-for-byte what an all-serial pipeline produces."""
+        """Cache lock-step traces, re-run the attack from the cache:
+        segments, training and the confusion matrix must be byte-for-byte
+        what the serial reference traces produce."""
         scenario = AttackScenario(
             name="batch-replay",
             spec=SYS1,
@@ -234,11 +185,14 @@ class TestAttackPipelineReplay:
         from repro.defenses.designs import DefenseFactory
 
         factory = DefenseFactory(SYS1, seed=scenario.seed)
-        baseline = run_attack(scenario, factory, cache=False, backend="serial")
+        traces = [job.execute(factory=factory) for job in scenario_jobs(scenario, factory)]
+        per_class = scenario.runs_per_class
+        reference = [traces[:per_class], traces[per_class:]]
+        baseline = train_and_evaluate(scenario, sample_runs(scenario, reference))
 
         cache = TraceCache(root=tmp_path)
-        batched = run_attack(scenario, factory, cache=cache, backend="batch")
-        replayed = run_attack(scenario, factory, cache=cache, backend="serial")
+        batched = run_attack(scenario, factory, cache=cache)
+        replayed = run_attack(scenario, factory, cache=cache)
         assert cache.hits == 2 * scenario.runs_per_class
 
         for outcome in (batched, replayed):

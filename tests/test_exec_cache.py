@@ -300,7 +300,7 @@ class TestDamagedEntries:
 
         fresh = TraceCache(root=tmp_path)
         assert fresh.get_many([single] + group) == [None, None, None]
-        traces = run_sessions([single] + group, cache=fresh, backend="serial")
+        traces = run_sessions([single] + group, cache=fresh)
         assert all(got.equals(want) for got, want in zip(traces, originals))
         # The recompute overwrote the damaged entries: every key hits now.
         replay = TraceCache(root=tmp_path).get_many([single] + group)
@@ -362,79 +362,6 @@ class TestJournal:
         fresh = TraceCache(root=tmp_path)
         assert fresh.get(job).equals(trace)
         assert fresh.stats()["entries"] == 1
-
-
-class TestMigration:
-    def build_flat_layout(self, root, jobs, traces):
-        """A v1 flat cache directory, as PR 8 and earlier wrote it."""
-        root.mkdir(parents=True, exist_ok=True)
-        for job, trace in zip(jobs, traces):
-            trace.save_npz(root / f"{job.key()}.npz")
-
-    def test_flat_layout_migrates_and_serves_identical_traces(self, tmp_path):
-        jobs = [tiny_job(run=i) for i in range(3)]
-        traces = [job.execute() for job in jobs]
-        self.build_flat_layout(tmp_path, jobs, traces)
-        cache = TraceCache(root=tmp_path)
-        for job, trace in zip(jobs, traces):
-            loaded = cache.get(job)
-            assert loaded is not None and loaded.equals(trace)
-        assert cache.migrated == 3
-        assert not list(tmp_path.glob("*.npz"))  # moved into shards/
-        assert len(shard_files(tmp_path)) == 3
-
-    def test_migration_carries_and_replays_telemetry_sidecars(self, tmp_path):
-        from repro import telemetry
-        from repro.telemetry import TelemetryRecorder, job_identity
-
-        job = tiny_job()
-        trace = job.execute()
-        self.build_flat_layout(tmp_path / "cache", [job], [trace])
-        sidecar_bytes = b'{"type": "event", "ev": "interval"}\n'
-        (tmp_path / "cache" / f"{job.key()}.events.jsonl").write_bytes(
-            sidecar_bytes
-        )
-        recorder = TelemetryRecorder(root=tmp_path / "telemetry")
-        telemetry.set_recorder(recorder)
-        try:
-            cache = TraceCache(root=tmp_path / "cache")
-            assert cache.get(job).equals(trace)
-            replayed = recorder.session_path(job_identity(job))
-            assert replayed.read_bytes() == sidecar_bytes
-        finally:
-            telemetry.set_recorder(None)
-        migrated = shard_files(tmp_path / "cache", "*.events.jsonl")
-        assert len(migrated) == 1 and migrated[0].read_bytes() == sidecar_bytes
-
-    def test_migration_disabled_is_a_cold_miss(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MIGRATE", "0")
-        job = tiny_job()
-        trace = job.execute()
-        self.build_flat_layout(tmp_path, [job], [trace])
-        cache = TraceCache(root=tmp_path)
-        assert cache.get(job) is None  # cold miss, flat file untouched
-        assert (tmp_path / f"{job.key()}.npz").is_file()
-        # An explicit migrate() still works and upgrades the layout.
-        assert cache.migrate() == 1
-        assert cache.get(job).equals(trace)
-
-    def test_migration_preserves_lru_order(self, tmp_path):
-        import os
-        import time
-
-        jobs = [tiny_job(run=i) for i in range(3)]
-        traces = [job.execute() for job in jobs]
-        self.build_flat_layout(tmp_path, jobs, traces)
-        # jobs[1] is the oldest on disk, jobs[0] the freshest.
-        now = time.time()
-        order = [jobs[1], jobs[2], jobs[0]]
-        for age, job in enumerate(order):
-            stamp = now - (len(order) - age) * 100
-            os.utime(tmp_path / f"{job.key()}.npz", (stamp, stamp))
-        cache = TraceCache(root=tmp_path)
-        cache.migrate()
-        lru_names = [path.stem for path, _ in cache.entries()]
-        assert lru_names == [job.key() for job in order]
 
 
 class TestMerge:
@@ -516,14 +443,6 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["removed"] == 1
         assert not list(tmp_path.rglob("*.npz"))
-
-    def test_migrate_command(self, tmp_path, capsys):
-        job = tiny_job()
-        job.execute().save_npz(tmp_path / f"{job.key()}.npz")
-        assert cache_cli(["--cache", "migrate", "--dir", str(tmp_path)]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["migrated"] == 1
-        assert not list(tmp_path.glob("*.npz"))
 
     def test_export_import_commands(self, tmp_path, capsys):
         cache = TraceCache(root=tmp_path / "src")

@@ -4,7 +4,8 @@ import concurrent.futures
 
 import pytest
 
-from repro.exec import SessionJob, TraceCache, resolve_workers, run_sessions
+from repro.exec import SessionJob, TraceCache, batch_key, resolve_workers, run_sessions
+from repro.exec.batch import execute_jobs_batched
 from repro.exec.engine import _result_or_retry
 from repro.machine import SYS1
 
@@ -112,21 +113,69 @@ class _StubFuture:
 
 
 class TestRetry:
+    """A chunk whose worker crashes or times out is redone in-process."""
+
     def test_infrastructure_failure_is_redone_in_process(self):
-        job = batch_jobs(n_runs=1, workloads=("volrend",), duration_s=0.5)[0]
+        chunk = batch_jobs(n_runs=1, duration_s=0.5)
         future = _StubFuture(concurrent.futures.BrokenExecutor("worker died"))
-        trace = _result_or_retry(future, job, None, timeout_s=1.0)
+        traces = _result_or_retry(future, chunk, None, timeout_s=1.0)
         assert future.cancelled
-        assert trace.equals(job.execute())
+        assert len(traces) == len(chunk)
+        for job, trace in zip(chunk, traces):
+            assert trace.equals(job.execute())
 
     def test_timeout_is_redone_in_process(self):
-        job = batch_jobs(n_runs=1, workloads=("volrend",), duration_s=0.5)[0]
+        chunk = batch_jobs(n_runs=1, duration_s=0.5)
         future = _StubFuture(concurrent.futures.TimeoutError())
-        trace = _result_or_retry(future, job, None, timeout_s=0.01)
-        assert trace.workload == "volrend"
+        traces = _result_or_retry(future, chunk, None, timeout_s=0.01)
+        assert [t.workload for t in traces] == ["volrend", "water_nsquared"]
+        for job, trace in zip(chunk, traces):
+            assert trace.equals(job.execute())
 
     def test_deterministic_job_error_propagates(self):
-        job = batch_jobs(n_runs=1, workloads=("volrend",))[0]
+        chunk = batch_jobs(n_runs=1)
         future = _StubFuture(KeyError("unknown workload"))
         with pytest.raises(KeyError):
-            _result_or_retry(future, job, None, timeout_s=1.0)
+            _result_or_retry(future, chunk, None, timeout_s=1.0)
+
+
+class TestChunkFanOut:
+    def test_pool_runs_lock_step_chunks_in_job_order(self, sys1_factory, monkeypatch):
+        """workers=2 submits whole lock-step chunks, never single jobs."""
+        jobs = [
+            SessionJob.for_factory(
+                sys1_factory,
+                workload=workload,
+                defense=defense,
+                seed=5,
+                run_id=("fan-out", run),
+                duration_s=0.5,
+            )
+            for run, (workload, defense) in enumerate([
+                ("volrend", "baseline"),
+                ("water_nsquared", "maya_gs"),
+                ("volrend", "random_inputs"),
+                ("water_nsquared", "baseline"),
+                ("volrend", "maya_gs"),
+                ("water_nsquared", "noisy_baseline"),
+            ])
+        ]
+        submitted = []
+        real_submit = concurrent.futures.ProcessPoolExecutor.submit
+
+        def spy(self, fn, *args, **kwargs):
+            submitted.append((fn, list(args[0])))
+            return real_submit(self, fn, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", spy)
+        traces = run_sessions(jobs, workers=2, factory=sys1_factory, cache=False)
+
+        assert len(submitted) == 2
+        for fn, chunk in submitted:
+            assert fn is execute_jobs_batched
+            assert len(chunk) >= 2
+            assert len({batch_key(job) for job in chunk}) == 1
+        assert [job for _, chunk in submitted for job in chunk] == jobs
+        assert [t.workload for t in traces] == [job.workload for job in jobs]
+        for job, trace in zip(jobs, traces):
+            assert trace.equals(job.execute(factory=sys1_factory))

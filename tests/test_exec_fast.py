@@ -1,11 +1,12 @@
 """Tests for the lock-step kernel's fast paths against the serial oracle.
 
-The batch backend's two fold-exact structures — the whole-session
+The lock-step kernel's two fold-exact structures — the whole-session
 fast-forward of constant-settings defenses and masked per-row termination
 (completion mode, temperature recording, per-row caps) — must reproduce
 ``run_session`` bit for bit (``Trace.equals``) in every execution regime,
 and so must every end-to-end attack outcome built on their traces.  Also
-covered: the adaptive ``"auto"`` backend heuristic.
+covered: the engine's size rule choosing between the serial runner and
+the lock-step kernel.
 """
 
 import numpy as np
@@ -15,10 +16,12 @@ from repro.attacks.mlp import MLPConfig
 from repro.attacks.pipeline import (
     AttackScenario,
     sample_runs,
+    scenario_jobs,
     simulate_runs,
     train_and_evaluate,
 )
-from repro.exec import SessionJob, batch_key, choose_backend, run_sessions
+import repro.exec.engine as engine_mod
+from repro.exec import SessionJob, batch_key, run_sessions
 from repro.machine import SYS1
 
 from .conftest import TEST_SEED
@@ -44,8 +47,8 @@ def make_job(
 
 
 def assert_matches_serial(jobs, factory):
-    """Run ``jobs`` serially and under the default backend; compare traces."""
-    serial = run_sessions(jobs, factory=factory, backend="serial", cache=False)
+    """Run ``jobs`` through the serial reference and the engine; compare."""
+    serial = [job.execute(factory=factory) for job in jobs]
     batched = run_sessions(jobs, factory=factory, cache=False)
     assert len(serial) == len(batched) == len(jobs)
     for a, b in zip(serial, batched):
@@ -53,33 +56,60 @@ def assert_matches_serial(jobs, factory):
     return serial
 
 
-class TestChooseBackend:
-    def test_single_job_is_serial(self, sys1_factory):
-        assert choose_backend([make_job(sys1_factory)]) == "serial"
-        assert choose_backend([]) == "serial"
+def record_chunks(monkeypatch):
+    """Spy on the engine's lock-step calls; returns the list of chunk sizes."""
+    sizes = []
+    real = engine_mod.execute_jobs_batched
 
-    def test_batchable_majority_is_batch(self, sys1_factory):
+    def spy(chunk_jobs, factory=None):
+        sizes.append(len(chunk_jobs))
+        return real(chunk_jobs, factory=factory)
+
+    monkeypatch.setattr(engine_mod, "execute_jobs_batched", spy)
+    return sizes
+
+
+class TestChooseBackend:
+    """The engine's size rule: the serial runner for a lone pending job,
+    in-process lock-step chunks for anything more at ``workers=1``."""
+
+    def test_single_job_is_serial(self, sys1_factory, monkeypatch):
+        sizes = record_chunks(monkeypatch)
+        [trace] = run_sessions([make_job(sys1_factory)], cache=False)
+        assert run_sessions([], cache=False) == []
+        assert sizes == []
+        assert trace.equals(make_job(sys1_factory).execute())
+
+    def test_batchable_majority_is_batch(self, sys1_factory, monkeypatch):
+        sizes = record_chunks(monkeypatch)
         jobs = [make_job(sys1_factory, run=run) for run in range(4)]
-        assert choose_backend(jobs) == "batch"
+        run_sessions(jobs, workers=1, cache=False)
+        assert sizes == [4]
 
     def test_auto_never_picks_process(self, sys1_factory, monkeypatch):
-        # Lock-step batching wins on any host, so auto leaves the process
-        # pool to explicit backend="process" callers.
-        import repro.exec.engine as engine_mod
-
+        # Without an explicit worker count the engine never starts a pool,
+        # however many cores the host has.
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
         monkeypatch.setattr(engine_mod.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", None)
+        sizes = record_chunks(monkeypatch)
         jobs = [make_job(sys1_factory, run=run) for run in range(4)]
-        assert choose_backend(jobs) == "batch"
+        run_sessions(jobs, cache=False)
+        assert sizes == [4]
 
-    def test_fast_jobs_always_batch(self, sys1_factory):
+    def test_fast_jobs_always_batch(self, sys1_factory, monkeypatch):
         # Masked per-row termination batches completion-mode and
         # temperature-recording jobs too.
+        sizes = record_chunks(monkeypatch)
         jobs = [
             make_job(sys1_factory, run=0, duration_s=None, max_duration_s=1.0),
             make_job(sys1_factory, run=1, record_temperature=True),
         ]
-        assert choose_backend(jobs) == "batch"
         assert batch_key(jobs[0]) == batch_key(jobs[1])
+        traces = run_sessions(jobs, workers=1, factory=sys1_factory, cache=False)
+        assert sizes == [2]
+        for job, trace in zip(jobs, traces):
+            assert trace.equals(job.execute(factory=sys1_factory))
 
 
 class TestFastMatchesSerial:
@@ -154,9 +184,10 @@ class TestAttackOutcomeIdentity:
             mlp=MLPConfig(hidden_sizes=(16,), max_epochs=6),
             seed=TEST_SEED,
         )
-        serial_runs = simulate_runs(
-            scenario, sys1_factory, cache=False, backend="serial"
-        )
+        serial = [job.execute(factory=sys1_factory)
+                  for job in scenario_jobs(scenario, sys1_factory)]
+        per_class = scenario.runs_per_class
+        serial_runs = [serial[:per_class], serial[per_class:]]
         batched_runs = simulate_runs(scenario, sys1_factory, cache=False)
         for serial_class, batched_class in zip(serial_runs, batched_runs):
             for a, b in zip(serial_class, batched_class):

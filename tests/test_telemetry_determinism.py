@@ -4,7 +4,7 @@ The tentpole invariant of ``repro.telemetry``: because every session event
 is keyed on sim time (the control-interval index) and serialized through
 one canonical encoder, executing the same :class:`SessionJob`
 
-* serially vs. through the lock-step batch backend,
+* through the serial reference vs. the engine's lock-step chunks,
 * fresh vs. replayed from the trace cache,
 * in-process vs. in a worker process,
 
@@ -63,11 +63,16 @@ def _strip_manifest(data: bytes) -> list:
     ]
 
 
+def _reference(jobs, factory):
+    """Every job through the serial reference, ``SessionJob.execute``."""
+    return [job.execute(factory=factory) for job in jobs]
+
+
 def test_serial_and_batch_streams_are_byte_identical(sys1_factory, recorder_root):
     jobs = _jobs(sys1_factory)
-    run_sessions(jobs, factory=sys1_factory, backend="serial", cache=False)
+    _reference(jobs, sys1_factory)
     serial = _collect_sessions(recorder_root)
-    run_sessions(jobs, factory=sys1_factory, backend="batch", cache=False)
+    run_sessions(jobs, factory=sys1_factory, workers=1, cache=False)
     batched = _collect_sessions(recorder_root)
 
     # Same identity digests: the file names must line up one-to-one.
@@ -83,23 +88,36 @@ def test_serial_and_batch_streams_are_byte_identical(sys1_factory, recorder_root
 
 
 def test_backend_identity_via_cli_diff(sys1_factory, recorder_root, tmp_path, capsys):
-    """Acceptance: serial/process/batch event streams verified identical by
-    ``python -m repro.telemetry diff``."""
-    jobs = _jobs(sys1_factory, seeds=(11,))
+    """Acceptance: event streams of the serial reference, in-process
+    lock-step chunks (``workers=1``) and chunks fanned out over a worker
+    pool (``workers=2``) verified identical by ``python -m repro.telemetry
+    diff``."""
+    jobs = _jobs(sys1_factory)
+    runs = {
+        "reference": lambda: _reference(jobs, sys1_factory),
+        "workers1": lambda: run_sessions(
+            jobs, factory=sys1_factory, workers=1, cache=False
+        ),
+        "workers2": lambda: run_sessions(
+            jobs, factory=sys1_factory, workers=2, cache=False
+        ),
+    }
     copies = {}
-    for backend, workers in (("serial", 1), ("process", 2), ("batch", 1)):
-        run_sessions(
-            jobs, factory=sys1_factory, backend=backend, workers=workers,
-            cache=False,
-        )
-        (name, data), = _collect_sessions(recorder_root).items()
-        copy = tmp_path / f"{backend}-{name}"
-        copy.write_bytes(data)
-        copies[backend] = copy
-    assert telemetry_cli(["diff", str(copies["serial"]), str(copies["process"])]) == 0
-    assert telemetry_cli(["diff", str(copies["serial"]), str(copies["batch"])]) == 0
+    for label, run in runs.items():
+        run()
+        streams = _collect_sessions(recorder_root)
+        assert len(streams) == len(jobs)
+        for name, data in streams.items():
+            copy = tmp_path / f"{label}-{name}"
+            copy.write_bytes(data)
+            copies.setdefault(name, {})[label] = copy
+    for by_label in copies.values():
+        for label in ("workers1", "workers2"):
+            assert telemetry_cli(
+                ["diff", str(by_label["reference"]), str(by_label[label])]
+            ) == 0
     out = capsys.readouterr().out
-    assert out.count("identical") == 2
+    assert out.count("identical") == 2 * len(jobs)
 
 
 def test_cache_replay_is_byte_identical_including_manifest(
@@ -107,9 +125,9 @@ def test_cache_replay_is_byte_identical_including_manifest(
 ):
     cache = TraceCache(root=tmp_path / "cache")
     jobs = _jobs(sys1_factory, seeds=(11,))
-    run_sessions(jobs, factory=sys1_factory, backend="serial", cache=cache)
+    run_sessions(jobs, factory=sys1_factory, cache=cache)
     fresh = _collect_sessions(recorder_root)
-    run_sessions(jobs, factory=sys1_factory, backend="serial", cache=cache)
+    run_sessions(jobs, factory=sys1_factory, cache=cache)
     replayed = _collect_sessions(recorder_root)
     assert cache.hits == 1
     # The sidecar replays the original bytes: even the manifest (recording
@@ -120,12 +138,12 @@ def test_cache_replay_is_byte_identical_including_manifest(
 def test_perturbed_seed_changes_the_stream(sys1_factory, recorder_root):
     run_sessions(
         _jobs(sys1_factory, seeds=(11,)),
-        factory=sys1_factory, backend="serial", cache=False,
+        factory=sys1_factory, cache=False,
     )
     base = _collect_sessions(recorder_root)
     run_sessions(
         _jobs(sys1_factory, seeds=(13,)),
-        factory=sys1_factory, backend="serial", cache=False,
+        factory=sys1_factory, cache=False,
     )
     perturbed = _collect_sessions(recorder_root)
     # Different seed -> different identity digest -> different file name...
@@ -141,7 +159,7 @@ def test_null_recorder_leaves_no_files(sys1_factory, tmp_path, monkeypatch):
     telemetry.set_recorder(None)
     run_sessions(
         _jobs(sys1_factory, seeds=(11,)),
-        factory=sys1_factory, backend="serial", cache=False,
+        factory=sys1_factory, cache=False,
     )
     assert not (tmp_path / telemetry.DEFAULT_TELEMETRY_DIR).exists()
     assert list(tmp_path.iterdir()) == []

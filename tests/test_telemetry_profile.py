@@ -129,7 +129,7 @@ class TestEngineIntegration:
         # A runtime defense: constant-settings ones never decide, they
         # fast-forward whole sessions without a kernel.decide span.
         jobs = profile_jobs(defense="random_inputs")
-        run_sessions(jobs, workers=1, cache=False, backend="batch")
+        run_sessions(jobs, workers=1, cache=False)
         profile.set_profiler(None)
         spans = read_spans(tmp_path)
         names = {s["name"] for s in spans}
@@ -137,7 +137,7 @@ class TestEngineIntegration:
         assert {"kernel.power", "kernel.measure", "kernel.decide"} <= names
         run_span = next(s for s in spans if s["name"] == "run")
         assert run_span["jobs"] == len(jobs)
-        assert run_span["backend"] == "batch"
+        assert "backend" not in run_span
 
     def test_run_span_child_coverage(self, tmp_path):
         """The span tree accounts for >=95% of the engine's wall-clock."""
@@ -146,7 +146,7 @@ class TestEngineIntegration:
         # fleet's whole-session fast-forward finishes in milliseconds,
         # where the profiler's own per-span cost is no longer negligible.
         run_sessions(profile_jobs(duration_s=8.0, defense="random_inputs"),
-                     workers=1, cache=False, backend="batch")
+                     workers=1, cache=False)
         profile.set_profiler(None)
         tree = span_tree([tmp_path / PROFILE_FILE])
         run_node = next(n for n in tree["roots"] if n["name"] == "run")
@@ -163,8 +163,7 @@ class TestEngineIntegration:
             if profiled:
                 profile.set_profiler(SpanProfiler(root=root / "prof"))
             try:
-                traces = run_sessions(jobs, workers=1, cache=False,
-                                      backend="batch")
+                traces = run_sessions(jobs, workers=1, cache=False)
             finally:
                 profile.set_profiler(None)
                 telemetry.set_recorder(None)
