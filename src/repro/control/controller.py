@@ -146,6 +146,86 @@ class MatrixController:
         self._u_applied = self.bank.normalize(settings) - self._u_op
         return settings
 
+    @staticmethod
+    def step_fleet(
+        controllers: "list[MatrixController]",
+        targets_w: np.ndarray,
+        measured_w: np.ndarray,
+    ) -> "list[ActuatorSettings]":
+        """:meth:`step` for every controller of a fleet, in one pass.
+
+        All controllers must share one :class:`DesignedController` (and so
+        one plant and one platform's actuators).  Row ``k`` gets exactly
+        the settings, state and counters that
+        ``controllers[k].step(targets_w[k], measured_w[k])`` would leave:
+        each contraction is one stacked ``np.matmul(M, X[:, :, None])``,
+        whose loop makes per row the same BLAS call as the serial
+        ``M @ x``; everything else is elementwise in the serial expression
+        order (DESIGN.md §7).  The state lives on the controllers, read at
+        entry and written back at exit.
+        """
+        first = controllers[0]
+        design = first.design
+        bank = first.bank
+        if any(controller.design is not design for controller in controllers):
+            raise ValueError("controllers of one fleet step must share a design")
+        plant_ss = design.plant_ss
+        x_pred = np.array([controller._x_pred for controller in controllers])
+        z = np.array([controller._z for controller in controllers])
+        u_applied = np.array([controller._u_applied for controller in controllers])
+        u_center = np.array([controller._u_center for controller in controllers])
+        error = (
+            np.asarray(targets_w, dtype=float) - np.asarray(measured_w, dtype=float)
+        ) / first._y_scale
+
+        # Measurement update (see step), then the time update.
+        y_pred = (
+            np.matmul(plant_ss.c, x_pred[:, :, None])[:, 0, 0]
+            + np.matmul(plant_ss.d, u_applied[:, :, None])[:, 0, 0]
+        )
+        innovation = -error - y_pred
+        x_filt = x_pred + design.m_gain[:, 0] * innovation[:, None]
+        x_pred = (
+            np.matmul(plant_ss.a, x_filt[:, :, None])[:, :, 0]
+            + np.matmul(plant_ss.b, u_applied[:, :, None])[:, :, 0]
+        )
+
+        # Conditional integration: the row-wise _saturated_towards.
+        u_prev_norm = u_applied + first._u_op
+        signs = np.where(first._input_signs != 0, first._input_signs, 1.0)
+        direction = np.sign(error)[:, None] * signs
+        railed = np.where(direction > 0, u_prev_norm >= 1.0, u_prev_norm <= 0.0)
+        frozen = railed.all(axis=1) & ~(np.abs(error) < 1e-12)
+        z = np.where(frozen, z, z + error)
+
+        u_centered = (
+            -np.matmul(design.k_x, x_pred[:, :, None])[:, :, 0]
+            - design.k_z[:, 0] * z[:, None]
+        )
+        u_norm = u_centered + u_center
+        sat_hi = np.count_nonzero(u_norm > 1.0, axis=1)
+        sat_lo = np.count_nonzero(u_norm < 0.0, axis=1)
+        levels = bank.quantize_normalized_many(np.clip(u_norm, 0.0, 1.0))
+        u_applied = bank.normalize_many(levels) - first._u_op
+
+        settings: list[ActuatorSettings] = []
+        for k, controller in enumerate(controllers):
+            controller._x_pred = x_pred[k]
+            controller._z = float(z[k])
+            controller._u_applied = u_applied[k]
+            controller.last_sat_hi = int(sat_hi[k])
+            controller.last_sat_lo = int(sat_lo[k])
+            controller.last_antiwindup = int(frozen[k])
+            if controller.last_sat_hi or controller.last_sat_lo:
+                controller.saturation_steps += 1
+            controller.antiwindup_steps += controller.last_antiwindup
+            settings.append(ActuatorSettings(
+                freq_ghz=float(levels[k, 0]),
+                idle_frac=float(levels[k, 1]),
+                balloon_level=float(levels[k, 2]),
+            ))
+        return settings
+
     def _saturated_towards(self, error: float, u_norm: np.ndarray) -> bool:
         """True if every input is railed in the direction demanded by ``error``."""
         if abs(error) < 1e-12:

@@ -79,7 +79,6 @@ class MayaInstance:
         self.current_target_w = self.mask.next_target()
         return self.controller.step(self.current_target_w, measured_w)
 
-    # maya: batch-twin(MayaInstance.decide)
     @staticmethod
     def decide_fleet(
         instances: "list[MayaInstance]", measured_w: "list[float]"
@@ -87,23 +86,28 @@ class MayaInstance:
         """One lock-step wake-up for a fleet of Maya instances.
 
         All mask targets are drawn first through the batched mask hook
-        (:func:`repro.masks.next_targets`), then the Equation-1 state
-        update runs across the fleet.  The K·x matmul stays a per-session
-        loop on purpose: the controller state is a handful of floats and
-        batching it through BLAS could reorder accumulations, while the
-        tick-level physics the batched backend vectorizes is what
-        dominates.  Each instance consumes its own RNG and state exactly
-        as :meth:`decide` would, so the settings are bit-identical.
+        (:func:`repro.masks.next_targets`); then the rows are grouped by
+        controller design and each group advances its Equation-1 update
+        in one :meth:`MatrixController.step_fleet` call.  Every instance
+        consumes its own RNG and state exactly as :meth:`decide` would, so
+        the settings are bit-identical to B serial calls.
         """
         from ..masks import next_targets
 
         targets_w = next_targets([instance.mask for instance in instances])
-        settings: list[ActuatorSettings] = []
-        for instance, target_w, measurement_w in zip(instances, targets_w, measured_w):
-            instance.current_target_w = float(target_w)
-            settings.append(
-                instance.controller.step(instance.current_target_w, measurement_w)
+        groups: dict[int, list[int]] = {}
+        for index, instance in enumerate(instances):
+            instance.current_target_w = float(targets_w[index])
+            groups.setdefault(id(instance.controller.design), []).append(index)
+        settings: list = [None] * len(instances)
+        for indices in groups.values():
+            decided = MatrixController.step_fleet(
+                [instances[index].controller for index in indices],
+                targets_w[indices],
+                [measured_w[index] for index in indices],
             )
+            for index, decision in zip(indices, decided):
+                settings[index] = decision
         return settings
 
 

@@ -61,7 +61,9 @@ def decide_batch(defenses, measured_w) -> list:
 
     Maya instances are routed through :meth:`MayaDefense.decide_fleet`,
     which draws all mask targets through the batched mask evaluation hook
-    and then applies the Equation-1 state update per session; every other
+    and then advances the Equation-1 update of every row sharing a design
+    in one :meth:`MatrixController.step_fleet
+    <repro.control.MatrixController.step_fleet>` call; every other
     defense falls back to its own :meth:`Defense.decide`.  Each defense
     consumes exactly the per-session values it would see serially, so the
     emitted settings are identical to B independent ``decide`` calls.

@@ -142,7 +142,6 @@ class MayaDefense(Defense):
             return None
         return self._instance.controller.diagnostics()
 
-    # maya: batch-twin(MayaDefense.decide)
     @staticmethod
     def decide_fleet(
         defenses: "list[MayaDefense]", measured_w: "list[float]"
@@ -150,7 +149,7 @@ class MayaDefense(Defense):
         """Batched :meth:`decide` for a lock-step fleet of Maya defenses.
 
         Delegates to :meth:`MayaInstance.decide_fleet` (batched mask draw +
-        per-session Equation-1 update) and mirrors each defense's target
+        one Equation-1 fleet step per design) and mirrors each defense's target
         bookkeeping, emitting exactly what B serial ``decide`` calls would.
         """
         instances = []

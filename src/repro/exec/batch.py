@@ -17,8 +17,11 @@ shows dominates a session — can be evaluated for a whole fleet at once:
   skip the control loop entirely: the whole session is fast-forwarded in
   chunks of :data:`CONST_CHUNK_INTERVALS` intervals (:func:`_run_constant`);
 * every other defense decides interval by interval through
-  :func:`repro.defenses.decide_batch`, which replays the serial decide
-  arithmetic per session (:func:`_run_dynamic`).
+  :func:`repro.defenses.decide_batch` (:func:`_run_dynamic`): the mask
+  targets are drawn per session, then the Equation-1 update of every Maya
+  row sharing a design runs as one vectorized
+  :meth:`~repro.control.MatrixController.step_fleet`, whose stacked
+  ``np.matmul`` makes per row the same BLAS call as the serial ``M @ x``.
 
 **Per-row termination.**  Each row records exactly what ``run_session``
 would record for its job: ``min(duration_s, max_duration_s)`` for a
@@ -32,9 +35,11 @@ recording share one batch.
 session's own spawn-keyed stream, in the same within-session order as the
 serial runner; a generator fills one size-n request identically to n
 sequential draws, row-wise ``lfilter`` carries each row's state exactly
-like per-window calls, and all batched arithmetic replays the serial
-expression order elementwise.  :meth:`Trace.equals` against
-``run_session`` is the oracle the tests enforce.  One site depends on the
+like per-window calls, all batched arithmetic replays the serial
+expression order elementwise, and the controller's contractions make per
+row the BLAS call the serial step makes.  :meth:`Trace.equals` against
+``run_session`` and the golden trace digests are the oracles the tests
+enforce.  One site depends on the
 numpy build: :func:`_materialize` evaluates a phase's ``np.sin`` over a
 whole fast-forwarded span rather than one window (see its docstring).
 

@@ -1,11 +1,13 @@
 """Reassociation-safety certification (MAYA040-MAYA043) for the hot paths.
 
-The lock-step backend's contract is bit-identity with the serial runner
-(DESIGN.md §7), which is why the mask transcendentals and the
-controller's K·x matmul stay scalar: SIMD/BLAS evaluation may reassociate
-floating-point operations.  A change that vectorizes one of them needs a
-principled inventory of *what* is order-sensitive and *at what error
-cost*, instead of hand-maintained lists.  This analysis classifies every
+The lock-step kernel's contract is bit-identity with the serial runner
+(DESIGN.md §7), which is why the mask transcendentals stay per session
+and the fleet-wide controller step contracts through a stacked
+``np.matmul`` that makes the serial ``M @ x`` BLAS call once per row:
+SIMD/BLAS evaluation in any other shape may reassociate floating-point
+operations.  Vectorizing a hot path needs a principled inventory of
+*what* is order-sensitive and *at what error cost*, instead of
+hand-maintained lists.  This analysis classifies every
 floating-point expression reachable from the simulation hot paths as
 
 * **REASSOC_SAFE** — elementwise arithmetic with no cross-lane reduction

@@ -35,8 +35,9 @@ interpreter and layers four rules on the closure:
 Modules that *must* sit outside the purity contract are enumerated as
 waivers rather than silently skipped: the salt-defining module itself
 (``code_salt()`` digests the salted sources by design), ``exec/batch.py``
-(excluded from the salt; pinned instead by the MAYA043 batch-twin
-bit-identity certificates), and ``repro.telemetry`` (out-of-band by the
+(excluded from the salt; pinned instead by the lock-step bit-identity
+tests: golden trace digests and ``Trace.equals`` against the serial
+runner), and ``repro.telemetry`` (out-of-band by the
 MAYA032 contract).  Their ambient reads and mutations are still recorded
 — in the certificate, not as findings.
 
@@ -179,8 +180,9 @@ _MUTATOR_METHODS = frozenset(
 _STATIC_WAIVERS: Tuple[Tuple[str, str], ...] = (
     (
         "exec.batch",
-        "excluded from the salt by design; covered by the serial/batched "
-        "bit-identity contract pinned by the MAYA043 batch-twin certificates",
+        "excluded from the salt by design; covered by the lock-step/serial "
+        "bit-identity contract pinned by the golden trace digests and the "
+        "Trace.equals tests",
     ),
     (
         "telemetry",

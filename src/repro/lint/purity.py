@@ -2,7 +2,7 @@
 
 The committed ``certs/purity/`` directory holds one JSON file per
 simulation entry point, named by the entry's display name
-(``execute_job.json``, ``MayaDefense.decide_fleet.json``).  CI
+(``execute_job.json``, ``batch_window_power.json``).  CI
 regenerates the certificates with ``repro-lint --analyze purity
 --write-certs`` into a scratch directory and fails on any drift against
 the committed set — the same regenerate-and-diff contract the numeric

@@ -59,6 +59,12 @@ class QuantizedActuator:
         index = int(np.argmin(np.abs(self.levels - value)))
         return float(self.levels[index])
 
+    def quantize_many(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`quantize` of every element of a 1-D array (exact per element)."""
+        values = np.clip(values, self.min_level, self.max_level)
+        index = np.argmin(np.abs(self.levels[None, :] - values[:, None]), axis=1)
+        return self.levels[index]
+
     def normalize(self, value: float) -> float:
         """Map a level to [0, 1] over the actuator's range."""
         span = self.max_level - self.min_level
@@ -66,10 +72,22 @@ class QuantizedActuator:
             return 0.0
         return (float(value) - self.min_level) / span
 
+    def normalize_many(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`normalize` of every element of a 1-D array."""
+        span = self.max_level - self.min_level
+        if abs(span) < 1e-12:
+            return np.zeros(values.shape[0])
+        return (values - self.min_level) / span
+
     def denormalize(self, fraction: float) -> float:
         """Inverse of :meth:`normalize` followed by quantization."""
         span = self.max_level - self.min_level
         return self.quantize(self.min_level + float(fraction) * span)
+
+    def denormalize_many(self, fractions: np.ndarray) -> np.ndarray:
+        """:meth:`denormalize` of every element of a 1-D array."""
+        span = self.max_level - self.min_level
+        return self.quantize_many(self.min_level + fractions * span)
 
     def random_level(self, rng: np.random.Generator) -> float:
         """Pick a uniformly random level (used by the noisy baselines)."""
@@ -163,6 +181,28 @@ class ActuatorBank:
             idle_frac=self.idle.denormalize(fractions[1]),
             balloon_level=self.balloon.denormalize(fractions[2]),
         )
+
+    def quantize_normalized_many(self, fractions: np.ndarray) -> np.ndarray:
+        """:meth:`quantize_normalized` of each row of a ``(B, 3)`` array.
+
+        Returns the quantized levels as a ``(B, 3)`` array whose row ``k``
+        holds the (freq_ghz, idle_frac, balloon_level) that
+        ``quantize_normalized(fractions[k])`` would return.
+        """
+        fractions = np.asarray(fractions, dtype=float)
+        if fractions.ndim != 2 or fractions.shape[1] != 3:
+            raise ValueError("expected a (B, 3) command array")
+        levels = np.empty_like(fractions)
+        for column, actuator in enumerate(self.actuators):
+            levels[:, column] = actuator.denormalize_many(fractions[:, column])
+        return levels
+
+    def normalize_many(self, levels: np.ndarray) -> np.ndarray:
+        """:meth:`normalize` of each row of a ``(B, 3)`` array of levels."""
+        normalized = np.empty_like(levels)
+        for column, actuator in enumerate(self.actuators):
+            normalized[:, column] = actuator.normalize_many(levels[:, column])
+        return normalized
 
     def normalize(self, settings: ActuatorSettings) -> np.ndarray:
         """Map settings to the normalized [0,1]^3 space the controller uses."""

@@ -67,19 +67,22 @@ class MaskGenerator(abc.ABC):
         """Start a fresh segment schedule (keeps the RNG stream)."""
 
     def _clip(self, value: float) -> float:
-        return float(np.clip(value, self.low_w, self.high_w))
+        # Same result as np.clip for every float, NaN included, without
+        # numpy's per-call dispatch on a scalar.
+        return float(min(max(value, self.low_w), self.high_w))
 
 
 def next_targets(masks: "list[MaskGenerator]") -> np.ndarray:
     """One target per generator, evaluated lock-step across a fleet.
 
-    This is the batched-backend entry point for mask evaluation: the
+    This is the lock-step kernel's entry point for mask evaluation: the
     per-session draws stay on each mask's own RNG stream (in fleet order),
-    and the per-sample arithmetic deliberately stays scalar — numpy's SIMD
+    and each mask evaluates its own sample, because numpy's SIMD
     transcendental kernels are not guaranteed to round identically across
-    array lengths, and the backend's contract is bit-identity with the
-    serial runner.  The batching win is structural: one fleet-sized float64
-    vector feeds the batched controller step instead of B boxed floats.
+    array lengths and the kernel's contract is bit-identity with the
+    serial runner.  The result, one fleet-sized float64 vector, is the
+    target input of the vectorized controller step
+    (:meth:`repro.control.MatrixController.step_fleet`).
     """
     targets_w = np.empty(len(masks), dtype=np.float64)
     for index, mask in enumerate(masks):

@@ -89,6 +89,7 @@ def _openblas_config() -> str:
                        "openblas_get_config"):
             getter = getattr(lib, symbol, None)
             if getter is not None:
+                getter.argtypes = []
                 getter.restype = ctypes.c_char_p
                 return getter().decode()
     blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})

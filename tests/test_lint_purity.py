@@ -46,8 +46,6 @@ ENTRY_POINTS = {
     "execute_jobs_batched",
     "batch_window_power",
     "BatchedRaplSensor.measure_windows",
-    "MayaInstance.decide_fleet",
-    "MayaDefense.decide_fleet",
 }
 
 SALT_PACKAGES = [
@@ -245,7 +243,7 @@ class TestCertificates:
             for w in certs["execute_jobs_batched"]["waivers"]
         }
         assert "repro.exec.batch" in batched
-        assert "MAYA043" in batched["repro.exec.batch"]
+        assert "golden trace digests" in batched["repro.exec.batch"]
 
     def test_job_key_accounts_for_every_field(self):
         job_key = self.certs()["execute_job"]["job_key"]

@@ -122,3 +122,20 @@ class TestActuatorBank:
 
     def test_input_names_order(self, bank):
         assert bank.input_names == ("dvfs_ghz", "idle_frac", "balloon_level")
+
+
+class TestVectorizedQuantization:
+    @given(st.lists(st.floats(min_value=-0.5, max_value=1.5), min_size=1, max_size=40))
+    def test_rows_match_scalar_quantize_normalized(self, fractions):
+        bank = ActuatorBank(SYS1)
+        commands = np.array(fractions)[:, None] * np.array([1.0, 0.7, 0.3])
+        levels = bank.quantize_normalized_many(np.clip(commands, 0.0, 1.0))
+        for row, command in zip(levels, commands):
+            settings = bank.quantize_normalized(np.clip(command, 0.0, 1.0))
+            assert np.array_equal(row, settings.as_vector())
+            assert np.array_equal(bank.normalize_many(row[None, :])[0],
+                                  bank.normalize(settings))
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError):
+            ActuatorBank(SYS1).quantize_normalized_many(np.zeros(3))
