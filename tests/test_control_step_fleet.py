@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.control import MatrixController
 from repro.defenses.base import decide_batch
+from repro.exec import SessionJob
 from repro.machine import SYS1, ActuatorBank, spawn
 
 #: How a row's measurement relates to its target in one step.
@@ -131,8 +132,6 @@ class TestDecideBatch:
         return defenses
 
     def test_mixed_maya_families_match_decide(self, sys1_factory):
-        from repro.exec import SessionJob
-
         machines = [
             SessionJob.for_factory(sys1_factory, workload="volrend", defense=name,
                                    run_id=index).build_machine()
