@@ -9,10 +9,12 @@ shows dominates a session — can be evaluated for a whole fleet at once:
   (phase cursors, jittered workload, RNG streams), its own defense
   instance and its own RAPL sensor, seeded exactly as the serial runner
   seeds them (:func:`build_fleet`);
-* the power model evaluates ``(B, ticks)`` structure-of-arrays blocks
-  (:func:`repro.machine.power.batch_window_power`), filtering all AR(1)
-  noise rows with one row-wise ``lfilter`` call, and the windowed RAPL
-  measurement reduces them row-wise;
+* the power step (:func:`repro.machine.power.batch_window_power`) and
+  the RAPL read (:func:`repro.machine.sensors.measure_windows`) are the
+  functions the serial runner calls with one row; here they evaluate
+  ``(B, ticks)`` structure-of-arrays blocks, filtering all AR(1) noise
+  rows with one row-wise ``lfilter`` call and reducing the windows
+  row-wise;
 * defenses whose settings never change (``Defense.constant_settings``)
   skip the control loop entirely: the whole session is fast-forwarded in
   chunks of :data:`CONST_CHUNK_INTERVALS` intervals (:func:`_run_constant`);
@@ -34,10 +36,12 @@ recording share one batch.
 **Bit-identity contract.**  Every per-session random draw happens on that
 session's own spawn-keyed stream, in the same within-session order as the
 serial runner; a generator fills one size-n request identically to n
-sequential draws, row-wise ``lfilter`` carries each row's state exactly
-like per-window calls, all batched arithmetic replays the serial
-expression order elementwise, and the controller's contractions make per
-row the BLAS call the serial step makes.  :meth:`Trace.equals` against
+sequential draws, the power and RAPL steps are shared with the serial
+runner and no row of them depends on another, ``lfilter`` carries each
+row's AR(1) state across a multi-window chunk exactly like per-window
+calls, the constant-settings path's chunked RAPL reduction replays the
+per-window sums, and the controller's contractions make per row the BLAS
+call the serial step makes.  :meth:`Trace.equals` against
 ``run_session`` and the golden trace digests are the oracles the tests
 enforce.  One site depends on the
 numpy build: :func:`_materialize` evaluates a phase's ``np.sin`` over a
@@ -60,11 +64,11 @@ from ..core.runtime import _grown
 from ..defenses.base import decide_batch
 from ..defenses.designs import DefenseFactory
 from ..machine import (
-    BatchedRaplSensor,
     RaplSensor,
     SimulatedMachine,
     Trace,
     batch_window_power,
+    measure_windows,
     spawn,
 )
 from ..telemetry import profile
@@ -293,7 +297,7 @@ def _run_dynamic(rows: "list[_Row]") -> None:
             fleet_recordings = [recordings[i] for i in active]
             models = [row.machine.power_model for row in fleet]
             fleet_defenses = [row.defense for row in fleet]
-            batched_sensor = BatchedRaplSensor([row.sensor for row in fleet])
+            sensors = [row.sensor for row in fleet]
             activity = np.empty((len(active), ticks))
             core_fraction = np.empty((len(active), ticks))
         applied = [settings[i] for i in active]
@@ -310,7 +314,7 @@ def _run_dynamic(rows: "list[_Row]") -> None:
         with profile.span("kernel.power", interval=interval_index):
             window_w = batch_window_power(models, activity, core_fraction, applied)
         with profile.span("kernel.measure", interval=interval_index):
-            measurements_w = batched_sensor.measure_windows(window_w, tick_s)
+            measurements_w = measure_windows(sensors, window_w, tick_s)
         for k, recording in enumerate(fleet_recordings):
             recording.record(
                 interval_index,

@@ -7,16 +7,16 @@ Two halves, both motivated by the paper's formal-guarantee story:
   reproduction's byte-reproducibility or hide controller defects (direct
   ``np.random`` use outside :mod:`repro.machine.rng`, wall-clock reads
   outside the sanctioned timing sites, float ``==`` comparisons, mutable
-  default arguments, missing ``__all__``, bare ``except``).
+  default arguments, missing ``__all__``, bare ``except``, and in the
+  simulation hot paths reductions without an ``axis=`` or float32
+  narrowing).
 * :mod:`repro.lint.dataflow` — interprocedural dataflow analyses over the
   same parse: physical-unit checking from the repo's naming conventions
   (MAYA010-MAYA013), secret-taint certification of the mask/control
   packages (MAYA020-MAYA022, with a JSON leakage certificate), and
-  reassociation-safety analysis of the simulation hot paths
-  (MAYA040-MAYA043, with per-module numeric certificates), and purity & cache-salt soundness
-  certification of the simulation closure (MAYA050-MAYA053, with
-  per-entry-point certificates that pin the trace cache's content
-  address).
+  purity & cache-salt soundness certification of the simulation closure
+  (MAYA050-MAYA053, with per-entry-point certificates that pin the trace
+  cache's content address).
 * :mod:`repro.lint.certify` — a model-level verifier that statically
   certifies a synthesized Equation-1 :class:`~repro.control.statespace.StateSpace`
   against a :class:`~repro.control.fixedpoint.FixedPointFormat` without
@@ -38,7 +38,6 @@ from .certify import (
 from .dataflow import (
     DataflowContext,
     Unit,
-    analyze_numeric,
     analyze_purity,
     analyze_taint,
     analyze_units,
@@ -46,7 +45,6 @@ from .dataflow import (
     unit_of_name,
 )
 from .engine import Diagnostic, LintEngine, LintReport, format_github, lint_paths
-from .numeric import check_certificates, write_certificates
 from .purity import check_purity_certificates, write_purity_certificates
 from .rules import Rule, all_rule_ids, default_rules
 
@@ -58,7 +56,6 @@ __all__ = [
     "certify_design",
     "DataflowContext",
     "Unit",
-    "analyze_numeric",
     "analyze_purity",
     "analyze_taint",
     "analyze_units",
@@ -69,8 +66,6 @@ __all__ = [
     "LintReport",
     "format_github",
     "lint_paths",
-    "check_certificates",
-    "write_certificates",
     "check_purity_certificates",
     "write_purity_certificates",
     "Rule",

@@ -6,17 +6,16 @@ With no paths, lints the installed ``repro`` package tree.  Exit codes:
 * ``1`` — findings were reported, or a certificate failed;
 * ``2`` — usage error or a file that does not parse (MAYA000).
 
-``--analyze units`` / ``--analyze taint`` / ``--analyze numeric`` /
-``--analyze purity`` enable the whole-project dataflow analyses
-(repeatable); ``--analyze taint`` additionally emits the JSON leakage
-certificate, ``--analyze numeric`` the per-module reassociation-safety
-certificates, and ``--analyze purity`` the per-entry-point cache-soundness
-certificates (``--write-certs`` / ``--check-certs`` manage the committed
-``certs/`` sets: with one certificate analysis selected DIR is used
-flat, with several each analysis gets a ``DIR/<analysis>/`` subtree).
-As a convenience for the common CI one-liner, ``--check-certs`` with no
-positional paths accepts the *source tree* as its argument and locates
-the committed ``certs/`` root automatically.
+``--analyze units`` / ``--analyze taint`` / ``--analyze purity`` enable
+the whole-project dataflow analyses (repeatable); ``--analyze taint``
+additionally emits the JSON leakage certificate and ``--analyze purity``
+the per-entry-point cache-soundness certificates.  ``--write-certs`` /
+``--check-certs`` manage the committed purity set (and imply ``--analyze
+purity``): DIR is used flat, or its ``purity/`` subtree when it has one,
+so ``--check-certs certs`` checks ``certs/purity/``.  As a convenience
+for the common CI one-liner, ``--check-certs`` with no positional paths
+accepts the *source tree* as its argument and locates the committed
+``certs/`` root automatically.
 ``--baseline FILE`` filters out previously recorded findings;
 ``--write-baseline FILE`` records the current ones.  ``--stats`` appends
 per-rule finding/suppression counts.
@@ -66,11 +65,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--analyze",
         action="append",
-        choices=("units", "taint", "numeric", "purity"),
+        choices=("units", "taint", "purity"),
         default=None,
         metavar="ANALYSIS",
         help="enable a whole-project dataflow analysis (units, taint, "
-        "numeric, purity); repeatable",
+        "purity); repeatable",
     )
     parser.add_argument(
         "--stats",
@@ -80,16 +79,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--write-certs",
         metavar="DIR",
-        help="write the analysis certificates (numeric and/or purity) to "
-        "DIR (implies --analyze numeric when no certificate analysis is "
-        "selected)",
+        help="write the purity certificates to DIR (implies --analyze purity)",
     )
     parser.add_argument(
         "--check-certs",
         metavar="DIR",
-        help="fail when the analysis certificates drift from the committed "
-        "set in DIR (implies --analyze numeric when no certificate "
-        "analysis is selected)",
+        help="fail when the purity certificates drift from the committed "
+        "set in DIR (implies --analyze purity)",
     )
     parser.add_argument(
         "--baseline",
@@ -198,8 +194,8 @@ def _print_stats(diagnostics, suppressed) -> None:
     print(f"{'total':<10}{total_found:>8}{total_muted:>12}")
 
 
-#: Analyses that produce committed certificate sets, in directory order.
-_CERT_ANALYSES = ("numeric", "purity")
+#: The analysis whose certificates ``--write-certs``/``--check-certs`` manage.
+_CERT_ANALYSIS = "purity"
 
 
 def _reinterpret_check_certs(args) -> None:
@@ -220,7 +216,7 @@ def _reinterpret_check_certs(args) -> None:
     looks_like_source = (target.is_file() and target.suffix == ".py") or (
         target.is_dir()
         and not any(target.glob("*.json"))
-        and not any((target / sub).is_dir() for sub in _CERT_ANALYSES)
+        and not (target / _CERT_ANALYSIS).is_dir()
         and any(target.rglob("*.py"))
     )
     if not looks_like_source:
@@ -236,39 +232,26 @@ def _reinterpret_check_certs(args) -> None:
     args.check_certs = str(Path.cwd() / "certs")
 
 
-def _cert_dir(base, analysis: str, cert_analyses) -> Path:
-    """Concrete directory for one analysis' certificate set under DIR.
-
-    A lone certificate analysis keeps the flat layout (``DIR/*.json``,
-    the numeric-only contract); several share DIR via per-analysis
-    subtrees.  A DIR that already has (or *is*) the per-analysis
-    subdirectory always resolves to it.
-    """
+def _cert_dir(base) -> Path:
+    """The certificate directory under DIR: its ``purity/`` subtree when
+    it has one (the committed ``certs/`` root), else DIR itself."""
     base = Path(base)
-    if (base / analysis).is_dir():
-        return base / analysis
-    if base.name == analysis:
-        return base
-    if len(tuple(cert_analyses)) == 1:
-        return base
-    return base / analysis
+    if (base / _CERT_ANALYSIS).is_dir():
+        return base / _CERT_ANALYSIS
+    return base
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     _reinterpret_check_certs(args)
     analyses = tuple(dict.fromkeys(args.analyze or ()))
-    cert_analyses = tuple(a for a in analyses if a in _CERT_ANALYSES)
-    if (args.write_certs or args.check_certs) and not cert_analyses:
-        analyses = analyses + ("numeric",)
-        cert_analyses = ("numeric",)
+    if (args.write_certs or args.check_certs) and _CERT_ANALYSIS not in analyses:
+        analyses = analyses + (_CERT_ANALYSIS,)
 
     if args.list_rules:
-        from .dataflow import dataflow_rules
+        from .dataflow import ANALYSES, dataflow_rules
 
-        rules: List = list(default_rules()) + list(
-            dataflow_rules(("units", "taint", "numeric", "purity"))
-        )
+        rules: List = list(default_rules()) + list(dataflow_rules(tuple(ANALYSES)))
         for rule in rules:
             print(f"{rule.rule_id} [{rule.severity}] {rule.summary}")
         return 0
@@ -299,44 +282,26 @@ def main(argv=None) -> int:
             diag for diag in diagnostics if _fingerprint(diag) not in known
         ]
 
-    cert_problems: List[tuple] = []
+    cert_problems: List[str] = []
     if args.write_certs or args.check_certs:
-        from .numeric import check_certificates, write_certificates
         from .purity import check_purity_certificates, write_purity_certificates
 
-        handlers = {
-            "numeric": (
-                report.numeric_certificates,
-                write_certificates,
-                check_certificates,
-            ),
-            "purity": (
-                report.purity_certificates,
-                write_purity_certificates,
-                check_purity_certificates,
-            ),
-        }
-        for analysis in cert_analyses:
-            certs, write, check = handlers[analysis]
-            if args.write_certs:
-                directory = _cert_dir(args.write_certs, analysis, cert_analyses)
-                written = write(certs or {}, directory)
-                print(
-                    f"wrote {len(written)} {analysis} certificate(s) to {directory}",
-                    file=sys.stderr,
-                )
-            if args.check_certs:
-                directory = _cert_dir(args.check_certs, analysis, cert_analyses)
-                cert_problems.extend(
-                    (analysis, problem) for problem in check(certs or {}, directory)
-                )
+        certs = report.purity_certificates or {}
+        if args.write_certs:
+            directory = _cert_dir(args.write_certs)
+            written = write_purity_certificates(certs, directory)
+            print(
+                f"wrote {len(written)} purity certificate(s) to {directory}",
+                file=sys.stderr,
+            )
+        if args.check_certs:
+            cert_problems = check_purity_certificates(certs, _cert_dir(args.check_certs))
 
     if args.format == "json":
         print(
             format_json(
                 diagnostics,
                 certificate=report.certificate,
-                numeric_certificates=report.numeric_certificates,
                 purity_certificates=report.purity_certificates,
             )
         )
@@ -346,14 +311,14 @@ def main(argv=None) -> int:
             print(output)
         if report.certificate is not None and not report.certificate["ok"]:
             print("::error title=leakage-certificate::taint certificate failed")
-        for analysis, problem in cert_problems:
-            print(f"::error title={analysis}-certificate::{problem}")
+        for problem in cert_problems:
+            print(f"::error title=purity-certificate::{problem}")
     else:
         print(format_text(diagnostics))
         if report.certificate is not None:
             print(json.dumps(report.certificate, indent=2, sort_keys=True))
-        for analysis, problem in cert_problems:
-            print(f"{analysis}-certificate: {problem}")
+        for problem in cert_problems:
+            print(f"purity-certificate: {problem}")
 
     if args.stats:
         _print_stats(diagnostics, report.suppressed)

@@ -3,16 +3,13 @@
 Built on the engine's single-parse pipeline: every module is parsed once,
 indexed into a :class:`~repro.lint.dataflow.model.ProjectModel`, and walked
 by an abstract interpreter (:mod:`~repro.lint.dataflow.interp`) with
-per-function summaries.  Two analysis families ride on it:
+per-function summaries.  Three analysis families ride on it:
 
 * :mod:`~repro.lint.dataflow.units` — physical-unit inference from the
   repo's naming conventions (MAYA010-MAYA013);
 * :mod:`~repro.lint.dataflow.taint` — secret-taint certification of the
   mask/control packages (MAYA020-MAYA022) plus the JSON leakage
   certificate;
-* :mod:`~repro.lint.dataflow.numeric` — reassociation-safety analysis of
-  the simulation hot paths (MAYA040-MAYA043) plus the per-module
-  ``maya.lint.numeric-certificate.v1``;
 * :mod:`~repro.lint.dataflow.purity` — purity & cache-salt soundness
   certification of the simulation closure (MAYA050-MAYA053) plus the
   per-entry-point ``maya.lint.purity-certificate.v1``.
@@ -20,14 +17,6 @@ per-function summaries.  Two analysis families ride on it:
 
 from .interp import AV, Evaluator, Finding, Reporter
 from .model import ModuleCtx, ProjectModel, name_tokens
-from .numeric import (
-    CERT_SCHEMA,
-    NUMERIC_RULES,
-    NumericEvaluator,
-    NumVal,
-    analyze_numeric,
-    numeric_certificates,
-)
 from .purity import (
     PURITY_CERT_SCHEMA,
     PURITY_RULES,
@@ -55,12 +44,6 @@ __all__ = [
     "ModuleCtx",
     "ProjectModel",
     "name_tokens",
-    "CERT_SCHEMA",
-    "NUMERIC_RULES",
-    "NumericEvaluator",
-    "NumVal",
-    "analyze_numeric",
-    "numeric_certificates",
     "PURITY_CERT_SCHEMA",
     "PURITY_RULES",
     "PurityEvaluator",

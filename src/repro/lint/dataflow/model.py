@@ -33,6 +33,7 @@ __all__ = [
     "ModuleCtx",
     "name_tokens",
     "dotted_name",
+    "module_name",
 ]
 
 _TOKEN_RE = re.compile(r"[A-Z]?[a-z]+|[A-Z]+(?![a-z])|\d+")
@@ -41,6 +42,18 @@ _TOKEN_RE = re.compile(r"[A-Z]?[a-z]+|[A-Z]+(?![a-z])|\d+")
 def name_tokens(name: str) -> Tuple[str, ...]:
     """Split a snake_case / CamelCase identifier into lowercase tokens."""
     return tuple(tok.lower() for tok in _TOKEN_RE.findall(name))
+
+
+def module_name(path: str) -> str:
+    """Dotted module name used to key/name certificates."""
+    parts = path.replace("\\", "/").split("/")
+    if "repro" in parts:
+        parts = parts[parts.index("repro"):]
+    else:
+        parts = parts[-2:]
+    if parts and parts[-1].endswith(".py"):
+        parts[-1] = parts[-1][:-3]
+    return ".".join(part for part in parts if part not in ("", "__init__"))
 
 
 def dotted_name(node: ast.AST) -> str:

@@ -11,11 +11,9 @@ cache, whose soundness rests on three hand-maintained promises:
 3. every job field that influences the trace flows into
    ``SessionJob.key()``'s digest.
 
-This analysis proves those promises statically, the same way the
-reassociation-safety pass (:mod:`.numeric`) certifies the batched twins.
-It computes the import/call closure of the simulation entry points —
-``execute_job``/``execute_jobs_batched`` plus every ``# maya:
-batch-twin(...)`` batched implementation — over the shared abstract
+This analysis proves those promises statically.  It computes the
+import/call closure of the two simulation entry points —
+``execute_job`` and ``execute_jobs_batched`` — over the shared abstract
 interpreter and layers four rules on the closure:
 
 * **MAYA050** — sim-reachable code reads ambient state (``os.environ``,
@@ -54,8 +52,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .interp import AV, Evaluator, Finding, Reporter
-from .model import FunctionInfo, ProjectModel
-from .numeric import _BATCH_TWIN_RE, module_name
+from .model import FunctionInfo, ProjectModel, module_name
 
 __all__ = [
     "PURITY_RULES",
@@ -229,10 +226,8 @@ class PurityEvaluator(Evaluator):
         self,
         model: ProjectModel,
         reporter: Reporter,
-        sources: Optional[Dict[str, Sequence[str]]] = None,
     ) -> None:
         super().__init__(model, reporter)
-        self._sources = sources or {}
         # Entry points: (display name, FunctionInfo).
         self.entries: List[Tuple[str, FunctionInfo]] = []
         # Worklist state.
@@ -336,26 +331,9 @@ class PurityEvaluator(Evaluator):
         return f"{fn.class_name}.{fn.name}" if fn.class_name else fn.name
 
     def _collect_entries(self) -> None:
-        ordered: List[Tuple[str, FunctionInfo]] = []
         for fn in self.model.functions:
             if fn.class_name is None and fn.name in _ENTRY_NAMES:
-                ordered.append((self._display(fn), fn))
-        for fn in self.model.functions:
-            lines = self._sources.get(fn.path)
-            if not lines:
-                continue
-            start = fn.node.lineno
-            for decorator in getattr(fn.node, "decorator_list", ()):
-                start = min(start, decorator.lineno)
-            for idx in range(max(0, start - 2), min(len(lines), fn.node.lineno)):
-                if _BATCH_TWIN_RE.search(lines[idx]):
-                    ordered.append((self._display(fn), fn))
-                    break
-        seen: Set[str] = set()
-        for display, fn in ordered:
-            if fn.qualname not in seen:
-                seen.add(fn.qualname)
-                self.entries.append((display, fn))
+                self.entries.append((self._display(fn), fn))
 
     def _is_job_class(self, cls_name: Optional[str]) -> bool:
         return (
@@ -378,10 +356,10 @@ class PurityEvaluator(Evaluator):
     def _find_job_classes(self) -> None:
         """Map each entry to its job class (a class with a ``key()``).
 
-        The class comes from the entry's first parameter annotation; twins
-        whose first parameter is not a job (a power model, a defense
-        fleet) fall back to the project-wide default so every certificate
-        carries the same accounting it is actually protected by.
+        The class comes from the entry's first parameter annotation; an
+        entry whose first parameter is not a job falls back to the
+        project-wide default so every certificate carries the same
+        accounting it is actually protected by.
         """
         default = "SessionJob" if self._is_job_class("SessionJob") else None
         for _display, fn in self.entries:
@@ -935,9 +913,7 @@ class PurityEvaluator(Evaluator):
 # ---------------------------------------------------------------------------
 
 
-def analyze_purity(
-    model: ProjectModel, sources: Optional[Dict[str, Sequence[str]]] = None
-) -> Tuple[List[Finding], Dict[str, dict]]:
+def analyze_purity(model: ProjectModel) -> Tuple[List[Finding], Dict[str, dict]]:
     """Run the purity analysis.
 
     Returns ``(findings, certificates)`` where ``certificates`` maps each
@@ -945,7 +921,7 @@ def analyze_purity(
     Projects without simulation entry points produce neither.
     """
     reporter = Reporter()
-    evaluator = PurityEvaluator(model, reporter, sources)
+    evaluator = PurityEvaluator(model, reporter)
     evaluator.analyze()
     findings = sorted(reporter.findings)
     return findings, purity_certificates(model, findings, evaluator)
@@ -959,8 +935,8 @@ def purity_certificates(
     """One certificate per simulation entry point.
 
     The salt section is computed over the *union* closure of every entry
-    (and embedded identically in each certificate), so a twin's narrow
-    closure never reports the orchestration packages as dead entries.
+    (and embedded identically in each certificate), so one entry's
+    narrower closure never reports the orchestration packages as dead entries.
     """
     certificates: Dict[str, dict] = {}
     salt = evaluator.salt_section()

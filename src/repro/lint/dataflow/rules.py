@@ -16,7 +16,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from ..rules import LintContext, RawFinding, Rule
 from .interp import Finding
 from .model import ProjectModel
-from .numeric import NUMERIC_RULES, analyze_numeric
 from .purity import PURITY_RULES, analyze_purity
 from .taint import TAINT_RULES, analyze_taint
 from .units import UNIT_RULES, analyze_units
@@ -33,7 +32,6 @@ __all__ = [
 ANALYSES: Dict[str, Tuple[str, ...]] = {
     "units": tuple(sorted(UNIT_RULES)),
     "taint": tuple(sorted(TAINT_RULES)),
-    "numeric": tuple(sorted(NUMERIC_RULES)),
     "purity": tuple(sorted(PURITY_RULES)),
 }
 
@@ -46,12 +44,10 @@ class DataflowContext:
         findings: Sequence[Finding],
         certificate: Optional[dict] = None,
         analyses: Tuple[str, ...] = (),
-        numeric_certificates: Optional[Dict[str, dict]] = None,
         purity_certificates: Optional[Dict[str, dict]] = None,
     ) -> None:
         self.analyses = analyses
         self.certificate = certificate
-        self.numeric_certificates = numeric_certificates
         self.purity_certificates = purity_certificates
         self._by_path_rule: Dict[Tuple[str, str], List[Finding]] = {}
         for finding in findings:
@@ -62,38 +58,25 @@ class DataflowContext:
     def build(
         cls, modules: Sequence[tuple], analyses: Sequence[str]
     ) -> "DataflowContext":
-        """Run the selected analyses over already-parsed modules.
-
-        ``modules`` entries are ``(path, tree)`` or ``(path, tree,
-        source_lines)``; source lines feed the numeric analysis' pragma
-        scanner and certificate excerpts.
-        """
-        selected = tuple(
-            name for name in ("units", "taint", "numeric", "purity") if name in analyses
-        )
+        """Run the selected analyses over already-parsed ``(path, tree)``
+        modules."""
+        selected = tuple(name for name in ANALYSES if name in analyses)
         unknown = sorted(set(analyses) - set(ANALYSES))
         if unknown:
             raise ValueError(f"unknown analyses: {', '.join(unknown)}")
-        sources = {
-            entry[0]: entry[2] for entry in modules if len(entry) > 2
-        }
-        model = ProjectModel([(entry[0], entry[1]) for entry in modules])
+        model = ProjectModel(modules)
         findings: List[Finding] = []
         certificate = None
-        numeric_certs = None
         purity_certs = None
         if "units" in selected:
             findings.extend(analyze_units(model))
         if "taint" in selected:
             taint_findings, certificate = analyze_taint(model)
             findings.extend(taint_findings)
-        if "numeric" in selected:
-            numeric_findings, numeric_certs = analyze_numeric(model, sources)
-            findings.extend(numeric_findings)
         if "purity" in selected:
-            purity_findings, purity_certs = analyze_purity(model, sources)
+            purity_findings, purity_certs = analyze_purity(model)
             findings.extend(purity_findings)
-        return cls(sorted(findings), certificate, selected, numeric_certs, purity_certs)
+        return cls(sorted(findings), certificate, selected, purity_certs)
 
     def findings_for(self, path: str, rule_id: str) -> List[Finding]:
         return self._by_path_rule.get((path, rule_id), [])
@@ -125,7 +108,6 @@ _DATAFLOW_RULES: Tuple[type, ...] = tuple(
     for analysis, table in (
         ("units", UNIT_RULES),
         ("taint", TAINT_RULES),
-        ("numeric", NUMERIC_RULES),
         ("purity", PURITY_RULES),
     )
     for rule_id, summary in sorted(table.items())

@@ -13,11 +13,12 @@ line of the statement a finding is reported on: for a multi-line (simple)
 statement the comment may sit on the first *or* the last physical line.
 
 The engine parses each file exactly once.  When constructed with
-``analyses`` (``"units"`` and/or ``"taint"``), the parsed trees are also
-fed to the whole-project dataflow pass (:mod:`repro.lint.dataflow`) and
-its findings are reported through the same suppression and formatting
-machinery; the taint analysis additionally yields a leakage certificate,
-carried on the returned :class:`LintReport`.
+``analyses`` (``"units"``, ``"taint"`` and/or ``"purity"``), the parsed
+trees are also fed to the whole-project dataflow pass
+(:mod:`repro.lint.dataflow`) and its findings are reported through the
+same suppression and formatting machinery; the taint analysis
+additionally yields a leakage certificate and the purity analysis its
+per-entry-point certificates, carried on the returned :class:`LintReport`.
 """
 
 from __future__ import annotations
@@ -166,8 +167,6 @@ class LintReport:
     diagnostics: List[Diagnostic] = field(default_factory=list)
     #: The taint analysis' leakage certificate, when it ran.
     certificate: Optional[dict] = None
-    #: Per-module reassociation-safety certificates (numeric analysis).
-    numeric_certificates: Optional[Dict[str, dict]] = None
     #: Per-entry-point cache-soundness certificates (purity analysis).
     purity_certificates: Optional[Dict[str, dict]] = None
     #: Findings filtered out by ``# maya: ignore`` suppressions.
@@ -261,10 +260,7 @@ class LintEngine:
             from .dataflow import DataflowContext, dataflow_rules
 
             dataflow = DataflowContext.build(
-                [
-                    (parsed.path, parsed.tree, parsed.source_lines)
-                    for parsed in parsed_files
-                ],
+                [(parsed.path, parsed.tree) for parsed in parsed_files],
                 self.analyses,
             )
             rules = rules + dataflow_rules(self.analyses)
@@ -277,9 +273,6 @@ class LintEngine:
         return LintReport(
             diagnostics=sorted(diagnostics),
             certificate=dataflow.certificate if dataflow is not None else None,
-            numeric_certificates=(
-                dataflow.numeric_certificates if dataflow is not None else None
-            ),
             purity_certificates=(
                 dataflow.purity_certificates if dataflow is not None else None
             ),
@@ -334,7 +327,6 @@ def format_text(diagnostics: Sequence[Diagnostic]) -> str:
 def format_json(
     diagnostics: Sequence[Diagnostic],
     certificate: Optional[dict] = None,
-    numeric_certificates: Optional[Dict[str, dict]] = None,
     purity_certificates: Optional[Dict[str, dict]] = None,
 ) -> str:
     payload = {
@@ -343,8 +335,6 @@ def format_json(
     }
     if certificate is not None:
         payload["leakage_certificate"] = certificate
-    if numeric_certificates is not None:
-        payload["numeric_certificates"] = numeric_certificates
     if purity_certificates is not None:
         payload["purity_certificates"] = purity_certificates
     return json.dumps(payload, indent=2, sort_keys=True)

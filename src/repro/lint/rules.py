@@ -10,7 +10,7 @@ Registering a new rule is one decorator::
 
     @register
     class MyRule(Rule):
-        rule_id = "MAYA042"
+        rule_id = "MAYA099"
         severity = "error"
         summary = "what invariant this protects"
 
@@ -726,4 +726,132 @@ class ProfilerIsolationRule(Rule):
                         "profiler accessed through a telemetry binding in "
                         "simulation code; spans belong to the engine layer "
                         "(MAYA033)",
+                    )
+
+
+# --------------------------------------------------------------------------
+# MAYA041/MAYA042 — float64 arithmetic with a declared order in hot paths
+# --------------------------------------------------------------------------
+
+#: The simulation hot paths: the modules whose arithmetic produces the
+#: recorded traces (physics, sensing, control, masks and the kernel).
+_HOT_PATH_FRAGMENTS = (
+    "machine/power.py",
+    "machine/sensors.py",
+    "machine/machine.py",
+    "control/controller.py",
+    "control/fixedpoint.py",
+    "exec/batch.py",
+    "core/runtime.py",
+    "core/maya.py",
+    "defenses/base.py",
+    "defenses/designs.py",
+    "workloads/phases.py",
+    "/masks/",
+)
+
+
+def _dtype_word(node: ast.AST) -> str:
+    """The dtype-ish identifier an expression names ('' if none)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return ""
+
+
+@register
+class ReductionOrderRule(Rule):
+    """A reduction in a hot path must name the axis it accumulates along.
+
+    Floating-point sums are not associative: the bits of ``x.sum()``
+    depend on the order numpy accumulates in, and that order follows the
+    array's shape and layout.  Naming the axis (``axis=0`` for a 1-D
+    window, ``axis=1`` for a ``(B, ticks)`` block) states the accumulation
+    order in the source, so a refactor that reshapes the operand shows up
+    in review rather than as a silent trace change.
+    """
+
+    rule_id = "MAYA041"
+    severity = "error"
+    summary = "reduction without an explicit axis in a simulation hot path"
+
+    scoped_path_fragments = _HOT_PATH_FRAGMENTS
+
+    reductions = frozenset(
+        {"sum", "mean", "std", "var", "prod", "cumsum", "average",
+         "nansum", "nanmean", "nanstd", "nanvar"}
+    )
+
+    def check(self, tree: ast.Module, ctx: LintContext) -> Iterator[RawFinding]:
+        if not any(fragment in ctx.path for fragment in self.scoped_path_fragments):
+            return
+        aliases = _import_aliases(tree)
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in self.reductions
+            ):
+                continue
+            if any(kw.arg == "axis" for kw in node.keywords):
+                continue
+            root = _dotted_name(node.func.value).split(".", 1)[0]
+            if root in aliases:
+                # A module function: only numpy's take the axis second.
+                if not aliases[root].startswith("numpy"):
+                    continue
+                axis_position = 1
+            else:
+                # An array method: the axis is the first argument.
+                axis_position = 0
+            if len(node.args) > axis_position:
+                continue
+            yield (
+                node.lineno,
+                node.col_offset,
+                f"reduction '{node.func.attr}' has no axis=; name the axis "
+                "so the accumulation order is explicit",
+            )
+
+
+@register
+class DtypeNarrowingRule(Rule):
+    """Hot-path arithmetic stays float64 end to end.
+
+    A float32 or float16 cast changes every downstream bit of a trace and
+    loses the precision the RAPL quantizer and the controller's
+    fixed-point model are calibrated against.  Flags ``dtype=`` keywords,
+    ``.astype(...)`` arguments and scalar-type calls naming a narrow type.
+    """
+
+    rule_id = "MAYA042"
+    severity = "error"
+    summary = "float32/float16 narrowing in a simulation hot path"
+
+    scoped_path_fragments = _HOT_PATH_FRAGMENTS
+
+    narrow_dtypes = frozenset({"float32", "float16", "half", "single"})
+
+    def check(self, tree: ast.Module, ctx: LintContext) -> Iterator[RawFinding]:
+        if not any(fragment in ctx.path for fragment in self.scoped_path_fragments):
+            return
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            named = [_dtype_word(kw.value) for kw in node.keywords if kw.arg == "dtype"]
+            callee = _dtype_word(node.func)
+            if callee == "astype" and node.args:
+                named.append(_dtype_word(node.args[0]))
+            elif callee in self.narrow_dtypes:
+                named.append(callee)
+            for word in named:
+                if word in self.narrow_dtypes:
+                    yield (
+                        node.lineno,
+                        node.col_offset,
+                        f"dtype narrowing to {word} in simulation code "
+                        "(traces are float64 end to end)",
                     )

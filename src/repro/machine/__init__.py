@@ -17,7 +17,7 @@ from .machine import SimulatedMachine
 from .platform import PLATFORMS, SYS1, SYS2, SYS3, PlatformSpec, get_platform
 from .power import PowerBreakdown, PowerModel, batch_window_power
 from .rng import spawn
-from .sensors import BatchedRaplSensor, OutletMeter, RaplSensor, window_means
+from .sensors import OutletMeter, RaplSensor, measure_windows, window_means
 from .thermal import ThermalModel
 from .trace import Trace
 
@@ -39,9 +39,9 @@ __all__ = [
     "PowerModel",
     "batch_window_power",
     "spawn",
-    "BatchedRaplSensor",
     "OutletMeter",
     "RaplSensor",
+    "measure_windows",
     "window_means",
     "ThermalModel",
     "Trace",

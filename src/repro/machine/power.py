@@ -22,18 +22,19 @@ The per-operating-point scalars (:meth:`PowerModel.dvfs_scale`,
 memoized: the actuators only ever command a small discrete set of levels,
 so each value is computed once per model and then served from a dict.
 
-:func:`batch_window_power` is the lock-step twin of
-:meth:`PowerModel.window_power` used by the batched execution backend
-(:mod:`repro.exec.batch`): it evaluates B sessions' windows as one
-``(B, ticks)`` array, drawing each session's shocks from its own RNG and
-filtering all noise rows with a single row-wise ``lfilter`` call.  Every
-elementwise operation mirrors the serial expression order exactly, so the
-results are bit-identical to B separate ``window_power`` calls.
+:func:`batch_window_power` is the one implementation of the per-tick power
+step.  It evaluates B sessions' windows as one ``(B, ticks)`` array,
+drawing each session's shocks from its own RNG and filtering all noise
+rows with a single row-wise ``lfilter`` call; the lock-step kernel
+(:mod:`repro.exec.batch`) calls it for a whole fleet and
+:meth:`PowerModel.window_power` calls it with one row.  Rows never mix, so
+a row's result does not depend on which other rows share the call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.signal import lfilter
@@ -83,7 +84,6 @@ class PowerModel:
         self._static_power_memo: dict[float, float] = {}
         self._idle_scale_memo: dict[float, float] = {}
 
-    # maya: batch-safe
     def dvfs_scale(self, freq_ghz: float) -> float:
         """Relative dynamic-power scale ``f V(f)^2 / (f_max V_max^2)``."""
         scale = self._dvfs_scale_memo.get(freq_ghz)
@@ -93,7 +93,6 @@ class PowerModel:
             self._dvfs_scale_memo[freq_ghz] = scale
         return scale
 
-    # maya: batch-safe
     def static_power(self, freq_ghz: float) -> float:
         """Leakage/uncore power; scales mildly with supply voltage."""
         power_w = self._static_power_memo.get(freq_ghz)
@@ -113,7 +112,6 @@ class PowerModel:
     #: power by ~34%, not 48%.
     IDLE_POWER_EFFECTIVENESS = 0.7
 
-    # maya: batch-safe
     def app_power(
         self,
         activity: np.ndarray | float,
@@ -132,7 +130,6 @@ class PowerModel:
         scale = self.dvfs_scale(freq_ghz) * self.idle_scale(idle_frac)
         return self.spec.max_app_dynamic_w * np.asarray(activity) * core_fraction * scale
 
-    # maya: batch-safe
     def balloon_power(
         self, balloon_level: float, freq_ghz: float, idle_frac: float,
         app_core_fraction: np.ndarray | float = 0.0,
@@ -157,7 +154,6 @@ class PowerModel:
             return power_w
         return float(power_w)
 
-    # maya: batch-safe
     def idle_scale(self, idle_frac: float) -> float:
         """Dynamic-power multiplier of the idle-injection level."""
         scale = self._idle_scale_memo.get(idle_frac)
@@ -165,19 +161,6 @@ class PowerModel:
             scale = 1.0 - self.IDLE_POWER_EFFECTIVENESS * idle_frac
             self._idle_scale_memo[idle_frac] = scale
         return scale
-
-    def process_noise(self, n_ticks: int) -> np.ndarray:
-        """Advance the AR(1) noise process by ``n_ticks`` and return it."""
-        if n_ticks == 0:
-            return np.empty(0)
-        shocks = self._rng.normal(0.0, self._shock_sigma_w, size=n_ticks)
-        # AR(1): noise[i] = rho * noise[i-1] + shock[i], seeded with the
-        # state carried over from the previous window.
-        noise, zf = lfilter(
-            [1.0], [1.0, -self.NOISE_RHO], shocks, zi=[self.NOISE_RHO * self._noise_state]
-        )
-        self._noise_state = float(noise[-1])
-        return noise
 
     def window_power(
         self,
@@ -190,16 +173,15 @@ class PowerModel:
         """True per-tick power over a window with constant settings.
 
         ``core_fraction`` may be a per-tick array (the occupancy profile of
-        a window that crosses phase boundaries) or a scalar.
+        a window that crosses phase boundaries) or a scalar.  This is a
+        one-row :func:`batch_window_power` call, which also advances the
+        AR(1) process noise carried from the previous window.
         """
         activity = np.asarray(activity, dtype=float)
-        static_w = self.static_power(freq_ghz)
-        app_w = self.app_power(activity, core_fraction, freq_ghz, idle_frac)
-        balloon_w = self.balloon_power(balloon_level, freq_ghz, idle_frac, core_fraction)
-        power_w = static_w + app_w + balloon_w + self.process_noise(activity.size)
-        # Power can never be negative; noise excursions are clipped the way
-        # a physical sensor would never report below ~0 W.
-        return np.maximum(power_w, 0.1)
+        held = _HeldSettings(freq_ghz, idle_frac, balloon_level)
+        return batch_window_power(
+            [self], activity[None, :], np.asarray(core_fraction, dtype=float), [held]
+        )[0]
 
     def breakdown(
         self,
@@ -233,26 +215,36 @@ class PowerModel:
         return self.static_power(spec.freq_min_ghz)
 
 
-# maya: batch-twin(PowerModel.window_power)
+class _HeldSettings(NamedTuple):
+    """The actuation triple :meth:`PowerModel.window_power` holds."""
+
+    freq_ghz: float
+    idle_frac: float
+    balloon_level: float
+
+
 def batch_window_power(
     models: "list[PowerModel]",
     activity: np.ndarray,
     core_fraction: np.ndarray,
     settings: "list",
 ) -> np.ndarray:
-    """Evaluate one window for B lock-step sessions as a ``(B, ticks)`` array.
+    """Evaluate one window for B sessions as a ``(B, ticks)`` array.
 
     ``models`` are the sessions' own :class:`PowerModel` instances (all for
-    the same platform spec); ``activity`` and ``core_fraction`` hold the
-    sessions' per-tick profiles; ``settings`` the per-session actuator
-    settings held during the window.  Shocks are drawn from each model's
-    own RNG in session order and all rows are filtered in one row-wise
-    ``lfilter`` call, advancing every model's carried AR(1) state — the
-    per-element arithmetic replays :meth:`PowerModel.window_power`'s
-    expression order exactly, so the result is bit-identical to B serial
-    calls.
+    the same platform spec); ``activity`` holds the sessions' per-tick
+    activity as a ``(B, ticks)`` array and ``core_fraction`` their
+    occupancy, broadcastable against it; ``settings`` the per-session
+    actuator settings held during the window.  Shocks are drawn from each
+    model's own RNG in session order and all rows are filtered in one
+    row-wise ``lfilter`` call, advancing every model's carried AR(1) state.
+    Every operation is elementwise or row-wise, so each row equals a
+    one-row call on that model alone.  A zero-tick window draws nothing
+    and leaves every model's state untouched.
     """
     n_sessions, n_ticks = activity.shape
+    if n_ticks == 0:
+        return np.empty((n_sessions, 0))
     spec = models[0].spec
     scale = np.empty(n_sessions)
     static_w = np.empty(n_sessions)
@@ -267,8 +259,8 @@ def batch_window_power(
         static_w[row] = model.static_power(applied.freq_ghz)
         balloon_peak_w[row] = spec.max_balloon_dynamic_w * applied.balloon_level
         # Per-session draws from per-session streams: a generator fills a
-        # size-n request identically to n sequential scalar draws, so the
-        # serial runner's window-sized draws are reproduced exactly.
+        # size-n request identically to n sequential scalar draws, so a
+        # window split into several calls draws the same shocks.
         shocks_w[row] = model._rng.normal(0.0, model._shock_sigma_w, size=n_ticks)
         zi[row, 0] = rho * model._noise_state
     noise_w, _ = lfilter([1.0], [1.0, -rho], shocks_w, axis=-1, zi=zi)
@@ -279,4 +271,6 @@ def batch_window_power(
     occupancy = (1.0 - core_fraction) + PowerModel.SMT_BALLOON_SHARE * core_fraction
     balloon_w = balloon_peak_w[:, None] * occupancy * scale[:, None]
     power_w = static_w[:, None] + app_w + balloon_w + noise_w
+    # Power can never be negative; noise excursions are clipped the way
+    # a physical sensor would never report below ~0 W.
     return np.maximum(power_w, 0.1)

@@ -12,6 +12,11 @@ true per-tick power:
 
 Sensors are deliberately stateless over trace arrays so the attacker can
 re-sample a recorded trace at any interval (Figure 12).
+
+:func:`measure_windows` is the one implementation of the defense's RAPL
+read: it measures one interval for B sessions as a row-wise reduction.
+The lock-step kernel (:mod:`repro.exec.batch`) calls it for a whole fleet
+and :meth:`RaplSensor.measure_window` calls it with one row.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from .platform import PlatformSpec
 
-__all__ = ["RaplSensor", "BatchedRaplSensor", "OutletMeter", "window_means"]
+__all__ = ["RaplSensor", "measure_windows", "OutletMeter", "window_means"]
 
 
 def window_means(values: np.ndarray, window: int) -> np.ndarray:
@@ -51,14 +56,12 @@ class RaplSensor:
         self.noise_w = noise_w
 
     def measure_window(self, tick_powers: np.ndarray, tick_s: float) -> float:
-        """Average power over one defense interval, as the counter reports it."""
+        """Average power over one defense interval, as the counter reports it.
+
+        A one-row :func:`measure_windows` call.
+        """
         tick_powers = np.asarray(tick_powers, dtype=float)
-        if tick_powers.size == 0:
-            raise ValueError("cannot measure an empty window")
-        duration_s = tick_powers.size * tick_s
-        energy_j = float(tick_powers.sum(axis=0)) * tick_s
-        energy_j = np.round(energy_j / self.ENERGY_QUANTUM_J) * self.ENERGY_QUANTUM_J
-        return energy_j / duration_s + float(self._rng.normal(0.0, self.noise_w))
+        return float(measure_windows([self], tick_powers[None, :], tick_s)[0])
 
     def sample_trace(
         self, tick_powers: np.ndarray, tick_s: float, interval_s: float
@@ -79,37 +82,30 @@ class RaplSensor:
         return means + self._rng.normal(0.0, self.noise_w, size=means.size)
 
 
-class BatchedRaplSensor:
-    """Lock-step view over the per-session RAPL sensors of a fleet.
+def measure_windows(
+    sensors: "list[RaplSensor]", tick_powers: np.ndarray, tick_s: float
+) -> np.ndarray:
+    """Per-session average power over one interval, as the counters report it.
 
-    Used by the batched execution backend: one window measurement for B
-    sessions becomes a single row-wise reduction over a ``(B, ticks)``
-    power array, with each session's counter noise still drawn from that
-    session's own sensor RNG (in session order), so every element is
-    bit-identical to :meth:`RaplSensor.measure_window` on that row.
+    ``tick_powers`` holds one row of per-tick power per sensor.  Each row's
+    energy is summed and quantized to the RAPL energy unit, and each
+    session's counter noise is drawn from that session's own sensor RNG,
+    in session order; so each row equals a one-row call on its sensor
+    alone.
     """
-
-    def __init__(self, sensors: "list[RaplSensor]") -> None:
-        if not sensors:
-            raise ValueError("need at least one sensor")
-        self.sensors = list(sensors)
-
-    # maya: batch-twin(RaplSensor.measure_window)
-    def measure_windows(self, tick_powers: np.ndarray, tick_s: float) -> np.ndarray:
-        """Per-session average power over one interval, as counters report it."""
-        tick_powers = np.asarray(tick_powers, dtype=float)
-        if tick_powers.ndim != 2 or tick_powers.shape[0] != len(self.sensors):
-            raise ValueError("expected one row of tick powers per sensor")
-        if tick_powers.shape[1] == 0:
-            raise ValueError("cannot measure an empty window")
-        duration_s = tick_powers.shape[1] * tick_s
-        quantum_j = RaplSensor.ENERGY_QUANTUM_J
-        energy_j = np.sum(tick_powers, axis=1) * tick_s
-        energy_j = np.round(energy_j / quantum_j) * quantum_j
-        noise_w = np.empty(len(self.sensors))
-        for row, sensor in enumerate(self.sensors):
-            noise_w[row] = sensor._rng.normal(0.0, sensor.noise_w)
-        return energy_j / duration_s + noise_w
+    tick_powers = np.asarray(tick_powers, dtype=float)
+    if tick_powers.ndim != 2 or tick_powers.shape[0] != len(sensors):
+        raise ValueError("expected one row of tick powers per sensor")
+    if tick_powers.shape[1] == 0:
+        raise ValueError("cannot measure an empty window")
+    duration_s = tick_powers.shape[1] * tick_s
+    quantum_j = RaplSensor.ENERGY_QUANTUM_J
+    energy_j = tick_powers.sum(axis=1) * tick_s
+    energy_j = np.round(energy_j / quantum_j) * quantum_j
+    noise_w = np.empty(len(sensors))
+    for row, sensor in enumerate(sensors):
+        noise_w[row] = sensor._rng.normal(0.0, sensor.noise_w)
+    return energy_j / duration_s + noise_w
 
 
 class OutletMeter:

@@ -103,7 +103,7 @@ class PhaseProgram:
 
     def phase_boundaries(self) -> np.ndarray:
         """Cumulative work at the end of each phase."""
-        return np.cumsum([p.work_units for p in self.phases])
+        return np.cumsum([p.work_units for p in self.phases], axis=0)
 
     def phase_at(self, work_done: float) -> tuple[int, float]:
         """Locate ``work_done`` in the program.

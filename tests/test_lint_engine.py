@@ -63,11 +63,18 @@ class TestFixtureCorpus:
             ("bad_mutable_default.py", {"MAYA004"}),
             ("bad_missing_all.py", {"MAYA005"}),
             ("bad_bare_except.py", {"MAYA006"}),
+            ("machine/sensors.py", {"MAYA041"}),
+            ("machine/power.py", {"MAYA042"}),
         ],
     )
     def test_fixture_trips_its_rule(self, name, expected):
         diags = LintEngine().lint_file(FIXTURE_DIR / name)
         assert {d.rule_id for d in diags} == expected
+
+    def test_narrowing_fixture_reports_both_sites(self):
+        diags = LintEngine().lint_file(FIXTURE_DIR / "machine" / "power.py")
+        assert [d.rule_id for d in diags] == ["MAYA042", "MAYA042"]
+        assert all("float32" in d.message for d in diags)
 
     def test_bad_random_reports_every_call_site(self):
         diags = LintEngine().lint_file(FIXTURE_DIR / "bad_random.py")
@@ -161,7 +168,10 @@ class TestCli:
     def test_exit_nonzero_with_rule_ids_on_fixtures(self):
         proc = run_cli(str(FIXTURE_DIR))
         assert proc.returncode == 1
-        for rule_id in ("MAYA001", "MAYA002", "MAYA003", "MAYA004", "MAYA005", "MAYA006"):
+        for rule_id in (
+            "MAYA001", "MAYA002", "MAYA003", "MAYA004", "MAYA005", "MAYA006",
+            "MAYA041", "MAYA042",
+        ):
             assert rule_id in proc.stdout
 
     def test_json_format_is_parseable(self):
@@ -209,6 +219,12 @@ class TestCli:
         assert proc.returncode == 2
         assert "MAYA000" in proc.stdout
 
+    def test_list_rules_includes_hot_path_rules(self):
+        proc = run_cli("--list-rules")
+        assert proc.returncode == 0
+        for rule_id in ("MAYA041", "MAYA042"):
+            assert rule_id in proc.stdout
+
     def test_list_rules_includes_dataflow_rules(self):
         proc = run_cli("--list-rules")
         assert proc.returncode == 0
@@ -225,6 +241,31 @@ class TestCli:
         assert any("title=MAYA006" in line for line in lines)
         # Workflow commands use 1-based columns.
         assert ",col=" in lines[0]
+
+    def test_github_format_reports_reduction_order(self):
+        proc = run_cli("--format", "github", str(FIXTURE_DIR / "machine" / "sensors.py"))
+        assert proc.returncode == 1
+        assert any(
+            line.startswith("::error file=") and "title=MAYA041" in line
+            for line in proc.stdout.splitlines()
+        )
+
+    def test_stats_reports_per_rule_counts(self):
+        proc = run_cli("--stats", str(FIXTURE_DIR))
+        assert proc.returncode == 1
+        assert "MAYA041" in proc.stdout and "MAYA042" in proc.stdout
+        assert "total" in proc.stdout
+
+    def test_stats_counts_suppressions(self, tmp_path):
+        probe = tmp_path / "probe.py"
+        probe.write_text(
+            "__all__ = []\n\n"
+            "def f(a):\n"
+            "    return a == 1.0  # maya: ignore[MAYA003]\n"
+        )
+        proc = run_cli("--stats", str(probe))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "MAYA003" in proc.stdout
 
     def test_json_format_embeds_leakage_certificate(self):
         target = PACKAGE_DIR / "masks"

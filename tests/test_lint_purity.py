@@ -41,12 +41,7 @@ CERT_KEYS = {
     "ok",
 }
 
-ENTRY_POINTS = {
-    "execute_job",
-    "execute_jobs_batched",
-    "batch_window_power",
-    "BatchedRaplSensor.measure_windows",
-}
+ENTRY_POINTS = {"execute_job", "execute_jobs_batched"}
 
 SALT_PACKAGES = [
     "control", "core", "defenses", "machine", "masks", "workloads",
@@ -76,15 +71,14 @@ def analyze_patched(patch=None):
     parsing; the on-disk tree is never touched.  Returns
     ``(findings, certificates)``.
     """
-    files, sources = [], {}
+    files = []
     for path in sorted(PACKAGE_DIR.rglob("*.py")):
         key = str(path)
         text = path.read_text(encoding="utf-8")
         if patch is not None:
             text = patch(key, text)
         files.append((key, ast.parse(text)))
-        sources[key] = tuple(text.splitlines())
-    return analyze_purity(ProjectModel(files), sources)
+    return analyze_purity(ProjectModel(files))
 
 
 class TestFixtureCorpus:
@@ -279,10 +273,10 @@ class TestCertificates:
         payload = json.loads(stale.read_text())
         payload["salt"]["declared"] = ["core"]
         stale.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        (tmp_path / "batch_window_power.json").unlink()
+        (tmp_path / "execute_jobs_batched.json").unlink()
         problems = "\n".join(check_purity_certificates(certs, tmp_path))
         assert "execute_job.json" in problems
-        assert "batch_window_power.json" in problems
+        assert "execute_jobs_batched.json" in problems
 
     def test_committed_certificates_match_regeneration(self):
         """The CI drift gate, run in-process: certs/purity is current."""
@@ -358,29 +352,24 @@ class TestCli:
         assert recheck.returncode == 1
         assert "purity-certificate" in recheck.stdout
 
-    def test_combined_cert_analyses_use_subtrees(self, tmp_path):
-        """The consolidated CI step: one DIR, per-analysis subtrees."""
-        write = run_cli(
-            "--analyze",
-            "numeric",
-            "--analyze",
-            "purity",
-            "--write-certs",
-            str(tmp_path),
-            str(PACKAGE_DIR),
+    def test_cert_flags_imply_purity_analysis(self, tmp_path):
+        write = run_cli("--write-certs", str(tmp_path), str(PACKAGE_DIR))
+        assert write.returncode == 0, write.stdout + write.stderr
+        assert sorted(p.name for p in tmp_path.glob("*.json")) == sorted(
+            f"{entry}.json" for entry in ENTRY_POINTS
         )
+        check = run_cli("--check-certs", str(tmp_path), str(PACKAGE_DIR))
+        assert check.returncode == 0, check.stdout + check.stderr
+
+    def test_cert_root_resolves_to_purity_subtree(self, tmp_path):
+        """DIR with a purity/ subtree (the committed certs/ root) resolves
+        to it, for writing and for checking."""
+        (tmp_path / "purity").mkdir()
+        write = run_cli("--write-certs", str(tmp_path), str(PACKAGE_DIR))
         assert write.returncode == 0, write.stdout + write.stderr
         assert (tmp_path / "purity" / "execute_job.json").is_file()
-        assert list((tmp_path / "numeric").glob("*.json"))
-        check = run_cli(
-            "--analyze",
-            "numeric",
-            "--analyze",
-            "purity",
-            "--check-certs",
-            str(tmp_path),
-            str(PACKAGE_DIR),
-        )
+        assert not list(tmp_path.glob("*.json"))
+        check = run_cli("--check-certs", str(tmp_path), str(PACKAGE_DIR))
         assert check.returncode == 0, check.stdout + check.stderr
 
     def test_stats_reports_purity_rule_counts(self):

@@ -27,7 +27,92 @@ class TestRegistry:
             "MAYA031",
             "MAYA032",
             "MAYA033",
+            "MAYA041",
+            "MAYA042",
         )
+
+
+class TestReductionOrder:
+    HOT_PATH = "src/repro/machine/sensors.py"
+
+    def test_flags_method_reduction_without_axis(self):
+        src = """\
+        __all__ = []
+        def energy(tick_powers):
+            return tick_powers.sum()
+        """
+        assert rule_ids(src, path=self.HOT_PATH) == ["MAYA041"]
+
+    def test_flags_numpy_function_without_axis(self):
+        src = """\
+        import numpy as np
+        __all__ = []
+        def boundaries(work):
+            return np.cumsum(work), np.mean(work)
+        """
+        assert rule_ids(src, path="src/repro/workloads/phases.py") == [
+            "MAYA041",
+            "MAYA041",
+        ]
+
+    def test_keyword_or_positional_axis_is_clean(self):
+        src = """\
+        import numpy as np
+        __all__ = []
+        def energy(tick_powers):
+            return tick_powers.sum(axis=1), np.sum(tick_powers, 1), tick_powers.mean(0)
+        """
+        assert rule_ids(src, path=self.HOT_PATH) == []
+
+    def test_builtin_and_non_numpy_module_reductions_are_clean(self):
+        src = """\
+        import statistics
+        __all__ = []
+        def total(values):
+            return sum(values), statistics.mean(values)
+        """
+        assert rule_ids(src, path=self.HOT_PATH) == []
+
+    def test_out_of_scope_modules_are_ignored(self):
+        src = "__all__ = []\n\ndef f(values):\n    return values.sum()\n"
+        assert rule_ids(src, path="src/repro/analysis/probe.py") == []
+
+    def test_masks_package_is_in_scope(self):
+        src = "__all__ = []\n\ndef f(values):\n    return values.mean()\n"
+        assert rule_ids(src, path="src/repro/masks/generators.py") == ["MAYA041"]
+
+
+class TestDtypeNarrowing:
+    HOT_PATH = "src/repro/machine/power.py"
+
+    def test_flags_astype_dtype_keyword_and_scalar_type(self):
+        src = """\
+        import numpy as np
+        __all__ = []
+        def narrow(power_w, n_ticks):
+            a = power_w.astype(np.float32)
+            b = np.zeros(n_ticks, dtype="float16")
+            return a, b, np.float32(1.0)
+        """
+        assert rule_ids(src, path=self.HOT_PATH) == ["MAYA042"] * 3
+
+    def test_float64_is_clean(self):
+        src = """\
+        import numpy as np
+        __all__ = []
+        def wide(power_w, n_ticks):
+            return power_w.astype(np.float64), np.zeros(n_ticks, dtype=float)
+        """
+        assert rule_ids(src, path=self.HOT_PATH) == []
+
+    def test_out_of_scope_modules_are_ignored(self):
+        src = """\
+        import numpy as np
+        __all__ = []
+        def narrow(x):
+            return x.astype(np.float32)
+        """
+        assert rule_ids(src, path="src/repro/attacks/mlp.py") == []
 
 
 class TestDirectRandomness:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.machine import PowerModel, SYS1, spawn
+from repro.machine import ActuatorSettings, PowerModel, SYS1, batch_window_power, spawn
 
 
 def make_model(key="pm"):
@@ -70,27 +70,49 @@ class TestBalloonPower:
         assert 0.0 <= p <= SYS1.max_balloon_dynamic_w + 1e-9
 
 
+def window_noise(model, n_ticks):
+    """The AR(1) process noise of one window: with zero activity and no
+    balloon, ``window_power`` is the static power plus the noise."""
+    freq_ghz = SYS1.freq_max_ghz
+    power_w = model.window_power(np.zeros(n_ticks), 0.0, freq_ghz, 0.0, 0.0)
+    return power_w - model.static_power(freq_ghz)
+
+
 class TestNoise:
     def test_process_noise_is_stateful_ar1(self):
         model = make_model()
-        first = model.process_noise(500)
-        second = model.process_noise(500)
+        first = window_noise(model, 500)
+        second = window_noise(model, 500)
         # AR(1) continuity: the second window continues near the first's end.
         assert abs(second[0] - PowerModel.NOISE_RHO * first[-1]) < 4 * SYS1.process_noise_w
 
     def test_process_noise_stationary_std(self):
         model = make_model()
-        noise = model.process_noise(60_000)
+        noise = window_noise(model, 60_000)
         assert noise.std() == pytest.approx(SYS1.process_noise_w, rel=0.15)
 
     def test_process_noise_autocorrelated(self):
         model = make_model()
-        noise = model.process_noise(30_000)
+        noise = window_noise(model, 30_000)
         corr = np.corrcoef(noise[:-1], noise[1:])[0, 1]
         assert corr > 0.9
 
     def test_empty_window(self):
-        assert make_model().process_noise(0).size == 0
+        model = make_model()
+        window_noise(model, 10)
+        state = model._noise_state
+        rng_state = model._rng.bit_generator.state
+        assert window_noise(model, 0).size == 0
+        assert model._noise_state == state
+        assert model._rng.bit_generator.state == rng_state
+
+    def test_zero_tick_batch_returns_empty_rows(self):
+        models = [make_model("a"), make_model("b")]
+        window_w = batch_window_power(
+            models, np.empty((2, 0)), np.empty((2, 0)), [ActuatorSettings(1.6, 0.1, 0.3)] * 2
+        )
+        assert window_w.shape == (2, 0)
+        assert [model._noise_state for model in models] == [0.0, 0.0]
 
 
 class TestWindowPower:
