@@ -3,10 +3,13 @@
 The paper uses MATLAB's ``findchangepts`` to recover application phases
 from power traces.  We implement the PELT algorithm (Killick et al., 2012)
 with the Gaussian likelihood cost for a simultaneous change in mean and
-variance — the standard equivalent.
+variance, as one vectorized scan over a single segment-cost implementation.
 
-PELT minimizes  sum_i cost(segment_i) + penalty * n_changepoints  exactly,
-in near-linear time thanks to its pruning rule.
+PELT targets  sum_i cost(segment_i) + penalty * n_changepoints  in
+near-linear time thanks to its pruning rule.  With a minimum segment size
+the rule is not exact: it can prune a candidate that would later win, so
+the result may cost more than unpruned optimal partitioning's (measured in
+DESIGN.md §7b).  Fig. 11's pinned digests keep the rule as it is.
 """
 
 from __future__ import annotations
@@ -33,13 +36,22 @@ class SegmentCost:
         self._cum = np.concatenate([[0.0], np.cumsum(signal)])
         self._cum2 = np.concatenate([[0.0], np.cumsum(signal**2)])
 
+    def costs(self, starts: np.ndarray, end: int) -> np.ndarray:
+        """Cost of signal[s:end] (end exclusive) for every s in ``starts``.
+
+        ``float_power`` squares through libm ``pow``, as a scalar ``** 2``
+        does; an array ``** 2`` multiplies, which can differ in the last ulp.
+        """
+        length = end - starts
+        total = self._cum[end] - self._cum[starts]
+        total2 = self._cum2[end] - self._cum2[starts]
+        mean2 = np.float_power(total / length, 2)
+        var = np.maximum(total2 / length - mean2, self.MIN_VAR)
+        return length * np.log(var)
+
     def cost(self, start: int, end: int) -> float:
         """Cost of signal[start:end] (end exclusive)."""
-        length = end - start
-        total = self._cum[end] - self._cum[start]
-        total2 = self._cum2[end] - self._cum2[start]
-        var = max(total2 / length - (total / length) ** 2, self.MIN_VAR)
-        return length * np.log(var)
+        return self.costs(np.array([start]), end)[0]
 
 
 def pelt(
@@ -47,11 +59,12 @@ def pelt(
     penalty: float | None = None,
     min_size: int = 5,
 ) -> list[int]:
-    """Exact penalized change-point segmentation.
+    """Penalized change-point segmentation (PELT).
 
     Returns the sorted interior change-point indices (each the first index
     of a new segment).  The default penalty is the BIC-style ``3 log n``
-    appropriate for the two-parameter Gaussian cost.
+    appropriate for the two-parameter Gaussian cost.  Not exact: the
+    pruning can drop the optimal segmentation (module docstring).
     """
     signal = np.asarray(signal, dtype=float).reshape(-1)
     n = signal.size
@@ -65,31 +78,27 @@ def pelt(
     f = np.full(n + 1, np.inf)
     f[0] = -penalty
     last_change = np.zeros(n + 1, dtype=int)
-    candidates = [0]
+    candidates = np.zeros(1, dtype=np.int64)
 
     for t in range(min_size, n + 1):
-        best_cost = np.inf
-        best_s = 0
-        costs = {}
-        for s in candidates:
-            if t - s < min_size:
-                continue
-            c = f[s] + cost.cost(s, t) + penalty
-            costs[s] = c
-            if c < best_cost:
-                best_cost = c
-                best_s = s
+        # Candidates stay ascending, so those with t - s >= min_size are a
+        # prefix, and argmin's first minimum is the strict-< tie-break of
+        # a serial scan.  Too-young candidates keep f[s] as their score.
+        valid = int(np.searchsorted(candidates, t - min_size, side="right"))
+        if valid == 0:
+            continue
+        scores = f[candidates]
+        scores[:valid] = scores[:valid] + cost.costs(candidates[:valid], t) + penalty
+        best = int(np.argmin(scores[:valid]))
+        best_cost = scores[best]
         if not np.isfinite(best_cost):
             continue
         f[t] = best_cost
-        last_change[t] = best_s
-        # PELT pruning: a candidate whose cost already exceeds the best
-        # (minus the penalty it could still save) can never win later.
-        candidates = [
-            s for s in candidates
-            if costs.get(s, f[s]) - penalty <= best_cost
-        ]
-        candidates.append(t)
+        last_change[t] = candidates[best]
+        # PELT pruning: drop a candidate whose score, less the penalty it
+        # could still save, exceeds the best.  Too-young ones are judged on
+        # f[s] alone, which assumes their future segment costs are >= 0.
+        candidates = np.append(candidates[scores - penalty <= best_cost], t)
 
     changepoints = []
     t = n
