@@ -51,6 +51,8 @@ class MatrixController:
         )
         self._y_scale = plant.y_scale_w
         self._input_signs = plant.input_power_signs()
+        # step_fleet's form of _saturated_towards's per-input direction.
+        self._rail_signs = np.where(self._input_signs != 0, self._input_signs, 1.0)
         self._x_pred = np.zeros(design.plant_ss.n_states)
         self._z = 0.0
         #: Centered command applied during the interval being measured.
@@ -192,8 +194,7 @@ class MatrixController:
 
         # Conditional integration: the row-wise _saturated_towards.
         u_prev_norm = u_applied + first._u_op
-        signs = np.where(first._input_signs != 0, first._input_signs, 1.0)
-        direction = np.sign(error)[:, None] * signs
+        direction = np.sign(error)[:, None] * first._rail_signs
         railed = np.where(direction > 0, u_prev_norm >= 1.0, u_prev_norm <= 0.0)
         frozen = railed.all(axis=1) & ~(np.abs(error) < 1e-12)
         z = np.where(frozen, z, z + error)
@@ -203,27 +204,25 @@ class MatrixController:
             - design.k_z[:, 0] * z[:, None]
         )
         u_norm = u_centered + u_center
-        sat_hi = np.count_nonzero(u_norm > 1.0, axis=1)
-        sat_lo = np.count_nonzero(u_norm < 0.0, axis=1)
+        sat_hi = (u_norm > 1.0).sum(axis=1).tolist()
+        sat_lo = (u_norm < 0.0).sum(axis=1).tolist()
         levels = bank.quantize_normalized_many(np.clip(u_norm, 0.0, 1.0))
         u_applied = bank.normalize_many(levels) - first._u_op
 
         settings: list[ActuatorSettings] = []
-        for k, controller in enumerate(controllers):
+        for k, (controller, z_k, frozen_k, level_row) in enumerate(
+            zip(controllers, z.tolist(), frozen.tolist(), levels.tolist())
+        ):
             controller._x_pred = x_pred[k]
-            controller._z = float(z[k])
+            controller._z = z_k
             controller._u_applied = u_applied[k]
-            controller.last_sat_hi = int(sat_hi[k])
-            controller.last_sat_lo = int(sat_lo[k])
-            controller.last_antiwindup = int(frozen[k])
-            if controller.last_sat_hi or controller.last_sat_lo:
+            controller.last_sat_hi = sat_hi[k]
+            controller.last_sat_lo = sat_lo[k]
+            controller.last_antiwindup = int(frozen_k)
+            if sat_hi[k] or sat_lo[k]:
                 controller.saturation_steps += 1
             controller.antiwindup_steps += controller.last_antiwindup
-            settings.append(ActuatorSettings(
-                freq_ghz=float(levels[k, 0]),
-                idle_frac=float(levels[k, 1]),
-                balloon_level=float(levels[k, 2]),
-            ))
+            settings.append(ActuatorSettings(*level_row))
         return settings
 
     def _saturated_towards(self, error: float, u_norm: np.ndarray) -> bool:

@@ -27,6 +27,7 @@ __all__ = [
     "MayaDefense",
     "DESIGN_NAMES",
     "DefenseFactory",
+    "has_constant_settings",
     "maya_design_name",
 ]
 
@@ -162,6 +163,24 @@ class MayaDefense(Defense):
         return settings
 
 
+#: The designs without a controller, by name.
+_OPEN_LOOP = {
+    "baseline": Baseline,
+    "noisy_baseline": NoisyBaseline,
+    "random_inputs": RandomInputs,
+}
+
+
+def has_constant_settings(design_name: str) -> bool:
+    """Whether ``design_name`` holds one actuation triple for a whole session.
+
+    Answers :attr:`Defense.constant_settings` from the name alone, without
+    building the design; Maya designs and unknown names answer ``False``.
+    """
+    open_loop = _OPEN_LOOP.get(design_name)
+    return open_loop is not None and open_loop.constant_settings
+
+
 class DefenseFactory:
     """Builds fresh per-run defense instances for a platform.
 
@@ -206,12 +225,9 @@ class DefenseFactory:
         (``maya_<family>``, see :func:`maya_design_name`), so ablations
         name their defense like any other job.
         """
-        if design_name == "baseline":
-            return Baseline()
-        if design_name == "noisy_baseline":
-            return NoisyBaseline()
-        if design_name == "random_inputs":
-            return RandomInputs()
+        open_loop = _OPEN_LOOP.get(design_name)
+        if open_loop is not None:
+            return open_loop()
         family = _MAYA_FAMILIES.get(design_name)
         if family is not None:
             return MayaDefense(self.maya_design(family))

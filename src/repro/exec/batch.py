@@ -19,7 +19,9 @@ shows dominates a session — can be evaluated for a whole fleet at once:
   skip the control loop entirely: the whole session is fast-forwarded in
   chunks of :data:`CONST_CHUNK_INTERVALS` intervals (:func:`_run_constant`);
 * every other defense decides interval by interval through
-  :func:`repro.defenses.decide_batch` (:func:`_run_dynamic`): the mask
+  :func:`repro.defenses.decide_batch` (:func:`_run_dynamic`), after one
+  fleet pass of the phase cursors
+  (:func:`repro.machine.activity_profiles`): the mask
   targets are drawn per session, then the Equation-1 update of every Maya
   row sharing a design runs as one vectorized
   :meth:`~repro.control.MatrixController.step_fleet`, whose stacked
@@ -43,9 +45,10 @@ calls, the constant-settings path's chunked RAPL reduction replays the
 per-window sums, and the controller's contractions make per row the BLAS
 call the serial step makes.  :meth:`Trace.equals` against
 ``run_session`` and the golden trace digests are the oracles the tests
-enforce.  One site depends on the
-numpy build: :func:`_materialize` evaluates a phase's ``np.sin`` over a
-whole fast-forwarded span rather than one window (see its docstring).
+enforce.  Two sites depend on the
+numpy build in the same way: :func:`_materialize` and the fleet phase
+cursor evaluate a phase's ``np.sin`` over a stacked array rather than one
+window of one row (DESIGN.md §7 names both).
 
 **Shape contract.**  Rows of one fixed-duration batch with equal caps
 return traces of identical shapes, which lets :meth:`TraceCache.put_many
@@ -67,6 +70,7 @@ from ..machine import (
     RaplSensor,
     SimulatedMachine,
     Trace,
+    activity_profiles,
     batch_window_power,
     measure_windows,
     spawn,
@@ -295,7 +299,8 @@ def _run_dynamic(rows: "list[_Row]") -> None:
             next_stop = min(rows[i].stop() for i in active)
             fleet = [rows[i] for i in active]
             fleet_recordings = [recordings[i] for i in active]
-            models = [row.machine.power_model for row in fleet]
+            machines = [row.machine for row in fleet]
+            models = [machine.power_model for machine in machines]
             fleet_defenses = [row.defense for row in fleet]
             sensors = [row.sensor for row in fleet]
             activity = np.empty((len(active), ticks))
@@ -307,10 +312,7 @@ def _run_dynamic(rows: "list[_Row]") -> None:
         # RAPL reduction and the control decision.  They observe
         # wall-clock only and never feed back (MAYA033).
         with profile.span("kernel.fast_forward", interval=interval_index):
-            for k, row in enumerate(fleet):
-                row.machine.activity_profile(
-                    ticks, applied[k], activity[k], core_fraction[k]
-                )
+            activity_profiles(machines, ticks, applied, activity, core_fraction)
         with profile.span("kernel.power", interval=interval_index):
             window_w = batch_window_power(models, activity, core_fraction, applied)
         with profile.span("kernel.measure", interval=interval_index):
@@ -626,13 +628,9 @@ def _materialize(spans: list, activity_out: np.ndarray, core_out: np.ndarray) ->
     window): the per-tick ``k`` indices and ``wip + wpt*k`` work times
     reproduce the serial per-window expressions elementwise.
 
-    **The one numpy-build-dependent site.**  ``phase.activity_at`` runs its
-    ``np.sin`` over the whole span instead of one window at a time.
-    Elementwise ``np.sin`` is the same correctly-rounded-or-not kernel at
-    every array length on the builds this project tests, so the values
-    match the serial runner bit for bit; a numpy build whose SIMD sin
-    rounds differently by vector length would break bit-identity here and
-    nowhere else (the bit-identity tests would catch it).
+    ``phase.activity_at`` runs its ``np.sin`` over the whole span instead
+    of one window at a time: one of the two numpy-build-dependent sites
+    that DESIGN.md §7 names.
     """
     position = 0
     for phase, bases, work_per_tick, seg_ticks in spans:

@@ -4,8 +4,9 @@
 attack pipeline route their simulation batches through.  It
 
 1. looks every job up in the content-addressed trace cache;
-2. runs a lone pending job with :meth:`SessionJob.execute` — the serial
-   reference, :func:`repro.core.runtime.run_session`;
+2. runs a lone pending job under a dynamic defense with
+   :meth:`SessionJob.execute` — the serial reference,
+   :func:`repro.core.runtime.run_session`;
 3. otherwise groups the pending jobs by
    :func:`~repro.exec.batch.batch_key` and cuts each group into chunks of
    ``min(DEFAULT_BATCH_SIZE, ceil(len(group) / workers))`` sessions;
@@ -20,10 +21,12 @@ attack pipeline route their simulation batches through.  It
 5. stores each chunk with one bulk ``put_many``.
 
 The lone-job rule is a size rule the engine derives from its input, not
-an option: lock-step at B=1 measured 1.35–1.6x slower than
-``run_session`` for the dynamic defenses (``maya_gs``,
-``random_inputs``; 8 s sessions, 5 repetitions), while from B=3 up it
-runs in 0.6–0.8x of the serial time.
+an option.  At B=1 the lock-step kernel measured 1.2–1.5x slower than
+``run_session`` for ``maya_gs`` (8 s fixed-duration and run-to-completion
+sessions, median of 7, two runs), so a lone dynamic job stays serial.  A
+lone constant-settings job (``baseline``, ``noisy_baseline``) goes to the
+kernel: its whole-session fast-forward took 1.4–1.7 ms against 28–30 ms
+serial for an 8 s session.
 
 Determinism guarantee (tested): ``run_sessions(jobs, workers=n)`` returns
 traces that :meth:`~repro.machine.Trace.equals` ``job.execute()`` for
@@ -41,7 +44,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 
 from .. import telemetry
 from ..telemetry import profile
-from ..defenses.designs import DefenseFactory
+from ..defenses.designs import DefenseFactory, has_constant_settings
 from .batch import DEFAULT_BATCH_SIZE, batch_key, execute_jobs_batched
 from .cache import default_cache
 from .jobs import SessionJob, register_factory
@@ -141,7 +144,7 @@ def run_sessions(
 
         telemetry.count("exec.jobs.total", len(jobs))
         telemetry.count("exec.jobs.executed", len(pending))
-        if len(pending) == 1:
+        if len(pending) == 1 and not has_constant_settings(jobs[pending[0]].defense):
             (index,) = pending
             telemetry.ops("job.begin", index=index)
             with profile.span("job", index=index):

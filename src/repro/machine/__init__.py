@@ -13,7 +13,7 @@ from .actuators import (
     IdleInjector,
     QuantizedActuator,
 )
-from .machine import SimulatedMachine
+from .machine import SimulatedMachine, activity_profiles
 from .platform import PLATFORMS, SYS1, SYS2, SYS3, PlatformSpec, get_platform
 from .power import PowerBreakdown, PowerModel, batch_window_power
 from .rng import spawn
@@ -29,6 +29,7 @@ __all__ = [
     "IdleInjector",
     "QuantizedActuator",
     "SimulatedMachine",
+    "activity_profiles",
     "PLATFORMS",
     "SYS1",
     "SYS2",

@@ -59,12 +59,6 @@ class QuantizedActuator:
         index = int(np.argmin(np.abs(self.levels - value)))
         return float(self.levels[index])
 
-    def quantize_many(self, values: np.ndarray) -> np.ndarray:
-        """:meth:`quantize` of every element of a 1-D array (exact per element)."""
-        values = np.clip(values, self.min_level, self.max_level)
-        index = np.argmin(np.abs(self.levels[None, :] - values[:, None]), axis=1)
-        return self.levels[index]
-
     def normalize(self, value: float) -> float:
         """Map a level to [0, 1] over the actuator's range."""
         span = self.max_level - self.min_level
@@ -72,22 +66,10 @@ class QuantizedActuator:
             return 0.0
         return (float(value) - self.min_level) / span
 
-    def normalize_many(self, values: np.ndarray) -> np.ndarray:
-        """:meth:`normalize` of every element of a 1-D array."""
-        span = self.max_level - self.min_level
-        if abs(span) < 1e-12:
-            return np.zeros(values.shape[0])
-        return (values - self.min_level) / span
-
     def denormalize(self, fraction: float) -> float:
         """Inverse of :meth:`normalize` followed by quantization."""
         span = self.max_level - self.min_level
         return self.quantize(self.min_level + float(fraction) * span)
-
-    def denormalize_many(self, fractions: np.ndarray) -> np.ndarray:
-        """:meth:`denormalize` of every element of a 1-D array."""
-        span = self.max_level - self.min_level
-        return self.quantize_many(self.min_level + fractions * span)
 
     def random_level(self, rng: np.random.Generator) -> float:
         """Pick a uniformly random level (used by the noisy baselines)."""
@@ -155,6 +137,25 @@ class ActuatorBank:
         self.dvfs = DvfsActuator(spec)
         self.idle = IdleInjector(spec)
         self.balloon = BalloonTask(spec)
+        # The stacked form of the three actuators for the fleet helpers:
+        # one row of levels per actuator, padded with +inf (never the
+        # nearest level to a clipped command), and the per-column range.
+        actuators = self.actuators
+        width = max(actuator.levels.size for actuator in actuators)
+        self._levels = np.full((len(actuators), width), np.inf)
+        for row, actuator in enumerate(actuators):
+            self._levels[row, :actuator.levels.size] = actuator.levels
+        self._rows = np.arange(len(actuators))
+        self._mins = np.array([actuator.min_level for actuator in actuators])
+        self._maxs = np.array([actuator.max_level for actuator in actuators])
+        self._spans = self._maxs - self._mins
+        # normalize() maps a single-level actuator to 0.0; its column
+        # divides by 1.0 and is then overwritten.
+        self._single_level = [
+            column for column, span in enumerate(self._spans.tolist()) if abs(span) < 1e-12
+        ]
+        self._divisors = self._spans.copy()
+        self._divisors[self._single_level] = 1.0
 
     @property
     def actuators(self) -> tuple[QuantizedActuator, ...]:
@@ -187,21 +188,23 @@ class ActuatorBank:
 
         Returns the quantized levels as a ``(B, 3)`` array whose row ``k``
         holds the (freq_ghz, idle_frac, balloon_level) that
-        ``quantize_normalized(fractions[k])`` would return.
+        ``quantize_normalized(fractions[k])`` would return: one clip, one
+        ``argmin |levels - v|`` over the stacked level table and one
+        gather, each elementwise in :meth:`QuantizedActuator.denormalize`'s
+        order, with ties going to the first (lower) level.
         """
         fractions = np.asarray(fractions, dtype=float)
         if fractions.ndim != 2 or fractions.shape[1] != 3:
             raise ValueError("expected a (B, 3) command array")
-        levels = np.empty_like(fractions)
-        for column, actuator in enumerate(self.actuators):
-            levels[:, column] = actuator.denormalize_many(fractions[:, column])
-        return levels
+        values = np.clip(self._mins + fractions * self._spans, self._mins, self._maxs)
+        index = np.argmin(np.abs(self._levels - values[:, :, None]), axis=2)
+        return self._levels[self._rows, index]
 
     def normalize_many(self, levels: np.ndarray) -> np.ndarray:
         """:meth:`normalize` of each row of a ``(B, 3)`` array of levels."""
-        normalized = np.empty_like(levels)
-        for column, actuator in enumerate(self.actuators):
-            normalized[:, column] = actuator.normalize_many(levels[:, column])
+        normalized = (levels - self._mins) / self._divisors
+        if self._single_level:
+            normalized[:, self._single_level] = 0.0
         return normalized
 
     def normalize(self, settings: ActuatorSettings) -> np.ndarray:

@@ -13,16 +13,18 @@ control loop lives in :mod:`repro.core.runtime`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ..workloads.phases import PhaseProgram
+from ..workloads.phases import PhaseProgram, oscillating_activity
 from .actuators import ActuatorBank, ActuatorSettings
 from .platform import PlatformSpec
 from .power import PowerModel
 from .thermal import ThermalModel
 from . import rng as rng_mod
 
-__all__ = ["SimulatedMachine"]
+__all__ = ["SimulatedMachine", "activity_profiles"]
 
 
 class SimulatedMachine:
@@ -90,60 +92,97 @@ class SimulatedMachine:
         This is the phase-cursor half of :meth:`advance`: it updates the
         machine's work/time accounting and writes the window's switching
         activity and core occupancy into the provided ``n_ticks``-length
-        buffers, without evaluating the power model.  The batched backend
-        (:mod:`repro.exec.batch`) calls it once per session per interval
-        and then evaluates the physics for the whole fleet at once.
+        buffers, without evaluating the power model.  The lock-step kernel
+        advances a whole fleet through :func:`activity_profiles` instead.
         """
         if n_ticks <= 0:
             raise ValueError("duration shorter than one tick")
-        freq_fraction = settings.freq_ghz / self.spec.freq_max_ghz
+        self.fill_profile(
+            self.next_segment(n_ticks, settings),
+            n_ticks,
+            settings,
+            activity_out,
+            core_fraction_out,
+        )
 
+    def next_segment(self, ticks_left: int, settings: ActuatorSettings) -> tuple:
+        """Advance the phase cursor by one segment of at most ``ticks_left``.
+
+        The scalar half of :meth:`activity_profile`: a segment ends at the
+        window's end or at the current phase's boundary, whichever comes
+        first.  Returns ``(phase, work_into_phase, work_per_tick,
+        seg_ticks)``, where ``work_into_phase`` is the cursor *before* the
+        segment; ``phase`` is ``None`` once the workload has completed,
+        and the segment then coasts through the rest of the window.
+        """
+        if self.completed:
+            # Application finished: only static power, noise, and any
+            # balloon the defense keeps running.
+            self.time_s += ticks_left * self.tick_s
+            return None, 0.0, 0.0, ticks_left
+
+        phase = self.workload.phases[self._phase_index]
+        rate = phase.progress_rate(
+            settings.freq_ghz / self.spec.freq_max_ghz,
+            settings.idle_frac,
+            settings.balloon_level,
+        )
+        # Defensive clamp: a custom Phase whose progress_rate returns a
+        # zero, negative, or non-finite rate (e.g. idle_frac at its
+        # ceiling without the base class's own floor) would otherwise
+        # divide work_remaining by zero below.
+        if not (rate > 0.0) or not math.isfinite(rate):
+            rate = 1e-6
+        work_per_tick = rate * self.tick_s
+        work_into_phase = self._work_into_phase
+        work_remaining = phase.work_units - work_into_phase
+        ticks_in_phase = math.ceil(work_remaining / work_per_tick - 1e-12)
+        seg_ticks = min(ticks_left, max(ticks_in_phase, 1))
+
+        advanced_work = work_per_tick * seg_ticks
+        self._work_into_phase += advanced_work
+        self.work_done += advanced_work
+        self.time_s += seg_ticks * self.tick_s
+        if self._work_into_phase >= phase.work_units - 1e-9:
+            self._work_into_phase = 0.0
+            self._phase_index += 1
+            if self.completed and not math.isfinite(self.completed_at_s):
+                self.completed_at_s = self.time_s
+        return phase, work_into_phase, work_per_tick, seg_ticks
+
+    def fill_profile(
+        self,
+        segment: tuple,
+        n_ticks: int,
+        settings: ActuatorSettings,
+        activity_out: np.ndarray,
+        core_fraction_out: np.ndarray,
+    ) -> None:
+        """Evaluate a window's first ``segment``, then advance through the rest.
+
+        The numpy half of :meth:`activity_profile`: each segment's ticks
+        get the work-time grid ``work_into_phase + work_per_tick * k``
+        (``k = 1 .. seg_ticks``; loop phases oscillate in work time, so
+        slowdowns stretch their apparent period) and the phase's activity
+        and occupancy on it.
+        """
         filled = 0
-        while filled < n_ticks:
-            ticks_left = n_ticks - filled
-            if self.completed:
-                # Application finished: only static power, noise, and any
-                # balloon the defense keeps running.
-                activity_out[filled:n_ticks] = 0.0
-                core_fraction_out[filled:n_ticks] = 0.0
-                self.time_s += ticks_left * self.tick_s
-                break
-
-            phase = self.workload.phases[self._phase_index]
-            rate = phase.progress_rate(
-                freq_fraction, settings.idle_frac, settings.balloon_level
-            )
-            # Defensive clamp: a custom Phase whose progress_rate returns a
-            # zero, negative, or non-finite rate (e.g. idle_frac at its
-            # ceiling without the base class's own floor) would otherwise
-            # divide work_remaining by zero below.
-            if not (rate > 0.0) or not np.isfinite(rate):
-                rate = 1e-6
-            work_per_tick = rate * self.tick_s
-            work_remaining = phase.work_units - self._work_into_phase
-            ticks_in_phase = int(np.ceil(work_remaining / work_per_tick - 1e-12))
-            seg_ticks = min(ticks_left, max(ticks_in_phase, 1))
-
-            # Work-time grid for this segment (loop phases oscillate in
-            # work time so slowdowns stretch their apparent period).
-            work_times = self._work_into_phase + work_per_tick * (
-                np.arange(seg_ticks) + 1.0
-            )
+        while True:
+            phase, work_into_phase, work_per_tick, seg_ticks = segment
             seg_end = filled + seg_ticks
-            activity_out[filled:seg_end] = phase.activity_at(work_times)
-            core_fraction_out[filled:seg_end] = phase.core_fraction
-
-            advanced_work = work_per_tick * seg_ticks
-            self._work_into_phase += advanced_work
-            self.work_done += advanced_work
-            self.time_s += seg_ticks * self.tick_s
+            if phase is None:
+                activity_out[filled:seg_end] = 0.0
+                core_fraction_out[filled:seg_end] = 0.0
+            else:
+                work_times = work_into_phase + work_per_tick * (
+                    np.arange(seg_ticks) + 1.0
+                )
+                activity_out[filled:seg_end] = phase.activity_at(work_times)
+                core_fraction_out[filled:seg_end] = phase.core_fraction
+            if seg_end >= n_ticks:
+                return
             filled = seg_end
-
-            if self._work_into_phase >= phase.work_units - 1e-9:
-                self._work_into_phase = 0.0
-                self._phase_index += 1
-                if self.completed and not np.isfinite(self.completed_at_s):
-                    self.completed_at_s = self.time_s
+            segment = self.next_segment(n_ticks - filled, settings)
 
     def advance(
         self, duration_s: float, settings: ActuatorSettings
@@ -173,3 +212,63 @@ class SimulatedMachine:
         else:
             temperature_c = np.empty(0)
         return power_w, temperature_c
+
+
+def activity_profiles(
+    machines: "list[SimulatedMachine]",
+    n_ticks: int,
+    settings: "list[ActuatorSettings]",
+    activity_out: np.ndarray,
+    core_fraction_out: np.ndarray,
+) -> None:
+    """:meth:`SimulatedMachine.activity_profile` for every row of a fleet.
+
+    Row ``k`` of the ``(B, n_ticks)`` buffers and ``machines[k]``'s cursor
+    end up exactly as ``machines[k].activity_profile(n_ticks, settings[k],
+    ...)`` leaves them.  Every row takes its first
+    :meth:`~SimulatedMachine.next_segment` step (the same scalar cursor
+    code).  A row whose first segment covers the whole window inside one
+    phase -- most rows, most windows -- joins one shared work-time grid
+    and one activity evaluation over per-row ``(R, 1)`` columns, both
+    elementwise in the one-row expression order; flat-activity rows get
+    their phase's constant, as :meth:`~repro.workloads.Phase.activity_at`
+    returns it.  Rows that cross a phase boundary, complete or coast
+    finish the window through :meth:`~SimulatedMachine.fill_profile`.
+
+    The stacked ``np.sin`` is the build caveat named once in DESIGN.md
+    §7: elementwise ``np.sin`` gives the same bits at every array length
+    on the builds this project tests.
+    """
+    inside: list[int] = []
+    oscillating: list[bool] = []
+    rows: list[tuple] = []
+    for k, machine in enumerate(machines):
+        segment = machine.next_segment(n_ticks, settings[k])
+        phase, work_into_phase, work_per_tick, seg_ticks = segment
+        if phase is None or seg_ticks != n_ticks:
+            machine.fill_profile(
+                segment, n_ticks, settings[k], activity_out[k], core_fraction_out[k]
+            )
+            continue
+        inside.append(k)
+        oscillates = phase.oscillates
+        oscillating.append(oscillates)
+        # A flat row's wave parameters are placeholders that keep its
+        # discarded wave finite; np.where below gives it the constant.
+        rows.append((
+            work_into_phase,
+            work_per_tick,
+            phase.core_fraction,
+            phase.activity,
+            phase.osc_amplitude if oscillates else 0.0,
+            phase.osc_period_s if oscillates else 1.0,
+        ))
+    if not inside:
+        return
+    columns = np.array(rows)
+    # The one-row grid `wip + wpt * (arange + 1.0)`, one row per machine.
+    work_times = columns[:, 0:1] + columns[:, 1:2] * (np.arange(n_ticks) + 1.0)
+    activity = columns[:, 3:4]
+    waves = oscillating_activity(activity, columns[:, 4:5], columns[:, 5:6], work_times)
+    activity_out[inside] = np.where(np.array(oscillating)[:, None], waves, activity)
+    core_fraction_out[inside] = columns[:, 2:3]

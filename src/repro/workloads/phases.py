@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Phase", "PhaseProgram", "jitter_program"]
+__all__ = ["Phase", "PhaseProgram", "jitter_program", "oscillating_activity"]
 
 
 @dataclass(frozen=True)
@@ -73,14 +73,31 @@ class Phase:
         rate *= 1.0 - 0.5 * balloon_level
         return max(rate, 1e-6)
 
+    @property
+    def oscillates(self) -> bool:
+        """False when the phase's activity is flat (no loop oscillation)."""
+        return not abs(self.osc_amplitude) < 1e-12
+
     def activity_at(self, work_time: np.ndarray) -> np.ndarray:
         """Switching activity as a function of work-time into the phase."""
         work_time = np.asarray(work_time, dtype=float)
-        if abs(self.osc_amplitude) < 1e-12:
+        if not self.oscillates:
             return np.full(work_time.shape, self.activity)
-        wave = np.sin(2.0 * np.pi * work_time / self.osc_period_s)
-        activity = self.activity * (1.0 + self.osc_amplitude * wave)
-        return np.clip(activity, 0.0, 1.0)
+        return oscillating_activity(
+            self.activity, self.osc_amplitude, self.osc_period_s, work_time
+        )
+
+
+def oscillating_activity(activity, amplitude, period_s, work_time: np.ndarray) -> np.ndarray:
+    """The activity of an oscillating phase at ``work_time``.
+
+    :meth:`Phase.activity_at` calls it with one phase's scalars; the
+    lock-step phase cursor (:func:`repro.machine.activity_profiles`) with
+    ``(R, 1)`` columns over an ``(R, ticks)`` work-time grid.  Every
+    operation is elementwise, so each row gets the one-phase bits.
+    """
+    wave = np.sin(2.0 * np.pi * work_time / period_s)
+    return np.clip(activity * (1.0 + amplitude * wave), 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Tests for repro.machine.actuators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.machine import (
     ActuatorBank,
@@ -12,6 +14,8 @@ from repro.machine import (
     IdleInjector,
     QuantizedActuator,
     SYS1,
+    SYS2,
+    SYS3,
     spawn,
 )
 
@@ -124,18 +128,105 @@ class TestActuatorBank:
         assert bank.input_names == ("dvfs_ghz", "idle_frac", "balloon_level")
 
 
+#: Every platform, plus one whose idle injector has a single level (a
+#: zero-span actuator, which normalize() maps to 0.0).
+BANKS = [ActuatorBank(spec) for spec in (SYS1, SYS2, SYS3)] + [
+    ActuatorBank(replace(SYS1, name="sys1-no-idle", idle_max=0.0))
+]
+
+
+def _tie_fractions(actuator):
+    """Normalized commands at, and one ulp around, each level midpoint."""
+    span = actuator.max_level - actuator.min_level
+    if abs(span) < 1e-12:
+        return [0.5]
+    middles = (actuator.levels[:-1] + actuator.levels[1:]) / 2.0
+    exact = (middles - actuator.min_level) / span
+    return np.concatenate(
+        [exact, np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf)]
+    ).tolist()
+
+
+def _command(draw, actuator):
+    return draw(
+        st.one_of(
+            st.floats(min_value=-0.5, max_value=1.5),
+            st.sampled_from(_tie_fractions(actuator)),
+            st.sampled_from([0.0, -0.0, 1.0, float("nan"), -2.0, 3.0]),
+        )
+    )
+
+
+@st.composite
+def command_rows(draw):
+    """A bank and a ``(B, 3)`` block of normalized commands for it."""
+    bank = draw(st.sampled_from(BANKS))
+    n_rows = draw(st.integers(min_value=1, max_value=12))
+    rows = [
+        [_command(draw, actuator) for actuator in bank.actuators]
+        for _ in range(n_rows)
+    ]
+    return bank, np.array(rows, dtype=float)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
 class TestVectorizedQuantization:
-    @given(st.lists(st.floats(min_value=-0.5, max_value=1.5), min_size=1, max_size=40))
-    def test_rows_match_scalar_quantize_normalized(self, fractions):
-        bank = ActuatorBank(SYS1)
-        commands = np.array(fractions)[:, None] * np.array([1.0, 0.7, 0.3])
-        levels = bank.quantize_normalized_many(np.clip(commands, 0.0, 1.0))
-        for row, command in zip(levels, commands):
-            settings = bank.quantize_normalized(np.clip(command, 0.0, 1.0))
-            assert np.array_equal(row, settings.as_vector())
-            assert np.array_equal(bank.normalize_many(row[None, :])[0],
-                                  bank.normalize(settings))
+    """The stacked ``(3, L)`` level table against the per-actuator scalar path."""
+
+    @given(command_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_scalar_quantize_normalized(self, case):
+        bank, fractions = case
+        levels = bank.quantize_normalized_many(fractions)
+        assert levels.shape == fractions.shape
+        for row, command in zip(levels, fractions):
+            expected = bank.quantize_normalized(command)
+            assert np.array_equal(_bits(row), _bits(expected.as_vector()))
+            assert np.array_equal(
+                _bits(bank.normalize_many(row[None, :])[0]),
+                _bits(bank.normalize(expected)),
+            )
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             ActuatorBank(SYS1).quantize_normalized_many(np.zeros(3))
+
+    @given(command_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_scalar_normalize(self, case):
+        # normalize_many on arbitrary values, +-0.0 and NaN included: each
+        # element equals its actuator's scalar normalize, bit for bit.
+        bank, values = case
+        normalized = bank.normalize_many(values)
+        for row, value_row in zip(normalized, values):
+            expected = [
+                actuator.normalize(value)
+                for actuator, value in zip(bank.actuators, value_row)
+            ]
+            assert np.array_equal(_bits(row), _bits(expected))
+
+    def test_exact_ties_are_generated_and_go_to_the_first_level(self):
+        # The midpoint commands above include exact ties after clipping;
+        # like np.argmin on one actuator, the table picks the lower level.
+        ties = 0
+        for bank in BANKS:
+            for column, actuator in enumerate(bank.actuators):
+                span = actuator.max_level - actuator.min_level
+                for fraction in _tie_fractions(actuator):
+                    value = min(
+                        max(actuator.min_level + fraction * span, actuator.min_level),
+                        actuator.max_level,
+                    )
+                    distance = np.abs(actuator.levels - value)
+                    nearest = np.flatnonzero(distance == distance.min())
+                    if nearest.size < 2:
+                        continue
+                    ties += 1
+                    fractions = np.zeros((1, 3))
+                    fractions[0, column] = fraction
+                    quantized = bank.quantize_normalized_many(fractions)[0, column]
+                    assert quantized == actuator.levels[nearest[0]]
+        assert ties > 0

@@ -8,7 +8,9 @@ match across the two paths exactly when no row's result depends on the
 other rows of its call.  These properties pin that: for random fleets,
 each row of a B-row call equals a one-row call on an identically seeded
 model or sensor — the same output bits, the same carried AR(1) state and
-the same RNG position.
+the same RNG position.  The phase cursor is pinned the same way: each
+row of one ``activity_profiles`` pass equals that machine's own
+``activity_profile`` call, profile bits and cursor state alike.
 """
 
 import numpy as np
@@ -16,13 +18,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.machine import (
     SYS1,
+    ActuatorBank,
     ActuatorSettings,
     PowerModel,
     RaplSensor,
+    SimulatedMachine,
+    activity_profiles,
     batch_window_power,
     measure_windows,
     spawn,
 )
+from repro.workloads import Phase, PhaseProgram
 
 TICK_S = 0.001
 
@@ -111,3 +117,147 @@ class TestRaplRows:
                 alone_w = sensor.measure_window(tick_powers[row], TICK_S)
                 assert np.array_equal(measured_w[row], alone_w)
                 assert rng_position(fleet[row]._rng) == rng_position(sensor._rng)
+
+
+#: Where a row's cursor starts relative to its phase's end, for a window.
+CURSOR_KINDS = (
+    "fresh",  # start of the first phase
+    "inside",  # somewhere well inside a phase
+    "crosses",  # the phase ends a few ticks into the window
+    "at_edge",  # the window ends within 1e-9 work units of the phase end
+    "completes",  # the last phase ends inside the window
+    "completed",  # the workload finished before the window
+)
+
+#: Oscillation amplitudes: flat, below the 1e-12 flat threshold, real.
+AMPLITUDES = (0.0, 1e-13, 0.08, 0.3)
+
+
+@st.composite
+def cursor_rows(draw):
+    """One row of a phase-cursor fleet: program, settings and start state."""
+    n_phases = draw(st.integers(min_value=1, max_value=3))
+    phases = tuple(
+        Phase(
+            f"p{index}",
+            work_units=draw(st.sampled_from([0.005, 0.013, 0.05, 0.4])),
+            activity=draw(st.floats(min_value=0.0, max_value=1.0)),
+            core_fraction=draw(st.sampled_from([0.25, 0.5, 1.0])),
+            memory_intensity=draw(st.sampled_from([0.0, 0.4])),
+            osc_amplitude=draw(st.sampled_from(AMPLITUDES)),
+            osc_period_s=draw(st.sampled_from([0.007, 0.05, 0.3])),
+        )
+        for index in range(n_phases)
+    )
+    return (
+        phases,
+        draw(st.integers(min_value=0, max_value=2**31 - 1)),
+        draw(st.sampled_from(CURSOR_KINDS)),
+        draw(st.integers(min_value=1, max_value=6)),
+        draw(st.sampled_from([-2e-9, -5e-10, 0.0, 5e-10, 2e-9])),
+        draw(st.floats(min_value=0.0, max_value=0.999)),
+    )
+
+
+def cursor_machine(row, index, n_ticks):
+    """A machine for ``row``, its cursor placed as the row's kind asks."""
+    phases, seed, kind, ticks_into_window, edge_offset, fraction = row
+    machine = SimulatedMachine(
+        SYS1,
+        PhaseProgram("cursor", phases),
+        seed=seed,
+        run_id=index,
+        workload_jitter=0.0,
+    )
+    held = ActuatorBank(SYS1).random_settings(spawn(seed, "held", index))
+    if kind == "fresh":
+        return machine, held
+    if kind == "completed":
+        machine._phase_index = len(phases)
+        machine.completed_at_s = 0.25
+        return machine, held
+    machine._phase_index = len(phases) - 1 if kind == "completes" else 0
+    phase = phases[machine._phase_index]
+    work_per_tick = phase.progress_rate(
+        held.freq_ghz / SYS1.freq_max_ghz, held.idle_frac, held.balloon_level
+    ) * machine.tick_s
+    if kind == "inside":
+        work_into_phase = fraction * phase.work_units
+    elif kind == "at_edge":
+        work_into_phase = phase.work_units - n_ticks * work_per_tick + edge_offset
+    else:  # crosses or completes: the phase ends inside the window
+        ticks_left = min(ticks_into_window, n_ticks)
+        work_into_phase = phase.work_units - ticks_left * work_per_tick + edge_offset
+    machine._work_into_phase = min(max(work_into_phase, 0.0), phase.work_units * 0.999)
+    return machine, held
+
+
+def cursor_state(machine):
+    return (
+        machine._phase_index,
+        machine._work_into_phase,
+        machine.work_done,
+        machine.time_s,
+        repr(machine.completed_at_s),
+    )
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestPhaseCursorRows:
+    @given(
+        rows=st.lists(cursor_rows(), min_size=1, max_size=10),
+        n_ticks=st.integers(min_value=1, max_value=40),
+        windows=st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_each_row_equals_its_own_activity_profile(self, rows, n_ticks, windows):
+        fleet = [cursor_machine(row, index, n_ticks) for index, row in enumerate(rows)]
+        solo = [cursor_machine(row, index, n_ticks) for index, row in enumerate(rows)]
+        machines = [machine for machine, _ in fleet]
+        held = [row_settings for _, row_settings in fleet]
+        for _ in range(windows):
+            activity = np.empty((len(rows), n_ticks))
+            core_fraction = np.empty((len(rows), n_ticks))
+            activity_profiles(machines, n_ticks, held, activity, core_fraction)
+            for k, (machine, row_settings) in enumerate(solo):
+                alone_activity = np.empty(n_ticks)
+                alone_core = np.empty(n_ticks)
+                machine.activity_profile(n_ticks, row_settings, alone_activity, alone_core)
+                assert np.array_equal(bits(activity[k]), bits(alone_activity))
+                assert np.array_equal(bits(core_fraction[k]), bits(alone_core))
+                assert cursor_state(machines[k]) == cursor_state(machine)
+
+    def test_the_generated_rows_reach_every_cursor_path(self):
+        # Each start kind takes the path it is named for on a 20-tick
+        # window: inside or at the edge, the first segment covers the
+        # window; crossing or completing, it stops short of it.
+        phases = (
+            Phase("a", 0.05, 0.4, 0.5, osc_amplitude=0.1, osc_period_s=0.05),
+            Phase("b", 0.05, 0.6, 1.0),
+        )
+        covers = {}
+        for kind in CURSOR_KINDS:
+            machine, held = cursor_machine((phases, 3, kind, 7, 5e-10, 0.2), 0, 20)
+            was_completed = machine.completed
+            phase, _, _, seg_ticks = machine.next_segment(20, held)
+            covers[kind] = (phase is not None, seg_ticks == 20, was_completed)
+        assert covers["fresh"] == (True, True, False)
+        assert covers["inside"] == (True, True, False)
+        assert covers["at_edge"] == (True, True, False)
+        assert covers["crosses"] == (True, False, False)
+        assert covers["completes"] == (True, False, False)
+        assert covers["completed"] == (False, True, True)
+
+    def test_edge_rows_land_within_1e_9_of_the_boundary(self):
+        phases = (Phase("a", 0.05, 0.4, 0.5), Phase("b", 0.05, 0.6, 1.0))
+        machine, held = cursor_machine((phases, 3, "at_edge", 7, -5e-10, 0.2), 0, 20)
+        start = machine._work_into_phase
+        _, _, work_per_tick, seg_ticks = machine.next_segment(20, held)
+        # The window ends short of the phase end, within the cursor's 1e-9
+        # boundary tolerance, so the phase still counts as finished.
+        end = start + work_per_tick * seg_ticks
+        assert phases[0].work_units - 1e-9 <= end < phases[0].work_units
+        assert (machine._phase_index, machine._work_into_phase) == (1, 0.0)
