@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_discrete_are
 
 from .statespace import StateSpace
 from .sysid import PlantModel
@@ -164,6 +163,10 @@ class DesignedController:
 
 def design_controller(plant: PlantModel, spec: SynthesisSpec | None = None) -> DesignedController:
     """Synthesize the Maya controller for an identified plant."""
+    # Imported here so that ``import repro`` loads no SciPy submodule: only
+    # a process that synthesizes a controller pays for the Riccati solver.
+    from scipy.linalg import solve_discrete_are
+
     if spec is None:
         spec = SynthesisSpec()
     plant_ss = plant.statespace()

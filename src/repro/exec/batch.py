@@ -12,8 +12,8 @@ shows dominates a session — can be evaluated for a whole fleet at once:
 * the power step (:func:`repro.machine.power.batch_window_power`) and
   the RAPL read (:func:`repro.machine.sensors.measure_windows`) are the
   functions the serial runner calls with one row; here they evaluate
-  ``(B, ticks)`` structure-of-arrays blocks, filtering all AR(1) noise
-  rows with one row-wise ``lfilter`` call and reducing the windows
+  ``(B, ticks)`` structure-of-arrays blocks, filtering each AR(1) noise
+  row with one exact first-order recursion and reducing the windows
   row-wise;
 * defenses whose settings never change (``Defense.constant_settings``)
   skip the control loop entirely: the whole session is fast-forwarded in
@@ -39,9 +39,9 @@ recording share one batch.
 session's own spawn-keyed stream, in the same within-session order as the
 serial runner; a generator fills one size-n request identically to n
 sequential draws, the power and RAPL steps are shared with the serial
-runner and no row of them depends on another, ``lfilter`` carries each
-row's AR(1) state across a multi-window chunk exactly like per-window
-calls, the constant-settings path's chunked RAPL reduction replays the
+runner and no row of them depends on another, the AR(1) recursion
+carries each row's state across a multi-window chunk exactly like
+per-window calls, the constant-settings path's chunked RAPL reduction replays the
 per-window sums, and the controller's contractions make per row the BLAS
 call the serial step makes.  :meth:`Trace.equals` against
 ``run_session`` and the golden trace digests are the oracles the tests
@@ -308,7 +308,7 @@ def _run_dynamic(rows: "list[_Row]") -> None:
         applied = [settings[i] for i in active]
 
         # Kernel spans cover the vectorized hot paths: the phase-cursor
-        # walk, the power model (row-wise AR(1) lfilter), the windowed
+        # walk, the power model (row-wise AR(1) recursion), the windowed
         # RAPL reduction and the control decision.  They observe
         # wall-clock only and never feed back (MAYA033).
         with profile.span("kernel.fast_forward", interval=interval_index):

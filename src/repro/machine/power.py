@@ -24,11 +24,18 @@ so each value is computed once per model and then served from a dict.
 
 :func:`batch_window_power` is the one implementation of the per-tick power
 step.  It evaluates B sessions' windows as one ``(B, ticks)`` array,
-drawing each session's shocks from its own RNG and filtering all noise
-rows with a single row-wise ``lfilter`` call; the lock-step kernel
+drawing each session's shocks from its own RNG and filtering each noise
+row through :func:`first_order_rows`; the lock-step kernel
 (:mod:`repro.exec.batch`) calls it for a whole fleet and
 :meth:`PowerModel.window_power` calls it with one row.  Rows never mix, so
 a row's result does not depend on which other rows share the call.
+
+:func:`first_order_rows` is the one first-order recursion of the package:
+the AR(1) noise here and the thermal node (:mod:`repro.machine.thermal`)
+both run through it.  It performs SciPy's ``lfilter`` operations in
+``lfilter``'s order, so it reproduces ``lfilter``'s bits without importing
+SciPy's signal package (whose import costs more than the rest of the
+package).
 """
 
 from __future__ import annotations
@@ -37,11 +44,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .platform import PlatformSpec
 
-__all__ = ["PowerBreakdown", "PowerModel", "batch_window_power"]
+__all__ = ["PowerBreakdown", "PowerModel", "batch_window_power", "first_order_rows"]
 
 
 @dataclass(frozen=True)
@@ -236,8 +242,8 @@ def batch_window_power(
     activity as a ``(B, ticks)`` array and ``core_fraction`` their
     occupancy, broadcastable against it; ``settings`` the per-session
     actuator settings held during the window.  Shocks are drawn from each
-    model's own RNG in session order and all rows are filtered in one
-    row-wise ``lfilter`` call, advancing every model's carried AR(1) state.
+    model's own RNG in session order and each row is filtered by
+    :func:`first_order_rows`, advancing every model's carried AR(1) state.
     Every operation is elementwise or row-wise, so each row equals a
     one-row call on that model alone.  A zero-tick window draws nothing
     and leaves every model's state untouched.
@@ -249,9 +255,7 @@ def batch_window_power(
     scale = np.empty(n_sessions)
     static_w = np.empty(n_sessions)
     balloon_peak_w = np.empty(n_sessions)
-    shocks_w = np.empty((n_sessions, n_ticks))
-    zi = np.empty((n_sessions, 1))
-    rho = PowerModel.NOISE_RHO
+    shock_rows = []
     for row, (model, applied) in enumerate(zip(models, settings)):
         scale[row] = model.dvfs_scale(applied.freq_ghz) * model.idle_scale(
             applied.idle_frac
@@ -261,11 +265,14 @@ def batch_window_power(
         # Per-session draws from per-session streams: a generator fills a
         # size-n request identically to n sequential scalar draws, so a
         # window split into several calls draws the same shocks.
-        shocks_w[row] = model._rng.normal(0.0, model._shock_sigma_w, size=n_ticks)
-        zi[row, 0] = rho * model._noise_state
-    noise_w, _ = lfilter([1.0], [1.0, -rho], shocks_w, axis=-1, zi=zi)
-    for row, model in enumerate(models):
-        model._noise_state = float(noise_w[row, -1])
+        shock_rows.append(
+            model._rng.normal(0.0, model._shock_sigma_w, size=n_ticks).tolist()
+        )
+    noise_w, last_w = first_order_rows(
+        1.0, PowerModel.NOISE_RHO, shock_rows, [model._noise_state for model in models]
+    )
+    for model, level_w in zip(models, last_w):
+        model._noise_state = level_w
 
     app_w = spec.max_app_dynamic_w * activity * core_fraction * scale[:, None]
     occupancy = (1.0 - core_fraction) + PowerModel.SMT_BALLOON_SHARE * core_fraction
@@ -274,3 +281,36 @@ def batch_window_power(
     # Power can never be negative; noise excursions are clipped the way
     # a physical sensor would never report below ~0 W.
     return np.maximum(power_w, 0.1)
+
+
+def first_order_rows(
+    gain: float, pole: float, rows: "list[list[float]]", levels: "list[float]"
+) -> "tuple[np.ndarray, list[float]]":
+    """Filter each row through ``y[t] = pole * y[t-1] + gain * x[t]``.
+
+    ``rows`` holds equal-length rows of Python floats and ``levels`` each
+    row's previous output ``y[-1]``.  Returns the ``(rows, ticks)`` block
+    of outputs and each row's last output (its ``levels`` entry when the
+    rows are empty), which is the level the next window starts from.
+
+    Every step rounds exactly where SciPy's ``lfilter([gain],
+    [1, -pole], x, zi=[pole * y[-1]])`` does: its transposed direct form
+    computes ``y = z + gain * x`` and carries ``z = pole * y``, and float
+    addition and multiplication commute bit for bit.  Splitting a row
+    between two calls therefore carries the state exactly, and the bits
+    equal ``lfilter``'s for finite inputs.  (They can differ only where
+    ``pole * y`` underflows to a signed zero, which no ``pole > 0.5``
+    produces.)  On the 20-tick windows of the control loop the plain-float
+    loop costs about as much as an ``lfilter`` call's fixed overhead; per
+    tick of a long row it is ~10x slower.
+    """
+    flat: list[float] = []
+    append = flat.append
+    last = []
+    for row, level in zip(rows, levels):
+        for x in row:
+            level = pole * level + gain * x
+            append(level)
+        last.append(level)
+    n_ticks = len(rows[0]) if rows else 0
+    return np.fromiter(flat, float, len(flat)).reshape(len(rows), n_ticks), last

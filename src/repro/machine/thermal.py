@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .power import first_order_rows
+
 __all__ = ["ThermalModel"]
 
 
@@ -50,16 +52,13 @@ class ThermalModel:
         discretization of the linear ODE for a piecewise-constant input,
         which is stable for any tick length.
         """
-        from scipy.signal import lfilter
-
         power_w = np.asarray(power_w, dtype=float)
         if power_w.size == 0:
             return np.empty(0)
         alpha = float(np.exp(-tick_s / self.time_constant_s))
         targets_c = self.ambient_c + self.resistance_c_per_w * power_w
         # temp[i] = alpha * temp[i-1] + (1 - alpha) * target[i]
-        temps_c, _ = lfilter(
-            [1.0 - alpha], [1.0, -alpha], targets_c, zi=[alpha * self.temperature_c]
+        temps_c, (self.temperature_c,) = first_order_rows(
+            1.0 - alpha, alpha, [targets_c.tolist()], [self.temperature_c]
         )
-        self.temperature_c = float(temps_c[-1])
-        return temps_c
+        return temps_c[0]

@@ -196,12 +196,18 @@ class TestAccounting:
 
     def test_sidecar_bytes_are_accounted(self, tmp_path):
         from repro import telemetry
-        from repro.telemetry import TelemetryRecorder
+        from repro.telemetry import NullRecorder, TelemetryRecorder
 
         job = tiny_job()
-        trace = job.execute()
-        bare = TraceCache(root=tmp_path / "bare")
-        bare.put(job, trace)
+        # Recording off, also under REPRO_TELEMETRY=1: the bare entry must
+        # have no session stream to copy into a sidecar.
+        telemetry.set_recorder(NullRecorder())
+        try:
+            bare = TraceCache(root=tmp_path / "bare")
+            bare.put(job, job.execute())
+        finally:
+            telemetry.set_recorder(None)
+        assert not shard_files(tmp_path / "bare", "*.events.jsonl")
         npz_only = bare.stats()["total_bytes"]
 
         telemetry.set_recorder(TelemetryRecorder(root=tmp_path / "telemetry"))

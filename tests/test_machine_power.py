@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import lfilter
 
 from repro.machine import ActuatorSettings, PowerModel, SYS1, batch_window_power, spawn
+from repro.machine.power import first_order_rows
 
 
 def make_model(key="pm"):
@@ -113,6 +115,110 @@ class TestNoise:
         )
         assert window_w.shape == (2, 0)
         assert [model._noise_state for model in models] == [0.0, 0.0]
+
+
+def thermal_coefficients(time_constant_s, tick_s):
+    """The ``(gain, pole)`` pair ``ThermalModel.advance`` filters with."""
+    alpha = float(np.exp(-tick_s / time_constant_s))
+    return 1.0 - alpha, alpha
+
+
+#: Every ``(gain, pole)`` pair the package filters with: the AR(1) power
+#: noise, and the thermal node at several time constants and tick lengths.
+COEFFICIENTS = st.one_of(
+    st.just((1.0, PowerModel.NOISE_RHO)),
+    st.builds(
+        thermal_coefficients,
+        st.sampled_from([0.5, 2.0, 8.0, 60.0]),
+        st.sampled_from([1e-4, 1e-3, 0.02, 0.1]),
+    ),
+)
+
+#: Signed zeros, negatives and magnitudes up to the largest double.
+EDGE_VALUES = np.array(
+    [0.0, -0.0, -1.0, 1e300, -1e300, np.finfo(float).max, -np.finfo(float).max]
+)
+
+
+@st.composite
+def signal_blocks(draw):
+    """A ``(B, T)`` input block and B starting levels, B 1-40 and T 0-60.
+
+    A seeded normal block at one of several magnitudes, with a drawn share
+    of its entries (and of the levels) replaced by :data:`EDGE_VALUES`.
+    """
+    rng = spawn(draw(st.integers(0, 2**32 - 1)), "signal")
+    scale = draw(st.sampled_from([1e-300, 1e-3, 1.0, 1e3, 1e300]))
+    edge_share = draw(st.sampled_from([0.0, 0.2, 1.0]))
+    n_rows, n_ticks = draw(st.integers(1, 40)), draw(st.integers(0, 60))
+    inputs = rng.normal(0.0, scale, size=(n_rows, n_ticks))
+    levels = rng.normal(0.0, scale, size=n_rows)
+    for values in (inputs, levels):
+        edges = rng.random(values.shape) < edge_share
+        values[edges] = rng.choice(EDGE_VALUES, size=int(edges.sum()))
+    return inputs, levels
+
+
+def assert_matches_lfilter(gain, pole, inputs, levels):
+    """Outputs and carried state of :func:`first_order_rows` equal
+    ``lfilter``'s bit for bit (the oracle carries ``z = pole * y``)."""
+    outputs, last = first_order_rows(gain, pole, inputs.tolist(), levels.tolist())
+    expected, carried = lfilter(
+        [gain], [1.0, -pole], inputs, axis=-1, zi=(pole * levels)[:, None]
+    )
+    assert outputs.shape == expected.shape
+    assert outputs.tobytes() == expected.tobytes()
+    if inputs.shape[1] == 0:
+        # lfilter leaves zf unset for an empty axis; the levels carry over.
+        assert np.array(last).tobytes() == levels.tobytes()
+    else:
+        assert np.array(last).tobytes() == expected[:, -1].tobytes()
+        assert (pole * np.array(last)).tobytes() == carried[:, 0].tobytes()
+
+
+class TestFirstOrderRows:
+    """The one first-order recursion against SciPy's ``lfilter`` as oracle."""
+
+    @given(COEFFICIENTS, signal_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_match_lfilter(self, coefficients, block):
+        assert_matches_lfilter(*coefficients, *block)
+
+    @given(
+        COEFFICIENTS,
+        st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
+            min_size=1,
+            max_size=3,
+        ),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_finite_values_match_lfilter(self, coefficients, rows, levels):
+        # Arbitrary doubles, subnormals included, in short rows.
+        assert_matches_lfilter(
+            *coefficients, np.array(rows), np.array(levels[: len(rows)])
+        )
+
+    @pytest.mark.parametrize(
+        "coefficients", [(1.0, PowerModel.NOISE_RHO), thermal_coefficients(8.0, 1e-3)]
+    )
+    def test_long_row_matches_lfilter(self, coefficients):
+        # One constant-settings chunk: 512 intervals of 20 ticks.
+        rng = spawn(5, "long row")
+        assert_matches_lfilter(
+            *coefficients, rng.normal(0.0, 1.0, size=(1, 10_240)), np.array([0.7])
+        )
+
+    def test_split_rows_carry_the_state_exactly(self):
+        rng = spawn(6, "split rows")
+        inputs = rng.normal(0.0, 1.0, size=(3, 40)).tolist()
+        levels = [0.1, -0.2, 0.0]
+        whole, last = first_order_rows(1.0, 0.98, inputs, levels)
+        head, carried = first_order_rows(1.0, 0.98, [row[:17] for row in inputs], levels)
+        tail, split_last = first_order_rows(1.0, 0.98, [row[17:] for row in inputs], carried)
+        assert np.hstack([head, tail]).tobytes() == whole.tobytes()
+        assert split_last == last
 
 
 class TestWindowPower:

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.machine import ThermalModel
+from repro.machine import ThermalModel, spawn
 
 
 class TestThermalModel:
@@ -57,3 +58,25 @@ class TestThermalModel:
 
     def test_empty_window(self):
         assert ThermalModel().advance(np.empty(0), 0.001).size == 0
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 300),
+        st.data(),
+        st.sampled_from([0.5, 2.0, 8.0, 60.0]),
+        st.sampled_from([1e-4, 1e-3, 0.02]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_split_window_matches_whole_window(self, seed, n_ticks, data, tau_s, tick_s):
+        # The node carries its temperature exactly: a window advanced in
+        # two pieces, split at any tick, gives the bits of one advance.
+        power_w = spawn(seed, "power").uniform(0.0, 40.0, size=n_ticks)
+        split = data.draw(st.integers(0, n_ticks))
+        whole = ThermalModel(time_constant_s=tau_s)
+        pieces = ThermalModel(time_constant_s=tau_s)
+        expected = whole.advance(power_w, tick_s)
+        got = np.concatenate(
+            [pieces.advance(power_w[:split], tick_s), pieces.advance(power_w[split:], tick_s)]
+        )
+        assert got.tobytes() == expected.tobytes()
+        assert pieces.temperature_c == whole.temperature_c
