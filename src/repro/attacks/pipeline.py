@@ -125,7 +125,7 @@ def scenario_jobs(
 
     In label-major, run-minor order — the order :func:`simulate_runs`
     reshapes back into the paper's ``classes x runs`` nesting.  Exposed so
-    tooling (the bench's serial reference loop, job-count accounting) can
+    tooling (the bench's reference leg, job-count accounting) can
     reason about the same job list the pipeline executes.
     """
     return [
@@ -156,7 +156,7 @@ def simulate_runs(
     (lock-step chunks over ``workers`` processes, optional
     content-addressed trace cache) and is reshaped back to the paper's
     ``classes x runs`` nesting — in the same order, with bit-identical
-    traces, as the serial loop this replaces.
+    traces, as running the jobs one at a time.
     """
     jobs = scenario_jobs(scenario, factory)
     telemetry.ops(

@@ -1,14 +1,15 @@
 """Pipeline micro-benchmark (``python -m repro.bench``).
 
 Times the dominant stages of the attack pipeline — trace collection
-(the serial reference loop over ``SessionJob.execute``, the execution
-engine in-process at ``workers=1`` and fanned out over worker processes,
-and replayed from the content-addressed cache), featurization, and MLP
-training — and writes the numbers to ``BENCH_pipeline.json``.
+(the reference: every session alone through the Figure-2 interval loop;
+the execution engine in-process at ``workers=1`` and fanned out over
+worker processes; and replayed from the content-addressed cache),
+featurization, and MLP training — and writes the numbers to
+``BENCH_pipeline.json``.
 
 The benchmark is also a correctness check: the parallel, batched,
 profiled and cache-replayed traces are compared bit-for-bit against the
-serial reference on every run, and the batch-collected traces must
+reference on every run, and the batch-collected traces must
 reproduce the identical attack outcome.  A speedup that comes at the
 price of changed results fails loudly rather than silently.  Every engine
 leg pins its worker count, so an ambient ``REPRO_WORKERS`` cannot
@@ -40,6 +41,7 @@ from ..attacks.pipeline import (
 )
 from ..defenses.designs import DefenseFactory
 from ..exec import TraceCache, record_run, resolve_workers
+from ..exec.batch import build_fleet, simulate
 from ..machine import SYS1, Trace
 from ..telemetry import MetricsRegistry
 from ..telemetry import profile as _profile
@@ -221,11 +223,19 @@ def store_bench(
 
 
 def _reference_runs(scenario: AttackScenario, factory: DefenseFactory) -> list:
-    """The serial reference: every job through ``SessionJob.execute``.
+    """The reference: every job alone through the Figure-2 interval loop.
 
+    Each job is a one-row kernel call whose defense decides every interval,
+    also a constant-settings one that the engine fast-forwards instead (the
+    two record the same bits).  So the batched and parallel floors time the
+    engine against the per-interval loop, never the kernel against itself.
     Reshaped into the ``classes x runs`` nesting of :func:`simulate_runs`.
     """
-    traces = [job.execute(factory=factory) for job in scenario_jobs(scenario, factory)]
+    traces = []
+    for job in scenario_jobs(scenario, factory):
+        (row,) = build_fleet([job], factory)
+        row.defense.constant_settings = False
+        traces.extend(simulate([row]))
     per_class = scenario.runs_per_class
     return [
         traces[label * per_class:(label + 1) * per_class]
@@ -414,7 +424,7 @@ def run_bench(
     if not parallel_matches:
         raise AssertionError("parallel traces differ from serial traces")
     # Bit-identity is the always-on oracle, --check or not: a trace that
-    # differs from serial is a wrong answer, however fast it came.
+    # differs from the reference is a wrong answer, however fast it came.
     if not batched_matches:
         raise AssertionError("batched traces differ from serial traces")
     if not outcome_matches:

@@ -50,9 +50,12 @@ class MatrixController:
             dtype=float,
         )
         self._y_scale = plant.y_scale_w
-        self._input_signs = plant.input_power_signs()
-        # step_fleet's form of _saturated_towards's per-input direction.
-        self._rail_signs = np.where(self._input_signs != 0, self._input_signs, 1.0)
+        # Per input, +1 when raising it raises power (a sign-less input
+        # counts as +1): the rail conditional integration checks.
+        signs = plant.input_power_signs()
+        self._rail_signs = np.where(signs != 0, signs, 1.0)
+        self._m_gain = design.m_gain[:, 0]
+        self._k_z = design.k_z[:, 0]
         self._x_pred = np.zeros(design.plant_ss.n_states)
         self._z = 0.0
         #: Centered command applied during the interval being measured.
@@ -106,138 +109,102 @@ class MatrixController:
         Timing: ``measured_w`` is the power of the interval that just
         ended, during which the command from the *previous* step was
         active; the returned settings drive the *next* interval aimed at
-        ``target_w``.
+        ``target_w``.  A one-row :meth:`step_fleet` call.
         """
-        design = self.design
-        plant_ss = design.plant_ss
-        error = (target_w - measured_w) / self._y_scale
-
-        # Measurement update.  The estimator tracks the deviation of power
-        # from the target, and the measured interval ran under the
-        # previously applied (saturated, quantized) command — using that
-        # true input is the anti-windup path.
-        y_meas_dev = -error
-        y_pred = float((plant_ss.c @ self._x_pred + plant_ss.d @ self._u_applied)[0])
-        innovation = y_meas_dev - y_pred
-        x_filt = self._x_pred + design.m_gain[:, 0] * innovation
-
-        # Time update to the start of the next interval.
-        self._x_pred = plant_ss.a @ x_filt + plant_ss.b @ self._u_applied
-
-        # Conditional integration: freeze when all inputs are already
-        # pinned at the limit that moves power in the demanded direction.
-        u_prev_norm = self._u_applied + self._u_op
-        frozen = self._saturated_towards(error, u_prev_norm)
-        if not frozen:
-            self._z += error
-
-        # Command for the next interval.  Feedback acts in deviations; the
-        # command is centered on the performance-preferring point, and the
-        # integrator absorbs the resulting constant offset.
-        u_centered = -(design.k_x @ self._x_pred) - design.k_z[:, 0] * self._z
-        u_norm = u_centered + self._u_center
-        self.last_sat_hi = int(np.count_nonzero(u_norm > 1.0))
-        self.last_sat_lo = int(np.count_nonzero(u_norm < 0.0))
-        self.last_antiwindup = int(frozen)
-        if self.last_sat_hi or self.last_sat_lo:
-            self.saturation_steps += 1
-        self.antiwindup_steps += self.last_antiwindup
-        settings = self.bank.quantize_normalized(np.clip(u_norm, 0.0, 1.0))
-        # The estimator's model coordinates stay centered on the
-        # identification operating point.
-        self._u_applied = self.bank.normalize(settings) - self._u_op
-        return settings
+        return MatrixController.step_fleet([self], (target_w,), (measured_w,))[0]
 
     @staticmethod
     def step_fleet(
         controllers: "list[MatrixController]",
-        targets_w: np.ndarray,
-        measured_w: np.ndarray,
+        targets_w: "np.ndarray | tuple",
+        measured_w: "np.ndarray | tuple",
     ) -> "list[ActuatorSettings]":
         """:meth:`step` for every controller of a fleet, in one pass.
 
         All controllers must share one :class:`DesignedController` (and so
         one plant and one platform's actuators).  Row ``k`` gets exactly
-        the settings, state and counters that
-        ``controllers[k].step(targets_w[k], measured_w[k])`` would leave:
-        each contraction is one stacked ``np.matmul(M, X[:, :, None])``,
-        whose loop makes per row the same BLAS call as the serial
-        ``M @ x``; everything else is elementwise in the serial expression
-        order (DESIGN.md §7).  The state lives on the controllers, read at
-        entry and written back at exit.
+        the settings, state and counters that a one-row call on
+        ``controllers[k]`` would leave: each contraction is one stacked
+        ``np.matmul(M, X[:, :, None])``, whose loop makes per row the BLAS
+        call of ``M @ x``; everything else is elementwise or row-wise
+        (DESIGN.md §7).  The state lives on the controllers, read at entry
+        and written back at exit.
         """
         first = controllers[0]
         design = first.design
-        bank = first.bank
         if any(controller.design is not design for controller in controllers):
             raise ValueError("controllers of one fleet step must share a design")
         plant_ss = design.plant_ss
         x_pred = np.array([controller._x_pred for controller in controllers])
-        z = np.array([controller._z for controller in controllers])
         u_applied = np.array([controller._u_applied for controller in controllers])
-        u_center = np.array([controller._u_center for controller in controllers])
         error = (
             np.asarray(targets_w, dtype=float) - np.asarray(measured_w, dtype=float)
         ) / first._y_scale
 
-        # Measurement update (see step), then the time update.
+        # Measurement update.  The estimator tracks the deviation of power
+        # from the target, and the measured interval ran under the
+        # previously applied (saturated, quantized) command -- using that
+        # true input is the anti-windup path.
         y_pred = (
             np.matmul(plant_ss.c, x_pred[:, :, None])[:, 0, 0]
             + np.matmul(plant_ss.d, u_applied[:, :, None])[:, 0, 0]
         )
         innovation = -error - y_pred
-        x_filt = x_pred + design.m_gain[:, 0] * innovation[:, None]
+        x_filt = x_pred + first._m_gain * innovation[:, None]
+
+        # Time update to the start of the next interval.
         x_pred = (
             np.matmul(plant_ss.a, x_filt[:, :, None])[:, :, 0]
             + np.matmul(plant_ss.b, u_applied[:, :, None])[:, :, 0]
         )
 
-        # Conditional integration: the row-wise _saturated_towards.
+        # Conditional integration: freeze a row's integrator when every
+        # input is already pinned at the limit that moves power in the
+        # demanded direction (a vanishing error never freezes).
         u_prev_norm = u_applied + first._u_op
-        direction = np.sign(error)[:, None] * first._rail_signs
-        railed = np.where(direction > 0, u_prev_norm >= 1.0, u_prev_norm <= 0.0)
-        frozen = railed.all(axis=1) & ~(np.abs(error) < 1e-12)
-        z = np.where(frozen, z, z + error)
+        towards_more = error[:, None] * first._rail_signs > 0
+        railed = np.where(towards_more, u_prev_norm >= 1.0, u_prev_norm <= 0.0)
+        all_railed = np.logical_and.reduce(railed, axis=1).tolist()
+        errors = error.tolist()
+        frozen = [
+            railed_k and not abs(error_k) < 1e-12
+            for railed_k, error_k in zip(all_railed, errors)
+        ]
+        z_list = [
+            controller._z if frozen_k else controller._z + error_k
+            for controller, frozen_k, error_k in zip(controllers, frozen, errors)
+        ]
+        z = np.array(z_list)
 
-        u_centered = (
+        # Command for the next interval.  Feedback acts in deviations; the
+        # command is centered on the performance-preferring point, and the
+        # integrator absorbs the resulting constant offset.
+        u_norm = (
             -np.matmul(design.k_x, x_pred[:, :, None])[:, :, 0]
-            - design.k_z[:, 0] * z[:, None]
-        )
-        u_norm = u_centered + u_center
-        sat_hi = (u_norm > 1.0).sum(axis=1).tolist()
-        sat_lo = (u_norm < 0.0).sum(axis=1).tolist()
-        levels = bank.quantize_normalized_many(np.clip(u_norm, 0.0, 1.0))
-        u_applied = bank.normalize_many(levels) - first._u_op
+            - first._k_z * z[:, None]
+        ) + np.array([controller._u_center for controller in controllers])
+        # The bank clips each denormalized command into its actuator's
+        # range, which snaps to the level a clip of u_norm to [0, 1] would.
+        levels = first.bank.quantize_normalized_many(u_norm)
+        # The estimator's model coordinates stay centered on the
+        # identification operating point.
+        u_applied = first.bank.normalize_many(levels) - first._u_op
 
         settings: list[ActuatorSettings] = []
-        for k, (controller, z_k, frozen_k, level_row) in enumerate(
-            zip(controllers, z.tolist(), frozen.tolist(), levels.tolist())
-        ):
+        for k, (controller, z_k, frozen_k, (u_0, u_1, u_2), level_row) in enumerate(zip(
+            controllers, z_list, frozen, u_norm.tolist(), levels.tolist()
+        )):
             controller._x_pred = x_pred[k]
             controller._z = z_k
             controller._u_applied = u_applied[k]
-            controller.last_sat_hi = sat_hi[k]
-            controller.last_sat_lo = sat_lo[k]
+            controller.last_sat_hi = (u_0 > 1.0) + (u_1 > 1.0) + (u_2 > 1.0)
+            controller.last_sat_lo = (u_0 < 0.0) + (u_1 < 0.0) + (u_2 < 0.0)
             controller.last_antiwindup = int(frozen_k)
-            if sat_hi[k] or sat_lo[k]:
+            if controller.last_sat_hi or controller.last_sat_lo:
                 controller.saturation_steps += 1
             controller.antiwindup_steps += controller.last_antiwindup
             settings.append(ActuatorSettings(*level_row))
         return settings
-
-    def _saturated_towards(self, error: float, u_norm: np.ndarray) -> bool:
-        """True if every input is railed in the direction demanded by ``error``."""
-        if abs(error) < 1e-12:
-            return False
-        demand = np.sign(error)  # +1 -> need more power
-        railed = []
-        for i, sign in enumerate(self._input_signs):
-            direction = demand * (sign if sign != 0 else 1.0)
-            if direction > 0:
-                railed.append(u_norm[i] >= 1.0)
-            else:
-                railed.append(u_norm[i] <= 0.0)
-        return all(railed)
 
     # -- reporting helpers (Section VII-E) ------------------------------
 

@@ -165,12 +165,6 @@ class FixedPointController:
         if on_clip == "raise":
             raise FixedPointOverflowError(detail)
         warnings.warn(detail, RuntimeWarning, stacklevel=3)
-        telemetry.session_event(
-            "fixedpoint.clip",
-            fmt=self.fmt.describe(),
-            entries=self.clipped_entries,
-            matrices="".join(clipped),
-        )
         telemetry.count("control.fixedpoint.clip_events")
         telemetry.count("control.fixedpoint.clipped_entries", self.clipped_entries)
 

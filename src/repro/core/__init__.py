@@ -1,4 +1,4 @@
-"""Maya core: configuration, design flow, and the runtime control loop."""
+"""Maya core: configuration, design flow, and the session runner."""
 
 from .config import MayaConfig, default_mask_range
 from .maya import MayaDesign, MayaInstance, build_maya_design

@@ -79,37 +79,6 @@ class MayaInstance:
         self.current_target_w = self.mask.next_target()
         return self.controller.step(self.current_target_w, measured_w)
 
-    @staticmethod
-    def decide_fleet(
-        instances: "list[MayaInstance]", measured_w: "list[float]"
-    ) -> "list[ActuatorSettings]":
-        """One lock-step wake-up for a fleet of Maya instances.
-
-        All mask targets are drawn first through the batched mask hook
-        (:func:`repro.masks.next_targets`); then the rows are grouped by
-        controller design and each group advances its Equation-1 update
-        in one :meth:`MatrixController.step_fleet` call.  Every instance
-        consumes its own RNG and state exactly as :meth:`decide` would, so
-        the settings are bit-identical to B serial calls.
-        """
-        from ..masks import next_targets
-
-        targets_w = next_targets([instance.mask for instance in instances])
-        groups: dict[int, list[int]] = {}
-        for index, instance in enumerate(instances):
-            instance.current_target_w = float(targets_w[index])
-            groups.setdefault(id(instance.controller.design), []).append(index)
-        settings: list = [None] * len(instances)
-        for indices in groups.values():
-            decided = MatrixController.step_fleet(
-                [instances[index].controller for index in indices],
-                targets_w[indices],
-                [measured_w[index] for index in indices],
-            )
-            for index, decision in zip(indices, decided):
-                settings[index] = decision
-        return settings
-
 
 def build_maya_design(
     spec: PlatformSpec,

@@ -1,11 +1,12 @@
 """The defense designs compared in the paper (Table V)."""
 
-from .base import Defense, decide_batch
+from .base import Defense
 from .selective import SelectiveMaya
 from .designs import (
     DESIGN_NAMES,
     Baseline,
     DefenseFactory,
+    DefenseFleet,
     MayaDefense,
     NoisyBaseline,
     RandomInputs,
@@ -13,10 +14,10 @@ from .designs import (
 
 __all__ = [
     "Defense",
-    "decide_batch",
     "DESIGN_NAMES",
     "Baseline",
     "DefenseFactory",
+    "DefenseFleet",
     "MayaDefense",
     "NoisyBaseline",
     "RandomInputs",

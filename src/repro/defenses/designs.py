@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..control import MatrixController
 from ..core.config import MayaConfig
 from ..core.maya import MayaDesign, MayaInstance, build_maya_design
 from ..machine import ActuatorBank, ActuatorSettings, PlatformSpec, SimulatedMachine
@@ -27,7 +28,7 @@ __all__ = [
     "MayaDefense",
     "DESIGN_NAMES",
     "DefenseFactory",
-    "has_constant_settings",
+    "DefenseFleet",
     "maya_design_name",
 ]
 
@@ -143,25 +144,6 @@ class MayaDefense(Defense):
             return None
         return self._instance.controller.diagnostics()
 
-    @staticmethod
-    def decide_fleet(
-        defenses: "list[MayaDefense]", measured_w: "list[float]"
-    ) -> "list[ActuatorSettings]":
-        """Batched :meth:`decide` for a lock-step fleet of Maya defenses.
-
-        Delegates to :meth:`MayaInstance.decide_fleet` (batched mask draw +
-        one Equation-1 fleet step per design) and mirrors each defense's target
-        bookkeeping, emitting exactly what B serial ``decide`` calls would.
-        """
-        instances = []
-        for defense in defenses:
-            assert defense._instance is not None, "prepare() must be called first"
-            instances.append(defense._instance)
-        settings = MayaInstance.decide_fleet(instances, measured_w)
-        for defense, instance in zip(defenses, instances):
-            defense.current_target_w = instance.current_target_w
-        return settings
-
 
 #: The designs without a controller, by name.
 _OPEN_LOOP = {
@@ -169,16 +151,6 @@ _OPEN_LOOP = {
     "noisy_baseline": NoisyBaseline,
     "random_inputs": RandomInputs,
 }
-
-
-def has_constant_settings(design_name: str) -> bool:
-    """Whether ``design_name`` holds one actuation triple for a whole session.
-
-    Answers :attr:`Defense.constant_settings` from the name alone, without
-    building the design; Maya designs and unknown names answer ``False``.
-    """
-    open_loop = _OPEN_LOOP.get(design_name)
-    return open_loop is not None and open_loop.constant_settings
 
 
 class DefenseFactory:
@@ -233,3 +205,50 @@ class DefenseFactory:
             return MayaDefense(self.maya_design(family))
         known = DESIGN_NAMES[:3] + tuple(_MAYA_FAMILIES)
         raise KeyError(f"unknown design {design_name!r}; known: {known}")
+
+
+class DefenseFleet:
+    """One interval's decisions for a lock-step fleet of prepared defenses.
+
+    Built once per fleet: Maya rows are grouped by controller design, and
+    every interval each group draws its mask targets row by row and
+    advances Equation 1 in one :meth:`MatrixController.step_fleet` call;
+    every other defense runs its own :meth:`Defense.decide`.  Each row
+    consumes exactly its own state and RNG streams, so row ``k`` gets the
+    settings ``defenses[k].decide(measured_w[k])`` would return.
+    """
+
+    def __init__(self, defenses: "list[Defense]") -> None:
+        self._size = len(defenses)
+        groups: dict[int, list[int]] = {}
+        self._open_loop: list[tuple[int, Defense]] = []
+        for index, defense in enumerate(defenses):
+            if isinstance(defense, MayaDefense):
+                assert defense._instance is not None, "prepare() must be called first"
+                groups.setdefault(id(defense._instance.controller.design), []).append(index)
+            else:
+                self._open_loop.append((index, defense))
+        self._maya = [
+            (
+                indices,
+                np.array(indices),
+                [defenses[index] for index in indices],
+                [defenses[index]._instance for index in indices],
+                [defenses[index]._instance.controller for index in indices],
+            )
+            for indices in groups.values()
+        ]
+
+    def decide(self, measured_w: np.ndarray) -> "list[ActuatorSettings]":
+        """Settings for the next interval, given each row's measurement."""
+        settings: list = [None] * self._size
+        for indices, take, defenses, instances, controllers in self._maya:
+            targets_w = [instance.mask.next_target() for instance in instances]
+            for defense, instance, target_w in zip(defenses, instances, targets_w):
+                defense.current_target_w = instance.current_target_w = target_w
+            decided = MatrixController.step_fleet(controllers, targets_w, measured_w[take])
+            for index, decision in zip(indices, decided):
+                settings[index] = decision
+        for index, defense in self._open_loop:
+            settings[index] = defense.decide(float(measured_w[index]))
+        return settings

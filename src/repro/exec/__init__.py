@@ -5,7 +5,7 @@ and the attack pipeline's trace collection — routes through
 :func:`run_sessions`, which advances declarative :class:`SessionJob`
 specs lock-step in chunks, fans the chunks out over worker processes and
 collates the traces in job order, with results guaranteed bit-identical
-to the serial path.  See
+to running each job alone.  See
 :mod:`repro.exec.engine` for the determinism contract and
 :mod:`repro.exec.cache` for the cache layout and environment knobs.
 """

@@ -1,54 +1,53 @@
-"""The lock-step kernel: whole fleets advance bit-identically.
+"""The lock-step kernel: the one Figure-2 control loop.
 
-The serial runner (:func:`repro.core.runtime.run_session`) pays the full
-Python control-loop cost once per 20 ms interval per session.  Sessions
-are mutually independent, so the tick-level physics — which profiling
-shows dominates a session — can be evaluated for a whole fleet at once:
+Every simulated session runs here.  :func:`repro.core.runtime.run_session`
+is a one-row call and :func:`repro.exec.run_sessions` feeds whole chunks
+of jobs.  Sessions are mutually independent, so the tick-level physics --
+which profiling shows dominates a session -- is evaluated for a whole
+fleet at once:
 
 * each session keeps its own :class:`~repro.machine.SimulatedMachine`
   (phase cursors, jittered workload, RNG streams), its own defense
-  instance and its own RAPL sensor, seeded exactly as the serial runner
-  seeds them (:func:`build_fleet`);
+  instance and its own RAPL sensor, seeded from its spawn keys
+  (:class:`SessionRow`);
 * the power step (:func:`repro.machine.power.batch_window_power`) and
-  the RAPL read (:func:`repro.machine.sensors.measure_windows`) are the
-  functions the serial runner calls with one row; here they evaluate
+  the RAPL read (:func:`repro.machine.sensors.measure_windows`) evaluate
   ``(B, ticks)`` structure-of-arrays blocks, filtering each AR(1) noise
   row with one exact first-order recursion and reducing the windows
   row-wise;
 * defenses whose settings never change (``Defense.constant_settings``)
   skip the control loop entirely: the whole session is fast-forwarded in
   chunks of :data:`CONST_CHUNK_INTERVALS` intervals (:func:`_run_constant`);
-* every other defense decides interval by interval through
-  :func:`repro.defenses.decide_batch` (:func:`_run_dynamic`), after one
-  fleet pass of the phase cursors
-  (:func:`repro.machine.activity_profiles`): the mask
-  targets are drawn per session, then the Equation-1 update of every Maya
-  row sharing a design runs as one vectorized
+* every other defense decides interval by interval (:func:`_run_dynamic`)
+  after one fleet pass of the phase cursors
+  (:func:`repro.machine.activity_profiles`): a
+  :class:`~repro.defenses.DefenseFleet`, built once per fleet, draws the
+  mask targets per session and runs the Equation-1 update of every Maya
+  row sharing a design as one vectorized
   :meth:`~repro.control.MatrixController.step_fleet`, whose stacked
-  ``np.matmul`` makes per row the same BLAS call as the serial ``M @ x``.
+  ``np.matmul`` makes per row the BLAS call of a one-row ``M @ x``.
 
-**Per-row termination.**  Each row records exactly what ``run_session``
-would record for its job: ``min(duration_s, max_duration_s)`` for a
-fixed-duration job, and for a completion-mode job (``duration_s is
-None``) ``tail_s`` past the interval after completion, capped at its own
-``max_duration_s``.  A row leaves the fleet as soon as its recording
-ends, so rows with different caps, completion times and temperature
-recording share one batch.
+**Per-row termination.**  A fixed-duration row records
+``min(duration_s, max_duration_s)``; a completion-mode row (``duration_s
+is None``) records ``tail_s`` past the interval after completion, capped
+at its own ``max_duration_s``.  A row leaves the fleet as soon as its
+recording ends, so rows with different caps, completion times and
+temperature recording share one batch.
 
-**Bit-identity contract.**  Every per-session random draw happens on that
-session's own spawn-keyed stream, in the same within-session order as the
-serial runner; a generator fills one size-n request identically to n
-sequential draws, the power and RAPL steps are shared with the serial
-runner and no row of them depends on another, the AR(1) recursion
-carries each row's state across a multi-window chunk exactly like
-per-window calls, the constant-settings path's chunked RAPL reduction replays the
-per-window sums, and the controller's contractions make per row the BLAS
-call the serial step makes.  :meth:`Trace.equals` against
-``run_session`` and the golden trace digests are the oracles the tests
-enforce.  Two sites depend on the
-numpy build in the same way: :func:`_materialize` and the fleet phase
-cursor evaluate a phase's ``np.sin`` over a stacked array rather than one
-window of one row (DESIGN.md §7 names both).
+**Row independence.**  Every per-session random draw happens on that
+session's own spawn-keyed stream, in the same within-session order at
+any fleet size; a generator fills one size-n request identically to n
+sequential draws, no row of the power, RAPL and controller steps depends
+on another, the AR(1) recursion carries each row's state across a
+multi-window chunk exactly like per-window calls, and the
+constant-settings path's multi-window RAPL reduction replays the
+per-window sums.  So each row of a B-row call equals a one-row call, and
+the constant-settings fast-forward equals the per-interval loop.  The
+golden trace digests (``tests/test_golden_traces.py``) pin the absolute
+bits.  Two sites depend on the numpy build in the same way:
+:func:`_materialize` and the fleet phase cursor evaluate a phase's
+``np.sin`` over a stacked array rather than one window of one row
+(DESIGN.md §7 names both).
 
 **Shape contract.**  Rows of one fixed-duration batch with equal caps
 return traces of identical shapes, which lets :meth:`TraceCache.put_many
@@ -63,9 +62,8 @@ import math
 import numpy as np
 
 from .. import telemetry
-from ..core.runtime import _grown
-from ..defenses.base import decide_batch
-from ..defenses.designs import DefenseFactory
+from ..defenses.base import Defense
+from ..defenses.designs import DefenseFactory, DefenseFleet
 from ..machine import (
     RaplSensor,
     SimulatedMachine,
@@ -80,9 +78,11 @@ from .jobs import SessionJob
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
+    "SessionRow",
     "batch_key",
     "build_fleet",
     "execute_jobs_batched",
+    "simulate",
 ]
 
 #: Most sessions simulated lock-step per chunk.  Large enough
@@ -91,7 +91,7 @@ __all__ = [
 DEFAULT_BATCH_SIZE = 32
 
 #: Initial interval capacity of a completion-mode row's recording buffers
-#: (they double on demand up to the row's cap), as in ``run_session``.
+#: (they double on demand up to the row's cap).
 _COMPLETION_CAPACITY = 2048
 
 #: Intervals simulated per whole-session chunk of the constant-settings
@@ -110,90 +110,67 @@ def batch_key(job: SessionJob) -> tuple:
     return (job.spec, float(job.interval_s), float(job.tick_s))
 
 
-def build_fleet(
-    jobs: "list[SessionJob]", factory: DefenseFactory | None = None
-) -> "tuple[list[SimulatedMachine], list, list[RaplSensor]]":
-    """Machines, defenses and sensors for ``jobs``, seeded as the serial runner.
+class SessionRow:
+    """One session of a lock-step fleet: machine, defense, sensor, limits.
 
-    The spawn keys replay ``run_session``'s seeding scheme verbatim, so
-    every per-session stream is the one the serial runner would use.
+    Construction binds ``defense`` to ``machine`` and builds the defense's
+    RAPL sensor, each on the session's own spawn-keyed stream, and opens
+    the session's telemetry channel when recording is on (``job_key``
+    binds its manifest to a job's content address).
     """
-    machines: list[SimulatedMachine] = []
-    defenses: list = []
-    sensors: list[RaplSensor] = []
-    for job in jobs:
-        job_factory = job.resolve_factory(factory)
-        machine = job.build_machine()
-        defense = job_factory.create(job.defense)
-        defense_rng = spawn(
-            job.seed, "defense", defense.name, machine.workload.name, job.run_id
-        )
-        defense.prepare(machine, defense_rng)
-        sensors.append(
-            RaplSensor(
-                job.spec,
-                spawn(job.seed, "defense-sensor", machine.workload.name, job.run_id),
-            )
-        )
-        machines.append(machine)
-        defenses.append(defense)
-    return machines, defenses, sensors
 
-
-def _open_channels(jobs, machines, defenses) -> "list | None":
-    """One telemetry channel per session (or ``None`` when recording is off).
-
-    Per-session channels let an interleaved lock-step loop still yield one
-    ordered event stream per session — byte-identical to the serial
-    runner's, because the channels serialize through the same code path
-    with the same values.
-    """
-    recorder = telemetry.get_recorder()
-    if not recorder.enabled:
-        return None
-    return [
-        recorder.session(
-            engine="lockstep",
-            job_key=job.key(),
-            platform=job.spec.name,
-            workload=machine.workload.name,
-            defense=defense.name,
-            seed=job.seed,
-            run_id=job.run_id,
-            interval_s=job.interval_s,
-            duration_s=job.duration_s,
-            tick_s=job.tick_s,
-            max_duration_s=job.max_duration_s,
-            tail_s=job.tail_s,
-            record_temperature=job.record_temperature,
-        )
-        for job, machine, defense in zip(jobs, machines, defenses)
-    ]
-
-
-class _Row:
-    """One session of a lock-step fleet, with the serial runner's limits."""
-
-    def __init__(self, job: SessionJob, machine, defense, sensor, channel) -> None:
+    def __init__(
+        self,
+        machine: SimulatedMachine,
+        defense: Defense,
+        *,
+        seed: int,
+        run_id: object,
+        interval_s: float,
+        duration_s: "float | None",
+        max_duration_s: float,
+        tail_s: float,
+        job_key: "str | None" = None,
+    ) -> None:
+        max_intervals = int(round(max_duration_s / interval_s))
+        if duration_s is None:
+            self.cap = max_intervals
+            self.tail: int | None = int(round(tail_s / interval_s))
+        else:
+            n_intervals = int(round(duration_s / interval_s))
+            if n_intervals < 1:
+                raise ValueError("duration_s shorter than one interval")
+            self.cap = min(n_intervals, max_intervals)
+            self.tail = None
+        workload = machine.workload.name
+        defense.prepare(machine, spawn(seed, "defense", defense.name, workload, run_id))
+        self.sensor = RaplSensor(machine.spec, spawn(seed, "defense-sensor", workload, run_id))
         self.machine = machine
         self.defense = defense
-        self.sensor = sensor
-        self.channel = channel
-        self.interval_s = job.interval_s
-        self.ticks_per_interval = int(round(job.interval_s / machine.tick_s))
-        # The arithmetic of run_session: a fixed-duration row records
-        # min(duration, cap) intervals; a completion-mode row records up
-        # to tail intervals past completion, within the same cap.
-        max_intervals = int(round(job.max_duration_s / job.interval_s))
-        if job.duration_s is None:
-            self.cap = max_intervals
-            self.tail: int | None = int(round(job.tail_s / job.interval_s))
-        else:
-            self.cap = min(int(round(job.duration_s / job.interval_s)), max_intervals)
-            self.tail = None
+        self.interval_s = interval_s
+        self.ticks_per_interval = int(round(interval_s / machine.tick_s))
         #: Completion-mode recording deadline, once completion is observed.
         self.deadline: int | None = None
         self.trace: Trace | None = None
+        recorder = telemetry.get_recorder()
+        self.channel = (
+            recorder.session(
+                job_key=job_key,
+                platform=machine.spec.name,
+                workload=workload,
+                defense=defense.name,
+                seed=seed,
+                run_id=run_id,
+                interval_s=interval_s,
+                duration_s=duration_s,
+                tick_s=machine.tick_s,
+                max_duration_s=max_duration_s,
+                tail_s=tail_s,
+                record_temperature=machine.record_temperature,
+            )
+            if recorder.enabled
+            else None
+        )
 
     def stop(self) -> int:
         """Intervals this row records, as far as is known now."""
@@ -231,113 +208,141 @@ def _cut(buffer: np.ndarray, length: int) -> np.ndarray:
     return buffer if buffer.shape[0] == length else buffer[:length].copy()
 
 
+def build_fleet(
+    jobs: "list[SessionJob]", factory: DefenseFactory | None = None
+) -> "list[SessionRow]":
+    """One :class:`SessionRow` per job, seeded as the job describes."""
+    keyed = telemetry.enabled()
+    rows = []
+    for job in jobs:
+        defense = job.resolve_factory(factory).create(job.defense)
+        rows.append(SessionRow(
+            job.build_machine(),
+            defense,
+            seed=job.seed,
+            run_id=job.run_id,
+            interval_s=job.interval_s,
+            duration_s=job.duration_s,
+            max_duration_s=job.max_duration_s,
+            tail_s=job.tail_s,
+            job_key=job.key() if keyed else None,
+        ))
+    return rows
+
+
 def execute_jobs_batched(
     jobs: "list[SessionJob]", factory: DefenseFactory | None = None
 ) -> "list[Trace]":
-    """Simulate one lock-step batch, in job order.
+    """Simulate one lock-step batch of jobs, in job order.
 
     All jobs must share one :func:`batch_key`; the caller (the engine's
-    batch grouping) guarantees this.  Every trace is bit-identical to
-    ``job.execute()``.  Rows under constant-settings defenses take the
-    whole-session fast-forward, the rest the per-interval loop.
+    batch grouping) guarantees this.
     """
     jobs = list(jobs)
     if not jobs:
         return []
     if len({batch_key(job) for job in jobs}) != 1:
         raise ValueError("jobs of one batch must share a batch_key")
-
     with profile.span("fleet.build", sessions=len(jobs)):
-        machines, defenses, sensors = build_fleet(jobs, factory)
-        channels = _open_channels(jobs, machines, defenses)
-    rows = [
-        _Row(job, machine, defense, sensor, None if channels is None else channels[i])
-        for i, (job, machine, defense, sensor) in enumerate(
-            zip(jobs, machines, defenses, sensors)
-        )
-    ]
+        rows = build_fleet(jobs, factory)
+    return simulate(rows)
+
+
+def simulate(rows: "list[SessionRow]") -> "list[Trace]":
+    """Run every row's session lock-step and return the traces in row order.
+
+    Rows must share the platform and the tick/interval grid.  Rows under
+    constant-settings defenses take the whole-session fast-forward, the
+    rest the per-interval loop.
+    """
     constant = [row for row in rows if row.defense.constant_settings]
     dynamic = [row for row in rows if not row.defense.constant_settings]
     if constant:
         _run_constant(constant)
     if dynamic:
         _run_dynamic(dynamic)
-    for channel in channels or ():
-        channel.close()
+    for row in rows:
+        if row.channel is not None:
+            row.channel.close()
     return [row.trace for row in rows]
 
 
 # -- dynamic defenses: the per-interval control loop ------------------------
 
 
-def _run_dynamic(rows: "list[_Row]") -> None:
-    """The lock-step twin of :func:`repro.core.runtime.run_session`.
+def _run_dynamic(rows: "list[SessionRow]") -> None:
+    """The Figure-2 loop: run, measure, decide, once per interval.
 
-    Each interval checks every row's termination where the serial loop
-    does — at the top of the interval — and drops rows whose recording
-    has ended, so a retired row's machine, RNG streams and
-    ``completed_at_s`` stay exactly where the serial runner leaves them.
+    Every interval the machines run with their current settings, the
+    sensors report each window's power and the defenses decide the
+    settings of the next interval.  Each interval checks every row's
+    termination at its top and drops rows whose recording has ended, so a
+    retired row's machine, RNG streams and ``completed_at_s`` stay where
+    its own recording left them.
     """
     tick_s = rows[0].machine.tick_s
     ticks = rows[0].ticks_per_interval
     recordings = [_Recording(row, ticks) for row in rows]
-    settings = [row.defense.initial_settings() for row in rows]
     pending = [row for row in rows if row.tail is not None]
     active = list(range(len(rows)))
+    applied = [row.defense.initial_settings() for row in rows]
     next_stop = 0  # the earliest interval at which an active row may stop
     interval_index = 0
+    span = profile.get_profiler().span
     while True:
         for row in pending:
             if row.machine.completed and interval_index < row.cap:
                 row.deadline = interval_index + row.tail
                 next_stop = min(next_stop, row.stop())
-        pending = [row for row in pending if row.deadline is None]
+        pending = [row for row in pending if not row.machine.completed]
         if interval_index >= next_stop:
+            by_row = dict(zip(active, applied))
             active = [i for i in active if interval_index < rows[i].stop()]
             if not active:
                 break
             next_stop = min(rows[i].stop() for i in active)
+            applied = [by_row[i] for i in active]
             fleet = [rows[i] for i in active]
             fleet_recordings = [recordings[i] for i in active]
             machines = [row.machine for row in fleet]
             models = [machine.power_model for machine in machines]
-            fleet_defenses = [row.defense for row in fleet]
+            defenses = [row.defense for row in fleet]
+            decisions = DefenseFleet(defenses)
             sensors = [row.sensor for row in fleet]
+            recorded = any(row.channel is not None for row in fleet)
             activity = np.empty((len(active), ticks))
             core_fraction = np.empty((len(active), ticks))
-        applied = [settings[i] for i in active]
 
         # Kernel spans cover the vectorized hot paths: the phase-cursor
         # walk, the power model (row-wise AR(1) recursion), the windowed
         # RAPL reduction and the control decision.  They observe
         # wall-clock only and never feed back (MAYA033).
-        with profile.span("kernel.fast_forward", interval=interval_index):
+        with span("kernel.fast_forward", interval=interval_index):
             activity_profiles(machines, ticks, applied, activity, core_fraction)
-        with profile.span("kernel.power", interval=interval_index):
+        with span("kernel.power", interval=interval_index):
             window_w = batch_window_power(models, activity, core_fraction, applied)
-        with profile.span("kernel.measure", interval=interval_index):
+        with span("kernel.measure", interval=interval_index):
             measurements_w = measure_windows(sensors, window_w, tick_s)
-        for k, recording in enumerate(fleet_recordings):
+        for recording, defense, window, measured_w, settings in zip(
+            fleet_recordings, defenses, window_w, measurements_w, applied
+        ):
             recording.record(
-                interval_index,
-                window_w[k],
-                measurements_w[k],
-                fleet_defenses[k].current_target_w,
-                applied[k],
+                interval_index, window, measured_w, defense.current_target_w, settings
             )
 
-        with profile.span("kernel.decide", interval=interval_index):
-            decided = decide_batch(fleet_defenses, measurements_w)
-        for k, i in enumerate(active):
-            settings[i] = decided[k]
-            if fleet[k].channel is not None:
-                fleet[k].channel.interval(
-                    interval_index,
-                    recordings[i].target_w[interval_index],
-                    recordings[i].measured_w[interval_index],
-                    applied[k],
-                    fleet_defenses[k],
-                )
+        with span("kernel.decide", interval=interval_index):
+            decided = decisions.decide(measurements_w)
+        if recorded:
+            for row, recording, settings in zip(fleet, fleet_recordings, applied):
+                if row.channel is not None:
+                    row.channel.interval(
+                        interval_index,
+                        recording.target_w[interval_index],
+                        recording.measured_w[interval_index],
+                        settings,
+                        row.defense,
+                    )
+        applied = decided
         interval_index += 1
 
     for row, recording in zip(rows, recordings):
@@ -354,13 +359,12 @@ def _run_dynamic(rows: "list[_Row]") -> None:
 class _Recording:
     """One dynamic row's trace buffers, indexed by interval along axis 0.
 
-    Sized like ``run_session``'s: exactly for a fixed-duration row, and
-    doubling up to the cap for a completion-mode row.  Buffers are per row,
-    not fleet-wide, so an exactly sized one becomes the trace array itself
-    (see :func:`_cut`).
+    Sized exactly for a fixed-duration row, and doubling up to the cap for
+    a completion-mode row.  Buffers are per row, not fleet-wide, so an
+    exactly sized one becomes the trace array itself (see :func:`_cut`).
     """
 
-    def __init__(self, row: _Row, ticks: int) -> None:
+    def __init__(self, row: SessionRow, ticks: int) -> None:
         capacity = row.cap if row.tail is None else min(row.cap, _COMPLETION_CAPACITY)
         self.cap = row.cap
         self.thermal = row.machine.thermal
@@ -388,23 +392,30 @@ class _Recording:
             self.temperature_c[interval_index] = self.thermal.advance(window_w, self.tick_s)
         self.measured_w[interval_index] = measured_w
         self.target_w[interval_index] = target_w
-        self.settings[interval_index, 0] = applied.freq_ghz
-        self.settings[interval_index, 1] = applied.idle_frac
-        self.settings[interval_index, 2] = applied.balloon_level
+        self.settings[interval_index] = (
+            applied.freq_ghz, applied.idle_frac, applied.balloon_level
+        )
+
+
+def _grown(buffer: np.ndarray, capacity: int) -> np.ndarray:
+    """The buffer copied into a fresh array of ``capacity`` rows."""
+    grown = np.empty((capacity,) + buffer.shape[1:], dtype=buffer.dtype)
+    grown[: buffer.shape[0]] = buffer
+    return grown
 
 
 # -- constant-settings defenses: whole-session fast-forward -----------------
 
 
-def _run_constant(rows: "list[_Row]") -> None:
+def _run_constant(rows: "list[SessionRow]") -> None:
     """Whole-session fast path for constant-settings defenses.
 
     The defense's single actuation triple is known up front, so the
     session evaluates in chunks of up to :data:`CONST_CHUNK_INTERVALS`
     intervals: scalar window-grid bookkeeping per session
     (:class:`_SessionCursor`), then one fleet ``batch_window_power`` and
-    one reshaped RAPL reduction per chunk.  AR(1)/thermal state and RNG
-    streams carry across chunks exactly as across serial windows.  A chunk
+    one multi-window ``measure_windows`` per chunk.  AR(1)/thermal state
+    and RNG streams carry across chunks exactly as across single windows.  A chunk
     never runs past any active row's cap, so a row can only overrun its
     recording once it has completed, where the extra ticks are idle
     coasting beyond the recorded slice of its own streams.
@@ -415,10 +426,13 @@ def _run_constant(rows: "list[_Row]") -> None:
     cursors = [
         _SessionCursor(row.machine, applied) for row, applied in zip(rows, settings)
     ]
+    for row in rows:
+        if row.tail is not None and row.machine.completed:
+            # Completed before the session: the tail starts at interval 0.
+            row.deadline = row.tail
     power_chunks: list = [[] for _ in rows]
     measured_chunks: list = [[] for _ in rows]
     temp_chunks: list = [[] for _ in rows]
-    quantum_j = RaplSensor.ENERGY_QUANTUM_J
     active = list(range(len(rows)))
     done = 0
     while active:
@@ -440,17 +454,12 @@ def _run_constant(rows: "list[_Row]") -> None:
                 [settings[i] for i in active],
             )
 
-        # Whole-chunk RAPL reduction: the reshaped per-interval sums and
-        # the bulk per-row noise draws replay the serial per-window calls
-        # exactly (reshape-sum and sequential-draw identities).
         with profile.span("kernel.measure", intervals=n_int):
-            energy_j = window_w.reshape(len(active), n_int, ticks).sum(axis=2) * tick_s
-            energy_j = np.round(energy_j / quantum_j) * quantum_j
-            noise_w = np.stack([
-                rows[i].sensor._rng.normal(0.0, rows[i].sensor.noise_w, size=n_int)
-                for i in active
-            ])
-            measured_w = energy_j / (ticks * tick_s) + noise_w
+            measured_w = measure_windows(
+                [rows[i].sensor for i in active],
+                window_w.reshape(len(active), n_int, ticks),
+                tick_s,
+            )
         for k, i in enumerate(active):
             row = rows[i]
             power_chunks[i].append(window_w[k])
@@ -497,11 +506,12 @@ def _run_constant(rows: "list[_Row]") -> None:
 def _deadline_from_completion(
     completion_tick: "int | None", ticks_per_interval: int, tail_intervals: int
 ) -> "int | None":
-    """The serial loop's recording deadline implied by a completion tick.
+    """The per-interval loop's recording deadline implied by a completion tick.
 
-    The serial runner observes ``machine.completed`` at the *top* of the
-    interval after the one during which completion occurred, and records
-    ``tail_s`` worth of intervals from there.
+    The per-interval loop (:func:`_run_dynamic`) observes
+    ``machine.completed`` at the *top* of the interval after the one during
+    which completion occurred, and records ``tail_s`` worth of intervals
+    from there.
     """
     if completion_tick is None:
         return None
@@ -512,16 +522,16 @@ def _deadline_from_completion(
 class _SessionCursor:
     """Scalar replay of ``SimulatedMachine.activity_profile`` bookkeeping.
 
-    Advances the machine's phase cursors on the serial runner's window grid
-    with its exact float operations — same expressions, same order — but
+    Advances the machine's phase cursors on the per-interval loop's window
+    grid with its exact float operations — same expressions, same order — but
     *defers* the per-tick work-time grids and activity evaluation,
     recording ``(phase, bases, work_per_tick, seg_ticks)`` span descriptors
     for :func:`_materialize`.  Runs of whole windows that one phase fully
     survives are fast-forwarded through ``np.add.accumulate``, which is a
     strict sequential left fold — the per-window ``+= work_per_tick *
     window_ticks`` chain lands on bit-identical values — so segmentation
-    decisions, ``time_s`` and ``completed_at_s`` all match the serial
-    runner exactly.  (Sole exception: ``time_s`` *after* workload
+    decisions, ``time_s`` and ``completed_at_s`` all match the per-interval
+    loop exactly.  (Sole exception: ``time_s`` *after* workload
     completion advances in one bulk add; a completed machine's coasting
     clock is unobservable — ``completed_at_s`` is already frozen and
     traces never record ``time_s``.)
@@ -553,7 +563,7 @@ class _SessionCursor:
                 self._global_tick += coast_ticks
                 return
             if self._rate_phase_index != machine._phase_index:
-                # The serial loop recomputes the rate every window; it is a
+                # The per-interval loop recomputes the rate every window; it is a
                 # pure function of the phase and the constant settings, so
                 # caching it per phase entry reuses the identical value.
                 phase = phases[machine._phase_index]
@@ -574,7 +584,7 @@ class _SessionCursor:
                 # Fast-forward the run of whole windows this phase fully
                 # survives.  ``wips[j]`` is the fold of j per-window
                 # ``+= work_per_tick * window_ticks`` updates — the exact
-                # values the serial per-window loop would store.
+                # values the per-window updates would store.
                 increments = np.empty(windows_left + 1)
                 increments[0] = machine._work_into_phase
                 increments[1:] = work_per_tick * window_ticks
@@ -626,7 +636,7 @@ def _materialize(spans: list, activity_out: np.ndarray, core_out: np.ndarray) ->
     Each span holds equal-length segments of one phase at one
     ``work_per_tick`` (a fast-forwarded window run, or a single partial
     window): the per-tick ``k`` indices and ``wip + wpt*k`` work times
-    reproduce the serial per-window expressions elementwise.
+    reproduce the per-window expressions elementwise.
 
     ``phase.activity_at`` runs its ``np.sin`` over the whole span instead
     of one window at a time: one of the two numpy-build-dependent sites
@@ -644,7 +654,7 @@ def _materialize(spans: list, activity_out: np.ndarray, core_out: np.ndarray) ->
         offsets = np.repeat(bases, seg_ticks)
         # k replays (np.arange(seg_ticks) + 1.0) per segment; the tick
         # indices are exact in float64, so work_times is bit-identical
-        # to the serial `wip + wpt * (arange + 1.0)`.
+        # to the per-window `wip + wpt * (arange + 1.0)`.
         k = np.tile(np.arange(seg_ticks, dtype=np.float64) + 1.0, bases.size)
         work_times = offsets + work_per_tick * k
         activity_out[position:position + total] = phase.activity_at(work_times)

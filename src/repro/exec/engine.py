@@ -4,29 +4,19 @@
 attack pipeline route their simulation batches through.  It
 
 1. looks every job up in the content-addressed trace cache;
-2. runs a lone pending job under a dynamic defense with
-   :meth:`SessionJob.execute` — the serial reference,
-   :func:`repro.core.runtime.run_session`;
-3. otherwise groups the pending jobs by
-   :func:`~repro.exec.batch.batch_key` and cuts each group into chunks of
+2. groups the pending jobs by :func:`~repro.exec.batch.batch_key` and
+   cuts each group into chunks of
    ``min(DEFAULT_BATCH_SIZE, ceil(len(group) / workers))`` sessions;
-4. simulates each chunk lock-step with
-   :func:`~repro.exec.batch.execute_jobs_batched` — in-process at
-   ``workers=1`` or when there is a single chunk, otherwise as whole
-   chunks on a :class:`~concurrent.futures.ProcessPoolExecutor` whose
-   results are collated **strictly in job order**, never in completion
-   order, so the output is independent of worker scheduling.  A chunk
-   whose worker crashes or times out is redone once in-process (the
-   spawn-keyed RNG makes the redo bit-identical);
-5. stores each chunk with one bulk ``put_many``.
-
-The lone-job rule is a size rule the engine derives from its input, not
-an option.  At B=1 the lock-step kernel measured 1.2–1.5x slower than
-``run_session`` for ``maya_gs`` (8 s fixed-duration and run-to-completion
-sessions, median of 7, two runs), so a lone dynamic job stays serial.  A
-lone constant-settings job (``baseline``, ``noisy_baseline``) goes to the
-kernel: its whole-session fast-forward took 1.4–1.7 ms against 28–30 ms
-serial for an 8 s session.
+3. simulates each chunk lock-step with
+   :func:`~repro.exec.batch.execute_jobs_batched` -- a lone pending job
+   is a one-row chunk -- in-process at ``workers=1`` or when there is a
+   single chunk, otherwise as whole chunks on a
+   :class:`~concurrent.futures.ProcessPoolExecutor` whose results are
+   collated **strictly in job order**, never in completion order, so the
+   output is independent of worker scheduling.  A chunk whose worker
+   crashes or times out is redone once in-process (the spawn-keyed RNG
+   makes the redo bit-identical);
+4. stores each chunk with one bulk ``put_many``.
 
 Determinism guarantee (tested): ``run_sessions(jobs, workers=n)`` returns
 traces that :meth:`~repro.machine.Trace.equals` ``job.execute()`` for
@@ -44,7 +34,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 
 from .. import telemetry
 from ..telemetry import profile
-from ..defenses.designs import DefenseFactory, has_constant_settings
+from ..defenses.designs import DefenseFactory
 from .batch import DEFAULT_BATCH_SIZE, batch_key, execute_jobs_batched
 from .cache import default_cache
 from .jobs import SessionJob, register_factory
@@ -144,16 +134,7 @@ def run_sessions(
 
         telemetry.count("exec.jobs.total", len(jobs))
         telemetry.count("exec.jobs.executed", len(pending))
-        if len(pending) == 1 and not has_constant_settings(jobs[pending[0]].defense):
-            (index,) = pending
-            telemetry.ops("job.begin", index=index)
-            with profile.span("job", index=index):
-                results[index] = jobs[index].execute(factory=factory)
-                if cache is not None:
-                    with profile.span("cache.put"):
-                        cache.put(jobs[index], results[index])
-            telemetry.ops("job.end", index=index)
-        elif pending:
+        if pending:
             _execute_chunks(
                 jobs, _group_chunks(jobs, pending, workers), results, workers,
                 factory, cache, _job_timeout_s(timeout_s),

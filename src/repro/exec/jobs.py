@@ -13,8 +13,8 @@ declarative (names, numbers and small tuples only), it can be
 
 The spawn-keyed RNG scheme (:func:`repro.machine.rng.spawn`) makes every
 session a deterministic function of its job spec, so executing the same
-job serially, in a worker process, or from the cache yields bit-identical
-traces.
+job alone, in a lock-step chunk, in a worker process, or from the cache
+yields bit-identical traces.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .. import telemetry
-from ..core.runtime import make_machine, run_session
+from ..core.runtime import make_machine
 from ..defenses.designs import DefenseFactory
 from ..machine import PlatformSpec, SimulatedMachine, Trace
 from ..workloads import get_workload
@@ -44,10 +43,11 @@ __all__ = [
 #: results).  Source-text changes are caught automatically by the salt.
 CACHE_EPOCH = 1
 
-#: Packages whose sources define what a simulated session computes.  The cache key is salted with their content digest, so
-#: editing any of them invalidates every cached trace.  ``exec`` is not
-#: salted: the lock-step kernel's traces equal the serial runner's by
-#: contract, so its code cannot change trace values.
+#: Packages whose sources define what a simulated session computes.  The
+#: cache key is salted with their content digest, so editing any of them
+#: invalidates every cached trace.  ``exec`` is not salted: the golden
+#: trace digests pin what its control loop computes, so a change that
+#: moves a trace fails them and must bump :data:`CACHE_EPOCH`.
 _SIMULATION_PACKAGES = (
     "core", "machine", "defenses", "workloads", "control", "masks",
 )
@@ -273,28 +273,13 @@ class SessionJob:
         )
 
     def execute(self, factory: DefenseFactory | None = None) -> Trace:
-        """Run the session and return its trace (see :meth:`resolve_factory`)."""
-        factory = self.resolve_factory(factory)
-        # Bind the session's telemetry manifest to this job's content
-        # address (key computation is skipped entirely when recording is
-        # off — the job key hashes the whole simulation source tree).
-        bound = telemetry.enabled()
-        if bound:
-            telemetry.push_job_key(self.key())
-        try:
-            return run_session(
-                self.build_machine(),
-                factory.create(self.defense),
-                seed=self.seed,
-                run_id=self.run_id,
-                interval_s=self.interval_s,
-                duration_s=self.duration_s,
-                max_duration_s=self.max_duration_s,
-                tail_s=self.tail_s,
-            )
-        finally:
-            if bound:
-                telemetry.pop_job_key()
+        """Run the session and return its trace (see :meth:`resolve_factory`).
+
+        A one-job lock-step batch.
+        """
+        from .batch import execute_jobs_batched
+
+        return execute_jobs_batched([self], self.resolve_factory(factory))[0]
 
 
 #: Per-process factory memo: Maya designs (sysid + synthesis) are expensive,

@@ -97,7 +97,7 @@ def record_traces(
     jobs to :func:`repro.exec.run_sessions` — parallel across
     ``workers`` processes (``REPRO_WORKERS`` by default) and served from
     the content-addressed trace cache when one is enabled, with results
-    bit-identical to the serial loop this replaces.
+    bit-identical to running the jobs one at a time.
     """
     jobs = [
         SessionJob.for_factory(

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analysis import pelt
-from ..core.runtime import make_machine, run_session
 from ..defenses.designs import DefenseFactory
+from ..exec import SessionJob, run_sessions
 from ..machine import SYS1, PlatformSpec
-from ..workloads import parsec_program
 from .common import make_factory, sample_rapl
 from .config import ExperimentScale, get_scale
 
@@ -170,8 +169,20 @@ def run(
     if factory is None:
         factory = make_factory(spec, scale, seed=seed)
 
+    # Every session first, so that they share lock-step chunks; then PELT.
+    jobs = [
+        SessionJob.for_factory(
+            factory, workload=workload, defense=defense, spec=spec,
+            seed=seed, run_id=("fig11", defense, run_index),
+            duration_s=None, max_duration_s=200.0, tail_s=6.0,
+        )
+        for defense in defenses
+        for run_index in range(n_runs)
+    ]
+    traces = run_sessions(jobs, workers=scale.workers, factory=factory)
+
     per_defense: dict[str, DefenseChangepoints] = {}
-    for defense in defenses:
+    for defense_index, defense in enumerate(defenses):
         recalls = []
         chances = []
         scores = []
@@ -179,17 +190,10 @@ def run(
         first_true = np.empty(0)
         first_completion = float("nan")
         for run_index in range(n_runs):
-            run_id = ("fig11", defense, run_index)
-            machine = make_machine(
-                spec, parsec_program(workload), seed=seed, run_id=run_id
-            )
-            program = machine.workload  # post-jitter program
-            trace = run_session(
-                machine, factory.create(defense),
-                seed=seed, run_id=run_id,
-                duration_s=None, max_duration_s=200.0, tail_s=6.0,
-            )
-            sampled = sample_rapl(trace, seed, run_id)
+            job = jobs[defense_index * n_runs + run_index]
+            trace = traces[defense_index * n_runs + run_index]
+            program = job.build_machine().workload  # post-jitter program
+            sampled = sample_rapl(trace, seed, job.run_id)
             penalty = PENALTY_FACTOR * 3.0 * np.log(sampled.size)
             detected_s = (
                 np.asarray(pelt(sampled, penalty=penalty, min_size=MIN_SIZE), dtype=float)

@@ -196,8 +196,12 @@ class ActuatorBank:
         fractions = np.asarray(fractions, dtype=float)
         if fractions.ndim != 2 or fractions.shape[1] != 3:
             raise ValueError("expected a (B, 3) command array")
-        values = np.clip(self._mins + fractions * self._spans, self._mins, self._maxs)
-        index = np.argmin(np.abs(self._levels - values[:, :, None]), axis=2)
+        # np.minimum/np.maximum clip like np.clip, up to the sign of a zero,
+        # which no |level - value| distance sees.
+        values = np.minimum(
+            np.maximum(self._mins + fractions * self._spans, self._mins), self._maxs
+        )
+        index = np.abs(self._levels - values[:, :, None]).argmin(axis=2)
         return self._levels[self._rows, index]
 
     def normalize_many(self, levels: np.ndarray) -> np.ndarray:

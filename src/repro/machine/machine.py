@@ -8,7 +8,7 @@ machine stretches execution, which is where the paper's performance
 overheads come from.
 
 The machine itself knows nothing about defenses, masks or attackers — the
-control loop lives in :mod:`repro.core.runtime`.
+control loop lives in :mod:`repro.exec.batch`.
 """
 
 from __future__ import annotations
@@ -230,9 +230,11 @@ def activity_profiles(
     code).  A row whose first segment covers the whole window inside one
     phase -- most rows, most windows -- joins one shared work-time grid
     and one activity evaluation over per-row ``(R, 1)`` columns, both
-    elementwise in the one-row expression order; flat-activity rows get
-    their phase's constant, as :meth:`~repro.workloads.Phase.activity_at`
-    returns it.  Rows that cross a phase boundary, complete or coast
+    elementwise in the one-row expression order; a flat-activity row
+    evaluates with amplitude 0, which gives exactly its phase's constant,
+    as :meth:`~repro.workloads.Phase.activity_at` returns it
+    (``a * (1.0 + 0.0 * wave) == a``, and clipping a valid activity to
+    ``[0, 1]`` keeps it).  Rows that cross a phase boundary, complete or coast
     finish the window through :meth:`~SimulatedMachine.fill_profile`.
 
     The stacked ``np.sin`` is the build caveat named once in DESIGN.md
@@ -240,7 +242,6 @@ def activity_profiles(
     on the builds this project tests.
     """
     inside: list[int] = []
-    oscillating: list[bool] = []
     rows: list[tuple] = []
     for k, machine in enumerate(machines):
         segment = machine.next_segment(n_ticks, settings[k])
@@ -252,9 +253,7 @@ def activity_profiles(
             continue
         inside.append(k)
         oscillates = phase.oscillates
-        oscillating.append(oscillates)
-        # A flat row's wave parameters are placeholders that keep its
-        # discarded wave finite; np.where below gives it the constant.
+        # A flat row's wave has amplitude 0 and a placeholder period.
         rows.append((
             work_into_phase,
             work_per_tick,
@@ -265,10 +264,12 @@ def activity_profiles(
         ))
     if not inside:
         return
+    # Every row inside: write through a view instead of a gather.
+    index = inside if len(inside) < len(machines) else slice(None)
     columns = np.array(rows)
     # The one-row grid `wip + wpt * (arange + 1.0)`, one row per machine.
     work_times = columns[:, 0:1] + columns[:, 1:2] * (np.arange(n_ticks) + 1.0)
-    activity = columns[:, 3:4]
-    waves = oscillating_activity(activity, columns[:, 4:5], columns[:, 5:6], work_times)
-    activity_out[inside] = np.where(np.array(oscillating)[:, None], waves, activity)
-    core_fraction_out[inside] = columns[:, 2:3]
+    activity_out[index] = oscillating_activity(
+        columns[:, 3:4], columns[:, 4:5], columns[:, 5:6], work_times
+    )
+    core_fraction_out[index] = columns[:, 2:3]

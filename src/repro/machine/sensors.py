@@ -85,27 +85,31 @@ class RaplSensor:
 def measure_windows(
     sensors: "list[RaplSensor]", tick_powers: np.ndarray, tick_s: float
 ) -> np.ndarray:
-    """Per-session average power over one interval, as the counters report it.
+    """Per-session average power over intervals, as the counters report it.
 
-    ``tick_powers`` holds one row of per-tick power per sensor.  Each row's
-    energy is summed and quantized to the RAPL energy unit, and each
-    session's counter noise is drawn from that session's own sensor RNG,
-    in session order; so each row equals a one-row call on its sensor
-    alone.
+    ``tick_powers`` holds one row of per-tick power per sensor: a
+    ``(B, ticks)`` block measures one interval per session and returns
+    ``(B,)``; a ``(B, windows, ticks)`` block measures ``windows``
+    consecutive intervals per session and returns ``(B, windows)``.  Each
+    window's energy is summed and quantized to the RAPL energy unit, and
+    each session's counter noise is drawn from that session's own sensor
+    RNG, in session order; a generator fills a size-n request exactly as n
+    scalar draws, so each row equals one-window calls on its sensor alone.
     """
     tick_powers = np.asarray(tick_powers, dtype=float)
-    if tick_powers.ndim != 2 or tick_powers.shape[0] != len(sensors):
+    if tick_powers.ndim not in (2, 3) or tick_powers.shape[0] != len(sensors):
         raise ValueError("expected one row of tick powers per sensor")
-    if tick_powers.shape[1] == 0:
+    window_ticks = tick_powers.shape[-1]
+    if window_ticks == 0:
         raise ValueError("cannot measure an empty window")
-    duration_s = tick_powers.shape[1] * tick_s
     quantum_j = RaplSensor.ENERGY_QUANTUM_J
-    energy_j = tick_powers.sum(axis=1) * tick_s
+    energy_j = tick_powers.sum(axis=-1) * tick_s
     energy_j = np.round(energy_j / quantum_j) * quantum_j
-    noise_w = np.empty(len(sensors))
+    windows = energy_j.shape[1:] or None
+    noise_w = np.empty(energy_j.shape)
     for row, sensor in enumerate(sensors):
-        noise_w[row] = sensor._rng.normal(0.0, sensor.noise_w)
-    return energy_j / duration_s + noise_w
+        noise_w[row] = sensor._rng.normal(0.0, sensor.noise_w, size=windows)
+    return energy_j / (window_ticks * tick_s) + noise_w
 
 
 class OutletMeter:

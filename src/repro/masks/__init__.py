@@ -4,7 +4,6 @@ from .base import (
     NHOLD_RANGE,
     MaskGenerator,
     SegmentedMask,
-    next_targets,
 )
 from .generators import (
     MASK_FAMILIES,
@@ -21,7 +20,6 @@ __all__ = [
     "NHOLD_RANGE",
     "MaskGenerator",
     "SegmentedMask",
-    "next_targets",
     "MASK_FAMILIES",
     "ConstantMask",
     "GaussianMask",

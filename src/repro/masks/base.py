@@ -26,7 +26,6 @@ __all__ = [
     "MaskGenerator",
     "SegmentedMask",
     "NHOLD_RANGE",
-    "next_targets",
 ]
 
 #: Section V-B: parameters are held for 6..120 samples.
@@ -70,24 +69,6 @@ class MaskGenerator(abc.ABC):
         # Same result as np.clip for every float, NaN included, without
         # numpy's per-call dispatch on a scalar.
         return float(min(max(value, self.low_w), self.high_w))
-
-
-def next_targets(masks: "list[MaskGenerator]") -> np.ndarray:
-    """One target per generator, evaluated lock-step across a fleet.
-
-    This is the lock-step kernel's entry point for mask evaluation: the
-    per-session draws stay on each mask's own RNG stream (in fleet order),
-    and each mask evaluates its own sample, because numpy's SIMD
-    transcendental kernels are not guaranteed to round identically across
-    array lengths and the kernel's contract is bit-identity with the
-    serial runner.  The result, one fleet-sized float64 vector, is the
-    target input of the vectorized controller step
-    (:meth:`repro.control.MatrixController.step_fleet`).
-    """
-    targets_w = np.empty(len(masks), dtype=np.float64)
-    for index, mask in enumerate(masks):
-        targets_w[index] = mask.next_target()
-    return targets_w
 
 
 class SegmentedMask(MaskGenerator):

@@ -17,8 +17,8 @@ ever feeding back into them:
 * **Deterministic sim time.**  Every session event is keyed on the
   control-interval index (sim time = index × ``interval_s``), never the
   host clock (MAYA002 bans wall-clock reads in sim code).  Two runs of
-  the same :class:`~repro.exec.jobs.SessionJob` — serial or lock-step
-  batched, fresh or replayed from the trace cache — therefore produce
+  the same :class:`~repro.exec.jobs.SessionJob` — alone or in a lock-step
+  fleet, fresh or replayed from the trace cache — therefore produce
   byte-identical session JSONL (tested).
 * **Per-session files + run manifests.**  Each session's events land in
   ``session-<digest>.jsonl`` under ``REPRO_TELEMETRY_DIR`` (default
@@ -66,14 +66,7 @@ __all__ = [
     "job_identity",
     "observe",
     "ops",
-    "pop_job_key",
-    "push_job_key",
-    "session_active",
-    "session_begin",
     "session_digest",
-    "session_end",
-    "session_event",
-    "session_interval",
     "set_recorder",
     "write_metrics",
 ]
@@ -218,7 +211,7 @@ class MetricsRegistry:
 
 #: The fields that identify one session run (a behavioural identity: two
 #: runs sharing them must emit identical event streams).  Deliberately
-#: excludes *how* the session was executed (serial runner or lock-step, worker count, cache state).
+#: excludes *how* the session was executed (fleet size, worker count, cache state).
 _IDENTITY_FIELDS = (
     "platform",
     "workload",
@@ -257,8 +250,8 @@ def session_digest(**identity: object) -> str:
 def job_identity(job) -> str:
     """The session digest of a :class:`~repro.exec.jobs.SessionJob`.
 
-    Must agree with what :func:`session_begin` computes inside
-    ``run_session`` for the same job — the trace cache keys its telemetry
+    Must agree with the identity of the channel the lock-step kernel opens
+    for the same job — the trace cache keys its telemetry
     sidecars on this.
     """
     return session_digest(
@@ -319,8 +312,8 @@ def _code_salt() -> "str | None":
 class SessionChannel:
     """Buffered event stream of one session run.
 
-    Events are serialized eagerly (so both the serial and the lock-step
-    batched runner produce the exact same bytes) and written as one JSONL
+    Events are serialized eagerly (so a session produces the exact same
+    bytes at any fleet size) and written as one JSONL
     file — manifest line, events, summary line — atomically at
     :meth:`close`.
     """
@@ -383,12 +376,6 @@ class SessionChannel:
             self.antiwindup_steps += antiwindup
         self.n_intervals += 1
         self._lines.append(_dumps(event))
-
-    def event(self, name: str, **fields: object) -> None:
-        """A generic session-scoped event (e.g. a fixed-point clip)."""
-        payload: dict = {"type": "event", "ev": str(name)}
-        payload.update(fields)
-        self._lines.append(_dumps(payload))
 
     def _manifest(self) -> dict:
         manifest: dict = {
@@ -454,7 +441,7 @@ class TelemetryRecorder:
     # -- session streams ----------------------------------------------
 
     def session(
-        self, *, engine: str = "run_session", job_key: "str | None" = None,
+        self, *, engine: str = "lockstep", job_key: "str | None" = None,
         **identity: object,
     ) -> SessionChannel:
         return SessionChannel(self, identity, engine=engine, job_key=job_key)
@@ -500,12 +487,10 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 # --------------------------------------------------------------------------
-# Ambient recorder + session stack (the injection points)
+# Ambient recorder (the injection point)
 # --------------------------------------------------------------------------
 
 _RECORDER: object = None
-_SESSIONS: list = []
-_JOB_KEYS: list = []
 
 
 def get_recorder():
@@ -523,95 +508,10 @@ def set_recorder(recorder) -> None:
     """Inject a recorder (None re-derives from the environment lazily)."""
     global _RECORDER
     _RECORDER = recorder
-    del _SESSIONS[:]
-    del _JOB_KEYS[:]
 
 
 def enabled() -> bool:
     return get_recorder().enabled
-
-
-def push_job_key(key: str) -> None:
-    """Bind the next session manifest to a job content address."""
-    _JOB_KEYS.append(key)
-
-
-def pop_job_key() -> None:
-    if _JOB_KEYS:
-        _JOB_KEYS.pop()
-
-
-def session_active() -> bool:
-    return bool(_SESSIONS) and _SESSIONS[-1] is not None
-
-
-def session_begin(
-    *,
-    platform,
-    workload,
-    defense,
-    seed,
-    run_id,
-    interval_s,
-    duration_s,
-    tick_s,
-    max_duration_s,
-    tail_s,
-    record_temperature,
-    engine: str = "run_session",
-) -> None:
-    """Open the ambient session channel (no-op when recording is off).
-
-    Called fire-and-forget by the session runner; simulation code never
-    holds the channel (MAYA032).  Sessions nest as a stack so a runner
-    that itself simulates (e.g. system identification) stays balanced.
-    """
-    recorder = get_recorder()
-    if not recorder.enabled:
-        _SESSIONS.append(None)
-        return
-    _SESSIONS.append(
-        recorder.session(
-            engine=engine,
-            job_key=_JOB_KEYS[-1] if _JOB_KEYS else None,
-            platform=platform,
-            workload=workload,
-            defense=defense,
-            seed=seed,
-            run_id=run_id,
-            interval_s=interval_s,
-            duration_s=duration_s,
-            tick_s=tick_s,
-            max_duration_s=max_duration_s,
-            tail_s=tail_s,
-            record_temperature=record_temperature,
-        )
-    )
-
-
-def session_interval(t, target_w, measured_w, settings, defense) -> None:
-    """Record one control interval on the ambient session channel."""
-    channel = _SESSIONS[-1] if _SESSIONS else None
-    if channel is None:
-        return
-    channel.interval(t, target_w, measured_w, settings, defense)
-
-
-def session_event(name: str, **fields: object) -> None:
-    """Record a generic event on the ambient session channel."""
-    channel = _SESSIONS[-1] if _SESSIONS else None
-    if channel is None:
-        return
-    channel.event(name, **fields)
-
-
-def session_end() -> None:
-    """Close the ambient session channel and write its file."""
-    if not _SESSIONS:
-        return
-    channel = _SESSIONS.pop()
-    if channel is not None:
-        channel.close()
 
 
 # --------------------------------------------------------------------------

@@ -5,8 +5,8 @@
   a ``metrics.json`` snapshot.
 * ``diff <a> <b>`` — compare two session event streams after stripping
   their manifest headers.  Exit 0 when every event line is byte-identical
-  (the determinism oracle: serial runner vs. lock-step chunks, fresh vs. cache
-  replay), exit 1 with the first divergence otherwise.
+  (the determinism oracle: one-row vs. multi-row lock-step calls, fresh vs.
+  cache replay), exit 1 with the first divergence otherwise.
 * ``overhead <off.json> <on.json>`` — compare two BENCH_pipeline.json
   reports and fail when the telemetry-on run regresses the summed phase
   timings beyond the budget (the CI overhead gate).

@@ -39,12 +39,13 @@ HISTORY_SCHEMA = "maya.bench.history.v1"
 #: Speedup floors of the bench's ``--check`` gates (:mod:`repro.bench`),
 #: which the history report also flags against:
 #:
-#: * ``parallel_speedup`` — worker-pool collection over the serial
-#:   reference, multi-core hosts only; 1.3x keeps the gate robust against
-#:   noisy CI machines;
+#: * ``parallel_speedup`` — worker-pool collection over the reference
+#:   (every session alone through the per-interval loop), multi-core hosts
+#:   only; 1.3x keeps the gate robust against noisy CI machines;
 #: * ``batched_speedup`` — ``workers=1`` lock-step collection over the
-#:   serial reference; the smoke scenario's constant-settings defense
-#:   takes the whole-session fast-forward, so 10x holds even on one CPU;
+#:   same reference; the engine fast-forwards the smoke scenario's
+#:   constant-settings defense where the reference decides every interval,
+#:   so 10x holds on one CPU;
 #: * ``packed_read_speedup`` — packed-group over per-session reads in the
 #:   store micro-bench (no per-file opens or zlib inflation; measured
 #:   ~20x on the reference host).

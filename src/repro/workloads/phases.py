@@ -97,7 +97,9 @@ def oscillating_activity(activity, amplitude, period_s, work_time: np.ndarray) -
     operation is elementwise, so each row gets the one-phase bits.
     """
     wave = np.sin(2.0 * np.pi * work_time / period_s)
-    return np.clip(activity * (1.0 + amplitude * wave), 0.0, 1.0)
+    # np.maximum/np.minimum clip like np.clip up to the sign of a zero,
+    # which the power sum this activity feeds cannot see.
+    return np.minimum(np.maximum(activity * (1.0 + amplitude * wave), 0.0), 1.0)
 
 
 @dataclass(frozen=True)

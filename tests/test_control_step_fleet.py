@@ -1,10 +1,13 @@
-"""The fleet-wide Equation-1 step must equal B serial steps exactly.
+"""The fleet-wide Equation-1 step must equal B one-row steps exactly.
 
-``MatrixController.step_fleet`` replaces B calls of the serial
-``MatrixController.step`` in the lock-step kernel.  Its contract is bit
-identity: the same settings, ``array_equal`` controller states and equal
+``MatrixController.step`` is a one-row ``MatrixController.step_fleet``
+call, so a B-row call is checked against B independent one-row calls:
+the same settings, ``array_equal`` controller states and equal
 diagnostics, for any fleet size and any state, including commands at the
 0/1 rails, vanishing errors and saturation in both directions.
+``tests/test_golden_traces.py`` pins the absolute bits of the one-row
+step (a digest of 480 steps, computed by the serial step it replaced)
+and of whole traces.
 """
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.control import MatrixController
-from repro.defenses.base import decide_batch
+from repro.defenses import DefenseFleet
 from repro.exec import SessionJob
 from repro.machine import SYS1, ActuatorBank, spawn
 
@@ -50,11 +53,11 @@ def _seed_state(controller, rail, rng):
     controller._u_applied = u_norm - controller._u_op
 
 
-def _assert_same(serial, fleet):
-    assert np.array_equal(serial._x_pred, fleet._x_pred)
-    assert np.array_equal(serial._u_applied, fleet._u_applied)
-    assert serial._z == fleet._z
-    assert serial.diagnostics() == fleet.diagnostics()
+def _assert_same(alone, fleet):
+    assert np.array_equal(alone._x_pred, fleet._x_pred)
+    assert np.array_equal(alone._u_applied, fleet._u_applied)
+    assert alone._z == fleet._z
+    assert alone.diagnostics() == fleet.diagnostics()
 
 
 class TestStepFleet:
@@ -68,11 +71,11 @@ class TestStepFleet:
     )
     def test_matches_serial_steps(self, sys1_design, size, n_steps, seed, kinds, rails):
         rng = np.random.default_rng(seed)
-        serial = [MatrixController(sys1_design.controller, ActuatorBank(SYS1))
+        alone = [MatrixController(sys1_design.controller, ActuatorBank(SYS1))
                   for _ in range(size)]
         fleet = [MatrixController(sys1_design.controller, ActuatorBank(SYS1))
                  for _ in range(size)]
-        for k, pair in enumerate(zip(serial, fleet)):
+        for k, pair in enumerate(zip(alone, fleet)):
             for controller in pair:
                 _seed_state(controller, rails[k % len(rails)],
                             np.random.default_rng([seed, k]))
@@ -85,25 +88,25 @@ class TestStepFleet:
             ])
             expected = [
                 controller.step(float(t), float(m))
-                for controller, t, m in zip(serial, targets_w, measured_w)
+                for controller, t, m in zip(alone, targets_w, measured_w)
             ]
             assert MatrixController.step_fleet(fleet, targets_w, measured_w) == expected
-            for a, b in zip(serial, fleet):
+            for a, b in zip(alone, fleet):
                 _assert_same(a, b)
 
     def test_covers_both_rails_and_anti_windup(self, sys1_design):
         """Extreme errors saturate both ways and freeze the integrator."""
         size = 8
-        serial = [MatrixController(sys1_design.controller, ActuatorBank(SYS1))
+        alone = [MatrixController(sys1_design.controller, ActuatorBank(SYS1))
                   for _ in range(size)]
         fleet = [MatrixController(sys1_design.controller, ActuatorBank(SYS1))
                  for _ in range(size)]
         targets_w = np.full(size, 20.0)
         measured_w = np.where(np.arange(size) % 2 == 0, 500.0, -500.0)
         for _ in range(30):
-            expected = [c.step(t, m) for c, t, m in zip(serial, targets_w, measured_w)]
+            expected = [c.step(t, m) for c, t, m in zip(alone, targets_w, measured_w)]
             assert MatrixController.step_fleet(fleet, targets_w, measured_w) == expected
-        for a, b in zip(serial, fleet):
+        for a, b in zip(alone, fleet):
             _assert_same(a, b)
         diagnostics = [c.diagnostics() for c in fleet]
         assert any(d["sat_hi"] for d in diagnostics)
@@ -138,13 +141,13 @@ class TestDecideBatch:
             for index, name in enumerate(self.DEFENSES)
         ]
         batched = self._prepared(sys1_factory, machines)
-        serial = self._prepared(sys1_factory, machines)
+        alone = self._prepared(sys1_factory, machines)
         rng = np.random.default_rng(3)
         for _ in range(40):
             measured_w = rng.uniform(5.0, 35.0, len(self.DEFENSES))
-            expected = [d.decide(float(m)) for d, m in zip(serial, measured_w)]
-            assert decide_batch(batched, measured_w) == expected
-            for a, b in zip(serial, batched):
+            expected = [d.decide(float(m)) for d, m in zip(alone, measured_w)]
+            assert DefenseFleet(batched).decide(measured_w) == expected
+            for a, b in zip(alone, batched):
                 assert np.array_equal(a.current_target_w, b.current_target_w,
                                       equal_nan=True)
                 assert a.diagnostics() == b.diagnostics()

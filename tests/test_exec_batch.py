@@ -1,10 +1,12 @@
 """Tests for repro.exec.batch: the lock-step kernel behind the engine.
 
-The contract under test is absolute: every trace the lock-step kernel
-produces must be bit-identical (``Trace.equals``) to the serial runner's,
-for every platform, any mix of workloads/defenses/seeds within a batch,
-and any chunk size — and traces it feeds the cache must replay into the
-identical attack outcome.
+The contract under test is row independence: every trace of a multi-row
+lock-step call must be bit-identical (``Trace.equals``) to the one-row
+call of its job (``job.execute()``), for every platform, any mix of
+workloads/defenses/seeds within a batch, and any chunk size — and traces
+it feeds the cache must replay into the identical attack outcome.  The
+golden trace digests (``tests/test_golden_traces.py``) pin the absolute
+bits.
 """
 
 import numpy as np
@@ -115,16 +117,19 @@ class TestBitIdentity:
 
     def test_target_and_settings_logs_match(self, sys1_factory):
         """The per-interval logs (mask targets, actuations) are replayed too."""
-        job = SessionJob.for_factory(
-            sys1_factory,
-            workload="volrend",
-            defense="maya_gs",
-            seed=21,
-            run_id="batch-logs",
-            duration_s=1.0,
-        )
-        [batched] = execute_jobs_batched([job], factory=sys1_factory)
-        serial = job.execute(factory=sys1_factory)
+        fleet = [
+            SessionJob.for_factory(
+                sys1_factory,
+                workload="volrend",
+                defense=defense,
+                seed=21,
+                run_id=("batch-logs", defense),
+                duration_s=1.0,
+            )
+            for defense in ("maya_constant", "maya_gs", "random_inputs")
+        ]
+        batched = execute_jobs_batched(fleet, factory=sys1_factory)[1]
+        serial = fleet[1].execute(factory=sys1_factory)
         assert np.array_equal(batched.target_w, serial.target_w, equal_nan=True)
         assert np.array_equal(batched.settings, serial.settings)
         # No target exists before the first decide; every later interval has one.
@@ -169,7 +174,7 @@ class TestAttackPipelineReplay:
     def test_batch_collected_traces_replay_into_identical_outcome(self, tmp_path):
         """Cache lock-step traces, re-run the attack from the cache:
         segments, training and the confusion matrix must be byte-for-byte
-        what the serial reference traces produce."""
+        what the one-row traces produce."""
         scenario = AttackScenario(
             name="batch-replay",
             spec=SYS1,

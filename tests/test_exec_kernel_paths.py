@@ -1,13 +1,14 @@
-"""The lock-step kernel's paths against the serial oracle.
+"""The lock-step kernel's paths, regime by regime.
 
 ``execute_jobs_batched`` runs constant-settings defenses through a
 whole-session fast-forward and dynamic ones through the per-interval
 loop, with per-row termination (completion mode, temperature recording,
-per-row caps).  Each path must reproduce ``run_session`` bit for bit
-(``Trace.equals``) in every execution regime, and so must every
-end-to-end attack outcome built on its traces.  Also covered: the
-engine's size rule, which sends a lone pending job under a dynamic
-defense to the serial runner and everything else to the kernel.
+per-row caps).  Every row of a multi-row call must reproduce its one-row
+call (``job.execute()``) bit for bit (``Trace.equals``) in every execution
+regime, and so must every end-to-end attack outcome built on its traces;
+the fast-forward must reproduce the per-interval loop.  The golden trace
+digests pin the absolute bits.  Also covered: the engine sends every
+pending job, a lone one included, to the kernel as lock-step chunks.
 """
 
 import numpy as np
@@ -22,6 +23,8 @@ from repro.attacks.pipeline import (
     train_and_evaluate,
 )
 import repro.exec.engine as engine_mod
+from repro.core.runtime import run_session
+from repro.defenses import Baseline
 from repro.exec import SessionJob, batch_key, run_sessions
 from repro.machine import SYS1
 
@@ -48,13 +51,13 @@ def make_job(
 
 
 def assert_matches_serial(jobs, factory):
-    """Run ``jobs`` through the serial reference and the engine; compare."""
-    serial = [job.execute(factory=factory) for job in jobs]
+    """Run ``jobs`` one at a time and through the engine; compare."""
+    alone = [job.execute(factory=factory) for job in jobs]
     batched = run_sessions(jobs, factory=factory, cache=False)
-    assert len(serial) == len(batched) == len(jobs)
-    for a, b in zip(serial, batched):
+    assert len(alone) == len(batched) == len(jobs)
+    for a, b in zip(alone, batched):
         assert a.equals(b)
-    return serial
+    return alone
 
 
 def record_chunks(monkeypatch):
@@ -71,23 +74,23 @@ def record_chunks(monkeypatch):
 
 
 class TestChooseBackend:
-    """The engine's size rule: the serial runner for a lone pending job
-    under a dynamic defense, in-process lock-step chunks for anything
-    else at ``workers=1``."""
+    """Every pending job runs in an in-process lock-step chunk at
+    ``workers=1``; a lone job is a one-row chunk."""
 
-    def test_single_job_is_serial(self, sys1_factory, monkeypatch):
+    @pytest.mark.parametrize("defense", ["random_inputs", "maya_gs"])
+    def test_single_job_is_one_row_chunk(self, sys1_factory, monkeypatch, defense):
         sizes = record_chunks(monkeypatch)
-        job = make_job(sys1_factory, defense="random_inputs")
-        [trace] = run_sessions([job], cache=False)
+        job = make_job(sys1_factory, defense=defense)
+        [trace] = run_sessions([job], cache=False, factory=sys1_factory)
         assert run_sessions([], cache=False) == []
-        assert sizes == []
-        assert trace.equals(job.execute())
+        assert sizes == [1]
+        assert trace.equals(job.execute(factory=sys1_factory))
 
     @pytest.mark.parametrize("defense", ["baseline", "noisy_baseline"])
     def test_single_constant_settings_job_is_batch(
         self, sys1_factory, monkeypatch, defense
     ):
-        # The whole-session fast-forward beats the serial loop even at B=1.
+        # A lone constant-settings job takes the whole-session fast-forward.
         sizes = record_chunks(monkeypatch)
         job = make_job(sys1_factory, defense=defense)
         [trace] = run_sessions([job], cache=False)
@@ -127,7 +130,7 @@ class TestChooseBackend:
 
 
 class TestKernelMatchesSerial:
-    """The lock-step kernel against the serial oracle, per execution regime."""
+    """Multi-row calls against one-row calls, per execution regime."""
 
     def test_fixed_duration_mixed_defenses(self, sys1_factory):
         jobs = [
@@ -158,8 +161,8 @@ class TestKernelMatchesSerial:
                      record_temperature=True)
             for run, defense in enumerate(("baseline", "maya_gs"))
         ]
-        serial = assert_matches_serial(jobs, sys1_factory)
-        for trace in serial:
+        alone = assert_matches_serial(jobs, sys1_factory)
+        for trace in alone:
             assert trace.temperature_c.size == trace.power_w.size > 0
 
 
@@ -167,8 +170,8 @@ class TestPerRowCaps:
     @pytest.mark.parametrize("defense", ["baseline", "maya_gs"])
     def test_rows_with_different_caps_share_one_batch(self, sys1_factory, defense):
         """A short loop that completes and one capped before it completes
-        share one batch key, and each row stops exactly where
-        ``run_session`` stops it."""
+        share one batch key, and each row stops exactly where its one-row
+        call stops it."""
         jobs = [
             make_job(sys1_factory, workload="loop_imul", defense=defense, run=run,
                      workload_kwargs={"duration_s": 0.5}, duration_s=None,
@@ -198,10 +201,10 @@ class TestAttackOutcomeIdentity:
             mlp=MLPConfig(hidden_sizes=(16,), max_epochs=6),
             seed=TEST_SEED,
         )
-        serial = [job.execute(factory=sys1_factory)
-                  for job in scenario_jobs(scenario, sys1_factory)]
+        alone = [job.execute(factory=sys1_factory)
+                 for job in scenario_jobs(scenario, sys1_factory)]
         per_class = scenario.runs_per_class
-        serial_runs = [serial[:per_class], serial[per_class:]]
+        serial_runs = [alone[:per_class], alone[per_class:]]
         batched_runs = simulate_runs(scenario, sys1_factory, cache=False)
         for serial_class, batched_class in zip(serial_runs, batched_runs):
             for a, b in zip(serial_class, batched_class):
@@ -216,3 +219,55 @@ class TestAttackOutcomeIdentity:
         assert np.array_equal(
             batched_outcome.result.matrix, serial_outcome.result.matrix
         )
+
+
+class _LoopedBaseline(Baseline):
+    """``baseline`` without the constant-settings flag: the per-interval loop."""
+
+    constant_settings = False
+
+
+class TestConstantFastForward:
+    @pytest.mark.parametrize("fields", [
+        {"duration_s": 1.0},
+        {"duration_s": 1.0, "record_temperature": True},
+        {"duration_s": None, "max_duration_s": 2.0, "tail_s": 0.1,
+         "workload": "loop_imul", "workload_kwargs": {"duration_s": 0.5}},
+        {"duration_s": None, "max_duration_s": 0.3, "tail_s": 0.1,
+         "workload": "loop_imul", "workload_kwargs": {"duration_s": 0.5}},
+    ], ids=["fixed", "temperature", "completes", "capped"])
+    def test_matches_the_interval_loop(self, sys1_factory, fields):
+        """The whole-session fast-forward records what the per-interval
+        loop records for the same constant settings."""
+        job = make_job(sys1_factory, **fields)
+        traces = []
+        for defense in (Baseline(), _LoopedBaseline()):
+            machine = job.build_machine()
+            traces.append(run_session(
+                machine, defense, seed=job.seed, run_id=job.run_id,
+                duration_s=job.duration_s, max_duration_s=job.max_duration_s,
+                tail_s=job.tail_s,
+            ))
+        fast, looped = traces
+        assert fast.equals(looped)
+        assert fast.equals(job.execute(factory=sys1_factory))
+
+    def test_matches_the_interval_loop_on_a_finished_machine(self, sys1_factory):
+        """A machine whose workload already completed records its tail,
+        not its whole cap, on both paths."""
+        job = make_job(sys1_factory, workload="loop_imul", run=5,
+                       workload_kwargs={"duration_s": 0.2}, duration_s=None,
+                       max_duration_s=3.0, tail_s=0.1)
+        traces = []
+        for defense in (Baseline(), _LoopedBaseline()):
+            machine = job.build_machine()
+            machine.advance(0.5, machine.bank.max_performance())
+            assert machine.completed
+            traces.append(run_session(
+                machine, defense, seed=job.seed, run_id=job.run_id,
+                duration_s=None, max_duration_s=job.max_duration_s, tail_s=job.tail_s,
+            ))
+        fast, looped = traces
+        assert looped.measured_w.size == 5
+        assert fast.equals(looped)
+

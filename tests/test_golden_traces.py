@@ -1,10 +1,12 @@
 """Golden trace digests: the bit-identity oracle pinned in the repository.
 
-Every execution path must produce the traces of the serial reference
+Every execution path must produce the traces of a one-row call
 (``SessionJob.execute``).  The other tests compare paths against each
-other at run time; this module also pins the reference itself, as one
-sha256 per session of a small mixed fleet, so a kernel refactor that
-changed *every* path the same way still fails.
+other at run time; this module also pins the one-row traces themselves,
+as one sha256 per session of a small mixed fleet and one of a
+``run_session`` call under a defense no factory builds, so a kernel
+refactor that changed *every* path the same way still fails.  The
+digests were computed by the serial Figure-2 loop the kernel replaced.
 
 The absolute digests depend on the floating-point build (numpy and the
 BLAS it dispatches to), so the fixture records both.  On a different
@@ -33,8 +35,9 @@ FIXTURE = Path(__file__).parent / "fixtures" / "golden_traces.json"
 
 #: (workload, defense, extra SessionJob fields) of every golden session.
 #: Several Maya families share one batch with the open-loop designs; the
-#: last three rows cover a short fixed duration, run-to-completion with a
-#: tail and temperature recording.
+#: last four rows cover a short fixed duration, run-to-completion with a
+#: tail, temperature recording and a run-to-completion session that its
+#: ``max_duration_s`` cuts off before the workload completes.
 GOLDEN_ROWS = (
     ("volrend", "maya_gs", {}),
     ("water_nsquared", "maya_gs", {}),
@@ -49,7 +52,13 @@ GOLDEN_ROWS = (
         "duration_s": None, "max_duration_s": 2.0, "tail_s": 0.1,
     }),
     ("volrend", "maya_sinusoid", {"record_temperature": True}),
+    ("water_nsquared", "maya_gs", {
+        "duration_s": None, "max_duration_s": 0.6, "tail_s": 0.5,
+    }),
 )
+
+#: Index of the golden row that hits its ``max_duration_s`` uncompleted.
+CAPPED_ROW = len(GOLDEN_ROWS) - 1
 
 
 def golden_jobs(factory) -> "list[SessionJob]":
@@ -61,6 +70,56 @@ def golden_jobs(factory) -> "list[SessionJob]":
             run_id=("golden", index), **fields,
         ))
     return jobs
+
+
+def naive_session():
+    """One ``run_session`` call under a defense no factory builds.
+
+    :class:`~repro.experiments.fig03_naive_control.NaiveDefense` has no
+    design name, so this session can only run through ``run_session``.
+    """
+    from repro.core.runtime import make_machine, run_session
+    from repro.experiments.fig03_naive_control import NaiveDefense
+    from repro.machine import SYS1
+    from repro.workloads import parsec_program
+
+    run_id = ("golden", "naive")
+    machine = make_machine(SYS1, parsec_program("bodytrack"), seed=7, run_id=run_id)
+    return run_session(machine, NaiveDefense(20.0), seed=7, run_id=run_id, duration_s=1.0)
+
+
+def controller_step_digest(design) -> str:
+    """sha256 over one-row Equation-1 steps from seeded controller states.
+
+    Eight controllers start with their commands inside the box, at either
+    rail and mixed; each takes 60 steps against measurements near, level
+    with, far above and far below a random target.  The digest covers
+    every step's settings and the state and counters it leaves, so a
+    one-ulp drift in any contraction changes it even where quantization
+    hides the drift from a whole trace.
+    """
+    from repro.control import MatrixController
+    from repro.machine import SYS1, ActuatorBank
+
+    digest = hashlib.sha256()
+    for k in range(8):
+        rng = np.random.default_rng([7, k])
+        controller = MatrixController(design.controller, ActuatorBank(SYS1))
+        controller._x_pred = rng.normal(0.0, 1.0, controller._x_pred.size)
+        controller._z = float(rng.normal(0.0, 5.0))
+        commands = (
+            rng.uniform(0.0, 1.0, 3), np.zeros(3), np.ones(3), rng.choice([0.0, 1.0], 3)
+        )
+        controller._u_applied = commands[k % 4] - controller._u_op
+        for step in range(60):
+            target_w = float(rng.uniform(5.0, 35.0))
+            offsets = (float(rng.normal(0.0, 5.0)), 0.0, 150.0, -150.0)
+            settings = controller.step(target_w, target_w + offsets[(k + step) % 4])
+            values = [settings.freq_ghz, settings.idle_frac, settings.balloon_level,
+                      controller._z, *controller._x_pred, *controller._u_applied]
+            digest.update(np.array(values, dtype="<f8").tobytes())
+            digest.update(repr(sorted(controller.diagnostics().items())).encode())
+    return digest.hexdigest()
 
 
 def trace_digest(trace) -> str:
@@ -115,6 +174,14 @@ class TestGoldenTraces:
         assert len({d for d in defenses if d.startswith("maya_")}) >= 3
         assert any(job.duration_s is None and job.tail_s > 0 for job in jobs)
         assert any(job.record_temperature for job in jobs)
+        capped = jobs[CAPPED_ROW]
+        assert capped.duration_s is None and capped.max_duration_s < 1.0
+
+    def test_capped_session_stops_uncompleted(self, golden_fleet, sys1_factory):
+        jobs, _ = golden_fleet
+        trace = jobs[CAPPED_ROW].execute(sys1_factory)
+        assert np.isnan(trace.completed_at_s)
+        assert trace.measured_w.size == 30
 
     def test_reference_matches_pinned_digests(self, golden_fleet):
         _, digests = golden_fleet
@@ -125,6 +192,18 @@ class TestGoldenTraces:
                 f"this build is {float_build()}"
             )
         assert digests == pinned["digests"]
+
+    def test_controller_steps_match_pinned_digest(self, sys1_design):
+        pinned = json.loads(FIXTURE.read_text())
+        if pinned["float_build"] != float_build():
+            pytest.skip(f"golden digests were pinned on {pinned['float_build']}")
+        assert controller_step_digest(sys1_design) == pinned["controller_steps"]
+
+    def test_run_session_matches_pinned_digest(self):
+        pinned = json.loads(FIXTURE.read_text())
+        if pinned["float_build"] != float_build():
+            pytest.skip(f"golden digests were pinned on {pinned['float_build']}")
+        assert trace_digest(naive_session()) == pinned["naive_run_session"]
 
     def test_lock_step_kernel_matches_reference(self, golden_fleet, sys1_factory):
         jobs, digests = golden_fleet
@@ -149,6 +228,10 @@ def _write_fixture() -> None:
     payload = {
         "float_build": float_build(),
         "digests": [trace_digest(job.execute(factory)) for job in golden_jobs(factory)],
+        "naive_run_session": trace_digest(naive_session()),
+        "controller_steps": controller_step_digest(
+            factory.maya_design("gaussian_sinusoid")
+        ),
     }
     FIXTURE.write_text(json.dumps(payload, indent=1) + "\n")
 

@@ -228,9 +228,12 @@ class TestCertificates:
     def test_waivers_are_enumerated_with_reasons(self):
         certs = self.certs()
         waived = {w["module"]: w["reason"] for w in certs["execute_job"]["waivers"]}
-        # execute() runs the serial runner only, so the lock-step backend
-        # and the engine's span profiler stay outside its closure.
-        assert set(waived) == {"repro", "repro.exec.jobs", "repro.telemetry"}
+        # execute() is a one-job lock-step batch, so the kernel and its
+        # span profiler are inside its closure, both waived.
+        assert set(waived) == {
+            "repro", "repro.exec.batch", "repro.exec.jobs",
+            "repro.telemetry", "repro.telemetry.profile",
+        }
         assert "code_salt()" in waived["repro.exec.jobs"]
         batched = {
             w["module"]: w["reason"]

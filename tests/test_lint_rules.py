@@ -490,7 +490,7 @@ class TestTelemetryIsolation:
         __all__ = []
         def step(error):
             telemetry.count("control.steps")
-            telemetry.session_event("clip", entries=3)
+            telemetry.observe("control.error", error, (1.0,))
         """
         assert rule_ids(src, path=self.SIM_PATH) == []
 
@@ -536,10 +536,10 @@ class TestTelemetryIsolation:
 
     def test_directly_imported_symbol_call_statement_is_clean(self):
         src = """\
-        from repro.telemetry import session_event
+        from repro.telemetry import count
         __all__ = []
         def clip():
-            session_event("fixedpoint.clip", entries=1)
+            count("control.fixedpoint.clip_events")
         """
         assert rule_ids(src, path=self.SIM_PATH) == []
 

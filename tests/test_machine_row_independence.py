@@ -10,7 +10,9 @@ each row of a B-row call equals a one-row call on an identically seeded
 model or sensor — the same output bits, the same carried AR(1) state and
 the same RNG position.  The phase cursor is pinned the same way: each
 row of one ``activity_profiles`` pass equals that machine's own
-``activity_profile`` call, profile bits and cursor state alike.
+``activity_profile`` call, profile bits and cursor state alike.  A
+multi-window ``measure_windows`` call, the constant-settings
+fast-forward's RAPL read, equals consecutive one-window calls.
 """
 
 import numpy as np
@@ -117,6 +119,41 @@ class TestRaplRows:
                 alone_w = sensor.measure_window(tick_powers[row], TICK_S)
                 assert np.array_equal(measured_w[row], alone_w)
                 assert rng_position(fleet[row]._rng) == rng_position(sensor._rng)
+
+    @given(
+        seed=seeds,
+        n_rows=fleet_sizes,
+        n_windows=st.integers(min_value=1, max_value=30),
+        n_ticks=tick_counts,
+        noise_w=st.sampled_from([0.0, 0.06, 0.5]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_multi_window_call_equals_one_window_calls(
+        self, seed, n_rows, n_windows, n_ticks, noise_w
+    ):
+        """A ``(B, windows, ticks)`` block measures what ``windows``
+        consecutive one-window calls measure, row by row."""
+        fleet = [
+            RaplSensor(SYS1, spawn(seed, "rapl", i), noise_w=noise_w)
+            for i in range(n_rows)
+        ]
+        solo = [
+            RaplSensor(SYS1, spawn(seed, "rapl", i), noise_w=noise_w)
+            for i in range(n_rows)
+        ]
+        rng = spawn(seed, "tick-power")
+        tick_powers = rng.uniform(0.1, 60.0, size=(n_rows, n_windows * n_ticks))
+        measured_w = measure_windows(
+            fleet, tick_powers.reshape(n_rows, n_windows, n_ticks), TICK_S
+        )
+        assert measured_w.shape == (n_rows, n_windows)
+        for row, sensor in enumerate(solo):
+            alone_w = [
+                measure_windows([sensor], window[None, :], TICK_S)[0]
+                for window in tick_powers[row].reshape(n_windows, n_ticks)
+            ]
+            assert np.array_equal(bits(measured_w[row]), bits(alone_w))
+            assert rng_position(fleet[row]._rng) == rng_position(sensor._rng)
 
 
 #: Where a row's cursor starts relative to its phase's end, for a window.

@@ -79,19 +79,21 @@ class TestAmbientRecorder:
         rec = telemetry.get_recorder()
         assert rec.enabled and rec.root == tmp_path / "t"
 
-    def test_disabled_emissions_are_noops(self, tmp_path):
+    def test_disabled_emissions_are_noops(self, tmp_path, monkeypatch):
+        from repro.core.runtime import make_machine, run_session
+        from repro.defenses import Baseline
+        from repro.machine import SYS1
+        from repro.workloads import get_workload
+
+        monkeypatch.chdir(tmp_path)
         telemetry.count("x")
         telemetry.gauge("y", 1.0)
         telemetry.observe("z", 1.0, edges=(1.0,))
         telemetry.ops("nothing")
-        telemetry.session_begin(
-            platform="SYS1", workload="w", defense="d", seed=0, run_id=0,
-            interval_s=0.02, duration_s=1.0, tick_s=0.001,
-            max_duration_s=600.0, tail_s=2.0, record_temperature=False,
-        )
-        assert telemetry.session_active() is False
-        telemetry.session_event("anything")
-        telemetry.session_end()
+        telemetry.write_metrics()
+        # A session opens no channel and writes no file.
+        machine = make_machine(SYS1, get_workload("volrend"), seed=0, run_id=0)
+        run_session(machine, Baseline(), duration_s=0.1)
         assert list(tmp_path.iterdir()) == []
 
 
@@ -114,13 +116,10 @@ class TestSessionChannel:
         channel = recorder.session(engine="test", **self._identity())
         channel.interval(0, 30.0, 28.0, FakeSettings(), FakeDefense())
         channel.interval(1, float("nan"), 29.0, FakeSettings(), FakeDefense())
-        channel.event("fixedpoint.clip", entries=2)
         path = channel.close()
         lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [line["type"] for line in lines] == [
-            "manifest", "event", "event", "event", "end",
-        ]
-        manifest, first, second, clip, end = lines
+        assert [line["type"] for line in lines] == ["manifest", "event", "event", "end"]
+        manifest, first, second, end = lines
         assert manifest["schema"] == telemetry.MANIFEST_SCHEMA
         assert manifest["identity"] == channel.digest
         assert manifest["engine"] == "test"
@@ -128,7 +127,6 @@ class TestSessionChannel:
         # NaN targets (no mask yet) omit target/err fields entirely.
         assert "target_w" not in second and "err_w" not in second
         assert first["sat_hi"] == 1 and first["aw"] == 1
-        assert clip["ev"] == "fixedpoint.clip" and clip["entries"] == 2
         assert end["intervals"] == 2
         assert end["saturation_steps"] == 2 and end["antiwindup_steps"] == 2
         assert end["err_mean_w"] == 2.0 and end["err_max_w"] == 2.0

@@ -4,13 +4,13 @@ The tentpole invariant of ``repro.telemetry``: because every session event
 is keyed on sim time (the control-interval index) and serialized through
 one canonical encoder, executing the same :class:`SessionJob`
 
-* through the serial reference vs. the engine's lock-step chunks,
+* alone (``SessionJob.execute``, a one-row lock-step call) vs. in one of
+  the engine's multi-row chunks,
 * fresh vs. replayed from the trace cache,
 * in-process vs. in a worker process,
 
-produces byte-identical ``session-<digest>.jsonl`` files once the manifest
-header (which records *how* the run was executed) is stripped.  A
-perturbed seed must break the identity — otherwise the oracle is vacuous.
+produces byte-identical ``session-<digest>.jsonl`` files.  A perturbed
+seed must break the identity — otherwise the oracle is vacuous.
 """
 
 import json
@@ -64,7 +64,7 @@ def _strip_manifest(data: bytes) -> list:
 
 
 def _reference(jobs, factory):
-    """Every job through the serial reference, ``SessionJob.execute``."""
+    """Every job alone, ``SessionJob.execute``."""
     return [job.execute(factory=factory) for job in jobs]
 
 
@@ -79,16 +79,14 @@ def test_serial_and_batch_streams_are_byte_identical(sys1_factory, recorder_root
     assert set(serial) == set(batched) and len(serial) == len(jobs)
     for name in serial:
         assert _strip_manifest(serial[name]) == _strip_manifest(batched[name])
-        # The manifests differ only in the engine that produced the run.
-        manifest_serial = json.loads(serial[name].split(b"\n", 1)[0])
-        manifest_batch = json.loads(batched[name].split(b"\n", 1)[0])
-        assert manifest_serial.pop("engine") == "run_session"
-        assert manifest_batch.pop("engine") == "lockstep"
-        assert manifest_serial == manifest_batch
+        # One engine and one job key: the manifests are identical too.
+        manifest = json.loads(serial[name].split(b"\n", 1)[0])
+        assert manifest["engine"] == "lockstep"
+        assert manifest == json.loads(batched[name].split(b"\n", 1)[0])
 
 
 def test_backend_identity_via_cli_diff(sys1_factory, recorder_root, tmp_path, capsys):
-    """Acceptance: event streams of the serial reference, in-process
+    """Acceptance: event streams of one-row calls, in-process
     lock-step chunks (``workers=1``) and chunks fanned out over a worker
     pool (``workers=2``) verified identical by ``python -m repro.telemetry
     diff``."""
