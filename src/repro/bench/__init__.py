@@ -4,13 +4,15 @@ Times the dominant stages of the attack pipeline — trace collection
 (the reference: every session alone through the Figure-2 interval loop;
 the execution engine in-process at ``workers=1`` and fanned out over
 worker processes; and replayed from the content-addressed cache),
-featurization, and MLP training — and writes the numbers to
+featurization, and MLP training — plus lock-step batching of dynamic
+(``maya_gs``) rows against one-row calls, and writes the numbers to
 ``BENCH_pipeline.json``.
 
 The benchmark is also a correctness check: the parallel, batched,
 profiled and cache-replayed traces are compared bit-for-bit against the
-reference on every run, and the batch-collected traces must
-reproduce the identical attack outcome.  A speedup that comes at the
+reference on every run, the batched dynamic rows against their one-row
+calls, and the batch-collected traces must reproduce the identical
+attack outcome.  A speedup that comes at the
 price of changed results fails loudly rather than silently.  Every engine
 leg pins its worker count, so an ambient ``REPRO_WORKERS`` cannot
 reroute the legs it is measured against.  Host wall-clock reads here
@@ -20,6 +22,7 @@ MAYA002 timing site).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -41,7 +44,7 @@ from ..attacks.pipeline import (
 )
 from ..defenses.designs import DefenseFactory
 from ..exec import TraceCache, record_run, resolve_workers
-from ..exec.batch import build_fleet, simulate
+from ..exec.batch import build_fleet, execute_jobs_batched, simulate
 from ..machine import SYS1, Trace
 from ..telemetry import MetricsRegistry
 from ..telemetry import profile as _profile
@@ -50,7 +53,7 @@ from ..telemetry.export import SPEEDUP_FLOORS
 __all__ = ["DEFAULT_OUT", "SCHEMA", "bench_scenario", "run_bench", "store_bench"]
 
 DEFAULT_OUT = "BENCH_pipeline.json"
-SCHEMA = "maya.bench.pipeline.v7"
+SCHEMA = "maya.bench.pipeline.v8"
 
 #: Profiler overhead gate (``--check``): the profiled ``workers=1`` leg
 #: must stay within the same 10% budget + absolute slack the CI telemetry
@@ -68,6 +71,9 @@ STORE_BENCH_CHUNK = 256
 #: Sessions in the packed-vs-per-session replay leg (one lock-step batch
 #: group of realistic smoke-bench size: 8 s at 1 ms ticks).
 STORE_BENCH_GROUP = 64
+
+#: Fleet sizes of the dynamic-batching leg.
+DYNAMIC_BENCH_ROWS = (16, 32)
 
 
 def bench_scenario(smoke: bool = True, seed: int = 7) -> AttackScenario:
@@ -222,6 +228,50 @@ def store_bench(
     }
 
 
+def dynamic_bench(scenario: AttackScenario, factory: DefenseFactory) -> dict:
+    """Lock-step batching of dynamic rows: one call against one-row calls.
+
+    For each size in :data:`DYNAMIC_BENCH_ROWS`, fixed-duration
+    ``maya_gs`` sessions of the scenario's workloads run once as one
+    lock-step call and once as one one-row call each.  Every row decides
+    every interval, so the ratio is what batching the per-interval loop
+    buys.  ``matches`` reports whether every batched row equals its
+    one-row trace bit for bit.
+    """
+    factory.create("maya_gs")
+    legs: dict = {}
+    matches = True
+    for n_rows in DYNAMIC_BENCH_ROWS:
+        fleet = dataclasses.replace(
+            scenario,
+            name=f"{scenario.name}-dynamic",
+            defense="maya_gs",
+            runs_per_class=n_rows // len(scenario.class_workloads),
+        )
+        jobs = scenario_jobs(fleet, factory)
+        start = time.perf_counter()
+        batched = execute_jobs_batched(jobs, factory)
+        batched_s = time.perf_counter() - start
+        start = time.perf_counter()
+        alone = [execute_jobs_batched([job], factory)[0] for job in jobs]
+        one_row_s = time.perf_counter() - start
+        matches = matches and all(a.equals(b) for a, b in zip(batched, alone))
+        legs[str(len(jobs))] = {
+            "batched_s": batched_s,
+            "one_row_s": one_row_s,
+            "speedup": one_row_s / max(batched_s, 1e-9),
+        }
+    batched_s = sum(leg["batched_s"] for leg in legs.values())
+    one_row_s = sum(leg["one_row_s"] for leg in legs.values())
+    return {
+        "rows": legs,
+        "batched_s": batched_s,
+        "one_row_s": one_row_s,
+        "speedup": one_row_s / max(batched_s, 1e-9),
+        "matches": matches,
+    }
+
+
 def _reference_runs(scenario: AttackScenario, factory: DefenseFactory) -> list:
     """The reference: every job alone through the Figure-2 interval loop.
 
@@ -343,6 +393,10 @@ def run_bench(
             _profile.set_profiler(previous_profiler)
         profiled_matches = _traces_equal(serial_runs, profiled_runs)
 
+    # Kept out of the timings block: the telemetry overhead gate sums that
+    # block, and recording a dynamic row costs per interval by design.
+    dynamic = dynamic_bench(scenario, factory)
+
     sampled = _timed("featurize_s", lambda: sample_runs(scenario, serial_runs))
     outcome = _timed("train_s", lambda: train_and_evaluate(scenario, sampled))
 
@@ -383,6 +437,8 @@ def run_bench(
         "parallel_speedup": speedup,
         "batched_speedup": batched_speedup,
         "cache_speedup": cache_speedup,
+        "dynamic_batched_speedup": dynamic["speedup"],
+        "dynamic": dynamic,
         "cache_hits": int(cache_hits),
         "store": store,
         "parallel_matches_serial": bool(parallel_matches),
@@ -409,6 +465,7 @@ def run_bench(
             "parallel_speedup": speedup,
             "batched_speedup": batched_speedup,
             "cache_speedup": cache_speedup,
+            "dynamic_batched_speedup": dynamic["speedup"],
             "store_put_per_s": store["put_per_s"],
             "store_get_per_s": store["get_per_s"],
             "packed_read_speedup": store["packed_read_speedup"],
@@ -427,6 +484,8 @@ def run_bench(
     # differs from the reference is a wrong answer, however fast it came.
     if not batched_matches:
         raise AssertionError("batched traces differ from serial traces")
+    if not dynamic["matches"]:
+        raise AssertionError("batched dynamic rows differ from their one-row calls")
     if not outcome_matches:
         raise AssertionError("batch-collected traces changed the attack outcome")
     if not cached_matches:
@@ -457,6 +516,7 @@ def run_bench(
         measured = {
             "parallel_speedup": speedup,
             "batched_speedup": batched_speedup,
+            "dynamic_batched_speedup": dynamic["speedup"],
             "packed_read_speedup": store["packed_read_speedup"],
         }
         if cpu_count < 2:

@@ -1,7 +1,7 @@
 """Formal-control substrate: system ID, synthesis, and the runtime controller."""
 
 from .arx import ArxModel, fit_arx, fit_arx_records
-from .controller import MatrixController
+from .controller import ControllerFleet, MatrixController
 from .fixedpoint import FixedPointController, FixedPointFormat, FixedPointOverflowError
 from .naive import NaiveTracker
 from .statespace import StateSpace
@@ -18,6 +18,7 @@ __all__ = [
     "ArxModel",
     "fit_arx",
     "fit_arx_records",
+    "ControllerFleet",
     "MatrixController",
     "FixedPointController",
     "FixedPointFormat",

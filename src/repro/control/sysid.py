@@ -21,7 +21,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..machine import ActuatorBank, PlatformSpec, RaplSensor, SimulatedMachine, spawn
+from ..machine import (
+    ActuatorBank,
+    PlatformSpec,
+    RaplSensor,
+    SimulatedMachine,
+    batch_window_power,
+    draw_noise,
+    measure_windows,
+    spawn,
+)
 from ..workloads.phases import Phase, PhaseProgram
 from .arx import ArxModel, fit_arx_records
 from .statespace import StateSpace
@@ -133,12 +142,21 @@ def run_excitation(
 
     Inputs are held at random levels for random 1-4 interval stretches
     (a PRBS-like excitation), which spreads energy over the frequency band
-    the controller must operate in.
+    the controller must operate in.  Neither noise term feeds back into
+    the excitation, so the run's power and RAPL counter noise are drawn
+    ahead in one :func:`~repro.machine.power.draw_noise` call, which draws
+    what one window at a time would.
     """
     machine = SimulatedMachine(spec, workload, seed=seed, run_id=("sysid", workload.name))
     bank = machine.bank
     sensor = RaplSensor(spec, spawn(seed, "sysid-sensor", spec.name, workload.name))
     rng = spawn(seed, "sysid-excitation", spec.name, workload.name)
+    ticks = int(round(interval_s / machine.tick_s))
+    power_noise_w, counter_noise_w = draw_noise(
+        [machine.power_model], [sensor], n_intervals, ticks
+    )
+    activity = np.empty((1, ticks))
+    core_fraction = np.empty((1, ticks))
 
     u_rows = np.empty((n_intervals, 3))
     y_rows = np.empty(n_intervals)
@@ -147,11 +165,16 @@ def run_excitation(
     for t in range(n_intervals):
         if hold_left == 0:
             settings = bank.random_settings(rng)
+            levels = np.array([tuple(settings)])
             hold_left = int(rng.integers(hold_range[0], hold_range[1] + 1))
         hold_left -= 1
-        power, _ = machine.advance(interval_s, settings)
+        machine.activity_profile(ticks, settings, activity[0], core_fraction[0])
+        power_w = batch_window_power(
+            machine.power_model, activity, core_fraction, levels,
+            power_noise_w[:, t * ticks:(t + 1) * ticks],
+        )
         u_rows[t] = bank.normalize(settings)
-        y_rows[t] = sensor.measure_window(power, machine.tick_s)
+        y_rows[t] = measure_windows(power_w, machine.tick_s, counter_noise_w[:, t])[0]
         if machine.completed:
             machine.reset()
     return ExcitationRecord(workload.name, u_rows, y_rows / spec.tdp_w)

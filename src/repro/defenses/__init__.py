@@ -10,6 +10,7 @@ from .designs import (
     MayaDefense,
     NoisyBaseline,
     RandomInputs,
+    is_design_name,
 )
 
 __all__ = [
@@ -22,4 +23,5 @@ __all__ = [
     "NoisyBaseline",
     "RandomInputs",
     "SelectiveMaya",
+    "is_design_name",
 ]

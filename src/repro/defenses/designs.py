@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..control import MatrixController
+from ..control import ControllerFleet
 from ..core.config import MayaConfig
 from ..core.maya import MayaDesign, MayaInstance, build_maya_design
 from ..machine import ActuatorBank, ActuatorSettings, PlatformSpec, SimulatedMachine
@@ -29,6 +29,7 @@ __all__ = [
     "DESIGN_NAMES",
     "DefenseFactory",
     "DefenseFleet",
+    "is_design_name",
     "maya_design_name",
 ]
 
@@ -153,6 +154,18 @@ _OPEN_LOOP = {
 }
 
 
+#: Every name :meth:`DefenseFactory.create` resolves.
+_KNOWN_DESIGNS = (*_OPEN_LOOP, *_MAYA_FAMILIES)
+
+
+def is_design_name(design_name: str) -> bool:
+    """Whether :meth:`DefenseFactory.create` knows ``design_name``.
+
+    A lookup only: it builds no design.
+    """
+    return design_name in _KNOWN_DESIGNS
+
+
 class DefenseFactory:
     """Builds fresh per-run defense instances for a platform.
 
@@ -203,52 +216,128 @@ class DefenseFactory:
         family = _MAYA_FAMILIES.get(design_name)
         if family is not None:
             return MayaDefense(self.maya_design(family))
-        known = DESIGN_NAMES[:3] + tuple(_MAYA_FAMILIES)
-        raise KeyError(f"unknown design {design_name!r}; known: {known}")
+        raise KeyError(f"unknown design {design_name!r}; known: {_KNOWN_DESIGNS}")
 
 
 class DefenseFleet:
-    """One interval's decisions for a lock-step fleet of prepared defenses.
+    """The decisions of a lock-step fleet of prepared defenses.
 
-    Built once per fleet: Maya rows are grouped by controller design, and
-    every interval each group draws its mask targets row by row and
-    advances Equation 1 in one :meth:`MatrixController.step_fleet` call;
-    every other defense runs its own :meth:`Defense.decide`.  Each row
-    consumes exactly its own state and RNG streams, so row ``k`` gets the
-    settings ``defenses[k].decide(measured_w[k])`` would return.
+    Built once per lock-step call and kept until its last row retires.
+    Maya rows are grouped by controller design; each group keeps its
+    Equation-1 state in one :class:`~repro.control.ControllerFleet` and its
+    mask targets in a ``(G, n)`` block that :meth:`draw` fills ahead (the
+    mask never sees a measurement).  Every other defense runs its own
+    :meth:`Defense.decide`.  Row ``k`` consumes exactly its own state and
+    RNG streams, so it gets the settings ``defenses[k].decide(measured_w[k])``
+    would return.
+
+    The controllers, ``current_target_w`` and diagnostics of Maya rows are
+    brought up to date only by :meth:`write_back`, which :meth:`keep` calls
+    for the rows it drops.
     """
 
     def __init__(self, defenses: "list[Defense]") -> None:
-        self._size = len(defenses)
+        self.defenses = list(defenses)
+        #: The ``(B, 3)`` levels in force: initial settings, then decisions.
+        self.levels = np.array(
+            [tuple(defense.initial_settings()) for defense in self.defenses], dtype=float
+        ).reshape(len(self.defenses), 3)
+        #: Each row's current target (the last drawn mask value; NaN before).
+        self.targets_w = np.array(
+            [defense.current_target_w for defense in self.defenses], dtype=float
+        )
         groups: dict[int, list[int]] = {}
-        self._open_loop: list[tuple[int, Defense]] = []
-        for index, defense in enumerate(defenses):
+        open_loop: list[int] = []
+        for index, defense in enumerate(self.defenses):
             if isinstance(defense, MayaDefense):
                 assert defense._instance is not None, "prepare() must be called first"
                 groups.setdefault(id(defense._instance.controller.design), []).append(index)
             else:
-                self._open_loop.append((index, defense))
-        self._maya = [
-            (
-                indices,
-                np.array(indices),
-                [defenses[index] for index in indices],
-                [defenses[index]._instance for index in indices],
-                [defenses[index]._instance.controller for index in indices],
-            )
-            for indices in groups.values()
-        ]
+                open_loop.append(index)
+        self._groups = [_MayaGroup(self.defenses, indices) for indices in groups.values()]
+        self._open_loop = open_loop
+        self._column = 0
 
-    def decide(self, measured_w: np.ndarray) -> "list[ActuatorSettings]":
-        """Settings for the next interval, given each row's measurement."""
-        settings: list = [None] * self._size
-        for indices, take, defenses, instances, controllers in self._maya:
-            targets_w = [instance.mask.next_target() for instance in instances]
-            for defense, instance, target_w in zip(defenses, instances, targets_w):
-                defense.current_target_w = instance.current_target_w = target_w
-            decided = MatrixController.step_fleet(controllers, targets_w, measured_w[take])
-            for index, decision in zip(indices, decided):
-                settings[index] = decision
-        for index, defense in self._open_loop:
-            settings[index] = defense.decide(float(measured_w[index]))
-        return settings
+    def draw(self, n_intervals: int) -> None:
+        """Draw every Maya row's mask targets for the next ``n_intervals``."""
+        for group in self._groups:
+            group.targets_w = np.array(
+                [instance.mask.generate(n_intervals) for instance in group.instances]
+            ).reshape(len(group.instances), n_intervals)
+        self._column = 0
+
+    def decide(self, measured_w: np.ndarray) -> np.ndarray:
+        """The ``(B, 3)`` levels of the next interval, given each row's measurement.
+
+        Maya rows take the next column of their drawn targets.
+        """
+        column = self._column
+        self._column += 1
+        levels = np.empty_like(self.levels)
+        for group in self._groups:
+            targets_w = group.targets_w[:, column]
+            levels[group.positions] = group.controllers.step(
+                targets_w, measured_w[group.positions]
+            )
+            self.targets_w[group.positions] = targets_w
+        for index in self._open_loop:
+            defense = self.defenses[index]
+            levels[index] = tuple(defense.decide(float(measured_w[index])))
+            self.targets_w[index] = defense.current_target_w
+        self.levels = levels
+        return levels
+
+    def write_back(self, rows: "list[int] | None" = None) -> None:
+        """Bring the defenses of ``rows`` (default: all) up to date."""
+        wanted = None if rows is None else set(rows)
+        for group in self._groups:
+            members = [
+                member for member, position in enumerate(group.positions.tolist())
+                if wanted is None or position in wanted
+            ]
+            group.controllers.write_back(np.array(members, dtype=np.intp))
+            for member in members:
+                target_w = float(self.targets_w[group.positions[member]])
+                instance = group.instances[member]
+                instance.current_target_w = target_w
+                self.defenses[group.positions[member]].current_target_w = target_w
+
+    def keep(self, rows: "list[int]") -> None:
+        """Keep only ``rows`` (ascending positions), writing the others back."""
+        kept = set(rows)
+        self.write_back([k for k in range(len(self.defenses)) if k not in kept])
+        remap = np.full(len(self.defenses), -1, dtype=np.intp)
+        remap[rows] = np.arange(len(rows))
+        groups = []
+        for group in self._groups:
+            positions = remap[group.positions]
+            members = np.flatnonzero(positions >= 0)
+            if members.size:
+                group.keep(members, positions[members])
+                groups.append(group)
+        self._groups = groups
+        self._open_loop = [int(remap[k]) for k in self._open_loop if remap[k] >= 0]
+        self.defenses = [self.defenses[k] for k in rows]
+        self.levels = self.levels[rows]
+        self.targets_w = self.targets_w[rows]
+
+
+class _MayaGroup:
+    """The Maya rows of a fleet that share one controller design."""
+
+    def __init__(self, defenses: "list[Defense]", positions: "list[int]") -> None:
+        #: The rows' positions in the fleet, ascending.
+        self.positions = np.array(positions, dtype=np.intp)
+        self.instances = [defenses[k]._instance for k in positions]
+        self.controllers = ControllerFleet(
+            [instance.controller for instance in self.instances]
+        )
+        #: Drawn mask targets, one row per member and one column per interval.
+        self.targets_w = np.empty((len(positions), 0))
+
+    def keep(self, members: np.ndarray, positions: np.ndarray) -> None:
+        """Keep ``members`` (ascending), now at fleet ``positions``."""
+        self.controllers.keep(members)
+        self.instances = [self.instances[k] for k in members.tolist()]
+        self.targets_w = self.targets_w[members]
+        self.positions = positions

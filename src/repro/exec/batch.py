@@ -12,20 +12,22 @@ fleet at once:
   (:class:`SessionRow`);
 * the power step (:func:`repro.machine.power.batch_window_power`) and
   the RAPL read (:func:`repro.machine.sensors.measure_windows`) evaluate
-  ``(B, ticks)`` structure-of-arrays blocks, filtering each AR(1) noise
-  row with one exact first-order recursion and reducing the windows
-  row-wise;
+  ``(B, ticks)`` structure-of-arrays blocks and reduce the windows
+  row-wise; their noise comes from :func:`repro.machine.power.draw_noise`,
+  which filters each AR(1) noise row with one exact first-order recursion;
 * defenses whose settings never change (``Defense.constant_settings``)
   skip the control loop entirely: the whole session is fast-forwarded in
   chunks of :data:`CONST_CHUNK_INTERVALS` intervals (:func:`_run_constant`);
 * every other defense decides interval by interval (:func:`_run_dynamic`)
   after one fleet pass of the phase cursors
-  (:func:`repro.machine.activity_profiles`): a
-  :class:`~repro.defenses.DefenseFleet`, built once per fleet, draws the
-  mask targets per session and runs the Equation-1 update of every Maya
-  row sharing a design as one vectorized
-  :meth:`~repro.control.MatrixController.step_fleet`, whose stacked
-  ``np.matmul`` makes per row the BLAS call of a one-row ``M @ x``.
+  (:func:`repro.machine.activity_profiles`).  One
+  :class:`~repro.defenses.DefenseFleet` serves the whole call: it keeps
+  the Equation-1 state of every Maya row sharing a design in one
+  :class:`~repro.control.ControllerFleet`, whose stacked ``np.matmul``
+  makes per row the BLAS call of a one-row ``M @ x``.  The settings
+  travel as one ``(B, 3)`` level array.  What the loop never feeds back
+  -- mask targets, power noise, RAPL counter noise -- is drawn per row
+  :data:`BLOCK_INTERVALS` intervals ahead (:class:`_Block`).
 
 **Per-row termination.**  A fixed-duration row records
 ``min(duration_s, max_duration_s)``; a completion-mode row (``duration_s
@@ -38,16 +40,23 @@ temperature recording share one batch.
 session's own spawn-keyed stream, in the same within-session order at
 any fleet size; a generator fills one size-n request identically to n
 sequential draws, no row of the power, RAPL and controller steps depends
-on another, the AR(1) recursion carries each row's state across a
-multi-window chunk exactly like per-window calls, and the
-constant-settings path's multi-window RAPL reduction replays the
-per-window sums.  So each row of a B-row call equals a one-row call, and
-the constant-settings fast-forward equals the per-interval loop.  The
-golden trace digests (``tests/test_golden_traces.py``) pin the absolute
-bits.  Two sites depend on the numpy build in the same way:
-:func:`_materialize` and the fleet phase cursor evaluate a phase's
-``np.sin`` over a stacked array rather than one window of one row
-(DESIGN.md §7 names both).
+on another, and the AR(1) recursion carries each row's state across a
+multi-window block exactly like per-window calls.  So drawing a block
+of noise or mask targets ahead equals drawing it interval by interval,
+and the constant-settings path's multi-window RAPL reduction replays the
+per-window sums.  A row that stops inside a block (a completion-mode row
+whose deadline falls there) restores its power model's bit-generator
+state and carried AR(1) level to the block's start and redraws only the
+intervals it ran, so a reused machine enters its next session with the
+state a per-interval draw would leave; the mask and sensor streams
+belong to the session and are dropped with it.  So each row of a B-row
+call equals a one-row call, and the constant-settings fast-forward
+equals the per-interval loop.  The golden trace digests
+(``tests/test_golden_traces.py``) pin the absolute bits.  Three sites
+depend on the numpy build in the same way: :func:`_materialize` and the
+fleet phase cursor evaluate a phase's ``np.sin`` over a stacked array
+rather than one window of one row, and a mask evaluates its sinusoid over
+a whole segment rather than one sample (DESIGN.md §7 names all three).
 
 **Shape contract.**  Rows of one fixed-duration batch with equal caps
 return traces of identical shapes, which lets :meth:`TraceCache.put_many
@@ -65,11 +74,13 @@ from .. import telemetry
 from ..defenses.base import Defense
 from ..defenses.designs import DefenseFactory, DefenseFleet
 from ..machine import (
+    ActuatorSettings,
     RaplSensor,
     SimulatedMachine,
     Trace,
     activity_profiles,
     batch_window_power,
+    draw_noise,
     measure_windows,
     spawn,
 )
@@ -275,17 +286,29 @@ def _run_dynamic(rows: "list[SessionRow]") -> None:
 
     Every interval the machines run with their current settings, the
     sensors report each window's power and the defenses decide the
-    settings of the next interval.  Each interval checks every row's
-    termination at its top and drops rows whose recording has ended, so a
-    retired row's machine, RNG streams and ``completed_at_s`` stay where
-    its own recording left them.
+    settings of the next interval.  One :class:`~repro.defenses.DefenseFleet`
+    serves the whole call, and the settings travel as one ``(B, 3)`` level
+    array.  What the loop never feeds back -- mask targets, power noise
+    and RAPL counter noise -- is drawn a :class:`_Block` of intervals
+    ahead, and each interval is staged with one slice write per block
+    buffer; the block is copied into the rows' own buffers when it ends.
+
+    Each interval checks every row's termination at its top and drops rows
+    whose recording has ended, so a retired row's machine, RNG streams and
+    ``completed_at_s`` stay where its own recording left them: a row that
+    stops inside a block rewinds its power model to the block's start and
+    redraws only the intervals it ran.
     """
     tick_s = rows[0].machine.tick_s
     ticks = rows[0].ticks_per_interval
+    # Supplies the operating-point scalars, a function of the platform.
+    model = rows[0].machine.power_model
     recordings = [_Recording(row, ticks) for row in rows]
     pending = [row for row in rows if row.tail is not None]
     active = list(range(len(rows)))
-    applied = [row.defense.initial_settings() for row in rows]
+    decisions = DefenseFleet([row.defense for row in rows])
+    levels = decisions.levels
+    block: "_Block | None" = None
     next_stop = 0  # the earliest interval at which an active row may stop
     interval_index = 0
     span = profile.get_profiler().span
@@ -296,64 +319,170 @@ def _run_dynamic(rows: "list[SessionRow]") -> None:
                 next_stop = min(next_stop, row.stop())
         pending = [row for row in pending if not row.machine.completed]
         if interval_index >= next_stop:
-            by_row = dict(zip(active, applied))
-            active = [i for i in active if interval_index < rows[i].stop()]
+            kept = []
+            for k, i in enumerate(active):
+                if interval_index < rows[i].stop():
+                    kept.append(k)
+                elif block is not None:
+                    block.retire(k, recordings[i], interval_index)
+            if len(kept) < len(active):
+                if block is not None:
+                    block.keep(kept)
+                decisions.keep(kept)
+                levels = decisions.levels
+                active = [active[k] for k in kept]
             if not active:
                 break
             next_stop = min(rows[i].stop() for i in active)
-            applied = [by_row[i] for i in active]
             fleet = [rows[i] for i in active]
-            fleet_recordings = [recordings[i] for i in active]
             machines = [row.machine for row in fleet]
-            models = [machine.power_model for machine in machines]
-            defenses = [row.defense for row in fleet]
-            decisions = DefenseFleet(defenses)
-            sensors = [row.sensor for row in fleet]
-            recorded = any(row.channel is not None for row in fleet)
+            recorded = [k for k, row in enumerate(fleet) if row.channel is not None]
             activity = np.empty((len(active), ticks))
             core_fraction = np.empty((len(active), ticks))
+        if block is None or interval_index == block.end:
+            if block is not None:
+                for k, i in enumerate(active):
+                    block.flush(k, recordings[i], block.length)
+            block = _Block(
+                fleet, interval_index, min(BLOCK_INTERVALS, next_stop - interval_index)
+            )
+        column = interval_index - block.start
 
         # Kernel spans cover the vectorized hot paths: the phase-cursor
-        # walk, the power model (row-wise AR(1) recursion), the windowed
-        # RAPL reduction and the control decision.  They observe
-        # wall-clock only and never feed back (MAYA033).
+        # walk, the power model, the windowed RAPL reduction and the
+        # control decision; the first interval of a block also draws that
+        # block's power noise, counter noise and mask targets in the
+        # matching span.  They observe wall-clock only and never feed back
+        # (MAYA033).
         with span("kernel.fast_forward", interval=interval_index):
-            activity_profiles(machines, ticks, applied, activity, core_fraction)
+            activity_profiles(machines, ticks, levels, activity, core_fraction)
         with span("kernel.power", interval=interval_index):
-            window_w = batch_window_power(models, activity, core_fraction, applied)
-        with span("kernel.measure", interval=interval_index):
-            measurements_w = measure_windows(sensors, window_w, tick_s)
-        for recording, defense, window, measured_w, settings in zip(
-            fleet_recordings, defenses, window_w, measurements_w, applied
-        ):
-            recording.record(
-                interval_index, window, measured_w, defense.current_target_w, settings
+            if column == 0:
+                block.draw_power_noise()
+            window_w = batch_window_power(
+                model, activity, core_fraction, levels, block.power_noise_w[:, column]
             )
+        with span("kernel.measure", interval=interval_index):
+            if column == 0:
+                block.draw_counter_noise()
+            measured_w = measure_windows(
+                window_w, tick_s, block.counter_noise_w[:, column]
+            )
+        block.power_w[:, column] = window_w
+        block.measured_w[:, column] = measured_w
+        block.target_w[:, column] = decisions.targets_w
+        block.levels[:, column] = levels
 
         with span("kernel.decide", interval=interval_index):
-            decided = decisions.decide(measurements_w)
+            if column == 0:
+                decisions.draw(block.length)
+            decided = decisions.decide(measured_w)
         if recorded:
-            for row, recording, settings in zip(fleet, fleet_recordings, applied):
-                if row.channel is not None:
-                    row.channel.interval(
-                        interval_index,
-                        recording.target_w[interval_index],
-                        recording.measured_w[interval_index],
-                        settings,
-                        row.defense,
-                    )
-        applied = decided
+            decisions.write_back(recorded)
+            for k in recorded:
+                fleet[k].channel.interval(
+                    interval_index,
+                    block.target_w[k, column],
+                    block.measured_w[k, column],
+                    ActuatorSettings(*levels[k].tolist()),
+                    fleet[k].defense,
+                )
+        levels = decided
         interval_index += 1
 
     for row, recording in zip(rows, recordings):
+        power_w = recording.power_w.reshape(-1)
+        thermal = row.machine.thermal
         row.finish(
-            recording.power_w.reshape(-1),
+            power_w,
             recording.measured_w,
             recording.target_w,
             recording.settings,
-            None if recording.temperature_c is None
-            else recording.temperature_c.reshape(-1),
+            # The thermal node never feeds back, so it runs once over the
+            # recorded ticks (its recursion splits exactly).
+            None if thermal is None
+            else thermal.advance(power_w[: row.stop() * ticks], tick_s),
         )
+
+
+#: Intervals a dynamic fleet draws ahead per :class:`_Block`: long enough to
+#: amortize each session's draws over many intervals, short enough that a
+#: row stopping inside a block redraws little.
+BLOCK_INTERVALS = 64
+
+
+class _Block:
+    """Up to :data:`BLOCK_INTERVALS` intervals of a dynamic fleet.
+
+    Holds, per active row, the power and counter noise drawn ahead for the
+    block (in the block's first interval, before any row can retire) and
+    the staging buffers each interval writes one column of.  No block runs
+    past an active row's known stop, so only a row whose completion
+    deadline falls inside the block stops early.
+    """
+
+    def __init__(self, fleet: "list[SessionRow]", start: int, length: int) -> None:
+        ticks = fleet[0].ticks_per_interval
+        self.start = start
+        self.length = length
+        self.end = start + length
+        self.models = [row.machine.power_model for row in fleet]
+        self.sensors = [row.sensor for row in fleet]
+        n_rows = len(fleet)
+        self.power_w = np.empty((n_rows, length, ticks))
+        self.measured_w = np.empty((n_rows, length))
+        self.target_w = np.empty((n_rows, length))
+        self.levels = np.empty((n_rows, length, 3))
+
+    def draw_power_noise(self) -> None:
+        """Draw every row's process noise for the block, saving where it began."""
+        self._saved = [
+            (model._rng.bit_generator.state, model._noise_state) for model in self.models
+        ]
+        ticks = self.power_w.shape[2]
+        power_noise_w, _ = draw_noise(self.models, [], self.length, ticks)
+        self.power_noise_w = power_noise_w.reshape(len(self.models), self.length, ticks)
+
+    def draw_counter_noise(self) -> None:
+        """Draw every row's RAPL counter noise for the block."""
+        _, self.counter_noise_w = draw_noise([], self.sensors, self.length, 0)
+
+    def flush(self, k: int, recording: "_Recording", n_intervals: int) -> None:
+        """Copy row ``k``'s first ``n_intervals`` staged intervals to its buffers."""
+        recording.store(
+            self.start,
+            self.power_w[k, :n_intervals],
+            self.measured_w[k, :n_intervals],
+            self.target_w[k, :n_intervals],
+            self.levels[k, :n_intervals],
+        )
+
+    def retire(self, k: int, recording: "_Recording", interval_index: int) -> None:
+        """Flush a row that stops at ``interval_index`` and rewind its draws.
+
+        A row that stops inside the block restores its power model's RNG
+        and AR(1) level to the block's start and redraws only the
+        intervals it ran, so its machine carries the state a per-interval
+        draw would leave into a later session.  The counter-noise and mask
+        streams belong to the session alone.
+        """
+        ran = interval_index - self.start
+        self.flush(k, recording, ran)
+        if ran < self.length:
+            model = self.models[k]
+            model._rng.bit_generator.state, model._noise_state = self._saved[k]
+            draw_noise([model], [], ran, self.power_w.shape[2])
+
+    def keep(self, rows: "list[int]") -> None:
+        """Keep only ``rows`` (ascending positions)."""
+        self.models = [self.models[k] for k in rows]
+        self.sensors = [self.sensors[k] for k in rows]
+        self._saved = [self._saved[k] for k in rows]
+        for name in (
+            "power_w", "measured_w", "target_w", "levels",
+            "power_noise_w", "counter_noise_w",
+        ):
+            setattr(self, name, getattr(self, name)[rows])
 
 
 class _Recording:
@@ -367,34 +496,25 @@ class _Recording:
     def __init__(self, row: SessionRow, ticks: int) -> None:
         capacity = row.cap if row.tail is None else min(row.cap, _COMPLETION_CAPACITY)
         self.cap = row.cap
-        self.thermal = row.machine.thermal
-        self.tick_s = row.machine.tick_s
         self.power_w = np.empty((capacity, ticks))
-        self.temperature_c = (
-            np.empty((capacity, ticks)) if self.thermal is not None else None
-        )
         self.measured_w = np.empty(capacity)
         self.target_w = np.empty(capacity)
         self.settings = np.empty((capacity, 3))
 
-    def record(self, interval_index, window_w, measured_w, target_w, applied) -> None:
-        """Store one interval (growing the buffers first if they are full)."""
-        if interval_index == self.measured_w.shape[0]:
-            capacity = min(2 * interval_index, self.cap)
+    def store(self, start, power_w, measured_w, target_w, levels) -> None:
+        """Store intervals from ``start`` on (growing the buffers first if full)."""
+        stop = start + measured_w.shape[0]
+        capacity = self.measured_w.shape[0]
+        if stop > capacity:
+            capacity = min(max(2 * capacity, stop), self.cap)
             self.power_w = _grown(self.power_w, capacity)
-            if self.temperature_c is not None:
-                self.temperature_c = _grown(self.temperature_c, capacity)
             self.measured_w = _grown(self.measured_w, capacity)
             self.target_w = _grown(self.target_w, capacity)
             self.settings = _grown(self.settings, capacity)
-        self.power_w[interval_index] = window_w
-        if self.thermal is not None:
-            self.temperature_c[interval_index] = self.thermal.advance(window_w, self.tick_s)
-        self.measured_w[interval_index] = measured_w
-        self.target_w[interval_index] = target_w
-        self.settings[interval_index] = (
-            applied.freq_ghz, applied.idle_frac, applied.balloon_level
-        )
+        self.power_w[start:stop] = power_w
+        self.measured_w[start:stop] = measured_w
+        self.target_w[start:stop] = target_w
+        self.settings[start:stop] = levels
 
 
 def _grown(buffer: np.ndarray, capacity: int) -> np.ndarray:
@@ -422,7 +542,9 @@ def _run_constant(rows: "list[SessionRow]") -> None:
     """
     tick_s = rows[0].machine.tick_s
     ticks = rows[0].ticks_per_interval
+    model = rows[0].machine.power_model
     settings = [row.defense.initial_settings() for row in rows]
+    levels = np.array([tuple(applied) for applied in settings], dtype=float)
     cursors = [
         _SessionCursor(row.machine, applied) for row, applied in zip(rows, settings)
     ]
@@ -447,18 +569,17 @@ def _run_constant(rows: "list[SessionRow]") -> None:
                 _materialize(spans, activity[k], core_fraction[k])
 
         with profile.span("kernel.power", intervals=n_int):
+            noise_w, _ = draw_noise(
+                [rows[i].machine.power_model for i in active], [], n_int, ticks
+            )
             window_w = batch_window_power(
-                [rows[i].machine.power_model for i in active],
-                activity,
-                core_fraction,
-                [settings[i] for i in active],
+                model, activity, core_fraction, levels[active], noise_w
             )
 
         with profile.span("kernel.measure", intervals=n_int):
+            _, counter_noise_w = draw_noise([], [rows[i].sensor for i in active], n_int, 0)
             measured_w = measure_windows(
-                [rows[i].sensor for i in active],
-                window_w.reshape(len(active), n_int, ticks),
-                tick_s,
+                window_w.reshape(len(active), n_int, ticks), tick_s, counter_noise_w
             )
         for k, i in enumerate(active):
             row = rows[i]
@@ -481,9 +602,7 @@ def _run_constant(rows: "list[SessionRow]") -> None:
         applied = settings[i]
         target_w = np.full(n_rec, row.defense.current_target_w)
         settings_log = np.empty((n_rec, 3))
-        settings_log[:, 0] = applied.freq_ghz
-        settings_log[:, 1] = applied.idle_frac
-        settings_log[:, 2] = applied.balloon_level
+        settings_log[:] = levels[i]
         measured_w = np.concatenate(measured_chunks[i])
         if row.channel is not None:
             for interval_index in range(n_rec):

@@ -479,7 +479,9 @@ class TraceCache:
         A group of ≥2 shape-compatible traces (a lock-step batch) is
         written as a single packed entry unless ``packed=False``; anything
         else falls back to per-session entries.  Either way the keys serve
-        subsequent per-session ``get`` calls identically.
+        subsequent per-session ``get`` calls identically.  An entry whose
+        write raises ``OSError`` (a full disk, say) is counted as
+        ``exec.cache.put_errors`` and left out of the journal.
         """
         jobs = list(jobs)
         traces = list(traces)
@@ -492,15 +494,31 @@ class TraceCache:
         self._ensure_state()
         if packed is None:
             packed = True
-        records = []
         if packed and len(jobs) > 1 and _packable(traces):
-            records.append(self._put_packed(jobs, traces))
+            written = [self._try_put(self._put_packed, jobs, traces)]
         else:
-            for job, trace in zip(jobs, traces):
-                records.append(self._put_single(job, trace))
+            written = [
+                self._try_put(self._put_single, job, trace)
+                for job, trace in zip(jobs, traces)
+            ]
+        records = [record for record in written if record is not None]
         telemetry.count("exec.cache.puts", len(records))
-        self._commit([r for r in records if r is not None])
+        self._commit(records)
         self._evict()
+
+    @staticmethod
+    def _try_put(put, *args) -> "dict | None":
+        """``put(*args)``'s journal record, or None when its write failed.
+
+        A full or failing disk costs the store an entry, never the caller
+        its traces: the entry is not journaled, so its keys stay misses
+        and recompute.
+        """
+        try:
+            return put(*args)
+        except OSError:
+            telemetry.count("exec.cache.put_errors")
+            return None
 
     def _atomic_npz(self, path: Path, write) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)

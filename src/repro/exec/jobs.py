@@ -26,9 +26,9 @@ from functools import lru_cache
 from pathlib import Path
 
 from ..core.runtime import make_machine
-from ..defenses.designs import DefenseFactory
+from ..defenses.designs import DefenseFactory, is_design_name
 from ..machine import PlatformSpec, SimulatedMachine, Trace
-from ..workloads import get_workload
+from ..workloads import get_workload, is_workload_name
 
 __all__ = [
     "SessionJob",
@@ -166,6 +166,11 @@ class SessionJob:
         object.__setattr__(self, "design_overrides", _as_pairs(self.design_overrides))
         # Validate eagerly: one malformed job would otherwise fail a whole
         # lock-step batch mid-simulation instead of failing at submission.
+        # The name checks are lookups: they build no workload or design.
+        if not is_workload_name(self.workload):
+            raise ValueError(f"unknown workload {self.workload!r}")
+        if not is_design_name(self.defense):
+            raise ValueError(f"unknown defense {self.defense!r}")
         if not (self.interval_s > 0 and self.tick_s > 0):
             raise ValueError(
                 f"interval_s and tick_s must be positive, got "

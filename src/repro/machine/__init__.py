@@ -15,7 +15,7 @@ from .actuators import (
 )
 from .machine import SimulatedMachine, activity_profiles
 from .platform import PLATFORMS, SYS1, SYS2, SYS3, PlatformSpec, get_platform
-from .power import PowerBreakdown, PowerModel, batch_window_power
+from .power import PowerBreakdown, PowerModel, batch_window_power, draw_noise
 from .rng import spawn
 from .sensors import OutletMeter, RaplSensor, measure_windows, window_means
 from .thermal import ThermalModel
@@ -39,6 +39,7 @@ __all__ = [
     "PowerBreakdown",
     "PowerModel",
     "batch_window_power",
+    "draw_noise",
     "spawn",
     "OutletMeter",
     "RaplSensor",

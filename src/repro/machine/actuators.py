@@ -116,6 +116,14 @@ class ActuatorSettings:
     def as_vector(self) -> np.ndarray:
         return np.array([self.freq_ghz, self.idle_frac, self.balloon_level])
 
+    def __iter__(self):
+        """Unpack as the ``(freq_ghz, idle_frac, balloon_level)`` triple.
+
+        The control loop holds a fleet's settings as rows of a ``(B, 3)``
+        level array; code that reads one session's settings unpacks either.
+        """
+        return iter((self.freq_ghz, self.idle_frac, self.balloon_level))
+
     def __post_init__(self) -> None:
         if self.freq_ghz <= 0:
             raise ValueError("freq_ghz must be positive")

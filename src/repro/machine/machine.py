@@ -105,12 +105,14 @@ class SimulatedMachine:
             core_fraction_out,
         )
 
-    def next_segment(self, ticks_left: int, settings: ActuatorSettings) -> tuple:
+    def next_segment(self, ticks_left: int, settings) -> tuple:
         """Advance the phase cursor by one segment of at most ``ticks_left``.
 
         The scalar half of :meth:`activity_profile`: a segment ends at the
         window's end or at the current phase's boundary, whichever comes
-        first.  Returns ``(phase, work_into_phase, work_per_tick,
+        first.  ``settings`` is the held ``(freq_ghz, idle_frac,
+        balloon_level)`` triple: an :class:`ActuatorSettings` or one row of
+        a fleet's level array.  Returns ``(phase, work_into_phase, work_per_tick,
         seg_ticks)``, where ``work_into_phase`` is the cursor *before* the
         segment; ``phase`` is ``None`` once the workload has completed,
         and the segment then coasts through the rest of the window.
@@ -122,10 +124,9 @@ class SimulatedMachine:
             return None, 0.0, 0.0, ticks_left
 
         phase = self.workload.phases[self._phase_index]
+        freq_ghz, idle_frac, balloon_level = settings
         rate = phase.progress_rate(
-            settings.freq_ghz / self.spec.freq_max_ghz,
-            settings.idle_frac,
-            settings.balloon_level,
+            freq_ghz / self.spec.freq_max_ghz, idle_frac, balloon_level
         )
         # Defensive clamp: a custom Phase whose progress_rate returns a
         # zero, negative, or non-finite rate (e.g. idle_frac at its
@@ -154,7 +155,7 @@ class SimulatedMachine:
         self,
         segment: tuple,
         n_ticks: int,
-        settings: ActuatorSettings,
+        settings,
         activity_out: np.ndarray,
         core_fraction_out: np.ndarray,
     ) -> None:
@@ -217,15 +218,16 @@ class SimulatedMachine:
 def activity_profiles(
     machines: "list[SimulatedMachine]",
     n_ticks: int,
-    settings: "list[ActuatorSettings]",
+    levels: np.ndarray,
     activity_out: np.ndarray,
     core_fraction_out: np.ndarray,
 ) -> None:
     """:meth:`SimulatedMachine.activity_profile` for every row of a fleet.
 
-    Row ``k`` of the ``(B, n_ticks)`` buffers and ``machines[k]``'s cursor
-    end up exactly as ``machines[k].activity_profile(n_ticks, settings[k],
-    ...)`` leaves them.  Every row takes its first
+    ``levels`` holds each row's settings as a ``(B, 3)`` array.  Row ``k``
+    of the ``(B, n_ticks)`` buffers and ``machines[k]``'s cursor end up
+    exactly as ``machines[k].activity_profile(n_ticks, ActuatorSettings(
+    *levels[k]), ...)`` leaves them.  Every row takes its first
     :meth:`~SimulatedMachine.next_segment` step (the same scalar cursor
     code).  A row whose first segment covers the whole window inside one
     phase -- most rows, most windows -- joins one shared work-time grid
@@ -243,12 +245,12 @@ def activity_profiles(
     """
     inside: list[int] = []
     rows: list[tuple] = []
-    for k, machine in enumerate(machines):
-        segment = machine.next_segment(n_ticks, settings[k])
+    for k, (machine, held) in enumerate(zip(machines, levels.tolist())):
+        segment = machine.next_segment(n_ticks, held)
         phase, work_into_phase, work_per_tick, seg_ticks = segment
         if phase is None or seg_ticks != n_ticks:
             machine.fill_profile(
-                segment, n_ticks, settings[k], activity_out[k], core_fraction_out[k]
+                segment, n_ticks, held, activity_out[k], core_fraction_out[k]
             )
             continue
         inside.append(k)

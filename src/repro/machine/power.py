@@ -23,12 +23,17 @@ memoized: the actuators only ever command a small discrete set of levels,
 so each value is computed once per model and then served from a dict.
 
 :func:`batch_window_power` is the one implementation of the per-tick power
-step.  It evaluates B sessions' windows as one ``(B, ticks)`` array,
-drawing each session's shocks from its own RNG and filtering each noise
-row through :func:`first_order_rows`; the lock-step kernel
+step.  It evaluates B sessions' windows as one ``(B, ticks)`` array from
+their held actuator levels and their process noise; the lock-step kernel
 (:mod:`repro.exec.batch`) calls it for a whole fleet and
 :meth:`PowerModel.window_power` calls it with one row.  Rows never mix, so
 a row's result does not depend on which other rows share the call.
+
+:func:`draw_noise` is the one noise draw of a session's sensing: each
+session's AR(1) process noise, drawn from its power model's own RNG and
+filtered through :func:`first_order_rows`, and each RAPL sensor's counter
+noise.  Neither feeds back into the control loop, so the kernel draws
+both ahead, a block of intervals per session at a time.
 
 :func:`first_order_rows` is the one first-order recursion of the package:
 the AR(1) noise here and the thermal node (:mod:`repro.machine.thermal`)
@@ -41,13 +46,18 @@ package).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .platform import PlatformSpec
 
-__all__ = ["PowerBreakdown", "PowerModel", "batch_window_power", "first_order_rows"]
+__all__ = [
+    "PowerBreakdown",
+    "PowerModel",
+    "batch_window_power",
+    "draw_noise",
+    "first_order_rows",
+]
 
 
 @dataclass(frozen=True)
@@ -180,13 +190,18 @@ class PowerModel:
 
         ``core_fraction`` may be a per-tick array (the occupancy profile of
         a window that crosses phase boundaries) or a scalar.  This is a
-        one-row :func:`batch_window_power` call, which also advances the
-        AR(1) process noise carried from the previous window.
+        one-row :func:`batch_window_power` call on one window of
+        :func:`draw_noise`, which advances the AR(1) process noise carried
+        from the previous window.
         """
         activity = np.asarray(activity, dtype=float)
-        held = _HeldSettings(freq_ghz, idle_frac, balloon_level)
+        noise_w, _ = draw_noise([self], [], 1, activity.size)
         return batch_window_power(
-            [self], activity[None, :], np.asarray(core_fraction, dtype=float), [held]
+            self,
+            activity[None, :],
+            np.asarray(core_fraction, dtype=float),
+            np.array([[freq_ghz, idle_frac, balloon_level]], dtype=float),
+            noise_w,
         )[0]
 
     def breakdown(
@@ -221,58 +236,36 @@ class PowerModel:
         return self.static_power(spec.freq_min_ghz)
 
 
-class _HeldSettings(NamedTuple):
-    """The actuation triple :meth:`PowerModel.window_power` holds."""
-
-    freq_ghz: float
-    idle_frac: float
-    balloon_level: float
-
-
 def batch_window_power(
-    models: "list[PowerModel]",
+    model: PowerModel,
     activity: np.ndarray,
     core_fraction: np.ndarray,
-    settings: "list",
+    levels: np.ndarray,
+    noise_w: np.ndarray,
 ) -> np.ndarray:
     """Evaluate one window for B sessions as a ``(B, ticks)`` array.
 
-    ``models`` are the sessions' own :class:`PowerModel` instances (all for
-    the same platform spec); ``activity`` holds the sessions' per-tick
+    ``model`` is a :class:`PowerModel` of the sessions' platform; it only
+    supplies the memoized operating-point scalars, which depend on the
+    platform spec alone.  ``activity`` holds the sessions' per-tick
     activity as a ``(B, ticks)`` array and ``core_fraction`` their
-    occupancy, broadcastable against it; ``settings`` the per-session
-    actuator settings held during the window.  Shocks are drawn from each
-    model's own RNG in session order and each row is filtered by
-    :func:`first_order_rows`, advancing every model's carried AR(1) state.
-    Every operation is elementwise or row-wise, so each row equals a
-    one-row call on that model alone.  A zero-tick window draws nothing
-    and leaves every model's state untouched.
+    occupancy, broadcastable against it; ``levels`` the ``(B, 3)``
+    actuator levels (frequency, idle fraction, balloon level) held during
+    the window; ``noise_w`` each session's process noise over the window
+    (:func:`draw_noise`).  Every operation is elementwise or row-wise, so
+    each row equals a one-row call.
     """
     n_sessions, n_ticks = activity.shape
     if n_ticks == 0:
         return np.empty((n_sessions, 0))
-    spec = models[0].spec
-    scale = np.empty(n_sessions)
-    static_w = np.empty(n_sessions)
-    balloon_peak_w = np.empty(n_sessions)
-    shock_rows = []
-    for row, (model, applied) in enumerate(zip(models, settings)):
-        scale[row] = model.dvfs_scale(applied.freq_ghz) * model.idle_scale(
-            applied.idle_frac
-        )
-        static_w[row] = model.static_power(applied.freq_ghz)
-        balloon_peak_w[row] = spec.max_balloon_dynamic_w * applied.balloon_level
-        # Per-session draws from per-session streams: a generator fills a
-        # size-n request identically to n sequential scalar draws, so a
-        # window split into several calls draws the same shocks.
-        shock_rows.append(
-            model._rng.normal(0.0, model._shock_sigma_w, size=n_ticks).tolist()
-        )
-    noise_w, last_w = first_order_rows(
-        1.0, PowerModel.NOISE_RHO, shock_rows, [model._noise_state for model in models]
-    )
-    for model, level_w in zip(models, last_w):
-        model._noise_state = level_w
+    spec = model.spec
+    held = levels.tolist()
+    scale = np.array([
+        model.dvfs_scale(freq_ghz) * model.idle_scale(idle_frac)
+        for freq_ghz, idle_frac, _ in held
+    ])
+    static_w = np.array([model.static_power(freq_ghz) for freq_ghz, _, _ in held])
+    balloon_peak_w = spec.max_balloon_dynamic_w * levels[:, 2]
 
     app_w = spec.max_app_dynamic_w * activity * core_fraction * scale[:, None]
     occupancy = (1.0 - core_fraction) + PowerModel.SMT_BALLOON_SHARE * core_fraction
@@ -281,6 +274,45 @@ def batch_window_power(
     # Power can never be negative; noise excursions are clipped the way
     # a physical sensor would never report below ~0 W.
     return np.maximum(power_w, 0.1)
+
+
+def draw_noise(
+    models: "list[PowerModel]",
+    sensors: "list",
+    n_windows: int,
+    window_ticks: int,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Sensing noise of ``n_windows`` consecutive windows, per session.
+
+    Returns ``(power_noise_w, counter_noise_w)``:
+
+    * ``power_noise_w`` is each model's AR(1) process noise over
+      ``n_windows * window_ticks`` ticks, one row per model: one
+      ``normal(size=ticks)`` draw from the model's own RNG, filtered by
+      :func:`first_order_rows` from the model's carried level, which it
+      advances;
+    * ``counter_noise_w`` is each RAPL sensor's counter noise, one value
+      per window and row: one sized draw from the sensor's own RNG.
+
+    A generator fills a size-n request exactly as n scalar draws and the
+    recursion carries its level exactly across a split, so one call over
+    k windows equals k one-window calls, row by row.  An empty request
+    draws nothing and leaves every model's state untouched.
+    """
+    n_ticks = n_windows * window_ticks
+    power_noise_w = np.zeros((len(models), n_ticks))
+    if n_ticks:
+        for row, model in enumerate(models):
+            # One row at a time: a block's shocks as Python floats stay small.
+            shocks = model._rng.normal(0.0, model._shock_sigma_w, size=n_ticks)
+            noise_w, (model._noise_state,) = first_order_rows(
+                1.0, PowerModel.NOISE_RHO, [shocks.tolist()], [model._noise_state]
+            )
+            power_noise_w[row] = noise_w[0]
+    counter_noise_w = np.empty((len(sensors), n_windows))
+    for row, sensor in enumerate(sensors):
+        counter_noise_w[row] = sensor._rng.normal(0.0, sensor.noise_w, size=n_windows)
+    return power_noise_w, counter_noise_w
 
 
 def first_order_rows(

@@ -14,7 +14,8 @@ Sensors are deliberately stateless over trace arrays so the attacker can
 re-sample a recorded trace at any interval (Figure 12).
 
 :func:`measure_windows` is the one implementation of the defense's RAPL
-read: it measures one interval for B sessions as a row-wise reduction.
+read: it measures one interval for B sessions as a row-wise reduction,
+adding counter noise drawn by :func:`repro.machine.power.draw_noise`.
 The lock-step kernel (:mod:`repro.exec.batch`) calls it for a whole fleet
 and :meth:`RaplSensor.measure_window` calls it with one row.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .platform import PlatformSpec
+from .power import draw_noise
 
 __all__ = ["RaplSensor", "measure_windows", "OutletMeter", "window_means"]
 
@@ -58,10 +60,12 @@ class RaplSensor:
     def measure_window(self, tick_powers: np.ndarray, tick_s: float) -> float:
         """Average power over one defense interval, as the counter reports it.
 
-        A one-row :func:`measure_windows` call.
+        A one-row :func:`measure_windows` call with one window of counter
+        noise from this sensor's RNG.
         """
         tick_powers = np.asarray(tick_powers, dtype=float)
-        return float(measure_windows([self], tick_powers[None, :], tick_s)[0])
+        _, noise_w = draw_noise([], [self], 1, tick_powers.size)
+        return float(measure_windows(tick_powers[None, :], tick_s, noise_w[:, 0])[0])
 
     def sample_trace(
         self, tick_powers: np.ndarray, tick_s: float, interval_s: float
@@ -83,32 +87,30 @@ class RaplSensor:
 
 
 def measure_windows(
-    sensors: "list[RaplSensor]", tick_powers: np.ndarray, tick_s: float
+    tick_powers: np.ndarray, tick_s: float, noise_w: np.ndarray
 ) -> np.ndarray:
     """Per-session average power over intervals, as the counters report it.
 
-    ``tick_powers`` holds one row of per-tick power per sensor: a
+    ``tick_powers`` holds one row of per-tick power per session: a
     ``(B, ticks)`` block measures one interval per session and returns
     ``(B,)``; a ``(B, windows, ticks)`` block measures ``windows``
     consecutive intervals per session and returns ``(B, windows)``.  Each
     window's energy is summed and quantized to the RAPL energy unit, and
-    each session's counter noise is drawn from that session's own sensor
-    RNG, in session order; a generator fills a size-n request exactly as n
-    scalar draws, so each row equals one-window calls on its sensor alone.
+    ``noise_w`` (one counter-noise value per window, shaped like the
+    result; :func:`~repro.machine.power.draw_noise`) is added.  Every
+    operation is row-wise, so each row equals a one-row call.
     """
     tick_powers = np.asarray(tick_powers, dtype=float)
-    if tick_powers.ndim not in (2, 3) or tick_powers.shape[0] != len(sensors):
-        raise ValueError("expected one row of tick powers per sensor")
+    if tick_powers.ndim not in (2, 3):
+        raise ValueError("expected a (B, ticks) or (B, windows, ticks) block")
+    if np.shape(noise_w) != tick_powers.shape[:-1]:
+        raise ValueError("expected one counter-noise value per window")
     window_ticks = tick_powers.shape[-1]
     if window_ticks == 0:
         raise ValueError("cannot measure an empty window")
     quantum_j = RaplSensor.ENERGY_QUANTUM_J
     energy_j = tick_powers.sum(axis=-1) * tick_s
     energy_j = np.round(energy_j / quantum_j) * quantum_j
-    windows = energy_j.shape[1:] or None
-    noise_w = np.empty(energy_j.shape)
-    for row, sensor in enumerate(sensors):
-        noise_w[row] = sensor._rng.normal(0.0, sensor.noise_w, size=windows)
     return energy_j / (window_ticks * tick_s) + noise_w
 
 

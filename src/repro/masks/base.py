@@ -5,7 +5,14 @@ the paper's masks share the same re-randomization scheme: a parameter set is
 drawn, used for ``N_hold`` samples, then re-drawn; ``N_hold`` itself varies
 randomly between 6 and 120 samples (Section V-B).  :class:`SegmentedMask`
 implements that machinery; concrete masks implement parameter drawing and
-per-sample evaluation.
+the evaluation of a whole segment (one sized RNG draw and one array
+expression per run of samples that share a parameter set).
+
+:meth:`MaskGenerator.generate` is the one way targets are produced:
+``next_target`` is a one-sample ``generate``, and the control loop draws a
+block of targets per session ahead of time.  A generator fills a size-n
+request exactly as n scalar draws, so splitting a stream between calls at
+any point yields the same targets and leaves the same RNG state.
 
 Every mask respects two constraints from the paper:
 
@@ -52,15 +59,12 @@ class MaskGenerator(abc.ABC):
         return type(self).__name__
 
     @abc.abstractmethod
+    def generate(self, n_samples: int) -> np.ndarray:
+        """The target powers (watts) of the next ``n_samples`` intervals."""
+
     def next_target(self) -> float:
         """The target power (watts) for the next control interval."""
-
-    def generate(self, n_samples: int) -> np.ndarray:
-        """Convenience: materialize ``n_samples`` targets."""
-        targets_w = np.empty(n_samples, dtype=np.float64)
-        for index in range(n_samples):
-            targets_w[index] = self.next_target()
-        return targets_w
+        return float(self.generate(1)[0])
 
     def reset(self) -> None:
         """Start a fresh segment schedule (keeps the RNG stream)."""
@@ -91,21 +95,39 @@ class SegmentedMask(MaskGenerator):
         self._samples_left = 0
         self._sample_index = 0
 
-    def next_target(self) -> float:
-        if self._samples_left == 0:
-            self._samples_left = int(
-                self._rng.integers(self.nhold_range[0], self.nhold_range[1] + 1)
-            )
-            self._draw_parameters(self._rng)
-        self._samples_left -= 1
-        value = self._evaluate(self._sample_index, self._rng)
-        self._sample_index += 1
-        return self._clip(value)
+    def generate(self, n_samples: int) -> np.ndarray:
+        """The next ``n_samples`` targets, one segment at a time.
+
+        Each run of samples that shares a parameter set is evaluated by one
+        :meth:`_segment` call; a segment split between two calls resumes
+        where the first left it.  Clipping to the band is elementwise.
+        """
+        targets_w = np.empty(n_samples, dtype=np.float64)
+        filled = 0
+        while filled < n_samples:
+            if self._samples_left == 0:
+                self._samples_left = int(
+                    self._rng.integers(self.nhold_range[0], self.nhold_range[1] + 1)
+                )
+                self._draw_parameters(self._rng)
+            count = min(self._samples_left, n_samples - filled)
+            start = self._sample_index
+            # Global sample indices, exact in float64.
+            indices = np.arange(start, start + count, dtype=np.float64)
+            targets_w[filled:filled + count] = self._segment(indices, self._rng)
+            self._samples_left -= count
+            self._sample_index += count
+            filled += count
+        return np.minimum(np.maximum(targets_w, self.low_w), self.high_w)
 
     @abc.abstractmethod
     def _draw_parameters(self, rng: np.random.Generator) -> None:
         """Draw a fresh parameter set for the next segment."""
 
     @abc.abstractmethod
-    def _evaluate(self, sample_index: int, rng: np.random.Generator) -> float:
-        """Target value at the global sample index with current parameters."""
+    def _segment(self, indices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Unclipped targets at the global sample ``indices`` (current parameters).
+
+        Per-sample noise comes from one sized ``rng`` draw, which fills the
+        array exactly as one scalar draw per sample would.
+        """

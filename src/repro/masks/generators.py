@@ -54,8 +54,8 @@ class ConstantMask(MaskGenerator):
             level_w = self.low_w + 0.45 * self.span_w
         self.level_w = self._clip(level_w)
 
-    def next_target(self) -> float:
-        return self.level_w
+    def generate(self, n_samples: int) -> np.ndarray:
+        return np.full(n_samples, self.level_w)
 
 
 class UniformRandomMask(SegmentedMask):
@@ -64,8 +64,8 @@ class UniformRandomMask(SegmentedMask):
     def _draw_parameters(self, rng: np.random.Generator) -> None:
         self._level_w = self.low_w + rng.uniform(0.0, 1.0) * self.span_w
 
-    def _evaluate(self, sample_index: int, rng: np.random.Generator) -> float:
-        return self._level_w
+    def _segment(self, indices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return np.full(indices.size, self._level_w)
 
 
 class GaussianMask(SegmentedMask):
@@ -75,8 +75,8 @@ class GaussianMask(SegmentedMask):
         self._mu_w = self.low_w + rng.uniform(0.2, 0.8) * self.span_w
         self._sigma_w = rng.uniform(0.02, 0.12) * self.span_w
 
-    def _evaluate(self, sample_index: int, rng: np.random.Generator) -> float:
-        return float(rng.normal(self._mu_w, self._sigma_w))
+    def _segment(self, indices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return rng.normal(self._mu_w, self._sigma_w, size=indices.size)
 
 
 class _SinusoidParams:
@@ -95,9 +95,15 @@ class _SinusoidParams:
         self.period = rng.uniform(2.0, 32.0)
         self.phase = rng.uniform(0.0, 2.0 * np.pi)
 
-    def value(self, sample_index: int) -> float:
+    def values(self, indices: np.ndarray) -> np.ndarray:
+        """The sinusoid at the global sample ``indices``.
+
+        Each element takes the operations of the scalar expression, in its
+        order; the one ``np.sin`` over the segment is the mask's
+        numpy-build caveat (DESIGN.md §7).
+        """
         return self.offset_w + self.amp_w * np.sin(
-            2.0 * np.pi * sample_index / self.period + self.phase
+            2.0 * np.pi * indices / self.period + self.phase
         )
 
 
@@ -108,8 +114,8 @@ class SinusoidMask(SegmentedMask):
         self._params = _SinusoidParams()
         self._params.draw(self, rng)
 
-    def _evaluate(self, sample_index: int, rng: np.random.Generator) -> float:
-        return float(self._params.value(sample_index))
+    def _segment(self, indices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return self._params.values(indices)
 
 
 class GaussianSinusoidMask(SegmentedMask):
@@ -121,9 +127,9 @@ class GaussianSinusoidMask(SegmentedMask):
         self._mu_w = rng.uniform(-0.05, 0.05) * self.span_w
         self._sigma_w = rng.uniform(0.02, 0.10) * self.span_w
 
-    def _evaluate(self, sample_index: int, rng: np.random.Generator) -> float:
-        noise_w = rng.normal(self._mu_w, self._sigma_w)
-        return float(self._params.value(sample_index) + noise_w)
+    def _segment(self, indices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        noise_w = rng.normal(self._mu_w, self._sigma_w, size=indices.size)
+        return self._params.values(indices) + noise_w
 
 
 MASK_FAMILIES = {

@@ -44,14 +44,20 @@ HISTORY_SCHEMA = "maya.bench.history.v1"
 #:   only; 1.3x keeps the gate robust against noisy CI machines;
 #: * ``batched_speedup`` — ``workers=1`` lock-step collection over the
 #:   same reference; the engine fast-forwards the smoke scenario's
-#:   constant-settings defense where the reference decides every interval,
-#:   so 10x holds on one CPU;
+#:   constant-settings defense where the reference decides every interval
+#:   (on a noisy 2-core host it reads ~10-14x, so the 10x floor is
+#:   marginal there);
+#: * ``dynamic_batched_speedup`` — 16 and 32 ``maya_gs`` rows as one
+#:   lock-step call over one-row calls, where every row decides every
+#:   interval; set below half the lowest of ten ``--check`` runs on a
+#:   noisy 2-core host (5.8-7.9x);
 #: * ``packed_read_speedup`` — packed-group over per-session reads in the
 #:   store micro-bench (no per-file opens or zlib inflation; measured
 #:   ~20x on the reference host).
 SPEEDUP_FLOORS = {
     "parallel_speedup": 1.3,
     "batched_speedup": 10.0,
+    "dynamic_batched_speedup": 2.5,
     "packed_read_speedup": 2.0,
 }
 

@@ -8,7 +8,7 @@ from .parsec import PARSEC_APPS, parsec_program
 from .phases import PhaseProgram
 from .video import VIDEO_NAMES, video_program
 
-__all__ = ["WORKLOAD_FAMILIES", "all_workload_names", "get_workload"]
+__all__ = ["WORKLOAD_FAMILIES", "all_workload_names", "get_workload", "is_workload_name"]
 
 WORKLOAD_FAMILIES = {
     "parsec": PARSEC_APPS,
@@ -23,6 +23,15 @@ def all_workload_names() -> tuple[str, ...]:
     for family_names in WORKLOAD_FAMILIES.values():
         names.extend(family_names)
     return tuple(names)
+
+
+#: Every name :func:`get_workload` resolves.
+_WORKLOAD_NAMES = frozenset(all_workload_names())
+
+
+def is_workload_name(name: str) -> bool:
+    """Whether :func:`get_workload` knows ``name`` (a lookup: builds nothing)."""
+    return name in _WORKLOAD_NAMES
 
 
 def get_workload(name: str, **kwargs: object) -> PhaseProgram:

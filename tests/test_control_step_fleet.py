@@ -1,23 +1,23 @@
 """The fleet-wide Equation-1 step must equal B one-row steps exactly.
 
-``MatrixController.step`` is a one-row ``MatrixController.step_fleet``
-call, so a B-row call is checked against B independent one-row calls:
-the same settings, ``array_equal`` controller states and equal
-diagnostics, for any fleet size and any state, including commands at the
-0/1 rails, vanishing errors and saturation in both directions.
-``tests/test_golden_traces.py`` pins the absolute bits of the one-row
-step (a digest of 480 steps, computed by the serial step it replaced)
-and of whole traces.
+``MatrixController.step`` is a one-row ``ControllerFleet`` step, so a
+B-row fleet, kept across steps, is checked against B independent one-row
+steps: the same settings, ``array_equal`` controller states and equal
+diagnostics once written back, for any fleet size and any state,
+including commands at the 0/1 rails, vanishing errors and saturation in
+both directions.  ``tests/test_golden_traces.py`` pins the absolute bits
+of the one-row step (a digest of 480 steps, computed by the serial step
+it replaced) and of whole traces.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.control import MatrixController
+from repro.control import ControllerFleet, MatrixController
 from repro.defenses import DefenseFleet
 from repro.exec import SessionJob
-from repro.machine import SYS1, ActuatorBank, spawn
+from repro.machine import SYS1, ActuatorBank, ActuatorSettings, spawn
 
 #: How a row's measurement relates to its target in one step.
 ERROR_KINDS = ("random", "zero", "tiny", "far_above", "far_below")
@@ -53,6 +53,10 @@ def _seed_state(controller, rail, rng):
     controller._u_applied = u_norm - controller._u_op
 
 
+def _settings(levels):
+    return [ActuatorSettings(*row) for row in levels.tolist()]
+
+
 def _assert_same(alone, fleet):
     assert np.array_equal(alone._x_pred, fleet._x_pred)
     assert np.array_equal(alone._u_applied, fleet._u_applied)
@@ -80,6 +84,7 @@ class TestStepFleet:
                 _seed_state(controller, rails[k % len(rails)],
                             np.random.default_rng([seed, k]))
         y_scale_w = sys1_design.plant.y_scale_w
+        stepped = ControllerFleet(fleet)
         for step in range(n_steps):
             targets_w = rng.uniform(5.0, 35.0, size)
             measured_w = np.array([
@@ -90,7 +95,8 @@ class TestStepFleet:
                 controller.step(float(t), float(m))
                 for controller, t, m in zip(alone, targets_w, measured_w)
             ]
-            assert MatrixController.step_fleet(fleet, targets_w, measured_w) == expected
+            assert _settings(stepped.step(targets_w, measured_w)) == expected
+            stepped.write_back()
             for a, b in zip(alone, fleet):
                 _assert_same(a, b)
 
@@ -103,9 +109,11 @@ class TestStepFleet:
                  for _ in range(size)]
         targets_w = np.full(size, 20.0)
         measured_w = np.where(np.arange(size) % 2 == 0, 500.0, -500.0)
+        stepped = ControllerFleet(fleet)
         for _ in range(30):
             expected = [c.step(t, m) for c, t, m in zip(alone, targets_w, measured_w)]
-            assert MatrixController.step_fleet(fleet, targets_w, measured_w) == expected
+            assert _settings(stepped.step(targets_w, measured_w)) == expected
+        stepped.write_back()
         for a, b in zip(alone, fleet):
             _assert_same(a, b)
         diagnostics = [c.diagnostics() for c in fleet]
@@ -119,7 +127,36 @@ class TestStepFleet:
             MatrixController(sys1_constant_design.controller, ActuatorBank(SYS1)),
         ]
         with pytest.raises(ValueError, match="share a design"):
-            MatrixController.step_fleet(controllers, np.full(2, 20.0), np.full(2, 18.0))
+            ControllerFleet(controllers)
+
+    def test_kept_rows_continue_and_dropped_rows_are_written_back(self, sys1_design):
+        size = 6
+        alone = [MatrixController(sys1_design.controller, ActuatorBank(SYS1))
+                 for _ in range(size)]
+        fleet = [MatrixController(sys1_design.controller, ActuatorBank(SYS1))
+                 for _ in range(size)]
+        rng = np.random.default_rng(11)
+        stepped = ControllerFleet(fleet)
+        members = list(range(size))
+        for step in range(12):
+            if step in (4, 9):
+                kept = [k for k in range(len(members)) if (k + step) % 3]
+                dropped = [members[k] for k in range(len(members)) if k not in kept]
+                stepped.write_back(np.setdiff1d(np.arange(len(members)), kept))
+                stepped.keep(np.array(kept))
+                members = [members[k] for k in kept]
+                for index in dropped:
+                    _assert_same(alone[index], fleet[index])
+            targets_w = rng.uniform(5.0, 35.0, len(members))
+            measured_w = targets_w + rng.normal(0.0, 8.0, len(members))
+            expected = [
+                alone[index].step(float(t), float(m))
+                for index, t, m in zip(members, targets_w, measured_w)
+            ]
+            assert _settings(stepped.step(targets_w, measured_w)) == expected
+        stepped.write_back()
+        for index in members:
+            _assert_same(alone[index], fleet[index])
 
 
 class TestDecideBatch:
@@ -143,11 +180,48 @@ class TestDecideBatch:
         batched = self._prepared(sys1_factory, machines)
         alone = self._prepared(sys1_factory, machines)
         rng = np.random.default_rng(3)
-        for _ in range(40):
-            measured_w = rng.uniform(5.0, 35.0, len(self.DEFENSES))
-            expected = [d.decide(float(m)) for d, m in zip(alone, measured_w)]
-            assert DefenseFleet(batched).decide(measured_w) == expected
-            for a, b in zip(alone, batched):
-                assert np.array_equal(a.current_target_w, b.current_target_w,
-                                      equal_nan=True)
-                assert a.diagnostics() == b.diagnostics()
+        fleet = DefenseFleet(batched)
+        assert _settings(fleet.levels) == [d.initial_settings() for d in alone]
+        # Blocks of mask targets of uneven length, drawn ahead.
+        for block in (1, 7, 13, 19):
+            fleet.draw(block)
+            for _ in range(block):
+                measured_w = rng.uniform(5.0, 35.0, len(self.DEFENSES))
+                expected = [d.decide(float(m)) for d, m in zip(alone, measured_w)]
+                assert _settings(fleet.decide(measured_w)) == expected
+                fleet.write_back()
+                for a, b in zip(alone, batched):
+                    assert np.array_equal(a.current_target_w, b.current_target_w,
+                                          equal_nan=True)
+                    assert a.diagnostics() == b.diagnostics()
+
+    def test_kept_rows_match_decide(self, sys1_factory):
+        machines = [
+            SessionJob.for_factory(sys1_factory, workload="volrend", defense=name,
+                                   run_id=index).build_machine()
+            for index, name in enumerate(self.DEFENSES)
+        ]
+        batched = self._prepared(sys1_factory, machines)
+        alone = self._prepared(sys1_factory, machines)
+        rng = np.random.default_rng(4)
+        fleet = DefenseFleet(batched)
+        members = list(range(len(self.DEFENSES)))
+        fleet.draw(30)
+        for step in range(30):
+            if step in (6, 17):
+                kept = [k for k in range(len(members)) if (k + step) % 3]
+                dropped = [members[k] for k in range(len(members)) if k not in kept]
+                fleet.keep(kept)
+                members = [members[k] for k in kept]
+                for index in dropped:
+                    assert np.array_equal(alone[index].current_target_w,
+                                          batched[index].current_target_w, equal_nan=True)
+                    assert alone[index].diagnostics() == batched[index].diagnostics()
+            measured_w = rng.uniform(5.0, 35.0, len(members))
+            expected = [alone[index].decide(float(m)) for index, m in zip(members, measured_w)]
+            assert _settings(fleet.decide(measured_w)) == expected
+        fleet.write_back()
+        for index in members:
+            assert np.array_equal(alone[index].current_target_w,
+                                  batched[index].current_target_w, equal_nan=True)
+            assert alone[index].diagnostics() == batched[index].diagnostics()

@@ -1,5 +1,6 @@
 """Tests for repro.exec.cache (sharded content-addressed trace store) and its CLI."""
 
+import errno
 import json
 
 import pytest
@@ -310,6 +311,45 @@ class TestDamagedEntries:
         assert all(got.equals(want) for got, want in zip(traces, originals))
         # The recompute overwrote the damaged entries: every key hits now.
         replay = TraceCache(root=tmp_path).get_many([single] + group)
+        assert all(got.equals(want) for got, want in zip(replay, originals))
+
+
+class TestFailedWrites:
+    """A store write that fails degrades to a miss, never to a crash."""
+
+    @pytest.mark.parametrize("runs", [(0,), (1, 2)], ids=["single", "packed"])
+    def test_enospc_on_put_keeps_the_traces(self, tmp_path, monkeypatch, runs):
+        from repro import telemetry
+        from repro.exec import cache as cache_module
+        from repro.machine import Trace
+        from repro.telemetry import TelemetryRecorder
+
+        jobs = [tiny_job(run=run) for run in runs]
+        originals = run_sessions(jobs, cache=False)
+
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Trace, "save_npz", full_disk)
+        monkeypatch.setattr(cache_module, "_save_pack", full_disk)
+        recorder = TelemetryRecorder(root=tmp_path / "telemetry")
+        telemetry.set_recorder(recorder)
+        try:
+            traces = run_sessions(jobs, cache=TraceCache(root=tmp_path / "cache"))
+            counters = recorder.metrics.render()["counters"]
+        finally:
+            telemetry.set_recorder(None)
+        assert all(got.equals(want) for got, want in zip(traces, originals))
+        # One failed entry: the lone session's, or the packed group's.
+        assert counters["exec.cache.put_errors"] == 1
+        assert shard_files(tmp_path / "cache") == []
+
+        monkeypatch.undo()
+        fresh = TraceCache(root=tmp_path / "cache")
+        assert fresh.get_many(jobs) == [None] * len(jobs)
+        again = run_sessions(jobs, cache=fresh)
+        assert all(got.equals(want) for got, want in zip(again, originals))
+        replay = TraceCache(root=tmp_path / "cache").get_many(jobs)
         assert all(got.equals(want) for got, want in zip(replay, originals))
 
 

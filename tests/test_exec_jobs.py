@@ -56,6 +56,34 @@ class TestValidation:
                        interval_s=0.02, tick_s=0.02)
         assert job.duration_s == job.interval_s
 
+    @pytest.mark.parametrize("field, name", [
+        ("defense", "maya_nope"),
+        ("workload", "nope_app"),
+    ])
+    def test_unknown_name_is_rejected_at_construction(self, field, name):
+        with pytest.raises(ValueError, match=f"unknown {field}"):
+            tiny_job(**{field: name})
+
+    def test_every_experiment_name_is_accepted(self):
+        """The Table V designs, Maya under every mask family, every
+        experiment's defenses and every registered workload construct."""
+        import importlib
+        import pkgutil
+
+        from repro import experiments
+        from repro.defenses.designs import DESIGN_NAMES, maya_design_name
+        from repro.masks import MASK_FAMILIES
+        from repro.workloads import all_workload_names
+
+        defenses = set(DESIGN_NAMES) | {maya_design_name(f) for f in MASK_FAMILIES}
+        for module in pkgutil.iter_modules(experiments.__path__):
+            figure = importlib.import_module(f"repro.experiments.{module.name}")
+            defenses |= set(getattr(figure, "DEFENSES", ()))
+        for defense in sorted(defenses):
+            assert tiny_job(defense=defense).defense == defense
+        for workload in all_workload_names():
+            assert tiny_job(workload=workload).workload == workload
+
 
 class TestContentAddress:
     def test_key_is_stable(self):

@@ -8,6 +8,14 @@ as one sha256 per session of a small mixed fleet and one of a
 refactor that changed *every* path the same way still fails.  The
 digests were computed by the serial Figure-2 loop the kernel replaced.
 
+Two more entries pin state that outlives a trace.  Every mask family's
+target stream is pinned per seed, with the generator state it ends in,
+as drawn one ``next_target()`` at a time.  Three back-to-back
+``run_session`` calls on one machine pin the power-noise state a reused
+machine carries from one session into the next (the kernel draws noise
+ahead in blocks and must rewind what a stopped row did not consume).
+Both were computed by the per-sample loops before the block draws.
+
 The absolute digests depend on the floating-point build (numpy and the
 BLAS it dispatches to), so the fixture records both.  On a different
 build only the absolute comparison is skipped; the cross-path identity
@@ -60,6 +68,20 @@ GOLDEN_ROWS = (
 #: Index of the golden row that hits its ``max_duration_s`` uncompleted.
 CAPPED_ROW = len(GOLDEN_ROWS) - 1
 
+#: Seeds and length of each mask family's pinned target stream.
+MASK_SEEDS = (0, 1, 2)
+MASK_SAMPLES = 3000
+MASK_RANGE_W = (10.0, 40.0)
+
+#: Session limits of the back-to-back ``run_session`` calls on one machine:
+#: run to completion, a fixed second on the finished machine, and run to
+#: completion again (which then records only the tail).
+REUSED_CALLS = (
+    {"duration_s": None, "max_duration_s": 60.0, "tail_s": 0.5},
+    {"duration_s": 1.0},
+    {"duration_s": None, "max_duration_s": 60.0, "tail_s": 0.3},
+)
+
 
 def golden_jobs(factory) -> "list[SessionJob]":
     jobs = []
@@ -86,6 +108,58 @@ def naive_session():
     run_id = ("golden", "naive")
     machine = make_machine(SYS1, parsec_program("bodytrack"), seed=7, run_id=run_id)
     return run_session(machine, NaiveDefense(20.0), seed=7, run_id=run_id, duration_s=1.0)
+
+
+def mask_streams() -> dict:
+    """Per mask family and seed: sha256 of the targets and the final RNG state.
+
+    Each stream is ``MASK_SAMPLES`` one-at-a-time ``next_target()`` calls
+    on a fresh mask; the generator state is what the mask leaves in its
+    stream after them.
+    """
+    from repro.machine import spawn
+    from repro.masks import MASK_FAMILIES, make_mask
+
+    streams = {}
+    for family in MASK_FAMILIES:
+        for seed in MASK_SEEDS:
+            rng = spawn(seed, "golden-mask", family)
+            mask = make_mask(family, MASK_RANGE_W, rng)
+            targets_w = [mask.next_target() for _ in range(MASK_SAMPLES)]
+            streams[f"{family}/{seed}"] = {
+                "targets": hashlib.sha256(
+                    np.array(targets_w, dtype="<f8").tobytes()
+                ).hexdigest(),
+                "state": rng.bit_generator.state,
+            }
+    return streams
+
+
+def reused_machine_sessions(factory) -> "list[dict]":
+    """Trace digest and carried AR(1) noise level after each reused-machine call.
+
+    One ``water_nsquared`` machine runs the :data:`REUSED_CALLS` sessions
+    under ``maya_gs`` back to back, so each call starts from the power
+    noise state and RNG position the previous one left.
+    """
+    from repro.core.runtime import make_machine, run_session
+    from repro.machine import SYS1
+    from repro.workloads import parsec_program
+
+    machine = make_machine(
+        SYS1, parsec_program("water_nsquared"), seed=7, run_id=("golden", "reused")
+    )
+    sessions = []
+    for call, limits in enumerate(REUSED_CALLS):
+        trace = run_session(
+            machine, factory.create("maya_gs"), seed=7,
+            run_id=("golden", "reused", call), **limits,
+        )
+        sessions.append({
+            "trace": trace_digest(trace),
+            "noise_state": float(machine.power_model._noise_state).hex(),
+        })
+    return sessions
 
 
 def controller_step_digest(design) -> str:
@@ -205,6 +279,19 @@ class TestGoldenTraces:
             pytest.skip(f"golden digests were pinned on {pinned['float_build']}")
         assert trace_digest(naive_session()) == pinned["naive_run_session"]
 
+    def test_mask_streams_match_pinned_digests(self):
+        pinned = json.loads(FIXTURE.read_text())
+        if pinned["float_build"] != float_build():
+            pytest.skip(f"golden digests were pinned on {pinned['float_build']}")
+        # Compared in the JSON form the fixture pins.
+        assert json.loads(json.dumps(mask_streams())) == pinned["mask_streams"]
+
+    def test_reused_machine_matches_pinned_digests(self, sys1_factory):
+        pinned = json.loads(FIXTURE.read_text())
+        if pinned["float_build"] != float_build():
+            pytest.skip(f"golden digests were pinned on {pinned['float_build']}")
+        assert reused_machine_sessions(sys1_factory) == pinned["reused_machine"]
+
     def test_lock_step_kernel_matches_reference(self, golden_fleet, sys1_factory):
         jobs, digests = golden_fleet
         traces = execute_jobs_batched(jobs, sys1_factory)
@@ -232,6 +319,8 @@ def _write_fixture() -> None:
         "controller_steps": controller_step_digest(
             factory.maya_design("gaussian_sinusoid")
         ),
+        "mask_streams": mask_streams(),
+        "reused_machine": reused_machine_sessions(factory),
     }
     FIXTURE.write_text(json.dumps(payload, indent=1) + "\n")
 

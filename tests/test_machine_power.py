@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.signal import lfilter
 
-from repro.machine import ActuatorSettings, PowerModel, SYS1, batch_window_power, spawn
+from repro.machine import (
+    ActuatorSettings,
+    PowerModel,
+    SYS1,
+    batch_window_power,
+    draw_noise,
+    spawn,
+)
 from repro.machine.power import first_order_rows
 
 
@@ -110,11 +117,15 @@ class TestNoise:
 
     def test_zero_tick_batch_returns_empty_rows(self):
         models = [make_model("a"), make_model("b")]
+        rng_states = [model._rng.bit_generator.state for model in models]
+        noise_w, _ = draw_noise(models, [], 1, 0)
         window_w = batch_window_power(
-            models, np.empty((2, 0)), np.empty((2, 0)), [ActuatorSettings(1.6, 0.1, 0.3)] * 2
+            models[0], np.empty((2, 0)), np.empty((2, 0)), np.array([[1.6, 0.1, 0.3]] * 2),
+            noise_w,
         )
         assert window_w.shape == (2, 0)
         assert [model._noise_state for model in models] == [0.0, 0.0]
+        assert [model._rng.bit_generator.state for model in models] == rng_states
 
 
 def thermal_coefficients(time_constant_s, tick_s):

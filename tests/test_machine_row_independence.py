@@ -1,18 +1,20 @@
 """Row independence of the row-batched physics steps.
 
 ``batch_window_power`` and ``measure_windows`` are the only
-implementations of the power and RAPL steps: the lock-step kernel calls
-them for a whole fleet, ``PowerModel.window_power`` and
-``RaplSensor.measure_window`` call them with one row.  Traces therefore
-match across the two paths exactly when no row's result depends on the
-other rows of its call.  These properties pin that: for random fleets,
-each row of a B-row call equals a one-row call on an identically seeded
-model or sensor — the same output bits, the same carried AR(1) state and
-the same RNG position.  The phase cursor is pinned the same way: each
-row of one ``activity_profiles`` pass equals that machine's own
-``activity_profile`` call, profile bits and cursor state alike.  A
-multi-window ``measure_windows`` call, the constant-settings
-fast-forward's RAPL read, equals consecutive one-window calls.
+implementations of the power and RAPL steps, and ``draw_noise`` the only
+draw of their noise: the lock-step kernel calls them for a whole fleet,
+``PowerModel.window_power`` and ``RaplSensor.measure_window`` call them
+with one row.  Traces therefore match across the two paths exactly when
+no row's result depends on the other rows of its call.  These properties
+pin that: for random fleets, each row of a B-row call equals a one-row
+call on an identically seeded model or sensor — the same output bits, the
+same carried AR(1) state and the same RNG position.  The phase cursor is
+pinned the same way: each row of one ``activity_profiles`` pass equals
+that machine's own ``activity_profile`` call, profile bits and cursor
+state alike.  A multi-window ``measure_windows`` call, the
+constant-settings fast-forward's RAPL read, equals consecutive one-window
+calls, and one ``draw_noise`` block of k windows, the dynamic loop's
+draw ahead, equals k one-window draws.
 """
 
 import numpy as np
@@ -27,6 +29,7 @@ from repro.machine import (
     SimulatedMachine,
     activity_profiles,
     batch_window_power,
+    draw_noise,
     measure_windows,
     spawn,
 )
@@ -62,6 +65,11 @@ def random_window(seed, n_rows, n_ticks, window):
     return activity, core_fraction, held
 
 
+def levels_of(held):
+    """The ``(B, 3)`` level array of a list of settings."""
+    return np.array([tuple(settings) for settings in held], dtype=float)
+
+
 def rng_position(generator):
     return generator.bit_generator.state
 
@@ -78,7 +86,10 @@ class TestPowerRows:
         solo = [PowerModel(SYS1, spawn(seed, "power", i)) for i in range(n_rows)]
         for window, n_ticks in enumerate(windows):
             activity, core_fraction, held = random_window(seed, n_rows, n_ticks, window)
-            batched_w = batch_window_power(fleet, activity, core_fraction, held)
+            noise_w, _ = draw_noise(fleet, [], 1, n_ticks)
+            batched_w = batch_window_power(
+                fleet[0], activity, core_fraction, levels_of(held), noise_w
+            )
             assert batched_w.shape == (n_rows, n_ticks)
             for row, model in enumerate(solo):
                 alone_w = model.window_power(
@@ -113,7 +124,8 @@ class TestRaplRows:
         for window, n_ticks in enumerate(windows):
             rng = spawn(seed, "tick-power", window)
             tick_powers = rng.uniform(0.1, 60.0, size=(n_rows, n_ticks))
-            measured_w = measure_windows(fleet, tick_powers, TICK_S)
+            _, noise_w = draw_noise([], fleet, 1, n_ticks)
+            measured_w = measure_windows(tick_powers, TICK_S, noise_w[:, 0])
             assert measured_w.shape == (n_rows,)
             for row, sensor in enumerate(solo):
                 alone_w = sensor.measure_window(tick_powers[row], TICK_S)
@@ -143,17 +155,48 @@ class TestRaplRows:
         ]
         rng = spawn(seed, "tick-power")
         tick_powers = rng.uniform(0.1, 60.0, size=(n_rows, n_windows * n_ticks))
+        _, noise_w = draw_noise([], fleet, n_windows, n_ticks)
         measured_w = measure_windows(
-            fleet, tick_powers.reshape(n_rows, n_windows, n_ticks), TICK_S
+            tick_powers.reshape(n_rows, n_windows, n_ticks), TICK_S, noise_w
         )
         assert measured_w.shape == (n_rows, n_windows)
         for row, sensor in enumerate(solo):
             alone_w = [
-                measure_windows([sensor], window[None, :], TICK_S)[0]
+                sensor.measure_window(window, TICK_S)
                 for window in tick_powers[row].reshape(n_windows, n_ticks)
             ]
             assert np.array_equal(bits(measured_w[row]), bits(alone_w))
             assert rng_position(fleet[row]._rng) == rng_position(sensor._rng)
+
+
+class TestNoiseBlocks:
+    @given(
+        seed=seeds,
+        n_rows=fleet_sizes,
+        n_windows=st.integers(min_value=1, max_value=20),
+        n_ticks=tick_counts,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_block_equals_one_window_draws(self, seed, n_rows, n_windows, n_ticks):
+        """One ``draw_noise`` call over k windows draws, row by row, what k
+        one-window calls draw: noise bits, carried AR(1) level and RNG
+        positions alike."""
+        models = [PowerModel(SYS1, spawn(seed, "power", i)) for i in range(n_rows)]
+        sensors = [RaplSensor(SYS1, spawn(seed, "rapl", i)) for i in range(n_rows)]
+        power_w, counter_w = draw_noise(models, sensors, n_windows, n_ticks)
+        assert power_w.shape == (n_rows, n_windows * n_ticks)
+        assert counter_w.shape == (n_rows, n_windows)
+        for row in range(n_rows):
+            model = PowerModel(SYS1, spawn(seed, "power", row))
+            sensor = RaplSensor(SYS1, spawn(seed, "rapl", row))
+            windows = [draw_noise([model], [sensor], 1, n_ticks) for _ in range(n_windows)]
+            alone_power = np.concatenate([power[0] for power, _ in windows])
+            alone_counter = [counter[0, 0] for _, counter in windows]
+            assert np.array_equal(bits(power_w[row]), bits(alone_power))
+            assert np.array_equal(bits(counter_w[row]), bits(alone_counter))
+            assert models[row]._noise_state == model._noise_state
+            assert rng_position(models[row]._rng) == rng_position(model._rng)
+            assert rng_position(sensors[row]._rng) == rng_position(sensor._rng)
 
 
 #: Where a row's cursor starts relative to its phase's end, for a window.
@@ -258,7 +301,7 @@ class TestPhaseCursorRows:
         for _ in range(windows):
             activity = np.empty((len(rows), n_ticks))
             core_fraction = np.empty((len(rows), n_ticks))
-            activity_profiles(machines, n_ticks, held, activity, core_fraction)
+            activity_profiles(machines, n_ticks, levels_of(held), activity, core_fraction)
             for k, (machine, row_settings) in enumerate(solo):
                 alone_activity = np.empty(n_ticks)
                 alone_core = np.empty(n_ticks)

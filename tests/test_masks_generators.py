@@ -102,6 +102,25 @@ class TestSegmentation:
         with pytest.raises(ValueError):
             UniformRandomMask(RANGE, spawn(1, "u"), nhold_range=(0, 5))
 
+    @given(
+        family=st.sampled_from(sorted(MASK_FAMILIES)),
+        key=st.integers(min_value=0, max_value=50),
+        cuts=st.lists(st.integers(min_value=0, max_value=300), max_size=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_split_generate_equals_one_call(self, family, key, cuts):
+        """``generate`` split at arbitrary points (segment boundaries, mid
+        segment, empty calls) yields one call's bits and RNG state."""
+        whole_mask = mask(family, key)
+        whole = whole_mask.generate(300)
+        split_mask = mask(family, key)
+        parts, done = [], 0
+        for point in sorted(cuts) + [300]:
+            parts.append(split_mask.generate(point - done))
+            done = point
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+        assert split_mask._rng.bit_generator.state == whole_mask._rng.bit_generator.state
+
 
 class TestGaussianSinusoid:
     def test_has_time_variation(self):
