@@ -14,13 +14,14 @@ fleet at once:
   the RAPL read (:func:`repro.machine.sensors.measure_windows`) evaluate
   ``(B, ticks)`` structure-of-arrays blocks and reduce the windows
   row-wise; their noise comes from :func:`repro.machine.power.draw_noise`,
-  which filters each AR(1) noise row with one exact first-order recursion;
+  which filters the AR(1) noise with one exact first-order recursion;
 * defenses whose settings never change (``Defense.constant_settings``)
   skip the control loop entirely: the whole session is fast-forwarded in
   chunks of :data:`CONST_CHUNK_INTERVALS` intervals (:func:`_run_constant`);
 * every other defense decides interval by interval (:func:`_run_dynamic`)
   after one fleet pass of the phase cursors
-  (:func:`repro.machine.activity_profiles`).  One
+  (:func:`repro.machine.activity_profiles`, or a
+  :class:`~repro.machine.CursorFleet` on a wide fleet).  One
   :class:`~repro.defenses.DefenseFleet` serves the whole call: it keeps
   the Equation-1 state of every Maya row sharing a design in one
   :class:`~repro.control.ControllerFleet`, whose stacked ``np.matmul``
@@ -28,6 +29,22 @@ fleet at once:
   travel as one ``(B, 3)`` level array.  What the loop never feeds back
   -- mask targets, power noise, RAPL counter noise -- is drawn per row
   :data:`BLOCK_INTERVALS` intervals ahead (:class:`_Block`).
+
+**Wide fleets.**  While a dynamic fleet has at least
+:data:`WIDE_FLEET_ROWS` active rows, its interval takes no Python step per
+row: a :class:`~repro.machine.CursorFleet` replaces the per-machine
+cursor walk, :class:`~repro.machine.OperatingPoints` tables replace the
+per-row operating-point lookups of the power step, and each block's AR(1)
+noise is filtered time-major.  The cursor fleet owns every row's phase
+index, work into the phase, work done, ``time_s`` and ``completed_at_s``
+while the fleet is wide; it writes them back to the machines only when a
+row retires, when telemetry records an interval, when the fleet turns
+narrow and at the end of the call, and completion is detected from its
+arrays.  Every table entry is computed once by the scalar code it stands
+for (``Phase.frequency_speedup``, ``PowerModel.dvfs_scale``,
+``static_power``, ``idle_scale``).  The path is chosen each time the loop
+rebuilds its active fleet; the fleet only shrinks, so it turns narrow at
+most once, and narrow fleets run the per-row code, which stays the oracle.
 
 **Per-row termination.**  A fixed-duration row records
 ``min(duration_s, max_duration_s)``; a completion-mode row (``duration_s
@@ -41,20 +58,23 @@ session's own spawn-keyed stream, in the same within-session order at
 any fleet size; a generator fills one size-n request identically to n
 sequential draws, no row of the power, RAPL and controller steps depends
 on another, and the AR(1) recursion carries each row's state across a
-multi-window block exactly like per-window calls.  So drawing a block
-of noise or mask targets ahead equals drawing it interval by interval,
-and the constant-settings path's multi-window RAPL reduction replays the
-per-window sums.  A row that stops inside a block (a completion-mode row
-whose deadline falls there) restores its power model's bit-generator
-state and carried AR(1) level to the block's start and redraws only the
-intervals it ran, so a reused machine enters its next session with the
-state a per-interval draw would leave; the mask and sensor streams
-belong to the session and are dropped with it.  So each row of a B-row
-call equals a one-row call, and the constant-settings fast-forward
-equals the per-interval loop.  The golden trace digests
-(``tests/test_golden_traces.py``) pin the absolute bits.  Three sites
-depend on the numpy build in the same way: :func:`_materialize` and the
-fleet phase cursor evaluate a phase's ``np.sin`` over a stacked array
+multi-window block exactly like per-window calls, row by row or
+time-major.  So drawing a block of noise or mask targets ahead equals
+drawing it interval by interval, and the constant-settings path's
+multi-window RAPL reduction replays the per-window sums.  A row whose
+recording ends before what was drawn ahead for it (a completion-mode row
+whose deadline falls inside a dynamic block or a constant-settings
+chunk) takes one retire step, :func:`_rewind_noise`: its power model's
+bit-generator state and carried AR(1) level go back to where the draw
+began and only the intervals it ran are redrawn, so a reused machine
+enters its next session with the state a per-interval draw would leave;
+the mask and sensor streams belong to the session and are dropped with
+it.  So each row of a B-row call equals a one-row call, and the
+constant-settings fast-forward equals the per-interval loop.  The golden
+trace digests (``tests/test_golden_traces.py``) pin the absolute bits.
+Three sites depend on the numpy build in the same way: :func:`_materialize`
+and the fleet phase cursor (``activity_profiles``, or the same evaluation
+in ``CursorFleet``) evaluate a phase's ``np.sin`` over a stacked array
 rather than one window of one row, and a mask evaluates its sinusoid over
 a whole segment rather than one sample (DESIGN.md §7 names all three).
 
@@ -75,6 +95,8 @@ from ..defenses.base import Defense
 from ..defenses.designs import DefenseFactory, DefenseFleet
 from ..machine import (
     ActuatorSettings,
+    CursorFleet,
+    OperatingPoints,
     RaplSensor,
     SimulatedMachine,
     Trace,
@@ -97,13 +119,21 @@ __all__ = [
 ]
 
 #: Most sessions simulated lock-step per chunk.  Large enough
-#: to amortize the per-interval numpy dispatch over a typical fleet, small
-#: enough that the ``(B, ticks)`` blocks stay cache-resident.
-DEFAULT_BATCH_SIZE = 32
+#: to amortize the per-interval numpy dispatch over a typical fleet and to
+#: keep a figure's 40-run collections in one wide chunk, small enough that
+#: the ``(B, ticks)`` blocks stay cache-resident.  On a 2-core host 48
+#: ran default-scale Fig. 6 and Fig. 7 faster than 32, and as fast as 64.
+DEFAULT_BATCH_SIZE = 48
 
 #: Initial interval capacity of a completion-mode row's recording buffers
 #: (they double on demand up to the row's cap).
 _COMPLETION_CAPACITY = 2048
+
+#: Fewest active rows of a dynamic fleet that run its interval as fleet
+#: passes (:class:`~repro.machine.CursorFleet`, level-indexed operating
+#: points, time-major AR(1) noise) rather than per-row Python: the measured
+#: crossover of the two paths' per-interval cost.
+WIDE_FLEET_ROWS = 12
 
 #: Intervals simulated per whole-session chunk of the constant-settings
 #: path: bounds the ``(B, ticks)`` working set while keeping the vector
@@ -292,6 +322,9 @@ def _run_dynamic(rows: "list[SessionRow]") -> None:
     and RAPL counter noise -- is drawn a :class:`_Block` of intervals
     ahead, and each interval is staged with one slice write per block
     buffer; the block is copied into the rows' own buffers when it ends.
+    A fleet of at least :data:`WIDE_FLEET_ROWS` active rows advances its
+    cursors, looks up its operating points and filters its noise as fleet
+    passes (module docstring, "Wide fleets").
 
     Each interval checks every row's termination at its top and drops rows
     whose recording has ended, so a retired row's machine, RNG streams and
@@ -304,20 +337,30 @@ def _run_dynamic(rows: "list[SessionRow]") -> None:
     # Supplies the operating-point scalars, a function of the platform.
     model = rows[0].machine.power_model
     recordings = [_Recording(row, ticks) for row in rows]
-    pending = [row for row in rows if row.tail is not None]
+    pending = [i for i, row in enumerate(rows) if row.tail is not None]
     active = list(range(len(rows)))
     decisions = DefenseFleet([row.defense for row in rows])
     levels = decisions.levels
+    # A wide fleet's phase cursors and operating-point tables.
+    cursors: "CursorFleet | None" = None
+    points: "OperatingPoints | None" = None
     block: "_Block | None" = None
     next_stop = 0  # the earliest interval at which an active row may stop
     interval_index = 0
     span = profile.get_profiler().span
     while True:
-        for row in pending:
-            if row.machine.completed and interval_index < row.cap:
-                row.deadline = interval_index + row.tail
-                next_stop = min(next_stop, row.stop())
-        pending = [row for row in pending if not row.machine.completed]
+        if pending:
+            completed = None if cursors is None else cursors.completed
+            waiting = []
+            for i in pending:
+                row = rows[i]
+                if not (row.machine.completed if completed is None
+                        else completed[position[i]]):
+                    waiting.append(i)
+                elif interval_index < row.cap:
+                    row.deadline = interval_index + row.tail
+                    next_stop = min(next_stop, row.stop())
+            pending = waiting
         if interval_index >= next_stop:
             kept = []
             for k, i in enumerate(active):
@@ -329,6 +372,8 @@ def _run_dynamic(rows: "list[SessionRow]") -> None:
                 if block is not None:
                     block.keep(kept)
                 decisions.keep(kept)
+                if cursors is not None:
+                    cursors.keep(kept)
                 levels = decisions.levels
                 active = [active[k] for k in kept]
             if not active:
@@ -337,6 +382,16 @@ def _run_dynamic(rows: "list[SessionRow]") -> None:
             fleet = [rows[i] for i in active]
             machines = [row.machine for row in fleet]
             recorded = [k for k, row in enumerate(fleet) if row.channel is not None]
+            position = {i: k for k, i in enumerate(active)}
+            pending = [i for i in pending if i in position]
+            # The fleet only shrinks, so it turns narrow at most once.
+            wide = len(active) >= WIDE_FLEET_ROWS
+            if wide and cursors is None:
+                cursors = CursorFleet(machines)
+                points = OperatingPoints(model)
+            elif not wide and cursors is not None:
+                cursors.write_back()
+                cursors = points = None
             activity = np.empty((len(active), ticks))
             core_fraction = np.empty((len(active), ticks))
         if block is None or interval_index == block.end:
@@ -344,7 +399,7 @@ def _run_dynamic(rows: "list[SessionRow]") -> None:
                 for k, i in enumerate(active):
                     block.flush(k, recordings[i], block.length)
             block = _Block(
-                fleet, interval_index, min(BLOCK_INTERVALS, next_stop - interval_index)
+                fleet, interval_index, min(BLOCK_INTERVALS, next_stop - interval_index), wide
             )
         column = interval_index - block.start
 
@@ -355,12 +410,15 @@ def _run_dynamic(rows: "list[SessionRow]") -> None:
         # matching span.  They observe wall-clock only and never feed back
         # (MAYA033).
         with span("kernel.fast_forward", interval=interval_index):
-            activity_profiles(machines, ticks, levels, activity, core_fraction)
+            if cursors is None:
+                activity_profiles(machines, ticks, levels, activity, core_fraction)
+            else:
+                cursors.advance(ticks, levels, activity, core_fraction)
         with span("kernel.power", interval=interval_index):
             if column == 0:
                 block.draw_power_noise()
             window_w = batch_window_power(
-                model, activity, core_fraction, levels, block.power_noise_w[:, column]
+                model, activity, core_fraction, levels, block.power_noise_w[:, column], points
             )
         with span("kernel.measure", interval=interval_index):
             if column == 0:
@@ -379,6 +437,8 @@ def _run_dynamic(rows: "list[SessionRow]") -> None:
             decided = decisions.decide(measured_w)
         if recorded:
             decisions.write_back(recorded)
+            if cursors is not None:
+                cursors.write_back(recorded)
             for k in recorded:
                 fleet[k].channel.interval(
                     interval_index,
@@ -421,11 +481,14 @@ class _Block:
     deadline falls inside the block stops early.
     """
 
-    def __init__(self, fleet: "list[SessionRow]", start: int, length: int) -> None:
+    def __init__(
+        self, fleet: "list[SessionRow]", start: int, length: int, wide: bool
+    ) -> None:
         ticks = fleet[0].ticks_per_interval
         self.start = start
         self.length = length
         self.end = start + length
+        self.wide = wide
         self.models = [row.machine.power_model for row in fleet]
         self.sensors = [row.sensor for row in fleet]
         n_rows = len(fleet)
@@ -436,11 +499,11 @@ class _Block:
 
     def draw_power_noise(self) -> None:
         """Draw every row's process noise for the block, saving where it began."""
-        self._saved = [
-            (model._rng.bit_generator.state, model._noise_state) for model in self.models
-        ]
+        self._saved = [_noise_mark(model) for model in self.models]
         ticks = self.power_w.shape[2]
-        power_noise_w, _ = draw_noise(self.models, [], self.length, ticks)
+        power_noise_w, _ = draw_noise(
+            self.models, [], self.length, ticks, time_major=self.wide
+        )
         self.power_noise_w = power_noise_w.reshape(len(self.models), self.length, ticks)
 
     def draw_counter_noise(self) -> None:
@@ -460,18 +523,15 @@ class _Block:
     def retire(self, k: int, recording: "_Recording", interval_index: int) -> None:
         """Flush a row that stops at ``interval_index`` and rewind its draws.
 
-        A row that stops inside the block restores its power model's RNG
-        and AR(1) level to the block's start and redraws only the
-        intervals it ran, so its machine carries the state a per-interval
-        draw would leave into a later session.  The counter-noise and mask
-        streams belong to the session alone.
+        A row that stops inside the block rewinds its power noise to the
+        block's start and redraws only the intervals it ran
+        (:func:`_rewind_noise`).  The counter-noise and mask streams
+        belong to the session alone.
         """
         ran = interval_index - self.start
         self.flush(k, recording, ran)
         if ran < self.length:
-            model = self.models[k]
-            model._rng.bit_generator.state, model._noise_state = self._saved[k]
-            draw_noise([model], [], ran, self.power_w.shape[2])
+            _rewind_noise(self.models[k], self._saved[k], ran, self.power_w.shape[2])
 
     def keep(self, rows: "list[int]") -> None:
         """Keep only ``rows`` (ascending positions)."""
@@ -517,6 +577,24 @@ class _Recording:
         self.settings[start:stop] = levels
 
 
+def _noise_mark(model) -> tuple:
+    """Where a power model's noise stream stands: RNG state and AR(1) level."""
+    return model._rng.bit_generator.state, model._noise_state
+
+
+def _rewind_noise(model, mark: tuple, n_windows: int, window_ticks: int) -> None:
+    """Rewind ``model``'s power noise to ``mark`` and redraw ``n_windows`` windows.
+
+    The retire step of a row whose recording ends before the intervals
+    drawn ahead for it: its machine then carries the RNG position and AR(1)
+    level a per-interval draw of the intervals it ran leaves into a later
+    session.  Both kernel paths use it: the dynamic loop's blocks and the
+    constant-settings fast-forward's chunks.
+    """
+    model._rng.bit_generator.state, model._noise_state = mark
+    draw_noise([model], [], n_windows, window_ticks)
+
+
 def _grown(buffer: np.ndarray, capacity: int) -> np.ndarray:
     """The buffer copied into a fresh array of ``capacity`` rows."""
     grown = np.empty((capacity,) + buffer.shape[1:], dtype=buffer.dtype)
@@ -534,11 +612,14 @@ def _run_constant(rows: "list[SessionRow]") -> None:
     session evaluates in chunks of up to :data:`CONST_CHUNK_INTERVALS`
     intervals: scalar window-grid bookkeeping per session
     (:class:`_SessionCursor`), then one fleet ``batch_window_power`` and
-    one multi-window ``measure_windows`` per chunk.  AR(1)/thermal state
-    and RNG streams carry across chunks exactly as across single windows.  A chunk
-    never runs past any active row's cap, so a row can only overrun its
-    recording once it has completed, where the extra ticks are idle
-    coasting beyond the recorded slice of its own streams.
+    one multi-window ``measure_windows`` per chunk.  AR(1) state and RNG
+    streams carry across chunks exactly as across single windows, and the
+    thermal node runs once over the recorded ticks.  A chunk never runs
+    past any active row's cap, so a row can only overrun its recording
+    when it completes inside the chunk: its cursor stops the clock where
+    the recording ends and its power noise is rewound there
+    (:func:`_rewind_noise`), so its machine ends where the per-interval
+    loop leaves it.
     """
     tick_s = rows[0].machine.tick_s
     ticks = rows[0].ticks_per_interval
@@ -546,15 +627,15 @@ def _run_constant(rows: "list[SessionRow]") -> None:
     settings = [row.defense.initial_settings() for row in rows]
     levels = np.array([tuple(applied) for applied in settings], dtype=float)
     cursors = [
-        _SessionCursor(row.machine, applied) for row, applied in zip(rows, settings)
+        _SessionCursor(row.machine, applied, row.tail)
+        for row, applied in zip(rows, settings)
     ]
-    for row in rows:
-        if row.tail is not None and row.machine.completed:
-            # Completed before the session: the tail starts at interval 0.
-            row.deadline = row.tail
+    for row, cursor in zip(rows, cursors):
+        # Set only for a row completed before the session: its tail starts
+        # at interval 0.
+        row.deadline = cursor.deadline
     power_chunks: list = [[] for _ in rows]
     measured_chunks: list = [[] for _ in rows]
-    temp_chunks: list = [[] for _ in rows]
     active = list(range(len(rows)))
     done = 0
     while active:
@@ -569,9 +650,9 @@ def _run_constant(rows: "list[SessionRow]") -> None:
                 _materialize(spans, activity[k], core_fraction[k])
 
         with profile.span("kernel.power", intervals=n_int):
-            noise_w, _ = draw_noise(
-                [rows[i].machine.power_model for i in active], [], n_int, ticks
-            )
+            models = [rows[i].machine.power_model for i in active]
+            marks = [_noise_mark(row_model) for row_model in models]
+            noise_w, _ = draw_noise(models, [], n_int, ticks)
             window_w = batch_window_power(
                 model, activity, core_fraction, levels[active], noise_w
             )
@@ -585,16 +666,12 @@ def _run_constant(rows: "list[SessionRow]") -> None:
             row = rows[i]
             power_chunks[i].append(window_w[k])
             measured_chunks[i].append(measured_w[k])
-            if row.machine.thermal is not None:
-                temp_chunks[i].append(row.machine.thermal.advance(window_w[k], tick_s))
+            if row.tail is not None:
+                row.deadline = cursors[i].deadline
+            ran = row.stop() - done
+            if ran < n_int:
+                _rewind_noise(models[k], marks[k], ran, ticks)
         done += n_int
-
-        for i in active:
-            row = rows[i]
-            if row.tail is not None and row.deadline is None:
-                row.deadline = _deadline_from_completion(
-                    cursors[i].completion_tick, ticks, row.tail
-                )
         active = [i for i in active if rows[i].stop() > done]
 
     for i, row in enumerate(rows):
@@ -603,6 +680,7 @@ def _run_constant(rows: "list[SessionRow]") -> None:
         target_w = np.full(n_rec, row.defense.current_target_w)
         settings_log = np.empty((n_rec, 3))
         settings_log[:] = levels[i]
+        power_w = np.concatenate(power_chunks[i])
         measured_w = np.concatenate(measured_chunks[i])
         if row.channel is not None:
             for interval_index in range(n_rec):
@@ -613,27 +691,27 @@ def _run_constant(rows: "list[SessionRow]") -> None:
                     applied,
                     row.defense,
                 )
+        thermal = row.machine.thermal
         row.finish(
-            np.concatenate(power_chunks[i]),
+            power_w,
             measured_w,
             target_w,
             settings_log,
-            np.concatenate(temp_chunks[i]) if temp_chunks[i] else None,
+            None if thermal is None
+            else thermal.advance(power_w[: n_rec * ticks], tick_s),
         )
 
 
 def _deadline_from_completion(
-    completion_tick: "int | None", ticks_per_interval: int, tail_intervals: int
-) -> "int | None":
+    completion_tick: int, ticks_per_interval: int, tail_intervals: int
+) -> int:
     """The per-interval loop's recording deadline implied by a completion tick.
 
-    The per-interval loop (:func:`_run_dynamic`) observes
-    ``machine.completed`` at the *top* of the interval after the one during
-    which completion occurred, and records ``tail_s`` worth of intervals
-    from there.
+    ``completion_tick`` is the 1-based tick of the call at which the
+    workload completed.  The per-interval loop (:func:`_run_dynamic`)
+    observes completion at the *top* of the interval after the one during
+    which it occurred, and records ``tail_s`` worth of intervals from there.
     """
-    if completion_tick is None:
-        return None
     completed_interval = (completion_tick - 1) // ticks_per_interval
     return completed_interval + 1 + tail_intervals
 
@@ -646,23 +724,25 @@ class _SessionCursor:
     *defers* the per-tick work-time grids and activity evaluation,
     recording ``(phase, bases, work_per_tick, seg_ticks)`` span descriptors
     for :func:`_materialize`.  Runs of whole windows that one phase fully
-    survives are fast-forwarded through ``np.add.accumulate``, which is a
-    strict sequential left fold — the per-window ``+= work_per_tick *
-    window_ticks`` chain lands on bit-identical values — so segmentation
-    decisions, ``time_s`` and ``completed_at_s`` all match the per-interval
-    loop exactly.  (Sole exception: ``time_s`` *after* workload
-    completion advances in one bulk add; a completed machine's coasting
-    clock is unobservable — ``completed_at_s`` is already frozen and
-    traces never record ``time_s``.)
+    survives, and a finished machine's coasting windows, are fast-forwarded
+    through ``np.add.accumulate``, which is a strict sequential left fold —
+    the per-window ``+=`` chain lands on bit-identical values — so
+    segmentation decisions, ``time_s`` and ``completed_at_s`` all match the
+    per-interval loop exactly.  A completion-mode cursor (``tail``
+    intervals) knows its recording deadline once the workload completes
+    and stops the clock there, where the per-interval loop stops the row.
     """
 
-    def __init__(self, machine, settings) -> None:
+    def __init__(self, machine, settings, tail: "int | None" = None) -> None:
         self.machine = machine
         self.freq_fraction = settings.freq_ghz / machine.spec.freq_max_ghz
         self.idle_frac = settings.idle_frac
         self.balloon_level = settings.balloon_level
-        #: 1-based global tick count at workload completion (None = running).
-        self.completion_tick: int | None = None
+        self.tail = tail
+        #: Completion-mode recording deadline (intervals), once completed.
+        self.deadline: int | None = (
+            tail if tail is not None and machine.completed else None
+        )
         self._global_tick = 0
         self._rate_phase_index = -1
         self._work_per_tick = 0.0
@@ -678,7 +758,7 @@ class _SessionCursor:
             if machine._phase_index >= n_phases:
                 coast_ticks = windows_left * window_ticks - offset
                 spans.append((None, None, 0.0, coast_ticks))
-                machine.time_s += coast_ticks * tick_s
+                self._coast(windows_left, window_ticks, offset)
                 self._global_tick += coast_ticks
                 return
             if self._rate_phase_index != machine._phase_index:
@@ -746,7 +826,31 @@ class _SessionCursor:
                     machine.completed_at_s
                 ):
                     machine.completed_at_s = machine.time_s
-                    self.completion_tick = self._global_tick
+                    if self.tail is not None:
+                        self.deadline = _deadline_from_completion(
+                            self._global_tick, window_ticks, self.tail
+                        )
+
+    def _coast(self, n_windows: int, window_ticks: int, offset: int) -> None:
+        """Advance a finished machine's clock over its coasting windows.
+
+        The first window is ``offset`` ticks in.  The per-interval loop adds
+        the rest of that window, then one whole window per interval, and
+        stops at the row's recording deadline; this folds the same adds.
+        """
+        machine = self.machine
+        window = self._global_tick // window_ticks
+        if offset:
+            machine.time_s += (window_ticks - offset) * machine.tick_s
+            n_windows -= 1
+            window += 1
+        if self.deadline is not None:
+            n_windows = min(n_windows, self.deadline - window)
+        if n_windows > 0:
+            folded = np.empty(n_windows + 1)
+            folded[0] = machine.time_s
+            folded[1:] = window_ticks * machine.tick_s
+            machine.time_s = float(np.add.accumulate(folded)[-1])
 
 
 def _materialize(spans: list, activity_out: np.ndarray, core_out: np.ndarray) -> None:

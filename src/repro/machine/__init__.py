@@ -11,11 +11,18 @@ from .actuators import (
     BalloonTask,
     DvfsActuator,
     IdleInjector,
+    LevelTable,
     QuantizedActuator,
 )
-from .machine import SimulatedMachine, activity_profiles
+from .machine import CursorFleet, SimulatedMachine, activity_profiles
 from .platform import PLATFORMS, SYS1, SYS2, SYS3, PlatformSpec, get_platform
-from .power import PowerBreakdown, PowerModel, batch_window_power, draw_noise
+from .power import (
+    OperatingPoints,
+    PowerBreakdown,
+    PowerModel,
+    batch_window_power,
+    draw_noise,
+)
 from .rng import spawn
 from .sensors import OutletMeter, RaplSensor, measure_windows, window_means
 from .thermal import ThermalModel
@@ -27,7 +34,9 @@ __all__ = [
     "BalloonTask",
     "DvfsActuator",
     "IdleInjector",
+    "LevelTable",
     "QuantizedActuator",
+    "CursorFleet",
     "SimulatedMachine",
     "activity_profiles",
     "PLATFORMS",
@@ -36,6 +45,7 @@ __all__ = [
     "SYS3",
     "PlatformSpec",
     "get_platform",
+    "OperatingPoints",
     "PowerBreakdown",
     "PowerModel",
     "batch_window_power",

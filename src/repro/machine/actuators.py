@@ -30,6 +30,7 @@ __all__ = [
     "BalloonTask",
     "ActuatorSettings",
     "ActuatorBank",
+    "LevelTable",
 ]
 
 
@@ -240,3 +241,40 @@ class ActuatorBank:
             idle_frac=self.idle.random_level(rng),
             balloon_level=self.balloon.random_level(rng),
         )
+
+
+class LevelTable:
+    """Scalar functions of an actuator level, tabulated per level seen.
+
+    The lock-step kernel gathers per-row operating-point values from such
+    tables instead of calling the scalar code per row and interval.  Each
+    of ``functions`` is that scalar code itself (say
+    :meth:`~repro.machine.PowerModel.dvfs_scale`), called once per
+    distinct level the first time a lookup meets it, so a table entry has
+    the scalar code's bits and an off-grid level costs one more column
+    rather than a separate path.
+    """
+
+    def __init__(self, functions) -> None:
+        self.functions = list(functions)
+        #: The levels tabulated so far, ascending, then a +inf sentinel
+        #: that keeps every search result a valid index.
+        self.levels = np.array([np.inf])
+        #: ``values[f, c]`` is ``functions[f](levels[c])``.
+        self.values = np.empty((len(self.functions), 0))
+
+    def columns(self, levels: np.ndarray) -> np.ndarray:
+        """The column of each of ``levels``, tabulating new levels first."""
+        index = self.levels.searchsorted(levels)
+        if np.count_nonzero(self.levels[index] != levels):
+            new = np.setdiff1d(levels, self.levels)
+            values = np.array([
+                [float(function(level)) for level in new.tolist()]
+                for function in self.functions
+            ]).reshape(len(self.functions), new.size)
+            merged = np.concatenate([self.levels[:-1], new])
+            order = np.argsort(merged, kind="stable")
+            self.levels = np.append(merged[order], np.inf)
+            self.values = np.concatenate([self.values, values], axis=1)[:, order]
+            index = self.levels.searchsorted(levels)
+        return index

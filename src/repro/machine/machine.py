@@ -17,14 +17,14 @@ import math
 
 import numpy as np
 
-from ..workloads.phases import PhaseProgram, oscillating_activity
-from .actuators import ActuatorBank, ActuatorSettings
+from ..workloads.phases import Phase, PhaseProgram, oscillating_activity, throttled_rate
+from .actuators import ActuatorBank, ActuatorSettings, LevelTable
 from .platform import PlatformSpec
 from .power import PowerModel
 from .thermal import ThermalModel
 from . import rng as rng_mod
 
-__all__ = ["SimulatedMachine", "activity_profiles"]
+__all__ = ["CursorFleet", "SimulatedMachine", "activity_profiles"]
 
 
 class SimulatedMachine:
@@ -275,3 +275,174 @@ def activity_profiles(
         columns[:, 3:4], columns[:, 4:5], columns[:, 5:6], work_times
     )
     core_fraction_out[index] = columns[:, 2:3]
+
+
+class CursorFleet:
+    """The phase cursors of a wide lock-step fleet, held in ``(B,)`` arrays.
+
+    Built from ``machines`` and kept while they run lock-step.  Each row's
+    phase index, work into the phase, work done, ``time_s`` and
+    ``completed_at_s`` live here, not on its machine, until
+    :meth:`write_back` (or :meth:`keep`, for the rows it drops) brings the
+    machines up to date.  :meth:`advance` does what
+    :func:`activity_profiles` does, and every row ends up exactly as
+    ``machines[k].activity_profile`` would leave it, but a row whose window
+    stays inside one phase, or coasts after completion, takes no Python
+    step of its own:
+
+    * the progress rate is :func:`~repro.workloads.phases.throttled_rate`
+      of a gathered :meth:`~repro.workloads.Phase.frequency_speedup`,
+      tabulated per phase and DVFS level by that method itself
+      (:class:`~repro.machine.LevelTable`);
+    * the rest of :meth:`SimulatedMachine.next_segment` (the ticks left in
+      the phase, the work and clock updates and the ``1e-9`` boundary
+      test) runs elementwise in its order, and the profile is the shared
+      work-time grid of :func:`activity_profiles`.
+
+    Rows that cross a phase boundary inside the window, and rows whose
+    phase overrides :meth:`~repro.workloads.Phase.progress_rate`, finish
+    the window through their machine's own ``activity_profile`` (the
+    scalar oracle), their state written back first and read in after.
+    """
+
+    def __init__(self, machines: "list[SimulatedMachine]") -> None:
+        self.machines = list(machines)
+        self.tick_s = self.machines[0].tick_s
+        freq_max_ghz = self.machines[0].spec.freq_max_ghz
+        self.phase_index = np.array(
+            [machine._phase_index for machine in self.machines], dtype=np.intp
+        )
+        self.work_into_phase = np.array(
+            [machine._work_into_phase for machine in self.machines], dtype=float
+        )
+        self.work_done = np.array([machine.work_done for machine in self.machines], dtype=float)
+        self.time_s = np.array([machine.time_s for machine in self.machines], dtype=float)
+        self.completed_at_s = np.array(
+            [machine.completed_at_s for machine in self.machines], dtype=float
+        )
+        # One slot per phase of every row, row after row.
+        phases = [phase for machine in self.machines for phase in machine.workload.phases]
+        counts = [len(machine.workload.phases) for machine in self.machines]
+        self.n_phases = np.array(counts, dtype=np.intp)
+        self.first_slot = np.cumsum([0] + counts[:-1], axis=0).astype(np.intp)
+        # Per slot: the phase's scalars (a flat phase as amplitude 0 with a
+        # placeholder period), its boundary test's threshold and whether
+        # its rate is the base class's.
+        self._phases = np.array([
+            (
+                phase.work_units,
+                phase.work_units - 1e-9,
+                phase.core_fraction,
+                phase.activity,
+                phase.osc_amplitude if phase.oscillates else 0.0,
+                phase.osc_period_s if phase.oscillates else 1.0,
+                type(phase).progress_rate is Phase.progress_rate,
+            )
+            for phase in phases
+        ], dtype=float).reshape(len(phases), 7)
+        self._speedups = LevelTable([
+            lambda freq_ghz, phase=phase: phase.frequency_speedup(freq_ghz / freq_max_ghz)
+            for phase in phases
+        ])
+        self._grid = np.empty(0)
+        self._update_phases()
+
+    @property
+    def completed(self) -> np.ndarray:
+        """Whether each row's workload has completed."""
+        return self.phase_index >= self.n_phases
+
+    def _update_phases(self) -> None:
+        """Gather each row's current-phase columns after a phase change."""
+        self._slot = self.first_slot + np.minimum(self.phase_index, self.n_phases - 1)
+        columns = self._phases[self._slot]
+        self._work_units = columns[:, 0]
+        self._limit = columns[:, 1]
+        self._core_fraction = columns[:, 2:3]
+        self._wave = (columns[:, 3:4], columns[:, 4:5], columns[:, 5:6])
+        coasting = self.completed
+        self._coasting = coasting if np.count_nonzero(coasting) else None
+        self._runnable = ~coasting & (columns[:, 6] > 0.0)
+
+    def advance(
+        self,
+        n_ticks: int,
+        levels: np.ndarray,
+        activity_out: np.ndarray,
+        core_fraction_out: np.ndarray,
+    ) -> None:
+        """Advance every row ``n_ticks`` at its ``(B, 3)`` levels and fill its profile."""
+        freq = self._speedups.columns(levels[:, 0])
+        speedup = self._speedups.values[self._slot, freq]
+        work_per_tick = throttled_rate(speedup, levels[:, 1], levels[:, 2]) * self.tick_s
+        start = self.work_into_phase
+        ticks_in_phase = np.ceil((self._work_units - start) / work_per_tick - 1e-12)
+        inside = self._runnable & (ticks_in_phase >= n_ticks)
+        if self._grid.size != n_ticks:
+            self._grid = np.arange(n_ticks) + 1.0
+        # The one-row grid `wip + wpt * (arange + 1.0)`, one row per machine.
+        work_times = start[:, None] + work_per_tick[:, None] * self._grid
+        activity_out[:] = oscillating_activity(*self._wave, work_times)
+        core_fraction_out[:] = self._core_fraction
+
+        advanced = work_per_tick * n_ticks
+        end = start + advanced
+        slow: list = []
+        if np.count_nonzero(inside) == inside.size:
+            self.time_s = self.time_s + n_ticks * self.tick_s
+            self.work_done = self.work_done + advanced
+            self.work_into_phase = end
+            ended = end >= self._limit
+        else:
+            coasting = self._coasting
+            moved = inside if coasting is None else inside | coasting
+            if coasting is not None:
+                activity_out[coasting] = 0.0
+                core_fraction_out[coasting] = 0.0
+            self.time_s = np.where(moved, self.time_s + n_ticks * self.tick_s, self.time_s)
+            self.work_done = np.where(inside, self.work_done + advanced, self.work_done)
+            self.work_into_phase = np.where(inside, end, start)
+            ended = inside & (end >= self._limit)
+            slow = np.flatnonzero(~moved).tolist()
+        changed = bool(slow)
+        if np.count_nonzero(ended):
+            changed = True
+            self.work_into_phase = np.where(ended, 0.0, self.work_into_phase)
+            self.phase_index = self.phase_index + ended
+            finished = ended & self.completed & ~np.isfinite(self.completed_at_s)
+            self.completed_at_s = np.where(finished, self.time_s, self.completed_at_s)
+        for k in slow:
+            self.write_back([k])
+            machine = self.machines[k]
+            machine.activity_profile(
+                n_ticks, levels[k].tolist(), activity_out[k], core_fraction_out[k]
+            )
+            self.phase_index[k] = machine._phase_index
+            self.work_into_phase[k] = machine._work_into_phase
+            self.work_done[k] = machine.work_done
+            self.time_s[k] = machine.time_s
+            self.completed_at_s[k] = machine.completed_at_s
+        if changed:
+            self._update_phases()
+
+    def write_back(self, rows: "list[int] | None" = None) -> None:
+        """Bring the machines of ``rows`` (default: all) up to date."""
+        for k in range(len(self.machines)) if rows is None else rows:
+            machine = self.machines[k]
+            machine._phase_index = int(self.phase_index[k])
+            machine._work_into_phase = float(self.work_into_phase[k])
+            machine.work_done = float(self.work_done[k])
+            machine.time_s = float(self.time_s[k])
+            machine.completed_at_s = float(self.completed_at_s[k])
+
+    def keep(self, rows: "list[int]") -> None:
+        """Keep only ``rows`` (ascending positions), writing the others back."""
+        kept = set(rows)
+        self.write_back([k for k in range(len(self.machines)) if k not in kept])
+        self.machines = [self.machines[k] for k in rows]
+        for name in (
+            "phase_index", "work_into_phase", "work_done", "time_s", "completed_at_s",
+            "n_phases", "first_slot",
+        ):
+            setattr(self, name, getattr(self, name)[rows])
+        self._update_phases()

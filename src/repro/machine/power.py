@@ -49,13 +49,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .actuators import LevelTable
 from .platform import PlatformSpec
 
 __all__ = [
+    "OperatingPoints",
     "PowerBreakdown",
     "PowerModel",
     "batch_window_power",
     "draw_noise",
+    "first_order_columns",
     "first_order_rows",
 ]
 
@@ -236,12 +239,34 @@ class PowerModel:
         return self.static_power(spec.freq_min_ghz)
 
 
+class OperatingPoints:
+    """A fleet's operating-point scalars, gathered by actuator level.
+
+    The wide lock-step fleet's tables for :func:`batch_window_power`:
+    :meth:`PowerModel.dvfs_scale` and :meth:`PowerModel.static_power` per
+    DVFS level and :meth:`PowerModel.idle_scale` per idle level, each entry
+    computed once by those methods (:class:`~repro.machine.LevelTable`).
+    """
+
+    def __init__(self, model: PowerModel) -> None:
+        self._freq = LevelTable([model.dvfs_scale, model.static_power])
+        self._idle = LevelTable([model.idle_scale])
+
+    def scale_and_static(self, levels: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """Each row's dynamic-power scale and static power at its ``(B, 3)`` levels."""
+        freq = self._freq.columns(levels[:, 0])
+        idle = self._idle.columns(levels[:, 1])
+        dvfs_scale, static_w = self._freq.values[:, freq]
+        return dvfs_scale * self._idle.values[0, idle], static_w
+
+
 def batch_window_power(
     model: PowerModel,
     activity: np.ndarray,
     core_fraction: np.ndarray,
     levels: np.ndarray,
     noise_w: np.ndarray,
+    points: "OperatingPoints | None" = None,
 ) -> np.ndarray:
     """Evaluate one window for B sessions as a ``(B, ticks)`` array.
 
@@ -252,19 +277,24 @@ def batch_window_power(
     occupancy, broadcastable against it; ``levels`` the ``(B, 3)``
     actuator levels (frequency, idle fraction, balloon level) held during
     the window; ``noise_w`` each session's process noise over the window
-    (:func:`draw_noise`).  Every operation is elementwise or row-wise, so
-    each row equals a one-row call.
+    (:func:`draw_noise`).  A wide fleet passes its :class:`OperatingPoints`
+    to gather the scalars rather than look them up row by row; both give
+    the same bits.  Every operation is elementwise or row-wise, so each row
+    equals a one-row call.
     """
     n_sessions, n_ticks = activity.shape
     if n_ticks == 0:
         return np.empty((n_sessions, 0))
     spec = model.spec
-    held = levels.tolist()
-    scale = np.array([
-        model.dvfs_scale(freq_ghz) * model.idle_scale(idle_frac)
-        for freq_ghz, idle_frac, _ in held
-    ])
-    static_w = np.array([model.static_power(freq_ghz) for freq_ghz, _, _ in held])
+    if points is None:
+        held = levels.tolist()
+        scale = np.array([
+            model.dvfs_scale(freq_ghz) * model.idle_scale(idle_frac)
+            for freq_ghz, idle_frac, _ in held
+        ])
+        static_w = np.array([model.static_power(freq_ghz) for freq_ghz, _, _ in held])
+    else:
+        scale, static_w = points.scale_and_static(levels)
     balloon_peak_w = spec.max_balloon_dynamic_w * levels[:, 2]
 
     app_w = spec.max_app_dynamic_w * activity * core_fraction * scale[:, None]
@@ -281,6 +311,7 @@ def draw_noise(
     sensors: "list",
     n_windows: int,
     window_ticks: int,
+    time_major: bool = False,
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Sensing noise of ``n_windows`` consecutive windows, per session.
 
@@ -288,9 +319,11 @@ def draw_noise(
 
     * ``power_noise_w`` is each model's AR(1) process noise over
       ``n_windows * window_ticks`` ticks, one row per model: one
-      ``normal(size=ticks)`` draw from the model's own RNG, filtered by
-      :func:`first_order_rows` from the model's carried level, which it
-      advances;
+      ``normal(size=ticks)`` draw from the model's own RNG, filtered from
+      the model's carried level, which it advances -- row by row through
+      :func:`first_order_rows`, or with ``time_major`` (a wide fleet's
+      blocks) all rows at once through :func:`first_order_columns`, which
+      gives the same bits;
     * ``counter_noise_w`` is each RAPL sensor's counter noise, one value
       per window and row: one sized draw from the sensor's own RNG.
 
@@ -301,7 +334,18 @@ def draw_noise(
     """
     n_ticks = n_windows * window_ticks
     power_noise_w = np.zeros((len(models), n_ticks))
-    if n_ticks:
+    if n_ticks and time_major:
+        for row, model in enumerate(models):
+            power_noise_w[row] = model._rng.normal(0.0, model._shock_sigma_w, size=n_ticks)
+        power_noise_w, levels = first_order_columns(
+            1.0,
+            PowerModel.NOISE_RHO,
+            power_noise_w,
+            np.array([model._noise_state for model in models], dtype=float),
+        )
+        for model, level in zip(models, levels.tolist()):
+            model._noise_state = level
+    elif n_ticks:
         for row, model in enumerate(models):
             # One row at a time: a block's shocks as Python floats stay small.
             shocks = model._rng.normal(0.0, model._shock_sigma_w, size=n_ticks)
@@ -346,3 +390,30 @@ def first_order_rows(
         last.append(level)
     n_ticks = len(rows[0]) if rows else 0
     return np.fromiter(flat, float, len(flat)).reshape(len(rows), n_ticks), last
+
+
+def first_order_columns(
+    gain: float, pole: float, inputs: np.ndarray, levels: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """:func:`first_order_rows` over a ``(rows, ticks)`` array, time-major.
+
+    Each tick updates every row with one ``pole * y + gain * x`` over the
+    ``(rows,)`` column, which rounds each element exactly where
+    :func:`first_order_rows` does, so the outputs and the returned last
+    levels (``levels`` when there are no ticks) have its bits.  Its cost
+    is per tick rather than per row and tick, so it pays for wide fleets
+    only.
+    """
+    n_rows, n_ticks = inputs.shape
+    outputs = np.empty((n_ticks, n_rows))
+    previous = np.array(levels, dtype=float)
+    poles = np.full(n_rows, pole)
+    multiply, add = np.multiply, np.add
+    # Overflow to inf is silent, as in the plain-float loop.
+    with np.errstate(over="ignore"):
+        steps = np.ascontiguousarray((gain * inputs).T)
+        for step, output in zip(steps, outputs):
+            multiply(poles, previous, output)
+            add(output, step, output)
+            previous = output
+    return np.ascontiguousarray(outputs.T), previous.copy()

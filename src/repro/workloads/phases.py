@@ -23,7 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Phase", "PhaseProgram", "jitter_program", "oscillating_activity"]
+__all__ = [
+    "Phase",
+    "PhaseProgram",
+    "jitter_program",
+    "oscillating_activity",
+    "throttled_rate",
+]
 
 
 @dataclass(frozen=True)
@@ -60,18 +66,22 @@ class Phase:
     def progress_rate(self, freq_fraction: float, idle_frac: float, balloon_level: float) -> float:
         """Work-units completed per wall-clock second under the actuation.
 
-        * Frequency scaling follows a memory-intensity-dependent exponent:
-          compute-bound work scales ~linearly with f, memory-bound work is
-          largely insensitive.
-        * Idle injection removes cycles outright.
-        * Balloon threads time-share the SMT contexts with the application;
-          a fully-active balloon roughly halves application throughput.
+        The :meth:`frequency_speedup` at ``freq_fraction``, slowed by idle
+        injection and the balloon (:func:`throttled_rate`).
         """
-        exponent = 1.0 - 0.7 * self.memory_intensity
-        rate = freq_fraction**exponent
-        rate *= 1.0 - idle_frac
-        rate *= 1.0 - 0.5 * balloon_level
-        return max(rate, 1e-6)
+        return throttled_rate(
+            self.frequency_speedup(freq_fraction), idle_frac, balloon_level
+        )
+
+    def frequency_speedup(self, freq_fraction: float) -> float:
+        """Relative progress rate at a fraction of the top DVFS frequency.
+
+        Frequency scaling follows a memory-intensity-dependent exponent:
+        compute-bound work scales ~linearly with f, memory-bound work is
+        largely insensitive.  The lock-step phase cursor tabulates it per
+        frequency level (:class:`repro.machine.CursorFleet`).
+        """
+        return freq_fraction ** (1.0 - 0.7 * self.memory_intensity)
 
     @property
     def oscillates(self) -> bool:
@@ -86,6 +96,23 @@ class Phase:
         return oscillating_activity(
             self.activity, self.osc_amplitude, self.osc_period_s, work_time
         )
+
+
+def throttled_rate(speedup, idle_frac, balloon_level):
+    """The progress rate left of ``speedup`` under idle injection and the balloon.
+
+    Idle injection removes cycles outright.  Balloon threads time-share the
+    SMT contexts with the application; a fully-active balloon roughly
+    halves application throughput.  The rate never drops below ``1e-6``.
+    :meth:`Phase.progress_rate` calls it with scalars, the lock-step phase
+    cursor with ``(R,)`` arrays; every operation is elementwise, so each
+    element gets the scalar bits.
+    """
+    rate = speedup * (1.0 - idle_frac)
+    rate = rate * (1.0 - 0.5 * balloon_level)
+    if isinstance(rate, np.ndarray):
+        return np.maximum(rate, 1e-6)
+    return max(rate, 1e-6)
 
 
 def oscillating_activity(activity, amplitude, period_s, work_time: np.ndarray) -> np.ndarray:

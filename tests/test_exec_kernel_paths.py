@@ -7,8 +7,11 @@ per-row caps).  Every row of a multi-row call must reproduce its one-row
 call (``job.execute()``) bit for bit (``Trace.equals``) in every execution
 regime, and so must every end-to-end attack outcome built on its traces;
 the fast-forward must reproduce the per-interval loop.  The golden trace
-digests pin the absolute bits.  Also covered: the engine sends every
-pending job, a lone one included, to the kernel as lock-step chunks.
+digests pin the absolute bits.  A fleet of at least ``WIDE_FLEET_ROWS``
+rows runs its intervals as fleet passes and turns narrow as rows retire;
+its rows must equal one-row calls too, machine state included.  Also
+covered: the engine sends every pending job, a lone one included, to the
+kernel as lock-step chunks.
 """
 
 import numpy as np
@@ -22,13 +25,19 @@ from repro.attacks.pipeline import (
     simulate_runs,
     train_and_evaluate,
 )
+import repro.exec.batch as batch_mod
 import repro.exec.engine as engine_mod
+from repro import telemetry
 from repro.core.runtime import run_session
-from repro.defenses import Baseline
+from repro.defenses import Baseline, Defense
 from repro.exec import SessionJob, batch_key, run_sessions
-from repro.machine import SYS1
+from repro.exec.batch import WIDE_FLEET_ROWS, SessionRow, build_fleet, simulate
+from repro.machine import SYS1, ActuatorSettings, CursorFleet, SimulatedMachine
+from repro.telemetry import TelemetryRecorder
+from repro.workloads import PhaseProgram
 
 from .conftest import TEST_SEED
+from .test_machine_row_independence import HalvedRatePhase
 
 
 def make_job(
@@ -271,3 +280,118 @@ class TestConstantFastForward:
         assert looped.measured_w.size == 5
         assert fast.equals(looped)
 
+
+class _OffGridInputs(Defense):
+    """Random settings every interval, the frequency off the DVFS grid."""
+
+    name = "off_grid_inputs"
+
+    def prepare(self, machine, rng):
+        self._bank = machine.bank
+        self._rng = rng
+        self._settings = self._draw()
+
+    def _draw(self):
+        drawn = self._bank.random_settings(self._rng)
+        return ActuatorSettings(drawn.freq_ghz - 0.037, drawn.idle_frac, drawn.balloon_level)
+
+    def initial_settings(self):
+        return self._settings
+
+    def decide(self, measured_w):
+        return self._draw()
+
+
+def wide_rows(factory, telemetry_root):
+    """``2 * WIDE_FLEET_ROWS`` fresh rows that turn narrow as they retire.
+
+    ``WIDE_FLEET_ROWS + 3`` completion-mode rows (one cut off by its cap)
+    retire within about half a second; the others run 1.5 s: Maya rows
+    (one recorded by telemetry), a row whose phases override
+    ``progress_rate`` and a row whose frequency is off the DVFS grid.
+    """
+    completing = [
+        make_job(
+            factory, workload="loop_imul", defense="maya_gs", run=run,
+            workload_kwargs={"duration_s": 0.1 + 0.025 * run if run else 0.5},
+            duration_s=None, max_duration_s=2.0 if run else 0.2, tail_s=0.1,
+        )
+        for run in range(WIDE_FLEET_ROWS + 3)
+    ]
+    apps = ("volrend", "water_nsquared", "bodytrack")
+    n_fixed = WIDE_FLEET_ROWS - 6
+    fixed = [
+        make_job(factory, workload=apps[run % 3], defense="maya_gs", run=run, duration_s=1.5)
+        for run in range(n_fixed)
+    ]
+    rows = build_fleet(completing + fixed, factory)
+    telemetry.set_recorder(TelemetryRecorder(root=telemetry_root))
+    try:
+        rows += build_fleet([make_job(factory, defense="maya_gs", run=99, duration_s=1.5)], factory)
+    finally:
+        telemetry.set_recorder(None)
+    halved = PhaseProgram("halved", (
+        HalvedRatePhase("a", 0.3, 0.5, 0.5, osc_amplitude=0.2, osc_period_s=0.05),
+        HalvedRatePhase("b", 0.2, 0.8, 1.0),
+    ))
+    custom = (
+        (SimulatedMachine(SYS1, halved, seed=TEST_SEED, run_id="halved"),
+         factory.create("maya_gs")),
+        (make_job(factory, workload="water_nsquared").build_machine(), _OffGridInputs()),
+    )
+    for run, (machine, defense) in enumerate(custom):
+        rows.append(SessionRow(
+            machine, defense, seed=TEST_SEED, run_id=("custom", run), interval_s=0.02,
+            duration_s=1.5, max_duration_s=2.0, tail_s=0.1,
+        ))
+    assert len(rows) == 2 * WIDE_FLEET_ROWS
+    return rows
+
+
+def machine_state(machine):
+    return (
+        machine._phase_index,
+        machine._work_into_phase,
+        machine.work_done,
+        machine.time_s,
+        repr(machine.completed_at_s),
+        machine.power_model._noise_state,
+        repr(machine.power_model._rng.bit_generator.state),
+    )
+
+
+class TestWideFleet:
+    def test_rows_equal_one_row_calls_across_the_threshold(
+        self, sys1_factory, tmp_path, monkeypatch
+    ):
+        alone = []
+        for row in wide_rows(sys1_factory, tmp_path):
+            [trace] = simulate([row])
+            alone.append((trace, machine_state(row.machine)))
+        [recorded] = list(tmp_path.glob("session-*.jsonl"))
+        alone_events = recorded.read_bytes()
+
+        fleets = []
+
+        class Spy(CursorFleet):
+            def __init__(self, machines):
+                super().__init__(machines)
+                self.narrowed = False
+                fleets.append(self)
+
+            def write_back(self, rows=None):
+                self.narrowed |= rows is None
+                super().write_back(rows)
+
+        monkeypatch.setattr(batch_mod, "CursorFleet", Spy)
+        rows = wide_rows(sys1_factory, tmp_path)
+        traces = simulate(rows)
+        # One wide stretch that turned narrow when the completing rows left.
+        assert [fleet.narrowed for fleet in fleets] == [True]
+        for row, trace, (alone_trace, alone_state) in zip(rows, traces, alone):
+            assert trace.equals(alone_trace)
+            assert machine_state(row.machine) == alone_state
+        assert recorded.read_bytes() == alone_events
+        completed = [row for row in rows if row.tail is not None]
+        assert np.isnan(completed[0].trace.completed_at_s)
+        assert all(np.isfinite(row.trace.completed_at_s) for row in completed[1:])

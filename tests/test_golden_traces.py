@@ -8,13 +8,17 @@ as one sha256 per session of a small mixed fleet and one of a
 refactor that changed *every* path the same way still fails.  The
 digests were computed by the serial Figure-2 loop the kernel replaced.
 
-Two more entries pin state that outlives a trace.  Every mask family's
+Three more entries pin state that outlives a trace.  Every mask family's
 target stream is pinned per seed, with the generator state it ends in,
 as drawn one ``next_target()`` at a time.  Three back-to-back
 ``run_session`` calls on one machine pin the power-noise state a reused
 machine carries from one session into the next (the kernel draws noise
 ahead in blocks and must rewind what a stopped row did not consume).
-Both were computed by the per-sample loops before the block draws.
+Both were computed by the per-sample loops before the block draws.  Two
+calls on one ``loop_imul`` machine under ``baseline``, computed through
+the per-interval loop, pin the noise state, RNG position and clock a
+completion-mode row leaves when the constant-settings fast-forward
+completes it inside a chunk.
 
 The absolute digests depend on the floating-point build (numpy and the
 BLAS it dispatches to), so the fixture records both.  On a different
@@ -162,6 +166,52 @@ def reused_machine_sessions(factory) -> "list[dict]":
     return sessions
 
 
+#: Session limits of the two calls on one ``loop_imul`` machine under
+#: ``baseline``: run to completion with a short tail (the workload completes
+#: early in a fast-forward chunk), then a fixed half second on the finished
+#: machine, which starts from the noise state and clock the first call left.
+RUN_ON_CALLS = (
+    {"duration_s": None, "max_duration_s": 2.0, "tail_s": 0.1},
+    {"duration_s": 0.5},
+)
+
+
+def run_on_sessions(factory, looped: bool) -> "list[dict]":
+    """Trace digest, carried AR(1) level, RNG position and clock after each call.
+
+    The machine runs the :data:`RUN_ON_CALLS` sessions under ``baseline``
+    back to back.  ``looped`` takes the per-interval loop (the defense
+    decides every interval, as the bench's reference leg forces it);
+    otherwise the constant-settings fast-forward runs, which must leave the
+    machine where the loop leaves it.
+    """
+    from repro.core.runtime import run_session
+    from repro.defenses import Baseline
+
+    machine = SessionJob.for_factory(
+        factory, workload="loop_imul", workload_kwargs={"duration_s": 0.5},
+        defense="baseline", seed=7, run_id=("golden", "run-on"), duration_s=None,
+    ).build_machine()
+    sessions = []
+    for call, limits in enumerate(RUN_ON_CALLS):
+        defense = Baseline()
+        if looped:
+            defense.constant_settings = False
+        trace = run_session(
+            machine, defense, seed=7, run_id=("golden", "run-on", call), **limits
+        )
+        model = machine.power_model
+        sessions.append({
+            "trace": trace_digest(trace),
+            "noise_state": float(model._noise_state).hex(),
+            "rng_state": hashlib.sha256(
+                repr(model._rng.bit_generator.state).encode()
+            ).hexdigest(),
+            "time_s": float(machine.time_s).hex(),
+        })
+    return sessions
+
+
 def controller_step_digest(design) -> str:
     """sha256 over one-row Equation-1 steps from seeded controller states.
 
@@ -292,6 +342,16 @@ class TestGoldenTraces:
             pytest.skip(f"golden digests were pinned on {pinned['float_build']}")
         assert reused_machine_sessions(sys1_factory) == pinned["reused_machine"]
 
+    @pytest.mark.parametrize("looped", [True, False], ids=["interval-loop", "fast-forward"])
+    def test_run_on_machine_matches_pinned_digests(self, sys1_factory, looped):
+        # The fixture was computed through the per-interval loop; the
+        # fast-forward must leave a completed row's machine where its
+        # recording ends, not at the end of its chunk.
+        pinned = json.loads(FIXTURE.read_text())
+        if pinned["float_build"] != float_build():
+            pytest.skip(f"golden digests were pinned on {pinned['float_build']}")
+        assert run_on_sessions(sys1_factory, looped) == pinned["run_on"]
+
     def test_lock_step_kernel_matches_reference(self, golden_fleet, sys1_factory):
         jobs, digests = golden_fleet
         traces = execute_jobs_batched(jobs, sys1_factory)
@@ -321,6 +381,7 @@ def _write_fixture() -> None:
         ),
         "mask_streams": mask_streams(),
         "reused_machine": reused_machine_sessions(factory),
+        "run_on": run_on_sessions(factory, looped=True),
     }
     FIXTURE.write_text(json.dumps(payload, indent=1) + "\n")
 

@@ -12,6 +12,7 @@ from repro.machine import (
     BalloonTask,
     DvfsActuator,
     IdleInjector,
+    LevelTable,
     QuantizedActuator,
     SYS1,
     SYS2,
@@ -230,3 +231,25 @@ class TestVectorizedQuantization:
                     quantized = bank.quantize_normalized_many(fractions)[0, column]
                     assert quantized == actuator.levels[nearest[0]]
         assert ties > 0
+
+
+
+class TestLevelTable:
+    def test_entries_are_the_scalar_values_computed_once(self):
+        calls = []
+
+        def scalar(level):
+            calls.append(level)
+            return level**0.7 + 1.0
+
+        table = LevelTable([scalar, lambda level: -level])
+        for levels in ([1.5, 1.2, 1.5, 2.0], [1.37, 2.0, 1.2], [2.0, 2.0]):
+            levels = np.array(levels)
+            columns = table.columns(levels)
+            assert table.values[0, columns].tolist() == [
+                level**0.7 + 1.0 for level in levels.tolist()
+            ]
+            assert table.values[1, columns].tolist() == (-levels).tolist()
+        # Each distinct level was tabulated once, the off-grid 1.37 too.
+        assert sorted(calls) == [1.2, 1.37, 1.5, 2.0]
+        assert table.levels[:-1].tolist() == [1.2, 1.37, 1.5, 2.0]

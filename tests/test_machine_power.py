@@ -13,7 +13,7 @@ from repro.machine import (
     draw_noise,
     spawn,
 )
-from repro.machine.power import first_order_rows
+from repro.machine.power import first_order_columns, first_order_rows
 
 
 def make_model(key="pm"):
@@ -171,24 +171,28 @@ def signal_blocks(draw):
 
 
 def assert_matches_lfilter(gain, pole, inputs, levels):
-    """Outputs and carried state of :func:`first_order_rows` equal
-    ``lfilter``'s bit for bit (the oracle carries ``z = pole * y``)."""
-    outputs, last = first_order_rows(gain, pole, inputs.tolist(), levels.tolist())
+    """Outputs and carried state of :func:`first_order_rows` and of the
+    time-major :func:`first_order_columns` equal ``lfilter``'s bit for bit
+    (the oracle carries ``z = pole * y``)."""
     expected, carried = lfilter(
         [gain], [1.0, -pole], inputs, axis=-1, zi=(pole * levels)[:, None]
     )
-    assert outputs.shape == expected.shape
-    assert outputs.tobytes() == expected.tobytes()
-    if inputs.shape[1] == 0:
-        # lfilter leaves zf unset for an empty axis; the levels carry over.
-        assert np.array(last).tobytes() == levels.tobytes()
-    else:
-        assert np.array(last).tobytes() == expected[:, -1].tobytes()
-        assert (pole * np.array(last)).tobytes() == carried[:, 0].tobytes()
+    row_major = first_order_rows(gain, pole, inputs.tolist(), levels.tolist())
+    time_major = first_order_columns(gain, pole, inputs, levels)
+    for outputs, last in (row_major, time_major):
+        assert outputs.shape == expected.shape
+        assert outputs.tobytes() == expected.tobytes()
+        if inputs.shape[1] == 0:
+            # lfilter leaves zf unset for an empty axis; the levels carry over.
+            assert np.array(last).tobytes() == levels.tobytes()
+        else:
+            assert np.array(last).tobytes() == expected[:, -1].tobytes()
+            assert (pole * np.array(last)).tobytes() == carried[:, 0].tobytes()
 
 
 class TestFirstOrderRows:
-    """The one first-order recursion against SciPy's ``lfilter`` as oracle."""
+    """The first-order recursion, row by row and time-major, against
+    SciPy's ``lfilter`` as oracle."""
 
     @given(COEFFICIENTS, signal_blocks())
     @settings(max_examples=300, deadline=None)

@@ -9,21 +9,26 @@ no row's result depends on the other rows of its call.  These properties
 pin that: for random fleets, each row of a B-row call equals a one-row
 call on an identically seeded model or sensor — the same output bits, the
 same carried AR(1) state and the same RNG position.  The phase cursor is
-pinned the same way: each row of one ``activity_profiles`` pass equals
-that machine's own ``activity_profile`` call, profile bits and cursor
-state alike.  A multi-window ``measure_windows`` call, the
-constant-settings fast-forward's RAPL read, equals consecutive one-window
-calls, and one ``draw_noise`` block of k windows, the dynamic loop's
-draw ahead, equals k one-window draws.
+pinned the same way: each row of one ``activity_profiles`` pass, and of a
+``CursorFleet`` kept over several windows, equals that machine's own
+``activity_profile`` call, profile bits and cursor state alike.  A
+multi-window ``measure_windows`` call, the constant-settings
+fast-forward's RAPL read, equals consecutive one-window calls, and one
+``draw_noise`` block of k windows, the dynamic loop's draw ahead, equals
+k one-window draws, filtered row by row or time-major.  Fleets reach
+twice the kernel's ``WIDE_FLEET_ROWS``, so both of its paths are covered.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.exec.batch import WIDE_FLEET_ROWS
 from repro.machine import (
     SYS1,
     ActuatorBank,
     ActuatorSettings,
+    CursorFleet,
+    OperatingPoints,
     PowerModel,
     RaplSensor,
     SimulatedMachine,
@@ -37,7 +42,7 @@ from repro.workloads import Phase, PhaseProgram
 
 TICK_S = 0.001
 
-fleet_sizes = st.integers(min_value=1, max_value=12)
+fleet_sizes = st.integers(min_value=1, max_value=2 * WIDE_FLEET_ROWS)
 tick_counts = st.integers(min_value=1, max_value=50)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -79,16 +84,20 @@ class TestPowerRows:
         seed=seeds,
         n_rows=fleet_sizes,
         windows=st.lists(tick_counts, min_size=1, max_size=3),
+        wide=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_each_row_equals_a_one_row_call(self, seed, n_rows, windows):
+    def test_each_row_equals_a_one_row_call(self, seed, n_rows, windows, wide):
+        """Also with a wide fleet's operating-point tables and time-major
+        noise, whose tables see off-grid idle and balloon levels here."""
         fleet = [PowerModel(SYS1, spawn(seed, "power", i)) for i in range(n_rows)]
         solo = [PowerModel(SYS1, spawn(seed, "power", i)) for i in range(n_rows)]
+        points = OperatingPoints(fleet[0]) if wide else None
         for window, n_ticks in enumerate(windows):
             activity, core_fraction, held = random_window(seed, n_rows, n_ticks, window)
-            noise_w, _ = draw_noise(fleet, [], 1, n_ticks)
+            noise_w, _ = draw_noise(fleet, [], 1, n_ticks, time_major=wide)
             batched_w = batch_window_power(
-                fleet[0], activity, core_fraction, levels_of(held), noise_w
+                fleet[0], activity, core_fraction, levels_of(held), noise_w, points
             )
             assert batched_w.shape == (n_rows, n_ticks)
             for row, model in enumerate(solo):
@@ -175,19 +184,29 @@ class TestNoiseBlocks:
         n_rows=fleet_sizes,
         n_windows=st.integers(min_value=1, max_value=20),
         n_ticks=tick_counts,
+        time_major=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_a_block_equals_one_window_draws(self, seed, n_rows, n_windows, n_ticks):
-        """One ``draw_noise`` call over k windows draws, row by row, what k
-        one-window calls draw: noise bits, carried AR(1) level and RNG
-        positions alike."""
+    def test_a_block_equals_one_window_draws(
+        self, seed, n_rows, n_windows, n_ticks, time_major
+    ):
+        """One ``draw_noise`` call over k windows, filtered row by row or
+        time-major, draws what k one-window calls draw row by row: noise
+        bits, carried AR(1) level and RNG positions alike."""
         models = [PowerModel(SYS1, spawn(seed, "power", i)) for i in range(n_rows)]
         sensors = [RaplSensor(SYS1, spawn(seed, "rapl", i)) for i in range(n_rows)]
-        power_w, counter_w = draw_noise(models, sensors, n_windows, n_ticks)
+        # Carried levels, as every block after a session's first starts from.
+        levels = spawn(seed, "level").normal(size=n_rows).tolist()
+        for model, level in zip(models, levels):
+            model._noise_state = level
+        power_w, counter_w = draw_noise(
+            models, sensors, n_windows, n_ticks, time_major=time_major
+        )
         assert power_w.shape == (n_rows, n_windows * n_ticks)
         assert counter_w.shape == (n_rows, n_windows)
         for row in range(n_rows):
             model = PowerModel(SYS1, spawn(seed, "power", row))
+            model._noise_state = levels[row]
             sensor = RaplSensor(SYS1, spawn(seed, "rapl", row))
             windows = [draw_noise([model], [sensor], 1, n_ticks) for _ in range(n_windows)]
             alone_power = np.concatenate([power[0] for power, _ in windows])
@@ -213,12 +232,24 @@ CURSOR_KINDS = (
 AMPLITUDES = (0.0, 1e-13, 0.08, 0.3)
 
 
+class HalvedRatePhase(Phase):
+    """A phase whose ``progress_rate`` overrides the base class's."""
+
+    def progress_rate(self, freq_fraction, idle_frac, balloon_level):
+        return 0.5 * Phase.progress_rate(self, freq_fraction, idle_frac, balloon_level)
+
+
 @st.composite
 def cursor_rows(draw):
-    """One row of a phase-cursor fleet: program, settings and start state."""
+    """One row of a phase-cursor fleet: program, settings and start state.
+
+    Some rows' phases override ``progress_rate`` and some rows hold a
+    frequency off the DVFS grid.
+    """
     n_phases = draw(st.integers(min_value=1, max_value=3))
+    phase_type = draw(st.sampled_from([Phase, Phase, HalvedRatePhase]))
     phases = tuple(
-        Phase(
+        phase_type(
             f"p{index}",
             work_units=draw(st.sampled_from([0.005, 0.013, 0.05, 0.4])),
             activity=draw(st.floats(min_value=0.0, max_value=1.0)),
@@ -236,12 +267,13 @@ def cursor_rows(draw):
         draw(st.integers(min_value=1, max_value=6)),
         draw(st.sampled_from([-2e-9, -5e-10, 0.0, 5e-10, 2e-9])),
         draw(st.floats(min_value=0.0, max_value=0.999)),
+        draw(st.booleans()),
     )
 
 
 def cursor_machine(row, index, n_ticks):
     """A machine for ``row``, its cursor placed as the row's kind asks."""
-    phases, seed, kind, ticks_into_window, edge_offset, fraction = row
+    phases, seed, kind, ticks_into_window, edge_offset, fraction, *off_grid = row
     machine = SimulatedMachine(
         SYS1,
         PhaseProgram("cursor", phases),
@@ -250,6 +282,8 @@ def cursor_machine(row, index, n_ticks):
         workload_jitter=0.0,
     )
     held = ActuatorBank(SYS1).random_settings(spawn(seed, "held", index))
+    if off_grid and off_grid[0]:
+        held = ActuatorSettings(held.freq_ghz - 0.037, held.idle_frac, held.balloon_level)
     if kind == "fresh":
         return machine, held
     if kind == "completed":
@@ -286,9 +320,20 @@ def bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
+def fleet_state(cursors, k):
+    """Row ``k``'s cursor state as a :class:`CursorFleet` holds it."""
+    return (
+        int(cursors.phase_index[k]),
+        float(cursors.work_into_phase[k]),
+        float(cursors.work_done[k]),
+        float(cursors.time_s[k]),
+        repr(float(cursors.completed_at_s[k])),
+    )
+
+
 class TestPhaseCursorRows:
     @given(
-        rows=st.lists(cursor_rows(), min_size=1, max_size=10),
+        rows=st.lists(cursor_rows(), min_size=1, max_size=2 * WIDE_FLEET_ROWS),
         n_ticks=st.integers(min_value=1, max_value=40),
         windows=st.integers(min_value=1, max_value=3),
     )
@@ -309,6 +354,44 @@ class TestPhaseCursorRows:
                 assert np.array_equal(bits(activity[k]), bits(alone_activity))
                 assert np.array_equal(bits(core_fraction[k]), bits(alone_core))
                 assert cursor_state(machines[k]) == cursor_state(machine)
+
+    @given(
+        rows=st.lists(cursor_rows(), min_size=1, max_size=2 * WIDE_FLEET_ROWS),
+        n_ticks=st.integers(min_value=1, max_value=40),
+        windows=st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cursor_fleet_rows_equal_their_own_activity_profiles(
+        self, rows, n_ticks, windows
+    ):
+        """A kept fleet's arrays follow each machine's own cursor window by
+        window; the rows it drops after the first window and the rest at
+        the end are written back to their machines exactly."""
+        fleet = [cursor_machine(row, index, n_ticks) for index, row in enumerate(rows)]
+        solo = [cursor_machine(row, index, n_ticks) for index, row in enumerate(rows)]
+        cursors = CursorFleet([machine for machine, _ in fleet])
+        held = levels_of([row_settings for _, row_settings in fleet])
+        live = list(range(len(rows)))
+        for window in range(windows):
+            activity = np.empty((len(live), n_ticks))
+            core_fraction = np.empty((len(live), n_ticks))
+            cursors.advance(n_ticks, held[live], activity, core_fraction)
+            for k, index in enumerate(live):
+                machine, row_settings = solo[index]
+                alone_activity = np.empty(n_ticks)
+                alone_core = np.empty(n_ticks)
+                machine.activity_profile(n_ticks, row_settings, alone_activity, alone_core)
+                assert np.array_equal(bits(activity[k]), bits(alone_activity))
+                assert np.array_equal(bits(core_fraction[k]), bits(alone_core))
+                assert fleet_state(cursors, k) == cursor_state(machine)
+            if window == 0 and len(live) > 1:
+                cursors.keep(list(range(0, len(live), 2)))
+                for index in live[1::2]:
+                    assert cursor_state(fleet[index][0]) == cursor_state(solo[index][0])
+                live = live[::2]
+        cursors.write_back()
+        for index in live:
+            assert cursor_state(fleet[index][0]) == cursor_state(solo[index][0])
 
     def test_the_generated_rows_reach_every_cursor_path(self):
         # Each start kind takes the path it is named for on a 20-tick
