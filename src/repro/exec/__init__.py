@@ -23,7 +23,6 @@ from .jobs import (
     CACHE_EPOCH,
     SessionJob,
     code_salt,
-    execute_job,
     register_factory,
 )
 from .registry import (
@@ -50,6 +49,5 @@ __all__ = [
     "CACHE_EPOCH",
     "SessionJob",
     "code_salt",
-    "execute_job",
     "register_factory",
 ]

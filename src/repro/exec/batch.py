@@ -45,6 +45,9 @@ for (``Phase.frequency_speedup``, ``PowerModel.dvfs_scale``,
 ``static_power``, ``idle_scale``).  The path is chosen each time the loop
 rebuilds its active fleet; the fleet only shrinks, so it turns narrow at
 most once, and narrow fleets run the per-row code, which stays the oracle.
+The constant-settings fast-forward applies the same rule to its chunks'
+AR(1) noise: time-major while at least :data:`WIDE_FLEET_ROWS` rows are
+active.
 
 **Per-row termination.**  A fixed-duration row records
 ``min(duration_s, max_duration_s)``; a completion-mode row (``duration_s
@@ -132,7 +135,8 @@ _COMPLETION_CAPACITY = 2048
 #: Fewest active rows of a dynamic fleet that run its interval as fleet
 #: passes (:class:`~repro.machine.CursorFleet`, level-indexed operating
 #: points, time-major AR(1) noise) rather than per-row Python: the measured
-#: crossover of the two paths' per-interval cost.
+#: crossover of the two paths' per-interval cost.  A constant-settings
+#: chunk with this many active rows filters its noise time-major too.
 WIDE_FLEET_ROWS = 12
 
 #: Intervals simulated per whole-session chunk of the constant-settings
@@ -612,9 +616,11 @@ def _run_constant(rows: "list[SessionRow]") -> None:
     session evaluates in chunks of up to :data:`CONST_CHUNK_INTERVALS`
     intervals: scalar window-grid bookkeeping per session
     (:class:`_SessionCursor`), then one fleet ``batch_window_power`` and
-    one multi-window ``measure_windows`` per chunk.  AR(1) state and RNG
-    streams carry across chunks exactly as across single windows, and the
-    thermal node runs once over the recorded ticks.  A chunk never runs
+    one multi-window ``measure_windows`` per chunk; a chunk's AR(1) noise
+    is filtered time-major while at least :data:`WIDE_FLEET_ROWS` rows are
+    active, as in the dynamic loop.  AR(1) state and RNG streams carry
+    across chunks exactly as across single windows, and the thermal node
+    runs once over the recorded ticks.  A chunk never runs
     past any active row's cap, so a row can only overrun its recording
     when it completes inside the chunk: its cursor stops the clock where
     the recording ends and its power noise is rewound there
@@ -652,7 +658,9 @@ def _run_constant(rows: "list[SessionRow]") -> None:
         with profile.span("kernel.power", intervals=n_int):
             models = [rows[i].machine.power_model for i in active]
             marks = [_noise_mark(row_model) for row_model in models]
-            noise_w, _ = draw_noise(models, [], n_int, ticks)
+            noise_w, _ = draw_noise(
+                models, [], n_int, ticks, time_major=len(active) >= WIDE_FLEET_ROWS
+            )
             window_w = batch_window_power(
                 model, activity, core_fraction, levels[active], noise_w
             )

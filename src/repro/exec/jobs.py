@@ -8,8 +8,9 @@ declarative (names, numbers and small tuples only), it can be
 * pickled to a :class:`~concurrent.futures.ProcessPoolExecutor` worker,
   which rebuilds the defense factory on its side of the fork/spawn;
 * hashed into a stable content address (:meth:`SessionJob.key`) for the
-  trace cache, salted with a digest of the simulation sources so stale
-  traces can never survive a code change.
+  trace cache, salted with a digest of every source a session can run
+  (all of ``src/repro`` except the packages that only consume traces or
+  watch the run), so stale traces can never survive a code change.
 
 The spawn-keyed RNG scheme (:func:`repro.machine.rng.spawn`) makes every
 session a deterministic function of its job spec, so executing the same
@@ -32,7 +33,6 @@ from ..workloads import get_workload, is_workload_name
 
 __all__ = [
     "SessionJob",
-    "execute_job",
     "register_factory",
     "code_salt",
     "CACHE_EPOCH",
@@ -43,44 +43,36 @@ __all__ = [
 #: results).  Source-text changes are caught automatically by the salt.
 CACHE_EPOCH = 1
 
-#: Packages whose sources define what a simulated session computes.  The
-#: cache key is salted with their content digest, so editing any of them
-#: invalidates every cached trace.  ``exec`` is not salted: the golden
-#: trace digests pin what its control loop computes, so a change that
-#: moves a trace fails them and must bump :data:`CACHE_EPOCH`.
-_SIMULATION_PACKAGES = (
-    "core", "machine", "defenses", "workloads", "control", "masks",
+#: Packages that only consume traces or watch the run; the salt digests
+#: every other ``src/repro`` source -- the simulation packages, ``exec``
+#: (the control loop, the store and the engine) and the package root -- so
+#: an edit anywhere a trace can come from invalidates every cached trace.
+#: Over-salting costs only cache misses after an edit, so a package belongs
+#: here only when nothing it defines can change a trace: ``telemetry`` runs
+#: inside sessions, but the MAYA032 contract keeps its values out of them.
+_UNSALTED_PACKAGES = (
+    "analysis", "attacks", "bench", "experiments", "lint", "telemetry",
 )
 
 
-def _digest_simulation_sources(root: Path, packages: tuple, epoch: int) -> str:
-    """SHA-256 over the sources of ``packages`` under ``root``.
-
-    A salt entry naming a missing or Python-free directory is a silent
-    cache-soundness hole (the digest would simply skip it, so edits to the
-    real package would never invalidate cached traces) — raise instead.
-    """
+def _digest_simulation_sources(root: Path, unsalted: tuple, epoch: int) -> str:
+    """SHA-256 over every ``*.py`` under ``root`` outside ``unsalted``."""
     digest = hashlib.sha256()
     digest.update(f"epoch={epoch}".encode())
-    for package in packages:
-        paths = sorted((root / package).rglob("*.py"))
-        if not paths:
-            raise RuntimeError(
-                f"code_salt: salt entry '{package}' matches no Python "
-                f"sources under {root}; the cache key would silently stop "
-                f"covering that package"
-            )
-        for path in paths:
-            digest.update(str(path.relative_to(root)).replace("\\", "/").encode())
-            digest.update(b"\x1f")
-            digest.update(path.read_bytes())
-            digest.update(b"\x1e")
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root)
+        if relative.parts[0] in unsalted:
+            continue
+        digest.update(relative.as_posix().encode())
+        digest.update(b"\x1f")
+        digest.update(path.read_bytes())
+        digest.update(b"\x1e")
     return digest.hexdigest()
 
 
 @lru_cache(maxsize=1)
 def code_salt() -> str:
-    """Digest of the simulation sources (plus :data:`CACHE_EPOCH`).
+    """Digest of the salted sources (plus :data:`CACHE_EPOCH`).
 
     Memoized for the life of the process: the digest walks every salted
     source file, and ``key()`` is called per job.  The caveat is that a
@@ -92,38 +84,7 @@ def code_salt() -> str:
     import repro
 
     root = Path(repro.__file__).resolve().parent
-    return _digest_simulation_sources(root, _SIMULATION_PACKAGES, CACHE_EPOCH)
-
-
-def _assert_salt_certified() -> None:
-    """Pin ``_SIMULATION_PACKAGES`` to the committed purity certificate.
-
-    The MAYA051 analysis proves the salt covers the simulation closure and
-    commits the proven entry list in ``certs/purity/execute_job.json``;
-    asserting it at import time turns an uncertified salt edit into an
-    immediate, loud failure instead of a silently unsound cache.  Source
-    checkouts without the certificate (installed wheels, vendored copies)
-    skip the check — there the lint gate itself is absent too.
-    """
-    cert_path = (
-        Path(__file__).resolve().parents[3] / "certs" / "purity" / "execute_job.json"
-    )
-    try:
-        certified = json.loads(cert_path.read_text(encoding="utf-8"))["salt"]["declared"]
-    except (OSError, ValueError, KeyError, TypeError):
-        return
-    if not isinstance(certified, list):
-        return
-    if sorted(certified) != sorted(_SIMULATION_PACKAGES):
-        raise RuntimeError(
-            f"_SIMULATION_PACKAGES {sorted(_SIMULATION_PACKAGES)} disagrees "
-            f"with the committed purity certificate {sorted(certified)}; "
-            f"rerun 'repro-lint --analyze purity --write-certs certs' so the "
-            f"MAYA051 analysis re-certifies the salt"
-        )
-
-
-_assert_salt_certified()
+    return _digest_simulation_sources(root, _UNSALTED_PACKAGES, CACHE_EPOCH)
 
 
 def _as_pairs(value: object) -> tuple:
@@ -318,7 +279,3 @@ def register_factory(factory: DefenseFactory) -> None:
     key = _factory_key(factory.spec, factory.seed, _as_pairs(factory.design_overrides))
     _FACTORY_CACHE[key] = factory
 
-
-def execute_job(job: SessionJob) -> Trace:
-    """Top-level worker entry point (must be picklable by name)."""
-    return job.execute()

@@ -14,9 +14,9 @@ Two halves, both motivated by the paper's formal-guarantee story:
   same parse: physical-unit checking from the repo's naming conventions
   (MAYA010-MAYA013), secret-taint certification of the mask/control
   packages (MAYA020-MAYA022, with a JSON leakage certificate), and
-  purity & cache-salt soundness certification of the simulation closure
-  (MAYA050-MAYA053, with per-entry-point certificates that pin the trace
-  cache's content address).
+  purity certification of the simulation closure (MAYA050, MAYA052,
+  MAYA053, with a per-entry-point certificate that pins what the trace
+  cache's content address must capture).
 * :mod:`repro.lint.certify` — a model-level verifier that statically
   certifies a synthesized Equation-1 :class:`~repro.control.statespace.StateSpace`
   against a :class:`~repro.control.fixedpoint.FixedPointFormat` without

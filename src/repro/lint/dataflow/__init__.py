@@ -10,9 +10,9 @@ per-function summaries.  Three analysis families ride on it:
 * :mod:`~repro.lint.dataflow.taint` — secret-taint certification of the
   mask/control packages (MAYA020-MAYA022) plus the JSON leakage
   certificate;
-* :mod:`~repro.lint.dataflow.purity` — purity & cache-salt soundness
-  certification of the simulation closure (MAYA050-MAYA053) plus the
-  per-entry-point ``maya.lint.purity-certificate.v1``.
+* :mod:`~repro.lint.dataflow.purity` — purity certification of the
+  simulation closure (MAYA050, MAYA052, MAYA053) plus the per-entry-point
+  ``maya.lint.purity-certificate.v2``.
 """
 
 from .interp import AV, Evaluator, Finding, Reporter

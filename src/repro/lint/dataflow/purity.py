@@ -1,28 +1,27 @@
-"""Purity & cache-salt soundness certification (MAYA050-MAYA053).
+"""Purity certification of the simulation closure (MAYA050, MAYA052, MAYA053).
 
 Every result in this repo flows through the content-addressed trace
-cache, whose soundness rests on three hand-maintained promises:
+cache.  Its key digests every source a session can run (``code_salt()``
+salts all of ``src/repro`` except the packages listed in
+``repro.exec.jobs._UNSALTED_PACKAGES``, so code coverage holds by
+construction), plus the :class:`~repro.exec.jobs.SessionJob` fields.  That
+is sound only while two promises hold:
 
-1. the ``_SIMULATION_PACKAGES`` salt in ``repro.exec.jobs`` covers every
-   module whose code a simulated session can execute;
-2. sim-reachable code reads nothing ambient (environment variables,
-   files, clocks, global RNG state) that is not part of the
-   :class:`~repro.exec.jobs.SessionJob` description;
-3. every job field that influences the trace flows into
+1. sim-reachable code reads nothing ambient (environment variables,
+   files, clocks, global RNG state) that is not part of the job
+   description;
+2. every job field that influences the trace flows into
    ``SessionJob.key()``'s digest.
 
 This analysis proves those promises statically.  It computes the
-import/call closure of the two simulation entry points —
-``execute_job`` and ``execute_jobs_batched`` — over the shared abstract
-interpreter and layers four rules on the closure:
+import/call closure of the simulation entry point,
+``execute_jobs_batched`` (the lock-step kernel every session runs
+through), over the shared abstract interpreter and layers three rules on
+the closure:
 
 * **MAYA050** — sim-reachable code reads ambient state (``os.environ``,
   file reads, locale/platform/time, global RNG) not captured in the job
   content address; identical jobs could cache different traces;
-* **MAYA051** — a module in the sim closure is missing from the
-  ``_SIMULATION_PACKAGES`` salt (editing it would not invalidate cached
-  traces), or a declared salt entry covers no reachable code (a dead or
-  typo'd entry giving false confidence);
 * **MAYA052** — sim-reachable code mutates a module-level container or a
   class attribute after init (cross-session contamination: state written
   by one cached session leaks into the next);
@@ -31,18 +30,16 @@ interpreter and layers four rules on the closure:
   field collide in the cache.
 
 Modules that *must* sit outside the purity contract are enumerated as
-waivers rather than silently skipped: the salt-defining module itself
-(``code_salt()`` digests the salted sources by design), ``exec/batch.py``
-(excluded from the salt; the control loop's traces are pinned instead by
-the golden trace digests and its row independence by ``Trace.equals``
-tests), and ``repro.telemetry`` (out-of-band by the
-MAYA032 contract).  Their ambient reads and mutations are still recorded
-— in the certificate, not as findings.
+waivers rather than silently skipped: ``repro.exec.jobs`` (``code_salt()``
+reads the salted sources and the per-process factory memo is keyed on the
+full job description) and ``repro.telemetry`` (out-of-band by the MAYA032
+contract).  Their ambient reads and mutations are still recorded — in the
+certificate, not as findings.
 
-The result is one ``maya.lint.purity-certificate.v1`` per entry point
+The result is one ``maya.lint.purity-certificate.v2`` per entry point
 (committed under ``certs/purity/``, regenerated and byte-compared by CI)
-carrying the closure module list, the salt-coverage verdict, the waiver
-inventory, and the job-key field accounting.
+carrying the closure module list, the waiver inventory, the effect
+inventory and the job-key field accounting.
 """
 
 from __future__ import annotations
@@ -64,18 +61,14 @@ __all__ = [
 
 PURITY_RULES = {
     "MAYA050": "sim-reachable code reads ambient state outside the job key",
-    "MAYA051": "simulation closure and _SIMULATION_PACKAGES salt disagree",
     "MAYA052": "sim-reachable mutation of module-level or class state",
     "MAYA053": "job field influences the trace but not the key() digest",
 }
 
-PURITY_CERT_SCHEMA = "maya.lint.purity-certificate.v1"
+PURITY_CERT_SCHEMA = "maya.lint.purity-certificate.v2"
 
 #: Function names treated as simulation entry points (module level).
-_ENTRY_NAMES = frozenset({"execute_job", "execute_jobs_batched"})
-
-#: The salt assignment the analysis certifies against.
-_SALT_NAME = "_SIMULATION_PACKAGES"
+_ENTRY_NAMES = frozenset({"execute_jobs_batched"})
 
 # ---------------------------------------------------------------------------
 # Ambient-state tables (MAYA050)
@@ -172,29 +165,19 @@ _MUTATOR_METHODS = frozenset(
 )
 
 #: Module suffixes waived out of the purity contract, with the covering
-#: contract spelled out.  The salt-defining module and the root package
-#: facade are waived dynamically (see :meth:`PurityEvaluator._waiver_for`).
-_STATIC_WAIVERS: Tuple[Tuple[str, str], ...] = (
+#: contract spelled out.
+_WAIVERS: Tuple[Tuple[str, str], ...] = (
     (
-        "exec.batch",
-        "excluded from the salt by design; the one control loop's traces are "
-        "pinned by the golden trace digests and its row independence by the "
-        "Trace.equals tests",
+        "exec.jobs",
+        "intended effects: code_salt() reads the salted sources (rglob, "
+        "read_bytes) and the per-process factory memo is keyed on the full "
+        "declarative job description",
     ),
     (
         "telemetry",
         "out-of-band observability: the MAYA032 contract certifies no "
         "telemetry value flows back into simulation state",
     ),
-)
-
-_SALT_WAIVER_REASON = (
-    "defines the salt: code_salt() digests the salted sources and the "
-    "per-process factory memo is keyed on the full declarative description"
-)
-_FACADE_WAIVER_REASON = (
-    "top-level package facade: re-exports only; every simulation "
-    "definition lives in a salted package"
 )
 
 #: Marks an abstract value as a project-module object (``ext`` prefix).
@@ -207,16 +190,6 @@ class PurVal:
     aliased mutations (``t = TABLE; t.update(...)``) are still caught."""
 
     origin: Optional[Tuple[str, str]] = None  # (module path, name)
-
-
-@dataclass
-class _SaltDef:
-    """One ``_SIMULATION_PACKAGES`` assignment and its resolved geometry."""
-
-    path: str
-    node: ast.AST
-    entries: Tuple[str, ...]
-    root: str = ""  # directory the entries are relative to
 
 
 class PurityEvaluator(Evaluator):
@@ -260,11 +233,6 @@ class PurityEvaluator(Evaluator):
         self._digest_quals: Set[str] = set()
         self._hashed: Dict[str, Set[str]] = {}
         self._read: Dict[str, Set[str]] = {}
-        # Salt state.
-        self.salt_defs: List[_SaltDef] = []
-        self.salt_covered: Set[str] = set()
-        self.salt_unsalted: Set[str] = set()
-        self.salt_dead: Dict[str, List[str]] = {}
         # Import-resolution caches.
         self._import_cache: Dict[str, Set[str]] = {}
 
@@ -276,7 +244,6 @@ class PurityEvaluator(Evaluator):
         self._collect_entries()
         if not self.entries:
             return
-        self._collect_salt_defs()
         self._find_job_classes()
         # Phase 1: the digest closure — field reads here count as *hashed*.
         for cls_name in sorted(self._job_classes):
@@ -290,11 +257,17 @@ class PurityEvaluator(Evaluator):
         self._drain()
         self._digest_quals = set(self._walked)
         self._in_digest = False
-        # Phase 2: the full simulation closure from every entry point.
+        # Phase 2: the full simulation closure from every entry point.  A
+        # batch entry reaches its jobs through a container, which the
+        # interpreter does not type, so every method of a job class is a
+        # root too: whatever a job can run is sim-reachable.
         for _display, fn in self.entries:
             self._push(fn)
+        for cls_name in sorted(self._job_classes):
+            for cls in self.model.mro(cls_name):
+                for method in cls.methods.values():
+                    self._push(method)
         self._drain()
-        self._check_salt()
         self._check_job_key()
 
     def _drain(self) -> None:
@@ -381,13 +354,8 @@ class PurityEvaluator(Evaluator):
     def _waiver_for(self, path: str) -> Optional[Tuple[str, str]]:
         """(matched suffix, reason) when ``path`` sits outside the purity
         contract; the certificate enumerates every applied waiver."""
-        if any(d.path == path for d in self.salt_defs):
-            return (module_name(path), _SALT_WAIVER_REASON)
-        for d in self.salt_defs:
-            if d.root and path == f"{d.root}/__init__.py":
-                return (module_name(path), _FACADE_WAIVER_REASON)
         parts = module_name(path).split(".")
-        for suffix, reason in _STATIC_WAIVERS:
+        for suffix, reason in _WAIVERS:
             sparts = suffix.split(".")
             for i in range(len(parts) - len(sparts) + 1):
                 if parts[i : i + len(sparts)] == sparts:
@@ -727,9 +695,10 @@ class PurityEvaluator(Evaluator):
             queue.extend(self._edges.get(qual, ()))
         return mods
 
-    def _import_closure(self, mods: Set[str]) -> Set[str]:
-        out = set(mods)
-        queue = list(mods)
+    def closure_for(self, entry: FunctionInfo) -> Set[str]:
+        """Modules ``entry`` calls into, closed over their imports."""
+        out = self._call_closure_modules(entry)
+        queue = list(out)
         while queue:
             path = queue.pop()
             for imported in self._module_imports(path):
@@ -737,113 +706,6 @@ class PurityEvaluator(Evaluator):
                     out.add(imported)
                     queue.append(imported)
         return out
-
-    def closure_for(self, entry: FunctionInfo) -> Set[str]:
-        return self._import_closure(self._call_closure_modules(entry))
-
-    def union_closure(self) -> Set[str]:
-        mods: Set[str] = set()
-        for _display, fn in self.entries:
-            mods |= self._call_closure_modules(fn)
-        for key_fn in self._key_fns.values():
-            mods |= self._call_closure_modules(key_fn)
-        return self._import_closure(mods)
-
-    # ------------------------------------------------------------------
-    # MAYA051: salt coverage
-    # ------------------------------------------------------------------
-
-    def _collect_salt_defs(self) -> None:
-        for path in sorted(self.model.modules):
-            mod = self.model.modules[path]
-            expr = mod.assigns.get(_SALT_NAME)
-            if expr is None:
-                continue
-            if not isinstance(expr, (ast.Tuple, ast.List)):
-                continue
-            entries = []
-            for el in expr.elts:
-                if isinstance(el, ast.Constant) and isinstance(el.value, str):
-                    entries.append(el.value)
-            self.salt_defs.append(_SaltDef(path=path, node=expr, entries=tuple(entries)))
-
-    def _resolve_salt_roots(self) -> None:
-        """Entries are paths relative to the package root directory — find
-        it by scoring each ancestor of the defining module against them."""
-        all_paths = list(self.model.modules)
-        for d in self.salt_defs:
-            segments = d.path.split("/")[:-1]
-            best, best_score = "", -1
-            for up in range(len(segments), 0, -1):
-                root = "/".join(segments[:up])
-                score = sum(
-                    1
-                    for entry in d.entries
-                    if any(
-                        p.startswith(f"{root}/{entry}/") or p == f"{root}/{entry}.py"
-                        for p in all_paths
-                    )
-                )
-                if score > best_score:
-                    best, best_score = root, score
-            d.root = best
-
-    def _claiming_def(self, path: str) -> Optional[_SaltDef]:
-        best: Optional[_SaltDef] = None
-        for d in self.salt_defs:
-            prefix = d.root + "/" if d.root else ""
-            if path.startswith(prefix):
-                if best is None or len(d.root) > len(best.root):
-                    best = d
-        return best
-
-    def _check_salt(self) -> None:
-        if not self.salt_defs:
-            return
-        self._resolve_salt_roots()
-        closure = self.union_closure()
-        live_entries: Dict[Tuple[str, str], bool] = {}
-        for d in self.salt_defs:
-            for entry in d.entries:
-                live_entries[(d.path, entry)] = False
-        for path in sorted(closure):
-            d = self._claiming_def(path)
-            if d is None:
-                continue
-            covering = None
-            for entry in d.entries:
-                if path.startswith(f"{d.root}/{entry}/") or path == f"{d.root}/{entry}.py":
-                    covering = entry
-                    break
-            if covering is not None:
-                live_entries[(d.path, covering)] = True
-                self.salt_covered.add(path)
-                continue
-            if self._waiver_for(path) is not None:
-                continue
-            self.salt_unsalted.add(path)
-            self.reporter.report(
-                d.path,
-                d.node,
-                "MAYA051",
-                f"module '{module_name(path)}' is reachable from the "
-                f"simulation entry points but missing from "
-                f"{_SALT_NAME}; editing it would not invalidate cached "
-                f"traces",
-            )
-        for d in self.salt_defs:
-            dead = [e for e in d.entries if not live_entries[(d.path, e)]]
-            if dead:
-                self.salt_dead[d.path] = dead
-            for entry in dead:
-                self.reporter.report(
-                    d.path,
-                    d.node,
-                    "MAYA051",
-                    f"salt entry '{entry}' in {_SALT_NAME} matches no module "
-                    f"reachable from the simulation entry points; a dead or "
-                    f"typo'd entry gives false cache-invalidation confidence",
-                )
 
     # ------------------------------------------------------------------
     # MAYA053: job-key field accounting
@@ -887,26 +749,6 @@ class PurityEvaluator(Evaluator):
             "missing": sorted(read - hashed),
         }
 
-    def salt_section(self) -> dict:
-        if not self.salt_defs:
-            return {
-                "declared": [],
-                "covered": [],
-                "unsalted": [],
-                "dead_entries": [],
-                "verdict": "absent",
-            }
-        declared = sorted({e for d in self.salt_defs for e in d.entries})
-        dead = sorted({e for entries in self.salt_dead.values() for e in entries})
-        unsound = bool(self.salt_unsalted) or bool(dead)
-        return {
-            "declared": declared,
-            "covered": sorted(module_name(p) for p in self.salt_covered),
-            "unsalted": sorted(module_name(p) for p in self.salt_unsalted),
-            "dead_entries": dead,
-            "verdict": "unsound" if unsound else "ok",
-        }
-
 
 # ---------------------------------------------------------------------------
 # Entry point and certificates
@@ -917,7 +759,7 @@ def analyze_purity(model: ProjectModel) -> Tuple[List[Finding], Dict[str, dict]]
     """Run the purity analysis.
 
     Returns ``(findings, certificates)`` where ``certificates`` maps each
-    entry-point display name to its ``maya.lint.purity-certificate.v1``.
+    entry-point display name to its ``maya.lint.purity-certificate.v2``.
     Projects without simulation entry points produce neither.
     """
     reporter = Reporter()
@@ -932,14 +774,8 @@ def purity_certificates(
     findings: Sequence[Finding],
     evaluator: PurityEvaluator,
 ) -> Dict[str, dict]:
-    """One certificate per simulation entry point.
-
-    The salt section is computed over the *union* closure of every entry
-    (and embedded identically in each certificate), so one entry's
-    narrower closure never reports the orchestration packages as dead entries.
-    """
+    """One certificate per simulation entry point."""
     certificates: Dict[str, dict] = {}
-    salt = evaluator.salt_section()
     rule_findings = [f for f in findings if f.rule_id in PURITY_RULES]
     for display, fn in sorted(evaluator.entries, key=lambda item: item[0]):
         job_key = evaluator.job_key_section(fn)
@@ -959,18 +795,13 @@ def purity_certificates(
         in_closure = [
             f for f in rule_findings if module_name(f.path) in closure_dotted
         ]
-        ok = (
-            salt["verdict"] in ("ok", "absent")
-            and not in_closure
-            and not (job_key or {}).get("missing")
-        )
+        ok = not in_closure and not (job_key or {}).get("missing")
         certificates[display] = {
             "schema": PURITY_CERT_SCHEMA,
             "entry": display,
             "entry_module": module_name(fn.path),
             "closure_modules": sorted(closure_dotted),
             "waivers": waivers,
-            "salt": salt,
             "ambient": {
                 "violations": evaluator.effect_records("ambient", False, closure_dotted),
                 "waived": evaluator.effect_records("ambient", True, closure_dotted),

@@ -1,8 +1,8 @@
-"""Certificate I/O for the purity & cache-salt soundness analysis.
+"""Certificate I/O for the purity analysis of the simulation closure.
 
 The committed ``certs/purity/`` directory holds one JSON file per
-simulation entry point, named by the entry's display name
-(``execute_job.json``, ``execute_jobs_batched.json``).  The analysis is
+simulation entry point, named by the entry's display name (today one
+file, ``execute_jobs_batched.json``).  The analysis is
 the single source of truth and the committed JSON is a byte-exact render
 of its output: CI regenerates the certificates with ``repro-lint
 --analyze purity --check-certs certs`` and fails on any drift against the

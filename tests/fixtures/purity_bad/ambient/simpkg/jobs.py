@@ -1,8 +1,7 @@
 """Fixture: a clean job spec whose physics model reads ambient state.
 
-The salt is sound (``physics`` is declared) and every field is hashed —
-the only defect is the ``os.environ`` read in :mod:`.physics.model`,
-so exactly MAYA050 must fire.
+Every field is hashed — the only defect is the ``os.environ`` read in
+:mod:`.physics.model`, so exactly MAYA050 must fire.
 """
 
 import hashlib
@@ -10,8 +9,6 @@ import json
 from dataclasses import asdict, dataclass
 
 from .physics.model import window_power
-
-_SIMULATION_PACKAGES = ("physics",)
 
 
 @dataclass(frozen=True)
@@ -27,5 +24,5 @@ class AmbientJob:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def execute_job(job: AmbientJob) -> float:
+def execute_jobs_batched(job: AmbientJob) -> float:
     return window_power(job.workload, job.seed)

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 from .sim.run import simulate
 
-_SIMULATION_PACKAGES = ("sim",)
-
 
 @dataclass(frozen=True)
 class KeyJob:
@@ -28,5 +26,5 @@ class KeyJob:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def execute_job(job: KeyJob) -> float:
+def execute_jobs_batched(job: KeyJob) -> float:
     return simulate(job.workload, job.seed, job.noise_gain)

@@ -1,8 +1,8 @@
 """Fixture: a clean job spec whose calibration mutates shared state.
 
-The salt is sound and every field is hashed — the defects are the
-module-level table store and the class-attribute store in
-:mod:`.calib.table`, so exactly two MAYA052 findings must fire.
+Every field is hashed — the defects are the module-level table store and
+the class-attribute store in :mod:`.calib.table`, so exactly two MAYA052
+findings must fire.
 """
 
 import hashlib
@@ -10,8 +10,6 @@ import json
 from dataclasses import asdict, dataclass
 
 from .calib.table import calibrated_power
-
-_SIMULATION_PACKAGES = ("calib",)
 
 
 @dataclass(frozen=True)
@@ -27,5 +25,5 @@ class CalibJob:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def execute_job(job: CalibJob) -> float:
+def execute_jobs_batched(job: CalibJob) -> float:
     return calibrated_power(job.workload, job.seed)

@@ -314,6 +314,44 @@ class TestDamagedEntries:
         assert all(got.equals(want) for got, want in zip(replay, originals))
 
 
+    def test_missing_and_torn_sidecars_still_serve_the_traces(self, tmp_path):
+        from repro import telemetry
+        from repro.telemetry import TelemetryRecorder, job_identity
+
+        jobs = [tiny_job(run=run) for run in range(3)]
+        originals = run_sessions(jobs, cache=False)
+        first = TelemetryRecorder(root=tmp_path / "first")
+        telemetry.set_recorder(first)
+        try:
+            run_sessions(jobs, cache=TraceCache(root=tmp_path / "cache"))
+        finally:
+            telemetry.set_recorder(None)
+        cache = TraceCache(root=tmp_path / "cache")
+        missing, torn, intact = (
+            cache._key_sidecar(job.key(), ".events.jsonl") for job in jobs
+        )
+        missing.unlink()
+        data = torn.read_bytes()
+        cut = data.index(b"\n") + 1 + data[data.index(b"\n") + 1:].index(b":")
+        torn.write_bytes(data[:cut])  # ends mid-way through the second record
+
+        second = TelemetryRecorder(root=tmp_path / "second")
+        telemetry.set_recorder(second)
+        try:
+            traces = run_sessions(jobs, cache=cache)
+            hits = second.metrics.counter_value("exec.cache.hits")
+        finally:
+            telemetry.set_recorder(None)
+        assert hits == len(jobs)
+        assert all(got.equals(want) for got, want in zip(traces, originals))
+        # The intact sidecar still replays the original session file.
+        identity = job_identity(jobs[2])
+        assert (
+            second.session_path(identity).read_bytes()
+            == first.session_path(identity).read_bytes()
+        )
+
+
 class TestFailedWrites:
     """A store write that fails degrades to a miss, never to a crash."""
 

@@ -1,9 +1,14 @@
 """Tests for repro.exec.engine (parallel fan-out + determinism guarantee)."""
 
 import concurrent.futures
+import multiprocessing
+import os
+import signal
 
 import pytest
 
+import repro.exec.batch as batch_mod
+from repro import telemetry
 from repro.exec import SessionJob, TraceCache, batch_key, resolve_workers, run_sessions
 from repro.exec.batch import execute_jobs_batched
 from repro.exec.engine import _result_or_retry
@@ -137,6 +142,41 @@ class TestRetry:
         future = _StubFuture(KeyError("unknown workload"))
         with pytest.raises(KeyError):
             _result_or_retry(future, chunk, None, timeout_s=1.0)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the dying kernel is patched in before the pool forks",
+    )
+    def test_worker_killed_mid_chunk_is_redone_in_process(self, tmp_path, monkeypatch):
+        """A real pool worker dies by SIGKILL after simulating part of its
+        chunk; the chunk is redone in-process with identical traces."""
+        jobs = batch_jobs(n_runs=2, duration_s=0.5)  # two 2-job chunks
+        serial = run_sessions(jobs, workers=1, cache=False)
+        parent = os.getpid()
+        real_simulate = batch_mod.simulate
+
+        def simulate(rows):
+            if os.getpid() != parent and rows[0].machine.workload.name == "volrend":
+                real_simulate(rows[:1])
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_simulate(rows)
+
+        # Forked workers inherit the patched kernel; the in-process redo
+        # runs in the parent, where it is the real one.
+        monkeypatch.setattr(batch_mod, "simulate", simulate)
+        recorder = telemetry.TelemetryRecorder(root=tmp_path / "telemetry")
+        telemetry.set_recorder(recorder)
+        try:
+            traces = run_sessions(jobs, workers=2, cache=False)
+            retried = recorder.metrics.counter_value("exec.jobs.retried")
+        finally:
+            telemetry.set_recorder(None)
+        # The killed chunk is redone; the pool breaks with it, so the other
+        # chunk is redone too unless its result arrived first.
+        assert retried in (2, 4)
+        assert len(traces) == len(serial)
+        for got, want in zip(traces, serial):
+            assert got.equals(want)
 
 
 class TestChunkFanOut:

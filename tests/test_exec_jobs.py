@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.defenses.designs import DefenseFactory
-from repro.exec import SessionJob, code_salt, execute_job
+from repro.exec import SessionJob, code_salt
 from repro.machine import SYS1, SYS2
 
 
@@ -150,7 +150,7 @@ class TestExecution:
             duration_s=0.5,
         )
         with_factory = job.execute(factory=sys1_factory)
-        rebuilt = execute_job(job)  # worker path: factory from job fields
+        rebuilt = job.execute()  # worker path: factory from job fields
         assert with_factory.equals(rebuilt)
         assert with_factory.workload == "volrend"
         assert with_factory.duration_s == pytest.approx(0.5)

@@ -9,9 +9,10 @@ regime, and so must every end-to-end attack outcome built on its traces;
 the fast-forward must reproduce the per-interval loop.  The golden trace
 digests pin the absolute bits.  A fleet of at least ``WIDE_FLEET_ROWS``
 rows runs its intervals as fleet passes and turns narrow as rows retire;
-its rows must equal one-row calls too, machine state included.  Also
-covered: the engine sends every pending job, a lone one included, to the
-kernel as lock-step chunks.
+its rows must equal one-row calls too, machine state included, and so
+must a wide constant-settings fleet, whose chunks filter their noise
+time-major.  Also covered: the engine sends every pending job, a lone one
+included, to the kernel as lock-step chunks.
 """
 
 import numpy as np
@@ -395,3 +396,60 @@ class TestWideFleet:
         completed = [row for row in rows if row.tail is not None]
         assert np.isnan(completed[0].trace.completed_at_s)
         assert all(np.isfinite(row.trace.completed_at_s) for row in completed[1:])
+
+    def test_constant_rows_equal_one_row_calls_across_the_threshold(
+        self, sys1_factory, monkeypatch
+    ):
+        """The constant-settings fast-forward filters a wide chunk's noise
+        time-major and a narrow one row by row; completion-mode rows that
+        end inside a wide chunk are rewound to where one-row calls leave
+        them (RNG position, AR(1) level, clock)."""
+
+        def constant_rows():
+            completing = [
+                make_job(
+                    sys1_factory, workload="loop_imul", defense="noisy_baseline",
+                    run=run, workload_kwargs={"duration_s": 0.1 + 0.05 * run},
+                    duration_s=None, max_duration_s=2.0, tail_s=0.1,
+                )
+                for run in range(WIDE_FLEET_ROWS + 3)
+            ]
+            apps = ("volrend", "water_nsquared", "bodytrack")
+            fixed = [
+                make_job(sys1_factory, workload=apps[run % 3],
+                         defense="noisy_baseline", run=run, duration_s=3.0)
+                for run in range(WIDE_FLEET_ROWS - 3)
+            ]
+            return build_fleet(completing + fixed, sys1_factory)
+
+        alone = []
+        for row in constant_rows():
+            [trace] = simulate([row])
+            alone.append((trace, machine_state(row.machine)))
+
+        layouts = []
+        real = batch_mod.draw_noise
+
+        def spy(models, sensors, n_windows, window_ticks, time_major=False):
+            if models:
+                layouts.append((len(models), time_major))
+            return real(models, sensors, n_windows, window_ticks, time_major)
+
+        monkeypatch.setattr(batch_mod, "draw_noise", spy)
+        rows = constant_rows()
+        assert len(rows) == 2 * WIDE_FLEET_ROWS
+        traces = simulate(rows)
+        # Wide chunks first, then narrow ones once the completing rows left;
+        # the one-row rewinds of the retiring rows are never time-major.
+        chunks = [layout for layout in layouts if layout[0] > 1]
+        assert chunks[0] == (2 * WIDE_FLEET_ROWS, True)
+        assert chunks[-1] == (WIDE_FLEET_ROWS - 3, False)
+        assert all(major == (n >= WIDE_FLEET_ROWS) for n, major in chunks)
+        assert (1, False) in layouts
+        for row, trace, (alone_trace, alone_state) in zip(rows, traces, alone):
+            assert trace.equals(alone_trace)
+            assert machine_state(row.machine) == alone_state
+        completed = [row for row in rows if row.tail is not None]
+        # All but the slowest, which its cap cuts off, complete in the chunk.
+        assert all(np.isfinite(row.trace.completed_at_s) for row in completed[:-1])
+        assert np.isnan(completed[-1].trace.completed_at_s)

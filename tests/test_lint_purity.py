@@ -1,8 +1,9 @@
-"""Purity & cache-salt soundness certification (MAYA050-MAYA053): the
-known-bad fixture corpus, the clean-tree gate, the MAYA051 acceptance
-demos (salt deletion / unsalted import), certificate structure and
-determinism, the committed-certificate drift check, and the CLI plumbing
-(--analyze purity, --write-certs / --check-certs, --stats)."""
+"""Purity certification of the simulation closure (MAYA050, MAYA052,
+MAYA053): the known-bad fixture corpus, the clean-tree gate, the check
+that the closure stays inside the salted sources (with its unsalted-import
+demo), certificate structure and determinism, the committed-certificate
+drift check, and the CLI plumbing (--analyze purity, --write-certs /
+--check-certs, --stats)."""
 
 import ast
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.exec.jobs import _UNSALTED_PACKAGES
 from repro.lint import (
     LintEngine,
     analyze_purity,
@@ -34,18 +36,13 @@ CERT_KEYS = {
     "entry_module",
     "closure_modules",
     "waivers",
-    "salt",
     "ambient",
     "mutations",
     "job_key",
     "ok",
 }
 
-ENTRY_POINTS = {"execute_job", "execute_jobs_batched"}
-
-SALT_PACKAGES = [
-    "control", "core", "defenses", "machine", "masks", "workloads",
-]
+ENTRY = "execute_jobs_batched"
 
 
 def purity_engine():
@@ -81,6 +78,20 @@ def analyze_patched(patch=None):
     return analyze_purity(ProjectModel(files))
 
 
+def unsalted_closure_modules(certificate):
+    """Closure modules under a package ``code_salt()`` leaves out.
+
+    ``repro.telemetry`` runs inside sessions by design: the MAYA032
+    contract keeps its values out of simulation state, so it is exempt.
+    """
+    checked = set(_UNSALTED_PACKAGES) - {"telemetry"}
+    return [
+        module
+        for module in certificate["closure_modules"]
+        if module.partition(".")[2].split(".")[0] in checked
+    ]
+
+
 class TestFixtureCorpus:
     """Each known-bad fixture trips exactly the purity rule it encodes."""
 
@@ -88,9 +99,8 @@ class TestFixtureCorpus:
         "name, expected",
         [
             ("ambient", ["MAYA050"]),
-            ("unsalted", ["MAYA051", "MAYA051"]),
-            ("mutation", ["MAYA052", "MAYA052"]),
             ("keyfield", ["MAYA053"]),
+            ("mutation", ["MAYA052", "MAYA052"]),
         ],
     )
     def test_fixture_trips_its_rule(self, name, expected):
@@ -102,12 +112,6 @@ class TestFixtureCorpus:
         (diag,) = report.diagnostics
         assert "os.environ" in diag.message
         assert diag.path.endswith("physics/model.py")
-
-    def test_unsalted_reports_both_directions(self):
-        report = purity_engine().run_paths([FIXTURE_DIR / "unsalted"])
-        messages = "\n".join(d.message for d in report.diagnostics)
-        assert "noise.extra" in messages  # reachable but undeclared
-        assert "thermals" in messages  # declared but unreachable
 
     def test_mutation_reports_module_and_class_state(self):
         report = purity_engine().run_paths([FIXTURE_DIR / "mutation"])
@@ -121,35 +125,29 @@ class TestFixtureCorpus:
         assert "noise_gain" in diag.message
         assert "KeyJob.key()" in diag.message
 
-    def test_whole_corpus_covers_all_four_rules(self):
+    def test_whole_corpus_covers_every_purity_rule(self):
         report = purity_engine().run_paths([FIXTURE_DIR])
         assert {d.rule_id for d in report.diagnostics} == {
             "MAYA050",
-            "MAYA051",
             "MAYA052",
             "MAYA053",
         }
 
     def test_fixture_certificates_record_the_defects(self):
         keyfield = purity_engine().run_paths([FIXTURE_DIR / "keyfield"])
-        cert = keyfield.purity_certificates["execute_job"]
+        cert = keyfield.purity_certificates[ENTRY]
         assert cert["ok"] is False
         assert cert["job_key"]["class"] == "KeyJob"
         assert cert["job_key"]["missing"] == ["noise_gain"]
-        unsalted = purity_engine().run_paths([FIXTURE_DIR / "unsalted"])
-        salt = unsalted.purity_certificates["execute_job"]["salt"]
-        assert salt["verdict"] == "unsound"
-        assert salt["unsalted"] == ["noise.extra"]
-        assert salt["dead_entries"] == ["thermals"]
         ambient = purity_engine().run_paths([FIXTURE_DIR / "ambient"])
-        cert = ambient.purity_certificates["execute_job"]
+        cert = ambient.purity_certificates[ENTRY]
         assert cert["ok"] is False
         assert [v["detail"] for v in cert["ambient"]["violations"]] == ["os.environ"]
 
 
 class TestSourceTreeGate:
-    """The shipped tree must certify purity-clean — and lose that
-    certification the moment the salt or the closure is perturbed."""
+    """The shipped tree must certify purity-clean, and its simulation
+    closure must stay inside the sources ``code_salt()`` digests."""
 
     def test_src_repro_has_no_purity_findings(self):
         report = purity_engine().run_paths([PACKAGE_DIR])
@@ -157,34 +155,19 @@ class TestSourceTreeGate:
             d.format() for d in report.diagnostics
         )
 
-    def test_deleting_a_salt_entry_trips_maya051(self):
-        def drop_workloads(path, text):
-            if path.endswith("exec/jobs.py"):
-                assert '"workloads", ' in text
-                return text.replace('"workloads", ', "")
-            return text
+    def test_closure_stays_inside_the_salted_sources(self):
+        findings, certs = analyze_patched()
+        assert findings == []
+        assert unsalted_closure_modules(certs[ENTRY]) == []
 
-        findings, certs = analyze_patched(drop_workloads)
-        rules = {f.rule_id for f in findings}
-        assert rules == {"MAYA051"}
-        messages = "\n".join(f.message for f in findings)
-        assert "repro.workloads" in messages
-        salt = certs["execute_job"]["salt"]
-        assert salt["verdict"] == "unsound"
-        assert any(m.startswith("repro.workloads") for m in salt["unsalted"])
-        assert certs["execute_job"]["ok"] is False
-
-    def test_unsalted_import_into_runtime_trips_maya051(self):
+    def test_unsalted_import_into_runtime_fails_the_closure_check(self):
         def import_analysis(path, text):
             if path.endswith("core/runtime.py"):
                 return text + "\nfrom ..analysis import summary as _probe\n"
             return text
 
-        findings, certs = analyze_patched(import_analysis)
-        assert {f.rule_id for f in findings} == {"MAYA051"}
-        messages = "\n".join(f.message for f in findings)
-        assert "repro.analysis" in messages
-        assert certs["execute_job"]["ok"] is False
+        _findings, certs = analyze_patched(import_analysis)
+        assert unsalted_closure_modules(certs[ENTRY]) == ["repro.analysis.summary"]
 
 
 class TestCertificates:
@@ -193,19 +176,20 @@ class TestCertificates:
 
     def test_one_certificate_per_entry_point(self):
         certs = self.certs()
-        assert set(certs) == ENTRY_POINTS
+        assert set(certs) == {ENTRY}
         for name, cert in certs.items():
             assert cert["schema"] == PURITY_CERT_SCHEMA
             assert set(cert) == CERT_KEYS
             assert cert["entry"] == name
             assert cert["ok"] is True
 
-    def test_execute_job_closure_is_tight(self):
-        closure = self.certs()["execute_job"]["closure_modules"]
+    def test_entry_closure_is_tight(self):
+        closure = self.certs()[ENTRY]["closure_modules"]
         for expected in (
             "repro.core.runtime",
             "repro.machine.power",
             "repro.defenses.designs",
+            "repro.exec.batch",
             "repro.exec.jobs",
             "repro.telemetry",
         ):
@@ -218,32 +202,18 @@ class TestCertificates:
         assert not any(m.startswith("repro.experiments") for m in closure)
         assert not any(m.startswith("repro.attacks") for m in closure)
 
-    def test_salt_verdict_matches_the_committed_salt(self):
-        salt = self.certs()["execute_job"]["salt"]
-        assert salt["declared"] == SALT_PACKAGES
-        assert salt["verdict"] == "ok"
-        assert salt["unsalted"] == []
-        assert salt["dead_entries"] == []
-
     def test_waivers_are_enumerated_with_reasons(self):
-        certs = self.certs()
-        waived = {w["module"]: w["reason"] for w in certs["execute_job"]["waivers"]}
-        # execute() is a one-job lock-step batch, so the kernel and its
-        # span profiler are inside its closure, both waived.
+        waived = {w["module"]: w["reason"] for w in self.certs()[ENTRY]["waivers"]}
+        # The kernel's span profiler is inside the closure, waived with
+        # the rest of telemetry; the kernel itself is not waived.
         assert set(waived) == {
-            "repro", "repro.exec.batch", "repro.exec.jobs",
-            "repro.telemetry", "repro.telemetry.profile",
+            "repro.exec.jobs", "repro.telemetry", "repro.telemetry.profile",
         }
         assert "code_salt()" in waived["repro.exec.jobs"]
-        batched = {
-            w["module"]: w["reason"]
-            for w in certs["execute_jobs_batched"]["waivers"]
-        }
-        assert "repro.exec.batch" in batched
-        assert "golden trace digests" in batched["repro.exec.batch"]
+        assert "MAYA032" in waived["repro.telemetry"]
 
     def test_job_key_accounts_for_every_field(self):
-        job_key = self.certs()["execute_job"]["job_key"]
+        job_key = self.certs()[ENTRY]["job_key"]
         assert job_key["class"] == "SessionJob"
         assert len(job_key["fields"]) == 15
         assert "max_duration_s" in job_key["fields"]
@@ -251,7 +221,7 @@ class TestCertificates:
         assert job_key["missing"] == []
 
     def test_waived_effects_are_recorded_not_reported(self):
-        cert = self.certs()["execute_job"]
+        cert = self.certs()[ENTRY]
         assert cert["ambient"]["violations"] == []
         assert cert["mutations"]["violations"] == []
         # The waived inventory is the audit trail: the factory memo and the
@@ -266,20 +236,21 @@ class TestCertificates:
         certs = self.certs()
         written = write_purity_certificates(certs, tmp_path)
         assert sorted(written) == sorted(p.name for p in tmp_path.glob("*.json"))
-        assert (tmp_path / "execute_job.json").is_file()
+        assert (tmp_path / f"{ENTRY}.json").is_file()
         assert check_purity_certificates(certs, tmp_path) == []
 
     def test_check_detects_drift_and_missing(self, tmp_path):
         certs = self.certs()
         write_purity_certificates(certs, tmp_path)
-        stale = tmp_path / "execute_job.json"
-        payload = json.loads(stale.read_text())
-        payload["salt"]["declared"] = ["core"]
-        stale.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        (tmp_path / "execute_jobs_batched.json").unlink()
+        drifted = tmp_path / f"{ENTRY}.json"
+        payload = json.loads(drifted.read_text())
+        payload["closure_modules"] = ["repro.core"]
+        drifted.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         problems = "\n".join(check_purity_certificates(certs, tmp_path))
-        assert "execute_job.json" in problems
-        assert "execute_jobs_batched.json" in problems
+        assert f"certificate drift in {ENTRY}.json" in problems
+        drifted.unlink()
+        problems = "\n".join(check_purity_certificates(certs, tmp_path))
+        assert f"missing certificate {ENTRY}.json" in problems
 
     def test_committed_certificates_match_regeneration(self):
         """The CI drift gate, run in-process: certs/purity is current."""
@@ -306,13 +277,13 @@ class TestCli:
     def test_purity_fixtures_exit_nonzero_with_rule_ids(self):
         proc = run_cli("--analyze", "purity", str(FIXTURE_DIR))
         assert proc.returncode == 1
-        for rule_id in ("MAYA050", "MAYA051", "MAYA052", "MAYA053"):
+        for rule_id in ("MAYA050", "MAYA052", "MAYA053"):
             assert rule_id in proc.stdout
 
     def test_list_rules_includes_purity_rules(self):
         proc = run_cli("--list-rules")
         assert proc.returncode == 0
-        for rule_id in ("MAYA050", "MAYA051", "MAYA052", "MAYA053"):
+        for rule_id in ("MAYA050", "MAYA052", "MAYA053"):
             assert rule_id in proc.stdout
 
     def test_github_format_emits_workflow_commands(self):
@@ -321,11 +292,11 @@ class TestCli:
             "purity",
             "--format",
             "github",
-            str(FIXTURE_DIR / "unsalted"),
+            str(FIXTURE_DIR / "mutation"),
         )
         assert proc.returncode == 1
         assert any(
-            line.startswith("::error file=") and "title=MAYA051" in line
+            line.startswith("::error file=") and "title=MAYA052" in line
             for line in proc.stdout.splitlines()
         )
 
@@ -334,7 +305,7 @@ class TestCli:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         payload = json.loads(proc.stdout)
         certs = payload["purity_certificates"]
-        assert set(certs) == ENTRY_POINTS
+        assert set(certs) == {ENTRY}
         assert all(c["schema"] == PURITY_CERT_SCHEMA for c in certs.values())
 
     def test_write_certs_then_check_certs(self, tmp_path):
@@ -343,12 +314,12 @@ class TestCli:
         )
         assert write.returncode == 0, write.stdout + write.stderr
         assert "purity certificate" in write.stderr
-        assert (tmp_path / "execute_job.json").is_file()
+        assert (tmp_path / f"{ENTRY}.json").is_file()
         check = run_cli(
             "--analyze", "purity", "--check-certs", str(tmp_path), str(PACKAGE_DIR)
         )
         assert check.returncode == 0, check.stdout + check.stderr
-        (tmp_path / "execute_job.json").unlink()
+        (tmp_path / f"{ENTRY}.json").unlink()
         recheck = run_cli(
             "--analyze", "purity", "--check-certs", str(tmp_path), str(PACKAGE_DIR)
         )
@@ -358,9 +329,7 @@ class TestCli:
     def test_cert_flags_imply_purity_analysis(self, tmp_path):
         write = run_cli("--write-certs", str(tmp_path), str(PACKAGE_DIR))
         assert write.returncode == 0, write.stdout + write.stderr
-        assert sorted(p.name for p in tmp_path.glob("*.json")) == sorted(
-            f"{entry}.json" for entry in ENTRY_POINTS
-        )
+        assert [p.name for p in tmp_path.glob("*.json")] == [f"{ENTRY}.json"]
         check = run_cli("--check-certs", str(tmp_path), str(PACKAGE_DIR))
         assert check.returncode == 0, check.stdout + check.stderr
 
@@ -370,7 +339,7 @@ class TestCli:
         (tmp_path / "purity").mkdir()
         write = run_cli("--write-certs", str(tmp_path), str(PACKAGE_DIR))
         assert write.returncode == 0, write.stdout + write.stderr
-        assert (tmp_path / "purity" / "execute_job.json").is_file()
+        assert (tmp_path / "purity" / f"{ENTRY}.json").is_file()
         assert not list(tmp_path.glob("*.json"))
         check = run_cli("--check-certs", str(tmp_path), str(PACKAGE_DIR))
         assert check.returncode == 0, check.stdout + check.stderr
@@ -378,6 +347,6 @@ class TestCli:
     def test_stats_reports_purity_rule_counts(self):
         proc = run_cli("--analyze", "purity", "--stats", str(FIXTURE_DIR))
         assert proc.returncode == 1
-        for rule_id in ("MAYA050", "MAYA051", "MAYA052", "MAYA053"):
+        for rule_id in ("MAYA050", "MAYA052", "MAYA053"):
             assert rule_id in proc.stdout
         assert "total" in proc.stdout
