@@ -156,8 +156,9 @@ def store_bench(
       the store from journaled stats alone (``tree_scans`` stays 0 — the
       journal, not a directory rescan, drives eviction);
     * **packed replay** — one ``group``-sized lock-step batch of
-      smoke-bench-sized sessions read back from a packed group entry vs
-      from per-session entries (best of 3 each).
+      smoke-bench-sized sessions read back from one group pack vs from
+      ``group`` one-session packs written by one ``put`` per job (best
+      of 3 each).
 
     Like the pipeline phases, the wall-clock reads here time *our*
     runtime, never the simulation (a sanctioned MAYA002 site).
@@ -194,7 +195,8 @@ def store_bench(
     packed_store = TraceCache(root / "store-bench-packed", max_bytes=10**12)
     packed_store.put_many(group_jobs, group_traces)
     single_store = TraceCache(root / "store-bench-single", max_bytes=10**12)
-    single_store.put_many(group_jobs, group_traces, packed=False)
+    for job, trace in zip(group_jobs, group_traces):
+        single_store.put(job, trace)
 
     def _best_read(handle: TraceCache) -> float:
         best = float("inf")

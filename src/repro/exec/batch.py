@@ -38,13 +38,13 @@ per-row operating-point lookups of the power step, and each block's AR(1)
 noise is filtered time-major.  The cursor fleet owns every row's phase
 index, work into the phase, work done, ``time_s`` and ``completed_at_s``
 while the fleet is wide; it writes them back to the machines only when a
-row retires, when telemetry records an interval, when the fleet turns
-narrow and at the end of the call, and completion is detected from its
-arrays.  Every table entry is computed once by the scalar code it stands
-for (``Phase.frequency_speedup``, ``PowerModel.dvfs_scale``,
-``static_power``, ``idle_scale``).  The path is chosen each time the loop
-rebuilds its active fleet; the fleet only shrinks, so it turns narrow at
-most once, and narrow fleets run the per-row code, which stays the oracle.
+row retires, when the fleet turns narrow and at the end of the call, and
+completion is detected from its arrays.  Every table entry is computed
+once by the scalar code it stands for (``Phase.frequency_speedup``,
+``PowerModel.dvfs_scale``, ``static_power``, ``idle_scale``).  The path
+is chosen each time the loop rebuilds its active fleet; the fleet only
+shrinks, so it turns narrow at most once, and narrow fleets run the
+per-row code, which stays the oracle.
 The constant-settings fast-forward applies the same rule to its chunks'
 AR(1) noise: time-major while at least :data:`WIDE_FLEET_ROWS` rows are
 active.
@@ -83,8 +83,8 @@ a whole segment rather than one sample (DESIGN.md §7 names all three).
 
 **Shape contract.**  Rows of one fixed-duration batch with equal caps
 return traces of identical shapes, which lets :meth:`TraceCache.put_many
-<repro.exec.cache.TraceCache.put_many>` stack them into one packed
-``.npz`` entry; ragged batches fall back to per-session entries.
+<repro.exec.cache.TraceCache.put_many>` stack them into one pack; a
+ragged (completion-mode) batch is written as one pack per shape.
 """
 
 from __future__ import annotations
@@ -441,8 +441,6 @@ def _run_dynamic(rows: "list[SessionRow]") -> None:
             decided = decisions.decide(measured_w)
         if recorded:
             decisions.write_back(recorded)
-            if cursors is not None:
-                cursors.write_back(recorded)
             for k in recorded:
                 fleet[k].channel.interval(
                     interval_index,

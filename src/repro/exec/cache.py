@@ -1,18 +1,21 @@
 """Sharded content-addressed trace store.
 
-Traces are stored as compressed ``.npz`` files named by the job's content
-address (:meth:`SessionJob.key` — a hash of the full declarative job spec
-plus a digest of the simulation sources).  Re-running a benchmark or
-iterating on the attacker therefore never re-simulates an unchanged
-session, while *any* edit to the simulation code changes the salt and
-transparently invalidates every stale entry.
+Every entry is a *pack*: one uncompressed ``.npz`` (``np.savez``, schema
+``maya.trace.pack.npz.v1``) holding the stacked ``(B, ...)`` arrays of
+``B`` sessions that share array shapes, read back with ``np.load``.
+Sessions are addressed by the job's content address
+(:meth:`SessionJob.key` — a hash of the full declarative job spec plus a
+digest of the simulation sources).  Re-running a benchmark or iterating
+on the attacker therefore never re-simulates an unchanged session, while
+*any* edit to the simulation code changes the salt and transparently
+invalidates every stale entry.
 
 Layout (v2)::
 
     <root>/journal.jsonl                     append-only stats/LRU journal
-    <root>/shards/<id[:2]>/<key>.npz         one session entry
+    <root>/shards/<id[:2]>/<key>.npz         one-session pack
+    <root>/shards/<d[:2]>/pack-<d>.npz       pack of a shape class of ≥2
     <root>/shards/<id[:2]>/<key>.events.jsonl   telemetry sidecar
-    <root>/shards/<d[:2]>/pack-<d>.npz       packed group entry (see below)
 
 Entries fan out into 256 shard directories by content-address prefix so no
 single directory grows unboundedly.
@@ -40,19 +43,20 @@ Properties:
   telemetry sidecars with it;
 * **bulk I/O** — :meth:`get_many`/:meth:`put_many` resolve a whole job
   group against one journal refresh and one journal append.
-  :meth:`put_many` stores a lock-step batch as a single *packed group
-  entry*: one uncompressed ``.npz`` holding the stacked arrays of every
-  session, memory-mapped on read (the zip members are stored contiguously,
-  so each ``.npy`` payload maps directly).  Packed groups hit and evict as
-  a unit; per-session ``get``/``put`` semantics and content addresses are
-  unchanged;
-* **corruption tolerance** — an unreadable entry (truncated, garbled, or
-  not a zip archive at all) is treated as a miss and overwritten by the
-  fresh simulation; torn journal tails and foreign lines are skipped;
+  :meth:`put_many` groups a chunk's traces by array shape and writes each
+  shape class as one pack, so a fixed-duration lock-step chunk is one
+  ``pack-<digest>.npz`` and a lone or ragged trace a one-session pack at
+  its key's path; a pack hits and evicts as a unit, and is read once
+  however many of its sessions a group asks for;
+* **corruption tolerance** — an unreadable entry (truncated, garbled,
+  not a zip archive at all, or not a pack) is treated as a miss and
+  overwritten by the fresh simulation; torn journal tails and foreign
+  lines are skipped;
 * **telemetry sidecars** — when recording is enabled
   (:mod:`repro.telemetry`), each entry carries a ``.events.jsonl`` sidecar
   holding the session's telemetry stream, replayed byte-for-byte on a
-  hit so cached and fresh runs are observationally identical.  Hit, miss
+  hit so cached and fresh runs are observationally identical (a torn
+  sidecar is replayed as absent).  Hit, miss
   and eviction counts also flow into the ambient metrics registry;
 * **merge** — :meth:`export_archive` writes the shard tree as a
   deterministic tarball and :meth:`import_archive` merges one into this
@@ -102,7 +106,7 @@ _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
 #: On-disk layout generation (v2 = sharded + journal).
 LAYOUT_VERSION = 2
-#: Schema tag of packed group entries.
+#: Schema tag of every entry.
 PACK_SCHEMA = "maya.trace.pack.npz.v1"
 
 _JOURNAL = "journal.jsonl"
@@ -110,14 +114,16 @@ _SHARDS = "shards"
 #: Sidecar files an entry may carry per session key.
 _SIDECAR_SUFFIXES = (".events.jsonl",)
 #: What reading a damaged entry raises: a truncated or garbled ``.npz`` fails
-#: in the zip layer, the decompressor, the npy header parser or the mmap.
+#: in the zip layer (CRC-32 included), the npy header parser or the schema
+#: check, and a compressed file of the older per-session format in the
+#: decompressor or the schema check.
 _UNREADABLE = (OSError, ValueError, KeyError, IndexError, EOFError,
                zipfile.BadZipFile, zlib.error)
 #: Compact the journal once it holds this many records beyond the live set.
 _COMPACT_SLACK = 4096
 
 #: Scalar and per-interval/per-tick fields packed per session (stacked
-#: along axis 0; all sessions of a lock-step batch share array shapes).
+#: along axis 0; the sessions of one pack share array shapes).
 _PACK_STR_FIELDS = ("workload", "platform", "defense")
 _PACK_SCALAR_FIELDS = ("tick_s", "interval_s", "completed_at_s")
 _PACK_ARRAY_FIELDS = ("power_w", "measured_w", "target_w", "settings",
@@ -187,7 +193,7 @@ class TraceCache:
         return self.root / _SHARDS / self._shard_of(entry_id) / name
 
     def _path(self, job) -> Path:
-        """Where ``job``'s single-session entry lives (packed or not)."""
+        """Where ``job``'s one-session pack lives."""
         key = job.key()
         return self.root / _SHARDS / key[:2] / f"{key}.npz"
 
@@ -396,7 +402,8 @@ class TraceCache:
         if path.name.startswith("pack-"):
             entry_id = "g-" + path.name[len("pack-"):-len(".npz")]
             try:
-                keys = _pack_keys(path)
+                with np.load(path) as data:
+                    keys = _pack_keys(data)
             except _UNREADABLE:
                 return None
         else:
@@ -418,8 +425,8 @@ class TraceCache:
         """Cached traces for ``jobs`` (None per miss), in job order.
 
         One journal refresh and at most one journal append (the LRU
-        touches) cover the whole group, and a packed group entry is
-        opened once however many of its sessions the group asks for.
+        touches) cover the whole group, and a pack is read once however
+        many of its sessions the group asks for.
         """
         jobs = list(jobs)
         if not jobs:
@@ -449,23 +456,18 @@ class TraceCache:
         return results
 
     def _load_entry(self, entry_id: str, key: str, packs: dict):
-        if _is_group(entry_id):
-            pack = packs.get(entry_id)
-            if pack is None:
-                with profile.span("cache.pack_read", key=entry_id):
-                    try:
-                        pack = _Pack(self._entry_path(entry_id))
-                    except _UNREADABLE:
-                        return None
-                packs[entry_id] = pack
-            try:
-                return pack.trace_for(key)
-            except _UNREADABLE:
-                return None
-        try:
-            return Trace.load_npz(self._entry_path(entry_id))
-        except _UNREADABLE:
+        pack = packs.get(entry_id)
+        if pack is None:
+            with profile.span("cache.pack_read", key=entry_id):
+                try:
+                    pack = _load_pack(self._entry_path(entry_id))
+                except _UNREADABLE:
+                    pack = {}, {}
+            packs[entry_id] = pack
+        rows, columns = pack
+        if key not in rows:
             return None
+        return _pack_trace(columns, rows[key])
 
     # -- storage -------------------------------------------------------
 
@@ -473,14 +475,15 @@ class TraceCache:
         """Store ``trace`` under the job's content address (atomically)."""
         self.put_many([job], [trace])
 
-    def put_many(self, jobs, traces, packed: object = None) -> None:
+    def put_many(self, jobs, traces) -> None:
         """Store a job group in one journal transaction.
 
-        A group of ≥2 shape-compatible traces (a lock-step batch) is
-        written as a single packed entry unless ``packed=False``; anything
-        else falls back to per-session entries.  Either way the keys serve
-        subsequent per-session ``get`` calls identically.  An entry whose
-        write raises ``OSError`` (a full disk, say) is counted as
+        The traces are grouped by array shape and each shape class is
+        written as one pack: ≥2 sessions as a ``pack-<digest>.npz`` group
+        entry (a fixed-duration lock-step chunk is one), a lone session as
+        a one-session pack at its key's own path.  Either way every key
+        serves per-session ``get`` calls.  A pack whose write raises
+        ``OSError`` (a full disk, say) is counted as
         ``exec.cache.put_errors`` and left out of the journal.
         """
         jobs = list(jobs)
@@ -492,42 +495,41 @@ class TraceCache:
         if not jobs:
             return
         self._ensure_state()
-        if packed is None:
-            packed = True
-        if packed and len(jobs) > 1 and _packable(traces):
-            written = [self._try_put(self._put_packed, jobs, traces)]
-        else:
-            written = [
-                self._try_put(self._put_single, job, trace)
-                for job, trace in zip(jobs, traces)
-            ]
+        classes: dict = {}
+        for job, trace in zip(jobs, traces):
+            shape = tuple(np.shape(getattr(trace, name)) for name in _PACK_ARRAY_FIELDS)
+            classes.setdefault(shape, []).append((job, trace))
+        written = [self._put_pack(members) for members in classes.values()]
         records = [record for record in written if record is not None]
         telemetry.count("exec.cache.puts", len(records))
         self._commit(records)
         self._evict()
 
-    @staticmethod
-    def _try_put(put, *args) -> "dict | None":
-        """``put(*args)``'s journal record, or None when its write failed.
+    def _put_pack(self, members) -> "dict | None":
+        """Write ``(job, trace)`` pairs as one pack; its journal record.
 
         A full or failing disk costs the store an entry, never the caller
-        its traces: the entry is not journaled, so its keys stay misses
-        and recompute.
+        its traces: a pack whose write fails returns None and is not
+        journaled, so its keys stay misses and recompute.
         """
+        keys = [job.key() for job, _ in members]
+        if len(keys) == 1:
+            entry_id = keys[0]
+        else:
+            digest = hashlib.sha256("\x1f".join(keys).encode()).hexdigest()[:32]
+            entry_id = f"g-{digest}"
+        path = self._entry_path(entry_id)
         try:
-            return put(*args)
+            with profile.span("cache.pack_write", key=entry_id, sessions=len(keys)):
+                _atomic_write(path, lambda tmp: _save_pack(
+                    tmp, keys, [trace for _, trace in members]))
+            nbytes = _file_bytes(path)
+            for (job, _), key in zip(members, keys):
+                nbytes += self._sidecar_bytes(job, key)
         except OSError:
             telemetry.count("exec.cache.put_errors")
             return None
-
-    def _atomic_npz(self, path: Path, write) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            write(tmp)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        return {"op": "put", "id": entry_id, "bytes": nbytes, "keys": keys}
 
     def _sidecar_bytes(self, job, key: str) -> int:
         """Store the job's telemetry sidecar; return all sidecar bytes."""
@@ -538,25 +540,6 @@ class TraceCache:
             # from an earlier recording run still occupies disk — count it.
             written = _file_bytes(sidecar)
         return written
-
-    def _put_single(self, job, trace: Trace) -> dict:
-        key = job.key()
-        path = self._path(job)
-        self._atomic_npz(path, trace.save_npz)
-        nbytes = _file_bytes(path) + self._sidecar_bytes(job, key)
-        return {"op": "put", "id": key, "bytes": nbytes, "keys": [key]}
-
-    def _put_packed(self, jobs, traces) -> dict:
-        keys = [job.key() for job in jobs]
-        digest = hashlib.sha256("\x1f".join(keys).encode()).hexdigest()[:32]
-        entry_id = f"g-{digest}"
-        path = self._entry_path(entry_id)
-        with profile.span("cache.pack_write", key=entry_id, sessions=len(keys)):
-            self._atomic_npz(path, lambda tmp: _save_pack(tmp, keys, traces))
-        nbytes = _file_bytes(path)
-        for job, key in zip(jobs, keys):
-            nbytes += self._sidecar_bytes(job, key)
-        return {"op": "put", "id": entry_id, "bytes": nbytes, "keys": keys}
 
     # -- maintenance ---------------------------------------------------
 
@@ -604,13 +587,11 @@ class TraceCache:
 
     def stats(self) -> dict:
         self._refresh()
-        groups = sum(1 for entry_id in self._entries if _is_group(entry_id))
         return {
             "dir": str(self.root),
             "layout": f"sharded-v{LAYOUT_VERSION}",
             "entries": len(self._entries),
             "sessions": len(self._by_key),
-            "groups": groups,
             "total_bytes": int(self._total_bytes),
             "max_bytes": self.max_bytes,
             "hits": self.hits,
@@ -738,13 +719,7 @@ class TraceCache:
                 if extracted is None:
                     continue
                 data = extracted.read()
-                target.parent.mkdir(parents=True, exist_ok=True)
-                tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-                try:
-                    tmp.write_bytes(data)
-                    os.replace(tmp, target)
-                finally:
-                    tmp.unlink(missing_ok=True)
+                _atomic_write(target, lambda tmp: tmp.write_bytes(data))
                 added.append(target)
         # Second pass so every imported entry's sidecars — possibly in
         # other shards of the archive — are already on disk when sized.
@@ -777,23 +752,22 @@ class TraceCache:
         return self.root / _SHARDS / shard / name
 
 
-# -- packed group entries ----------------------------------------------
+# -- packs ---------------------------------------------------------------
 
 
-def _packable(traces) -> bool:
-    """Whether ``traces`` share array shapes (a lock-step batch does)."""
-    if not all(isinstance(trace, Trace) for trace in traces):
-        return False
-    first = traces[0]
-    for trace in traces[1:]:
-        for name in _PACK_ARRAY_FIELDS:
-            if np.shape(getattr(trace, name)) != np.shape(getattr(first, name)):
-                return False
-    return True
+def _atomic_write(path: Path, write) -> None:
+    """``write(tmp)`` to a temp file beside ``path``, then rename it in."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _save_pack(path: Path, keys, traces) -> None:
-    """Write a packed group entry (uncompressed, so members can mmap)."""
+    """Write ``traces`` (equal array shapes) as one uncompressed pack."""
     arrays = {
         "schema": np.asarray(PACK_SCHEMA),
         "keys": np.asarray(list(keys)),
@@ -812,90 +786,38 @@ def _save_pack(path: Path, keys, traces) -> None:
         np.savez(handle, **arrays)
 
 
-def _pack_keys(path: Path) -> list:
-    with np.load(path) as data:
-        schema = str(data["schema"][()])
-        if schema != PACK_SCHEMA:
-            raise ValueError(f"not a packed entry: schema {schema!r}")
-        return [str(key) for key in data["keys"]]
+def _pack_keys(data) -> list:
+    """The session keys of an open pack; a foreign schema raises."""
+    schema = str(data["schema"][()])
+    if schema != PACK_SCHEMA:
+        raise ValueError(f"not a pack entry: schema {schema!r}")
+    return [str(key) for key in data["keys"]]
 
 
-class _Pack:
-    """A packed group entry opened for reading (memory-mapped if possible)."""
+def _load_pack(path: Path) -> tuple:
+    """The pack at ``path`` as (row of each key, stacked columns).
 
-    def __init__(self, path: Path) -> None:
-        self._arrays = _mmap_npz(path)
-        schema = str(np.asarray(self._arrays["schema"])[()])
-        if schema != PACK_SCHEMA:
-            raise ValueError(f"not a packed entry: schema {schema!r}")
-        keys = [str(key) for key in np.asarray(self._arrays["keys"])]
-        self._rows = {key: row for row, key in enumerate(keys)}
-
-    def trace_for(self, key: str) -> Trace:
-        row = self._rows[key]
-        arrays = self._arrays
-        fields: dict = {}
-        for name in _PACK_STR_FIELDS:
-            fields[name] = str(np.asarray(arrays[name])[row])
-        for name in _PACK_SCALAR_FIELDS:
-            fields[name] = float(np.asarray(arrays[name])[row])
-        for name in _PACK_ARRAY_FIELDS:
-            # Copy the row out of the mapping: the Trace must stay valid
-            # after the pack (and its mmap) is dropped.
-            fields[name] = np.array(arrays[name][row], dtype=np.float64)
-        return Trace(**fields)
-
-
-def _mmap_npz(path: Path) -> dict:
-    """Arrays of an uncompressed ``.npz``, memory-mapping numeric members.
-
-    ``np.load`` cannot memory-map zip archives, but ``np.savez`` stores
-    its members uncompressed and contiguous, so each member's raw ``.npy``
-    payload can be mapped in place: parse the zip local header for the
-    data offset, read the npy header, and hand the tail to ``np.memmap``.
-    Members that cannot be mapped (string dtypes, compressed or misaligned
-    members) fall back to a plain read.  A mapped member's CRC-32 is checked
-    against the zip directory — the plain read checks its own — so a
-    garbled payload raises ``zipfile.BadZipFile`` instead of loading.
+    Every column is read whole here, so the zip layer checks each
+    member's CRC-32 and a truncated or garbled pack raises before any of
+    its sessions is served.
     """
-    arrays = {}
-    with zipfile.ZipFile(path) as archive, open(path, "rb") as raw:
-        for info in archive.infolist():
-            name = info.filename
-            if name.endswith(".npy"):
-                name = name[:-len(".npy")]
-            arrays[name] = _load_member(archive, raw, info, path)
-    return arrays
+    with np.load(path) as data:
+        keys = _pack_keys(data)
+        columns = {name: data[name] for name in _PACK_STR_FIELDS
+                   + _PACK_SCALAR_FIELDS + _PACK_ARRAY_FIELDS}
+    return {key: row for row, key in enumerate(keys)}, columns
 
 
-def _load_member(archive, raw, info, path: Path):
-    if info.compress_type == zipfile.ZIP_STORED:
-        try:
-            raw.seek(info.header_offset)
-            local = raw.read(30)
-            if local[:4] == b"PK\x03\x04":
-                name_len = int.from_bytes(local[26:28], "little")
-                extra_len = int.from_bytes(local[28:30], "little")
-                data_start = info.header_offset + 30 + name_len + extra_len
-                raw.seek(data_start)
-                version = np.lib.format.read_magic(raw)
-                if version == (1, 0):
-                    shape, fortran, dtype = np.lib.format.read_array_header_1_0(raw)
-                elif version == (2, 0):
-                    shape, fortran, dtype = np.lib.format.read_array_header_2_0(raw)
-                else:
-                    raise ValueError(f"unsupported npy version {version}")
-                if dtype.kind == "f" and not fortran:
-                    stored = np.memmap(path, dtype=np.uint8, mode="r",
-                                       offset=data_start, shape=(info.file_size,))
-                    if zlib.crc32(stored) != info.CRC:
-                        raise zipfile.BadZipFile(f"bad CRC-32 for {info.filename}")
-                    return np.memmap(path, dtype=dtype, mode="r",
-                                     offset=raw.tell(), shape=shape)
-        except (OSError, ValueError):
-            pass
-    with archive.open(info) as member:
-        return np.lib.format.read_array(member, allow_pickle=False)
+def _pack_trace(columns: dict, row: int) -> Trace:
+    """Session ``row`` of a loaded pack, as a ``Trace`` owning its arrays."""
+    fields: dict = {}
+    for name in _PACK_STR_FIELDS:
+        fields[name] = str(columns[name][row])
+    for name in _PACK_SCALAR_FIELDS:
+        fields[name] = float(columns[name][row])
+    for name in _PACK_ARRAY_FIELDS:
+        fields[name] = columns[name][row].copy()
+    return Trace(**fields)
 
 
 def default_cache() -> TraceCache | None:

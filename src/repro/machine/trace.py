@@ -14,25 +14,6 @@ import numpy as np
 
 __all__ = ["Trace"]
 
-#: On-disk schema tag and canonical field order of the ``.npz`` layout.
-#: The order is written into every file and checked on load, so a layout
-#: change can never be misread silently (the trace cache relies on this).
-_NPZ_SCHEMA = "maya.trace.npz.v1"
-_NPZ_FIELDS = (
-    "workload",
-    "platform",
-    "defense",
-    "tick_s",
-    "interval_s",
-    "power_w",
-    "measured_w",
-    "target_w",
-    "settings",
-    "completed_at_s",
-    "temperature_c",
-)
-
-
 def _exact(a, b) -> bool:
     """Array-exact float comparison in which NaNs compare equal."""
     a = np.asarray(a, dtype=np.float64)
@@ -111,52 +92,6 @@ class Trace:
             and _exact(self.settings, other.settings)
             and _exact(self.temperature_c, other.temperature_c)
         )
-
-    # -- npz round trip (the trace cache's storage format) -------------
-
-    def save_npz(self, path) -> None:
-        """Write the trace as a compressed ``.npz`` with a fixed layout."""
-        arrays = {
-            "schema": np.asarray(_NPZ_SCHEMA),
-            "field_order": np.asarray(",".join(_NPZ_FIELDS)),
-            "workload": np.asarray(self.workload),
-            "platform": np.asarray(self.platform),
-            "defense": np.asarray(self.defense),
-            "tick_s": np.asarray(self.tick_s, dtype=np.float64),
-            "interval_s": np.asarray(self.interval_s, dtype=np.float64),
-            "power_w": np.asarray(self.power_w, dtype=np.float64),
-            "measured_w": np.asarray(self.measured_w, dtype=np.float64),
-            "target_w": np.asarray(self.target_w, dtype=np.float64),
-            "settings": np.asarray(self.settings, dtype=np.float64),
-            "completed_at_s": np.asarray(self.completed_at_s, dtype=np.float64),
-            "temperature_c": np.asarray(self.temperature_c, dtype=np.float64),
-        }
-        with open(path, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
-
-    @classmethod
-    def load_npz(cls, path) -> "Trace":
-        """Read a trace written by :meth:`save_npz`; validates the layout."""
-        with np.load(path, allow_pickle=False) as data:
-            schema = str(data["schema"][()])
-            if schema != _NPZ_SCHEMA:
-                raise ValueError(f"unsupported trace schema {schema!r}")
-            order = str(data["field_order"][()])
-            if order != ",".join(_NPZ_FIELDS):
-                raise ValueError(f"unexpected trace field order {order!r}")
-            return cls(
-                workload=str(data["workload"][()]),
-                platform=str(data["platform"][()]),
-                defense=str(data["defense"][()]),
-                tick_s=float(data["tick_s"][()]),
-                interval_s=float(data["interval_s"][()]),
-                power_w=np.array(data["power_w"], dtype=np.float64),
-                measured_w=np.array(data["measured_w"], dtype=np.float64),
-                target_w=np.array(data["target_w"], dtype=np.float64),
-                settings=np.array(data["settings"], dtype=np.float64),
-                completed_at_s=float(data["completed_at_s"][()]),
-                temperature_c=np.array(data["temperature_c"], dtype=np.float64),
-            )
 
     def summary(self) -> dict:
         """Compact numeric summary used in example scripts and tests."""

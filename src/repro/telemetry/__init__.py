@@ -584,8 +584,10 @@ def restore_session_events(sidecar_path: Path, job) -> int:
     The sidecar is a byte copy of the session file the original execution
     produced, so a cached run's telemetry is byte-identical to a fresh
     one (the manifest records the *original* execution's engine).
-    Returns the number of bytes replayed (0 when recording is off or the
-    entry has no sidecar).
+    A sidecar that is not a whole session file (see
+    :func:`_whole_session`) is treated as absent: nothing is written and
+    nothing counted.  Returns the number of bytes replayed (0 when
+    recording is off or the entry has no intact sidecar).
     """
     recorder = get_recorder()
     if not recorder.enabled:
@@ -594,6 +596,8 @@ def restore_session_events(sidecar_path: Path, job) -> int:
         data = Path(sidecar_path).read_bytes()
     except OSError:
         return 0
+    if not _whole_session(data):
+        return 0
     try:
         target = recorder.session_path(job_identity(job))
     except AttributeError:
@@ -601,6 +605,24 @@ def restore_session_events(sidecar_path: Path, job) -> int:
     _atomic_write_bytes(target, data)
     recorder.metrics.count("telemetry.sessions.replayed")
     return len(data)
+
+
+def _whole_session(data: bytes) -> bool:
+    """Whether ``data`` is a session file as :meth:`SessionChannel.close`
+    writes it: newline-terminated JSON objects, from a
+    ``maya.telemetry.session.v1`` manifest to the ``end`` record."""
+    if not data.endswith(b"\n"):
+        return False
+    try:
+        records = [json.loads(line) for line in data.splitlines()]
+    except ValueError:
+        return False
+    return (
+        all(isinstance(record, dict) for record in records)
+        and records[0].get("type") == "manifest"
+        and records[0].get("schema") == MANIFEST_SCHEMA
+        and records[-1].get("type") == "end"
+    )
 
 
 def _atomic_write_bytes(path: Path, data: bytes) -> None:

@@ -51,9 +51,9 @@ HISTORY_SCHEMA = "maya.bench.history.v1"
 #:   lock-step call over one-row calls, where every row decides every
 #:   interval; set below half the lowest of ten ``--check`` runs on a
 #:   noisy 2-core host (5.8-7.9x);
-#: * ``packed_read_speedup`` — packed-group over per-session reads in the
-#:   store micro-bench (no per-file opens or zlib inflation; measured
-#:   ~20x on the reference host).
+#: * ``packed_read_speedup`` — one group pack over one-session packs in
+#:   the store micro-bench (one file open and one ``np.load`` for the
+#:   whole group).
 SPEEDUP_FLOORS = {
     "parallel_speedup": 1.3,
     "batched_speedup": 10.0,

@@ -2,12 +2,16 @@
 
 import errno
 import json
+import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from repro.exec import SessionJob, TraceCache, default_cache, run_sessions
+from repro.exec import PACK_SCHEMA, SessionJob, TraceCache, default_cache, run_sessions
 from repro.exec.__main__ import main as cache_cli
-from repro.machine import SYS1
+from repro.machine import SYS1, Trace
 
 
 def tiny_job(run=0, duration_s=0.5):
@@ -18,6 +22,24 @@ def tiny_job(run=0, duration_s=0.5):
         seed=11,
         run_id=("cache-test", run),
         duration_s=duration_s,
+    )
+
+
+def synthetic_trace(n_intervals=10, completed_at_s=0.15, temperature_c=None):
+    """A hand-built trace (the store only needs its fields, not a run)."""
+    ticks = 20 * n_intervals
+    return Trace(
+        workload="w",
+        platform="sys1",
+        defense="maya_gs",
+        tick_s=0.001,
+        interval_s=0.02,
+        power_w=np.linspace(19.0, 21.0, ticks),
+        measured_w=np.full(n_intervals, 20.0),
+        target_w=np.concatenate([[np.nan], np.full(n_intervals - 1, 21.0)]),
+        settings=np.tile([2.0, 0.0, 0.5], (n_intervals, 1)),
+        completed_at_s=completed_at_s,
+        temperature_c=np.empty(0) if temperature_c is None else temperature_c,
     )
 
 
@@ -233,17 +255,44 @@ class TestPackedGroups:
         assert len(packs) == 1
         stats = cache.stats()
         assert stats["entries"] == 1
-        assert stats["groups"] == 1
         assert stats["sessions"] == 3
 
-    def test_packed_round_trip_is_bit_identical(self, tmp_path):
-        cache = TraceCache(root=tmp_path)
-        jobs = [tiny_job(run=i) for i in range(3)]
-        traces = [job.execute() for job in jobs]
-        cache.put_many(jobs, traces)
-        for job, trace in zip(jobs, traces):
-            loaded = cache.get(job)
-            assert loaded is not None and loaded.equals(trace)
+    @pytest.mark.parametrize("fields, writer", [
+        pytest.param(None, "here", id="group"),
+        pytest.param({}, "here", id="completed"),
+        pytest.param({"completed_at_s": float("nan")}, "here", id="nan_completion"),
+        pytest.param({"temperature_c": np.linspace(30.0, 40.0, 200)}, "here",
+                     id="temperature"),
+        pytest.param({"temperature_c": np.empty(0)}, "here", id="empty_temperature"),
+        pytest.param({}, "subprocess", id="cross_process"),
+    ])
+    def test_packed_round_trip_is_bit_identical(self, tmp_path, fields, writer):
+        """A group pack, or a one-session pack of a hand-built trace,
+        reads back bit for bit as float64 arrays, also when another
+        interpreter wrote it."""
+        if fields is None:
+            jobs = [tiny_job(run=i) for i in range(3)]
+            traces = [job.execute() for job in jobs]
+        else:
+            jobs = [tiny_job()]
+            traces = [synthetic_trace(**fields)]
+        if writer == "here":
+            TraceCache(root=tmp_path).put_many(jobs, traces)
+        else:
+            script = (
+                "import sys; sys.path.insert(0, 'src')\n"
+                "from repro.exec import TraceCache\n"
+                "from tests.test_exec_cache import synthetic_trace, tiny_job\n"
+                f"TraceCache(root={str(tmp_path)!r}).put(tiny_job(), synthetic_trace())\n"
+            )
+            repo_root = pathlib.Path(__file__).resolve().parent.parent
+            subprocess.run([sys.executable, "-c", script], check=True, cwd=str(repo_root))
+        loaded = TraceCache(root=tmp_path).get_many(jobs)
+        for got, want in zip(loaded, traces):
+            assert got is not None and got.equals(want)
+            for name in ("power_w", "measured_w", "target_w", "settings",
+                         "temperature_c"):
+                assert getattr(got, name).dtype == np.float64
 
     def test_get_many_matches_per_session_gets(self, tmp_path):
         cache = TraceCache(root=tmp_path)
@@ -269,13 +318,50 @@ class TestPackedGroups:
         assert cache.get(group[0]) is None and cache.get(group[1]) is None
         assert not shard_files(tmp_path, "pack-*.npz")
 
-    def test_put_many_unpacked_writes_per_session_entries(self, tmp_path):
+    def test_ragged_chunk_writes_one_pack_per_shape_class(self, tmp_path):
+        """Sessions of equal shapes share a group pack; a session whose
+        shape no other shares is a one-session pack at its key's path."""
         cache = TraceCache(root=tmp_path)
-        jobs = [tiny_job(run=i) for i in range(2)]
-        cache.put_many(jobs, [job.execute() for job in jobs], packed=False)
-        assert not shard_files(tmp_path, "pack-*.npz")
-        assert len(shard_files(tmp_path)) == 2
-        assert cache.stats()["groups"] == 0
+        jobs = [tiny_job(run=i) for i in range(4)]
+        traces = [synthetic_trace(n_intervals=n) for n in (10, 12, 10, 14)]
+        cache.put_many(jobs, traces)
+        (group,) = shard_files(tmp_path, "pack-*.npz")
+        assert {path.name for path in shard_files(tmp_path) if path != group} == {
+            f"{jobs[i].key()}.npz" for i in (1, 3)
+        }
+        for path in shard_files(tmp_path):
+            with np.load(path) as data:
+                assert str(data["schema"][()]) == PACK_SCHEMA
+        stats = cache.stats()
+        assert stats["entries"] == 3 and stats["sessions"] == 4
+        loaded = TraceCache(root=tmp_path).get_many(jobs)
+        assert all(got.equals(want) for got, want in zip(loaded, traces))
+
+    def test_older_compressed_entry_is_a_miss_and_is_overwritten(self, tmp_path):
+        """A compressed per-session file of the older entry format
+        (``maya.trace.npz.v1``) at an entry path reads as a miss, and the
+        recompute overwrites it with a pack."""
+        cache = TraceCache(root=tmp_path)
+        job = tiny_job()
+        trace = job.execute()
+        cache.put(job, trace)
+        fields = ("workload", "platform", "defense", "tick_s", "interval_s",
+                  "power_w", "measured_w", "target_w", "settings",
+                  "completed_at_s", "temperature_c")
+        np.savez_compressed(
+            cache._path(job),
+            schema=np.asarray("maya.trace.npz.v1"),
+            field_order=np.asarray(",".join(fields)),
+            **{name: np.asarray(getattr(trace, name)) for name in fields},
+        )
+
+        fresh = TraceCache(root=tmp_path)
+        assert fresh.get(job) is None
+        (again,) = run_sessions([job], cache=fresh)
+        assert again.equals(trace)
+        with np.load(cache._path(job)) as data:
+            assert str(data["schema"][()]) == PACK_SCHEMA
+        assert TraceCache(root=tmp_path).get(job).equals(trace)
 
 
 def _truncate(path):
@@ -290,10 +376,14 @@ def _garble(path):
     path.write_bytes(bytes(data))
 
 
+def _not_a_zip(path):
+    path.write_bytes(b"not an npz file")
+
+
 class TestDamagedEntries:
     """A damaged entry degrades to a recompute, never to a crash."""
 
-    @pytest.mark.parametrize("damage", [_truncate, _garble])
+    @pytest.mark.parametrize("damage", [_truncate, _garble, _not_a_zip])
     def test_damaged_single_and_packed_entries_recompute(self, tmp_path, damage):
         cache = TraceCache(root=tmp_path)
         single = tiny_job(run=0)
@@ -340,10 +430,16 @@ class TestDamagedEntries:
         try:
             traces = run_sessions(jobs, cache=cache)
             hits = second.metrics.counter_value("exec.cache.hits")
+            replayed = second.metrics.counter_value("telemetry.sessions.replayed")
         finally:
             telemetry.set_recorder(None)
         assert hits == len(jobs)
         assert all(got.equals(want) for got, want in zip(traces, originals))
+        # A torn sidecar counts as absent: like the missing one, it leaves
+        # no session file and is not counted as replayed.
+        for job in jobs[:2]:
+            assert not second.session_path(job_identity(job)).exists()
+        assert replayed == 1
         # The intact sidecar still replays the original session file.
         identity = job_identity(jobs[2])
         assert (
@@ -359,7 +455,6 @@ class TestFailedWrites:
     def test_enospc_on_put_keeps_the_traces(self, tmp_path, monkeypatch, runs):
         from repro import telemetry
         from repro.exec import cache as cache_module
-        from repro.machine import Trace
         from repro.telemetry import TelemetryRecorder
 
         jobs = [tiny_job(run=run) for run in runs]
@@ -368,7 +463,6 @@ class TestFailedWrites:
         def full_disk(*args, **kwargs):
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(Trace, "save_npz", full_disk)
         monkeypatch.setattr(cache_module, "_save_pack", full_disk)
         recorder = TelemetryRecorder(root=tmp_path / "telemetry")
         telemetry.set_recorder(recorder)
@@ -378,7 +472,7 @@ class TestFailedWrites:
         finally:
             telemetry.set_recorder(None)
         assert all(got.equals(want) for got, want in zip(traces, originals))
-        # One failed entry: the lone session's, or the packed group's.
+        # One failed pack: the lone session's, or the group's.
         assert counters["exec.cache.put_errors"] == 1
         assert shard_files(tmp_path / "cache") == []
 

@@ -138,11 +138,9 @@ class TestConcurrentWriters:
     def test_no_torn_reads_under_concurrent_eviction(self, tmp_path):
         # A bound small enough that workers evict each other's entries
         # constantly; reads must still be all-or-nothing.
-        sample = stress_trace(0, 0)
-        sample_path = tmp_path / "probe.npz"
-        sample.save_npz(sample_path)
-        entry_bytes = sample_path.stat().st_size
-        sample_path.unlink()
+        probe = TraceCache(root=tmp_path / "probe")
+        probe.put(StressJob(0, 0), stress_trace(0, 0))
+        entry_bytes = probe.stats()["total_bytes"]
         max_bytes = entry_bytes * N_PROCS * 3
         reported, exit_codes = _run_fleet(tmp_path / "store", max_bytes)
         assert exit_codes == [0] * N_PROCS
