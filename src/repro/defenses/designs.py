@@ -257,6 +257,13 @@ class DefenseFleet:
         self._groups = [_MayaGroup(self.defenses, indices) for indices in groups.values()]
         self._open_loop = open_loop
         self._column = 0
+        self._solo = self._whole_group()
+
+    def _whole_group(self) -> "_MayaGroup | None":
+        """The one group, if it holds every row (so in fleet order)."""
+        if len(self._groups) == 1 and not self._open_loop:
+            return self._groups[0]
+        return None
 
     def draw(self, n_intervals: int) -> None:
         """Draw every Maya row's mask targets for the next ``n_intervals``."""
@@ -273,6 +280,11 @@ class DefenseFleet:
         """
         column = self._column
         self._column += 1
+        if self._solo is not None:
+            # One group holds every row, in fleet order: nothing to scatter.
+            self.targets_w = self._solo.targets_w[:, column]
+            self.levels = self._solo.controllers.step(self.targets_w, measured_w)
+            return self.levels
         levels = np.empty_like(self.levels)
         for group in self._groups:
             targets_w = group.targets_w[:, column]
@@ -317,6 +329,7 @@ class DefenseFleet:
                 groups.append(group)
         self._groups = groups
         self._open_loop = [int(remap[k]) for k in self._open_loop if remap[k] >= 0]
+        self._solo = self._whole_group()
         self.defenses = [self.defenses[k] for k in rows]
         self.levels = self.levels[rows]
         self.targets_w = self.targets_w[rows]

@@ -30,6 +30,17 @@ fleet at once:
   -- mask targets, power noise, RAPL counter noise -- is drawn per row
   :data:`BLOCK_INTERVALS` intervals ahead (:class:`_Block`).
 
+**Narrow fleets.**  A dynamic fleet of a few rows (Fig. 11's one row,
+Fig. 14's four Maya rows, every ``run_session``) pays per interval a fixed
+cost per numpy call rather than a cost per row, so each phase keeps its
+call count small: the controller step gathers what it needs of each
+row's applied command from per-command tables and quantizes with one
+comparison against exact thresholds (DESIGN.md §7), a
+:class:`~repro.defenses.DefenseFleet` whose one Maya group holds every
+row steps it without scattering, and the power step builds its
+operating points in one pass.  None of this changes an operation on a
+value.
+
 **Wide fleets.**  While a dynamic fleet has at least
 :data:`WIDE_FLEET_ROWS` active rows, its interval takes no Python step per
 row: a :class:`~repro.machine.CursorFleet` replaces the per-machine
@@ -354,17 +365,18 @@ def _run_dynamic(rows: "list[SessionRow]") -> None:
     span = profile.get_profiler().span
     while True:
         if pending:
-            completed = None if cursors is None else cursors.completed
-            waiting = []
-            for i in pending:
-                row = rows[i]
-                if not (row.machine.completed if completed is None
-                        else completed[position[i]]):
-                    waiting.append(i)
-                elif interval_index < row.cap:
-                    row.deadline = interval_index + row.tail
-                    next_stop = min(next_stop, row.stop())
-            pending = waiting
+            if cursors is None:
+                done = [i for i in pending if rows[i].machine.completed]
+            else:
+                completed = cursors.completed
+                done = [i for i in pending if completed[position[i]]]
+            if done:
+                for i in done:
+                    row = rows[i]
+                    if interval_index < row.cap:
+                        row.deadline = interval_index + row.tail
+                        next_stop = min(next_stop, row.stop())
+                pending = [i for i in pending if i not in done]
         if interval_index >= next_stop:
             kept = []
             for k, i in enumerate(active):

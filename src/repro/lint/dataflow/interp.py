@@ -69,6 +69,8 @@ class AV:
     ext: Optional[str] = None
     #: Element values of a tuple/list literal, when tracked.
     elems: Optional[Tuple["AV", ...]] = None
+    #: Project class of every element, when known (a ``list[X]`` parameter).
+    item_cls: Optional[str] = None
 
 
 @dataclass(frozen=True, order=True)
@@ -168,7 +170,10 @@ class Evaluator:
         return AV()
 
     def param_av(self, func: FunctionInfo, name: str) -> AV:
-        return AV(cls=self._annotation_cls(func.annotations.get(name, ())))
+        return AV(
+            cls=self._annotation_cls(func.annotations.get(name, ())),
+            item_cls=self._annotation_cls(func.element_annotations.get(name, ())),
+        )
 
     def global_av(self, name: str, node: ast.AST, ctx) -> AV:
         return AV()
@@ -256,6 +261,7 @@ class Evaluator:
             ctor=a.ctor if a.ctor == b.ctor else None,
             ext=a.ext if a.ext == b.ext else None,
             elems=elems,
+            item_cls=a.item_cls if a.item_cls == b.item_cls else None,
         )
 
     def _join_env(self, a: Dict[str, AV], b: Dict[str, AV]) -> Dict[str, AV]:
@@ -321,12 +327,7 @@ class Evaluator:
                 self.on_branch(test, stmt, ctx)
             else:
                 iterable = self.eval(stmt.iter, env, ctx)
-                element = AV(payload=iterable.payload)
-                if iterable.elems:
-                    element = iterable.elems[0]
-                    for extra in iterable.elems[1:]:
-                        element = self.join_av(element, extra)
-                self._bind_target(stmt.target, element, stmt, env, ctx)
+                self._bind_target(stmt.target, self._element_av(iterable), stmt, env, ctx)
             for _ in range(self.LOOP_PASSES):
                 loop_env = dict(env)
                 self._exec_body(stmt.body, loop_env, ctx, rets)
@@ -643,15 +644,19 @@ class Evaluator:
     def _bind_generators(self, generators, env, ctx) -> None:
         for gen in generators:
             iterable = self.eval(gen.iter, env, ctx)
-            element = AV(payload=iterable.payload)
-            if iterable.elems:
-                element = iterable.elems[0]
-                for extra in iterable.elems[1:]:
-                    element = self.join_av(element, extra)
-            self._bind_target(gen.target, element, gen.iter, env, ctx)
+            self._bind_target(gen.target, self._element_av(iterable), gen.iter, env, ctx)
             for cond in gen.ifs:
                 test = self.eval(cond, env, ctx)
                 self.on_branch(test, cond, ctx)
+
+    def _element_av(self, iterable: AV) -> AV:
+        """The value a loop over ``iterable`` binds: its elements joined."""
+        if iterable.elems:
+            element = iterable.elems[0]
+            for extra in iterable.elems[1:]:
+                element = self.join_av(element, extra)
+            return element
+        return AV(payload=iterable.payload, cls=iterable.item_cls)
 
     # ------------------------------------------------------------------
     # Calls

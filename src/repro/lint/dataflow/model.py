@@ -89,6 +89,24 @@ def _annotation_names(node: Optional[ast.AST]) -> Tuple[str, ...]:
     return ()
 
 
+def _element_names(node: Optional[ast.AST]) -> Tuple[str, ...]:
+    """Candidate class names of the elements of a ``list[X]`` annotation.
+
+    The annotation may be written as an expression or as a string
+    (``"list[X]"``); any other annotation names no element class.
+    """
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            node = ast.parse(node.value, mode="eval").body
+        except SyntaxError:
+            return ()
+    if isinstance(node, ast.Subscript) and _annotation_names(node.value) in (
+        ("list",), ("List",)
+    ):
+        return _annotation_names(node.slice)
+    return ()
+
+
 @dataclass
 class FunctionInfo:
     """One ``def``: identity, parameters, and the AST body."""
@@ -102,6 +120,8 @@ class FunctionInfo:
     vararg: Optional[str] = None
     kwarg: Optional[str] = None
     annotations: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
+    #: Per ``list[X]``-annotated parameter, candidate names of ``X``.
+    element_annotations: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     return_annotation: Tuple[str, ...] = ()
     decorators: Tuple[str, ...] = ()
 
@@ -188,6 +208,11 @@ def _function_info(
         for a in args.posonlyargs + args.args + args.kwonlyargs
         if a.annotation is not None
     }
+    element_annotations = {
+        a.arg: elements
+        for a in args.posonlyargs + args.args + args.kwonlyargs
+        if (elements := _element_names(a.annotation))
+    }
     is_method = class_name is not None and "staticmethod" not in decorators
     if is_method and names:
         names = names[1:]
@@ -202,6 +227,7 @@ def _function_info(
         vararg=args.vararg.arg if args.vararg else None,
         kwarg=args.kwarg.arg if args.kwarg else None,
         annotations=annotations,
+        element_annotations=element_annotations,
         return_annotation=_annotation_names(node.returns),
         decorators=decorators,
     )

@@ -258,8 +258,9 @@ class PurityEvaluator(Evaluator):
         self._digest_quals = set(self._walked)
         self._in_digest = False
         # Phase 2: the full simulation closure from every entry point.  A
-        # batch entry reaches its jobs through a container, which the
-        # interpreter does not type, so every method of a job class is a
+        # batch entry's ``list[Job]`` parameter types its loop elements, so
+        # the job methods the entry calls resolve; every other method of a
+        # job class (its validation, ``execute``, ``for_factory``) is a
         # root too: whatever a job can run is sim-reachable.
         for _display, fn in self.entries:
             self._push(fn)
@@ -329,16 +330,19 @@ class PurityEvaluator(Evaluator):
     def _find_job_classes(self) -> None:
         """Map each entry to its job class (a class with a ``key()``).
 
-        The class comes from the entry's first parameter annotation; an
-        entry whose first parameter is not a job falls back to the
-        project-wide default so every certificate carries the same
-        accounting it is actually protected by.
+        The class comes from the entry's first parameter annotation (a job,
+        or a ``list`` of jobs); an entry whose first parameter is not a job
+        falls back to the project-wide default so every certificate carries
+        the same accounting it is actually protected by.
         """
         default = "SessionJob" if self._is_job_class("SessionJob") else None
         for _display, fn in self.entries:
             cls = None
             if fn.params:
-                cls = self._annotation_cls(fn.annotations.get(fn.params[0], ()))
+                first = fn.params[0]
+                cls = self._annotation_cls(fn.annotations.get(first, ())) or (
+                    self._annotation_cls(fn.element_annotations.get(first, ()))
+                )
             if not self._is_job_class(cls):
                 cls = default
             self._entry_job_cls[fn.qualname] = cls

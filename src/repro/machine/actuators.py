@@ -154,7 +154,6 @@ class ActuatorBank:
         self._levels = np.full((len(actuators), width), np.inf)
         for row, actuator in enumerate(actuators):
             self._levels[row, :actuator.levels.size] = actuator.levels
-        self._rows = np.arange(len(actuators))
         self._mins = np.array([actuator.min_level for actuator in actuators])
         self._maxs = np.array([actuator.max_level for actuator in actuators])
         self._spans = self._maxs - self._mins
@@ -165,6 +164,13 @@ class ActuatorBank:
         ]
         self._divisors = self._spans.copy()
         self._divisors[self._single_level] = 1.0
+        # Joint level index of a level triple: row-major over the three
+        # actuators' level lists (9 x 13 x 11 = 1,287 triples on SYS1).
+        sizes = [actuator.levels.size for actuator in actuators]
+        self._strides = np.array([sizes[1] * sizes[2], sizes[2], 1], dtype=np.intp)
+        self._grid: "np.ndarray | None" = None
+        self._thresholds: "np.ndarray | None" = None
+        self._weights: "np.ndarray | None" = None
 
     @property
     def actuators(self) -> tuple[QuantizedActuator, ...]:
@@ -192,26 +198,102 @@ class ActuatorBank:
             balloon_level=self.balloon.denormalize(fractions[2]),
         )
 
-    def quantize_normalized_many(self, fractions: np.ndarray) -> np.ndarray:
-        """:meth:`quantize_normalized` of each row of a ``(B, 3)`` array.
+    def level_grid(self) -> np.ndarray:
+        """Every level triple as a ``(N, 3)`` array, row = joint level index.
 
-        Returns the quantized levels as a ``(B, 3)`` array whose row ``k``
-        holds the (freq_ghz, idle_frac, balloon_level) that
-        ``quantize_normalized(fractions[k])`` would return: one clip, one
-        ``argmin |levels - v|`` over the stacked level table and one
-        gather, each elementwise in :meth:`QuantizedActuator.denormalize`'s
-        order, with ties going to the first (lower) level.
+        Row ``(i * n_idle + j) * n_balloon + k`` holds the ``i``-th DVFS,
+        ``j``-th idle and ``k``-th balloon level (the index
+        :meth:`quantize_index_many` returns).  Built on first use.
         """
-        fractions = np.asarray(fractions, dtype=float)
-        if fractions.ndim != 2 or fractions.shape[1] != 3:
-            raise ValueError("expected a (B, 3) command array")
+        if self._grid is None:
+            grids = np.meshgrid(*(actuator.levels for actuator in self.actuators), indexing="ij")
+            self._grid = np.stack([grid.reshape(-1) for grid in grids], axis=1)
+        return self._grid
+
+    def quantize_index_many(self, fractions: np.ndarray) -> np.ndarray:
+        """The joint level index of :meth:`quantize_normalized` of each row.
+
+        ``fractions`` is a ``(B, 3)`` array of normalized commands; entry
+        ``k`` of the result indexes :meth:`level_grid` at the settings
+        ``quantize_normalized(fractions[k])`` would return.  A command's
+        level on one actuator is the number of that actuator's thresholds
+        (:meth:`_tabulate_thresholds`) it reaches, so the joint index is
+        one comparison and one weighted count.
+        """
+        if self._thresholds is None:
+            self._tabulate_thresholds()
+        reached = fractions[:, :, None] >= self._thresholds
+        return np.dot(reached.reshape(len(fractions), -1), self._weights)
+
+    def _nearest(self, fractions: np.ndarray) -> np.ndarray:
+        """Per actuator, the index of the level :meth:`quantize_normalized` picks.
+
+        ``fractions`` is a ``(K, 3)`` array.  One clip, one ``argmin
+        |levels - v|`` over the stacked level table, each elementwise in
+        :meth:`QuantizedActuator.denormalize`'s order, with ties going to
+        the first (lower) level.
+        """
         # np.minimum/np.maximum clip like np.clip, up to the sign of a zero,
         # which no |level - value| distance sees.
         values = np.minimum(
             np.maximum(self._mins + fractions * self._spans, self._mins), self._maxs
         )
-        index = np.abs(self._levels - values[:, :, None]).argmin(axis=2)
-        return self._levels[self._rows, index]
+        return np.abs(self._levels - values[:, :, None]).argmin(axis=2)
+
+    def _tabulate_thresholds(self) -> None:
+        """Per actuator and level ``j >= 1``, the least fraction that reaches it.
+
+        :meth:`_nearest` does not decrease as a fraction grows (the clipped
+        value does not, and neither does the nearest level of a growing
+        value), so a fraction's level index is the number of these
+        thresholds it is at or above; NaN reaches none, as it reaches
+        level 0.  Each threshold is found by bisection over the float64s
+        between a bracket around the fraction of the midpoint between two
+        levels (or ``[0, 1]`` if that bracket misses), with :meth:`_nearest`
+        itself as the test, so it is exact.  Slots past an actuator's last
+        level hold NaN, which no fraction reaches.
+        """
+        width = self._levels.shape[1]
+        columns = np.arange(3)
+        level = np.repeat(np.arange(1, width)[:, None], 3, axis=1)
+        valid = level < np.array([actuator.levels.size for actuator in self.actuators])
+        below = self._levels.T[level - 1, columns]
+        above = self._levels.T[level, columns]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            guess = ((below + above) / 2.0 - self._mins) / self._spans
+        guess = np.where(valid, guess, 0.5)
+        low = np.maximum(guess - 1e-9, 0.0)
+        high = np.minimum(guess + 1e-9, 1.0)
+        bracketed = (self._nearest(low) < level) & (self._nearest(high) >= level)
+        # Positive float64s order like their bit patterns.
+        low = np.where(bracketed, low, 0.0).view(np.int64)
+        high = np.where(bracketed, high, 1.0).view(np.int64)
+        low = np.where(valid, low, high - 1)
+        while True:
+            open_ = high - low > 1
+            if not open_.any():
+                break
+            middle = low + (high - low) // 2
+            reaches = self._nearest(middle.view(np.float64)) >= level
+            high = np.where(open_ & reaches, middle, high)
+            low = np.where(open_ & ~reaches, middle, low)
+        thresholds = np.where(valid, high.view(np.float64), np.nan)
+        #: ``(3, W - 1)``: row ``a`` holds actuator ``a``'s thresholds.
+        self._thresholds = np.ascontiguousarray(thresholds.T)
+        self._weights = np.repeat(self._strides, width - 1)
+
+    def quantize_normalized_many(self, fractions: np.ndarray) -> np.ndarray:
+        """:meth:`quantize_normalized` of each row of a ``(B, 3)`` array.
+
+        Returns the quantized levels as a ``(B, 3)`` array whose row ``k``
+        holds the (freq_ghz, idle_frac, balloon_level) that
+        ``quantize_normalized(fractions[k])`` would return: the
+        :meth:`level_grid` rows of :meth:`quantize_index_many`.
+        """
+        fractions = np.asarray(fractions, dtype=float)
+        if fractions.ndim != 2 or fractions.shape[1] != 3:
+            raise ValueError("expected a (B, 3) command array")
+        return self.level_grid()[self.quantize_index_many(fractions)]
 
     def normalize_many(self, levels: np.ndarray) -> np.ndarray:
         """:meth:`normalize` of each row of a ``(B, 3)`` array of levels."""

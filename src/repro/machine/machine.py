@@ -269,8 +269,11 @@ def activity_profiles(
     # Every row inside: write through a view instead of a gather.
     index = inside if len(inside) < len(machines) else slice(None)
     columns = np.array(rows)
-    # The one-row grid `wip + wpt * (arange + 1.0)`, one row per machine.
-    work_times = columns[:, 0:1] + columns[:, 1:2] * (np.arange(n_ticks) + 1.0)
+    # The one-row grid `wip + wpt * (arange + 1.0)`, one row per machine:
+    # the tick numbers 1.0 .. n_ticks are exact either way, and the add
+    # commutes.
+    work_times = columns[:, 1:2] * np.arange(1.0, n_ticks + 1.0)
+    work_times += columns[:, 0:1]
     activity_out[index] = oscillating_activity(
         columns[:, 3:4], columns[:, 4:5], columns[:, 5:6], work_times
     )

@@ -287,12 +287,12 @@ def batch_window_power(
         return np.empty((n_sessions, 0))
     spec = model.spec
     if points is None:
-        held = levels.tolist()
-        scale = np.array([
-            model.dvfs_scale(freq_ghz) * model.idle_scale(idle_frac)
-            for freq_ghz, idle_frac, _ in held
-        ])
-        static_w = np.array([model.static_power(freq_ghz) for freq_ghz, _, _ in held])
+        # Each row's (scale, static power), in one pass over its levels.
+        scale, static_w = np.array([
+            (model.dvfs_scale(freq_ghz) * model.idle_scale(idle_frac),
+             model.static_power(freq_ghz))
+            for freq_ghz, idle_frac, _ in levels.tolist()
+        ]).reshape(n_sessions, 2).T
     else:
         scale, static_w = points.scale_and_static(levels)
     balloon_peak_w = spec.max_balloon_dynamic_w * levels[:, 2]
@@ -378,15 +378,16 @@ def first_order_rows(
     ``pole * y`` underflows to a signed zero, which no ``pole > 0.5``
     produces.)  On the 20-tick windows of the control loop the plain-float
     loop costs about as much as an ``lfilter`` call's fixed overhead; per
-    tick of a long row it is ~10x slower.
+    tick of a long row it is ~10x slower.  A unit gain (the AR(1) noise)
+    skips the multiply, which returns ``x`` itself.
     """
     flat: list[float] = []
-    append = flat.append
     last = []
     for row, level in zip(rows, levels):
-        for x in row:
-            level = pole * level + gain * x
-            append(level)
+        # Exactly the unit gain, for which gain * x is x.
+        if gain != 1.0:  # maya: ignore[MAYA003]
+            row = [gain * x for x in row]
+        flat += [level := pole * level + x for x in row]
         last.append(level)
     n_ticks = len(rows[0]) if rows else 0
     return np.fromiter(flat, float, len(flat)).reshape(len(rows), n_ticks), last

@@ -109,8 +109,10 @@ def measure_windows(
     if window_ticks == 0:
         raise ValueError("cannot measure an empty window")
     quantum_j = RaplSensor.ENERGY_QUANTUM_J
-    energy_j = tick_powers.sum(axis=-1) * tick_s
-    energy_j = np.round(energy_j / quantum_j) * quantum_j
+    # np.add.reduce is what ndarray.sum runs, and np.rint what np.round
+    # runs at zero decimals, without their Python-level wrappers.
+    energy_j = np.add.reduce(tick_powers, axis=-1) * tick_s
+    energy_j = np.rint(energy_j / quantum_j) * quantum_j
     return energy_j / (window_ticks * tick_s) + noise_w
 
 

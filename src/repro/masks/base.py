@@ -8,9 +8,10 @@ implements that machinery; concrete masks implement parameter drawing and
 the evaluation of a whole segment (one sized RNG draw and one array
 expression per run of samples that share a parameter set).
 
-:meth:`MaskGenerator.generate` is the one way targets are produced:
-``next_target`` is a one-sample ``generate``, and the control loop draws a
-block of targets per session ahead of time.  A generator fills a size-n
+:meth:`MaskGenerator.generate` is the one way targets are produced: the
+control loop draws a block of targets per session ahead of time, and
+``next_target`` draws one sample the way ``generate(1)`` does, through the
+same segment code evaluated at a scalar index.  A generator fills a size-n
 request exactly as n scalar draws, so splitting a stream between calls at
 any point yields the same targets and leaves the same RNG state.
 
@@ -105,11 +106,7 @@ class SegmentedMask(MaskGenerator):
         targets_w = np.empty(n_samples, dtype=np.float64)
         filled = 0
         while filled < n_samples:
-            if self._samples_left == 0:
-                self._samples_left = int(
-                    self._rng.integers(self.nhold_range[0], self.nhold_range[1] + 1)
-                )
-                self._draw_parameters(self._rng)
+            self._renew()
             count = min(self._samples_left, n_samples - filled)
             start = self._sample_index
             # Global sample indices, exact in float64.
@@ -120,6 +117,27 @@ class SegmentedMask(MaskGenerator):
             filled += count
         return np.minimum(np.maximum(targets_w, self.low_w), self.high_w)
 
+    def next_target(self) -> float:
+        """One sample, as ``generate(1)`` draws it, without its arrays.
+
+        The segment code runs at the scalar sample index, which gives each
+        operation the bits of that element of an array evaluation, and
+        :meth:`_clip` clips like the array clip.
+        """
+        self._renew()
+        value = self._segment(np.float64(self._sample_index), self._rng)
+        self._samples_left -= 1
+        self._sample_index += 1
+        return self._clip(float(value))
+
+    def _renew(self) -> None:
+        """Draw N_hold and a parameter set when the current segment is spent."""
+        if self._samples_left == 0:
+            self._samples_left = int(
+                self._rng.integers(self.nhold_range[0], self.nhold_range[1] + 1)
+            )
+            self._draw_parameters(self._rng)
+
     @abc.abstractmethod
     def _draw_parameters(self, rng: np.random.Generator) -> None:
         """Draw a fresh parameter set for the next segment."""
@@ -128,6 +146,8 @@ class SegmentedMask(MaskGenerator):
     def _segment(self, indices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Unclipped targets at the global sample ``indices`` (current parameters).
 
-        Per-sample noise comes from one sized ``rng`` draw, which fills the
-        array exactly as one scalar draw per sample would.
+        ``indices`` is a float64 array, or one float64 scalar (a scalar
+        or 0-d result).  Per-sample noise comes from one ``rng`` draw of
+        ``indices.shape`` (a scalar draw for a scalar index), which fills
+        the array exactly as one scalar draw per sample would.
         """

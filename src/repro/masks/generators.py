@@ -57,6 +57,9 @@ class ConstantMask(MaskGenerator):
     def generate(self, n_samples: int) -> np.ndarray:
         return np.full(n_samples, self.level_w)
 
+    def next_target(self) -> float:
+        return self.level_w
+
 
 class UniformRandomMask(SegmentedMask):
     """A random level held for a random duration (Figure 4b)."""
@@ -65,7 +68,7 @@ class UniformRandomMask(SegmentedMask):
         self._level_w = self.low_w + rng.uniform(0.0, 1.0) * self.span_w
 
     def _segment(self, indices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return np.full(indices.size, self._level_w)
+        return np.full(indices.shape, self._level_w)
 
 
 class GaussianMask(SegmentedMask):
@@ -76,7 +79,7 @@ class GaussianMask(SegmentedMask):
         self._sigma_w = rng.uniform(0.02, 0.12) * self.span_w
 
     def _segment(self, indices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(self._mu_w, self._sigma_w, size=indices.size)
+        return rng.normal(self._mu_w, self._sigma_w, size=indices.shape or None)
 
 
 class _SinusoidParams:
@@ -128,7 +131,7 @@ class GaussianSinusoidMask(SegmentedMask):
         self._sigma_w = rng.uniform(0.02, 0.10) * self.span_w
 
     def _segment(self, indices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        noise_w = rng.normal(self._mu_w, self._sigma_w, size=indices.size)
+        noise_w = rng.normal(self._mu_w, self._sigma_w, size=indices.shape or None)
         return self._params.values(indices) + noise_w
 
 

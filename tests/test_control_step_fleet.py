@@ -1,13 +1,16 @@
 """The fleet-wide Equation-1 step must equal B one-row steps exactly.
 
-``MatrixController.step`` is a one-row ``ControllerFleet`` step, so a
-B-row fleet, kept across steps, is checked against B independent one-row
-steps: the same settings, ``array_equal`` controller states and equal
-diagnostics once written back, for any fleet size and any state,
+``MatrixController.step`` steps a resident one-row ``ControllerFleet``,
+so a B-row fleet, kept across steps, is checked against B independent
+one-row steps: the same settings, ``array_equal`` controller states and
+equal diagnostics once written back, for any fleet size and any state,
 including commands at the 0/1 rails, vanishing errors and saturation in
-both directions.  ``tests/test_golden_traces.py`` pins the absolute bits
-of the one-row step (a digest of 480 steps, computed by the serial step
-it replaced) and of whole traces.
+both directions, and for write-backs at any step (the fleet settles its
+counters only then).  The step's per-command tables are checked entry by
+entry against the scalar expressions they stand for.
+``tests/test_golden_traces.py`` pins the absolute bits of the one-row
+step (a digest of 480 steps, computed by the serial step it replaced)
+and of whole traces.
 """
 
 import numpy as np
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.control import ControllerFleet, MatrixController
+from repro.control.controller import _ERROR_EDGES
 from repro.defenses import DefenseFleet
 from repro.exec import SessionJob
 from repro.machine import SYS1, ActuatorBank, ActuatorSettings, spawn
@@ -157,6 +161,175 @@ class TestStepFleet:
         stepped.write_back()
         for index in members:
             _assert_same(alone[index], fleet[index])
+
+
+def _scalar_frozen(error, u_applied, controller):
+    """The anti-windup test of one row, in Python scalars."""
+    if abs(error) < 1e-12:
+        return False
+    railed = []
+    for u, u_op, sign in zip(u_applied.tolist(), controller._u_op.tolist(),
+                             controller._rail_signs.tolist()):
+        u_prev = u + u_op
+        railed.append(u_prev >= 1.0 if error * sign > 0 else u_prev <= 0.0)
+    return all(railed)
+
+
+#: Normalized errors at and around the anti-windup test's case edges.
+EDGE_ERRORS = (
+    -np.inf, -1.0, -1e-12, float(np.nextafter(-1e-12, 0.0)), -5e-13, -0.0, 0.0,
+    5e-13, float(np.nextafter(1e-12, 0.0)), 1e-12, 1.0, np.inf, np.nan,
+)
+
+
+class TestCommandTables:
+    def test_entries_are_the_scalar_values(self, sys1_design):
+        bank = ActuatorBank(SYS1)
+        controller = MatrixController(sys1_design.controller, bank)
+        off_grid = np.array([0.3, -0.2, 0.7]) - controller._u_op
+        controller._u_applied = off_grid
+        tables = ControllerFleet([controller])._tables
+        dvfs, idle, balloon = (actuator.levels.tolist() for actuator in bank.actuators)
+        grid = [(f, i, b) for f in dvfs for i in idle for b in balloon]
+        assert len(tables.levels) == len(grid) == 9 * 13 * 11
+        plant_ss = sys1_design.controller.plant_ss
+        for command, levels in enumerate(grid):
+            assert tables.levels[command].tolist() == list(levels)
+            expected = np.array([
+                actuator.normalize(level) for actuator, level in zip(bank.actuators, levels)
+            ]) - controller._u_op
+            assert np.array_equal(tables.u_applied[command], expected)
+        # The fleet's starting command follows the grid, as given.
+        assert np.array_equal(tables.u_applied[len(grid)], off_grid)
+        for command, u_applied in enumerate(tables.u_applied):
+            assert np.array_equal(tables.d_u[command:command + 1], plant_ss.d @ u_applied)
+            assert np.array_equal(tables.b_u[command], plant_ss.b @ u_applied)
+            for error in EDGE_ERRORS:
+                case = _ERROR_EDGES.searchsorted(np.array([error]))[0]
+                assert tables.frozen[case, command] == _scalar_frozen(
+                    error, u_applied, controller
+                ), (command, error)
+
+    def test_tables_cover_every_rail_pattern(self, sys1_design):
+        tables = ControllerFleet(
+            [MatrixController(sys1_design.controller, ActuatorBank(SYS1))]
+        )._tables
+        # Some commands freeze for each signed case, none in the vanishing one.
+        assert tables.frozen[0].any() and tables.frozen[2].any()
+        assert not tables.frozen[1].any()
+
+
+class TestWriteBack:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        size=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_steps=st.integers(min_value=1, max_value=150),
+        n_writes=st.integers(min_value=0, max_value=6),
+        keep_at=st.integers(min_value=0, max_value=150),
+        write_dropped=st.booleans(),
+    )
+    def test_diagnostics_at_any_step(self, sys1_design, size, seed, n_steps, n_writes,
+                                     keep_at, write_dropped):
+        """Write-backs mid-block and after a keep equal per-step one-row stepping."""
+        rng = np.random.default_rng(seed)
+        alone = [MatrixController(sys1_design.controller, ActuatorBank(SYS1))
+                 for _ in range(size)]
+        fleet = [MatrixController(sys1_design.controller, ActuatorBank(SYS1))
+                 for _ in range(size)]
+        stepped = ControllerFleet(fleet)
+        writes = set(rng.integers(1, n_steps + 1, n_writes).tolist()) | {n_steps}
+        members = list(range(size))
+        for step in range(1, n_steps + 1):
+            if step == keep_at and len(members) > 1:
+                kept = np.arange(0, len(members), 2)
+                dropped = [members[k] for k in range(len(members)) if k % 2]
+                if write_dropped:
+                    stepped.write_back(np.setdiff1d(np.arange(len(members)), kept))
+                stepped.keep(kept)
+                members = [members[k] for k in kept.tolist()]
+                for index in dropped if write_dropped else ():
+                    _assert_same(alone[index], fleet[index])
+            targets_w = rng.uniform(5.0, 35.0, len(members))
+            # Wide errors saturate and freeze often.
+            measured_w = targets_w + rng.normal(0.0, 40.0, len(members))
+            expected = [
+                alone[index].step(float(t), float(m))
+                for index, t, m in zip(members, targets_w, measured_w)
+            ]
+            # Reading diagnostics settles the one-row counters every step.
+            for index in members:
+                alone[index].diagnostics()
+            assert _settings(stepped.step(targets_w, measured_w)) == expected
+            if step in writes:
+                stepped.write_back()
+                for index in members:
+                    _assert_same(alone[index], fleet[index])
+
+    def test_fleet_starts_from_an_off_grid_command(self, sys1_design):
+        rng = np.random.default_rng(21)
+        alone = [MatrixController(sys1_design.controller, ActuatorBank(SYS1))
+                 for _ in range(3)]
+        fleet = [MatrixController(sys1_design.controller, ActuatorBank(SYS1))
+                 for _ in range(3)]
+        seeded = []
+        for k, pair in enumerate(zip(alone, fleet)):
+            u_norm = rng.uniform(0.05, 0.95, 3)
+            for controller in pair:
+                controller._x_pred = np.full(controller._x_pred.size, 0.01 * k)
+                controller._u_applied = u_norm - controller._u_op
+            seeded.append(pair[1]._u_applied)
+        stepped = ControllerFleet(fleet)
+        # Written back unstepped, the rows keep their seeded commands.
+        stepped.write_back()
+        for controller, u_applied in zip(fleet, seeded):
+            assert np.array_equal(controller._u_applied, u_applied)
+        targets_w = np.array([12.0, 20.0, 28.0])
+        measured_w = np.array([20.0, 20.0, 20.0])
+        for _ in range(3):
+            expected = [c.step(float(t), float(m)) for c, t, m in
+                        zip(alone, targets_w, measured_w)]
+            assert _settings(stepped.step(targets_w, measured_w)) == expected
+        stepped.write_back()
+        grid = stepped._tables.u_applied[: len(stepped._tables.levels)]
+        for a, b in zip(alone, fleet):
+            _assert_same(a, b)
+            # After a step the applied command is a grid command.
+            assert (grid == b._u_applied).all(axis=1).any()
+
+
+class TestResidentFleet:
+    def test_state_assigned_between_steps_is_used(self, sys1_design):
+        stepped = MatrixController(sys1_design.controller, ActuatorBank(SYS1))
+        for _ in range(5):
+            stepped.step(20.0, 26.0)
+        stepped._z = 3.5
+        stepped._u_applied = np.array([0.2, 0.1, 0.4]) - stepped._u_op
+        fresh = MatrixController(sys1_design.controller, ActuatorBank(SYS1))
+        fresh._x_pred = stepped._x_pred.copy()
+        fresh._z = stepped._z
+        fresh._u_applied = stepped._u_applied.copy()
+        for measured_w in (30.0, 10.0, 21.0):
+            assert stepped.step(20.0, measured_w) == fresh.step(20.0, measured_w)
+            _assert_same_state(stepped, fresh)
+
+    def test_reset_restarts_from_zero_state(self, sys1_design):
+        stepped = MatrixController(sys1_design.controller, ActuatorBank(SYS1))
+        for _ in range(5):
+            stepped.step(40.0, 5.0)
+        assert stepped.diagnostics()["saturation_steps"] > 0
+        stepped.reset()
+        fresh = MatrixController(sys1_design.controller, ActuatorBank(SYS1))
+        assert stepped.diagnostics() == fresh.diagnostics()
+        for measured_w in (30.0, 10.0, 21.0):
+            assert stepped.step(20.0, measured_w) == fresh.step(20.0, measured_w)
+        _assert_same(stepped, fresh)
+
+
+def _assert_same_state(a, b):
+    assert np.array_equal(a._x_pred, b._x_pred)
+    assert np.array_equal(a._u_applied, b._u_applied)
+    assert a._z == b._z
 
 
 class TestDecideBatch:

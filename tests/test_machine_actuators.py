@@ -209,6 +209,29 @@ class TestVectorizedQuantization:
             ]
             assert np.array_equal(_bits(row), _bits(expected))
 
+    def test_thresholds_split_adjacent_levels_exactly(self):
+        # Each threshold is the least fraction the scalar quantizer maps to
+        # its level: one float below it maps to the level beneath.
+        for bank in BANKS:
+            bank.quantize_index_many(np.zeros((1, 3)))
+            for column, actuator in enumerate(bank.actuators):
+                for level, fraction in enumerate(bank._thresholds[column].tolist(), 1):
+                    if level >= actuator.levels.size:
+                        assert np.isnan(fraction)
+                        continue
+                    below = float(np.nextafter(fraction, -np.inf))
+                    assert actuator.denormalize(fraction) == actuator.levels[level]
+                    assert actuator.denormalize(below) == actuator.levels[level - 1]
+
+    def test_joint_index_addresses_the_level_grid(self):
+        bank = ActuatorBank(SYS1)
+        grid = bank.level_grid()
+        fractions = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.52, 0.26, 0.31]])
+        index = bank.quantize_index_many(fractions)
+        assert index.tolist()[:2] == [0, len(grid) - 1]
+        for row, command in zip(index.tolist(), fractions):
+            assert tuple(grid[row]) == tuple(bank.quantize_normalized(command))
+
     def test_exact_ties_are_generated_and_go_to_the_first_level(self):
         # The midpoint commands above include exact ties after clipping;
         # like np.argmin on one actuator, the table picks the lower level.
