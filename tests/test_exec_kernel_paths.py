@@ -35,7 +35,7 @@ from repro.exec import SessionJob, batch_key, run_sessions
 from repro.exec.batch import WIDE_FLEET_ROWS, SessionRow, build_fleet, simulate
 from repro.machine import SYS1, ActuatorSettings, CursorFleet, SimulatedMachine
 from repro.telemetry import TelemetryRecorder
-from repro.workloads import PhaseProgram
+from repro.workloads import Phase, PhaseProgram
 
 from .conftest import TEST_SEED
 from .test_machine_row_independence import HalvedRatePhase
@@ -280,6 +280,53 @@ class TestConstantFastForward:
         fast, looped = traces
         assert looped.measured_w.size == 5
         assert fast.equals(looped)
+
+    @staticmethod
+    def assert_both_paths_agree(build_machine, **limits):
+        """Both paths record one trace and leave the machine in one state."""
+        results = []
+        for defense in (Baseline(), _LoopedBaseline()):
+            machine = build_machine()
+            trace = run_session(machine, defense, seed=TEST_SEED, run_id="paths", **limits)
+            results.append((trace, machine_state(machine)))
+        (fast, fast_state), (looped, looped_state) = results
+        assert fast.equals(looped)
+        assert fast_state == looped_state
+        return fast
+
+    def test_multi_phase_parsec_app_in_fixed_mode(self, sys1_factory):
+        """A fixed-duration session that crosses two phase boundaries and a
+        chunk boundary."""
+        job = make_job(sys1_factory, workload="freqmine", duration_s=12.0)
+        trace = self.assert_both_paths_agree(job.build_machine, duration_s=12.0)
+        assert trace.measured_w.size == 600
+        assert np.isnan(trace.completed_at_s)
+
+    def test_overridden_progress_rate_in_completion_mode(self):
+        """Phases that override ``progress_rate``, one of them oscillating."""
+        halved = PhaseProgram("halved", (
+            HalvedRatePhase("a", 0.3, 0.5, 0.5, osc_amplitude=0.2, osc_period_s=0.05),
+            HalvedRatePhase("b", 0.2, 0.8, 1.0),
+        ))
+        trace = self.assert_both_paths_agree(
+            lambda: SimulatedMachine(SYS1, halved, seed=TEST_SEED, run_id="halved"),
+            duration_s=None, max_duration_s=3.0, tail_s=0.1,
+        )
+        assert np.isfinite(trace.completed_at_s)
+        assert trace.measured_w.size < 150
+
+    def test_phases_shorter_than_one_interval(self):
+        """Several segments share a window: every phase lasts 3-13 ms."""
+        short = PhaseProgram("short", tuple(
+            Phase(f"p{n}", 0.003 + 0.001 * (n % 11), 0.2 + 0.02 * n, 0.25 + 0.02 * n,
+                  osc_amplitude=0.3 if n % 3 else 0.0, osc_period_s=0.004)
+            for n in range(30)
+        ))
+        trace = self.assert_both_paths_agree(
+            lambda: SimulatedMachine(SYS1, short, seed=TEST_SEED, run_id="short"),
+            duration_s=None, max_duration_s=2.0, tail_s=0.1,
+        )
+        assert np.isfinite(trace.completed_at_s)
 
 
 class _OffGridInputs(Defense):
