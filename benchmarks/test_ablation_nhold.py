@@ -12,7 +12,7 @@ from conftest import BENCH_SEED, report
 
 from repro.core.maya import MayaInstance
 from repro.core.runtime import make_machine, run_session
-from repro.machine import ActuatorBank, SYS1, spawn
+from repro.machine import SYS1, spawn
 from repro.masks import GaussianSinusoidMask, analyze_signal
 from repro.control import MatrixController
 from repro.defenses.base import Defense
@@ -30,7 +30,7 @@ class _FixedMaskMaya(Defense):
         self._nhold = nhold_range
 
     def prepare(self, machine, rng):
-        bank = ActuatorBank(machine.spec)
+        bank = self._design.bank
         mask = GaussianSinusoidMask(self._design.mask_range_w, rng,
                                     nhold_range=self._nhold)
         self._instance = MayaInstance(

@@ -11,6 +11,7 @@ security rests on the attacker not being able to reproduce them).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,9 +39,18 @@ class MayaDesign:
     controller: DesignedController
     mask_range_w: tuple[float, float]
 
+    @cached_property
+    def bank(self) -> ActuatorBank:
+        """The platform's actuators, shared by every instance of the design.
+
+        The bank's quantization tables depend on the platform alone, so
+        they are built once per design rather than once per session.
+        """
+        return ActuatorBank(self.spec)
+
     def instantiate(self, rng: np.random.Generator) -> "MayaInstance":
         """Create a fresh runtime instance with its own randomness."""
-        bank = ActuatorBank(self.spec)
+        bank = self.bank
         kwargs: dict = {}
         if self.config.mask_family == "constant" and self.config.constant_level_w is not None:
             kwargs["level_w"] = self.config.constant_level_w

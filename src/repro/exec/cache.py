@@ -80,6 +80,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
 import tarfile
 import zipfile
@@ -154,7 +155,13 @@ class TraceCache:
         self.root = Path(root)
         if max_bytes is None:
             env = os.environ.get("REPRO_CACHE_MAX_MB", "").strip()
-            max_bytes = float(env) * 1e6 if env else _DEFAULT_MAX_MB * 1e6
+            try:
+                max_mb = float(env) if env else _DEFAULT_MAX_MB
+            except ValueError:
+                max_mb = math.nan
+            if not 0.0 < max_mb < math.inf:
+                raise ValueError(f"REPRO_CACHE_MAX_MB must be a positive number, got {env!r}")
+            max_bytes = max_mb * 1e6
         self.max_bytes = int(max_bytes)
         #: Runtime counters for this cache handle (not persisted).
         self.hits = 0

@@ -72,7 +72,15 @@ def _job_timeout_s(timeout_s: object) -> float:
     if timeout_s is not None:
         return float(timeout_s)
     env = os.environ.get("REPRO_JOB_TIMEOUT_S", "").strip()
-    return float(env) if env else DEFAULT_JOB_TIMEOUT_S
+    if not env:
+        return DEFAULT_JOB_TIMEOUT_S
+    try:
+        value = float(env)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"REPRO_JOB_TIMEOUT_S must be a positive number, got {env!r}")
+    return value
 
 
 def _chunk_span_key(chunk_jobs):

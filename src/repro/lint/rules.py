@@ -736,9 +736,11 @@ class ProfilerIsolationRule(Rule):
 #: The simulation hot paths: the modules whose arithmetic produces the
 #: recorded traces (physics, sensing, control, masks and the kernel).
 _HOT_PATH_FRAGMENTS = (
+    "machine/actuators.py",
     "machine/power.py",
     "machine/sensors.py",
     "machine/machine.py",
+    "machine/thermal.py",
     "control/controller.py",
     "control/fixedpoint.py",
     "exec/batch.py",

@@ -89,21 +89,15 @@ class SimulatedMachine:
     ) -> None:
         """Advance the workload ``n_ticks`` and fill its per-tick profile.
 
-        This is the phase-cursor half of :meth:`advance`: it updates the
-        machine's work/time accounting and writes the window's switching
-        activity and core occupancy into the provided ``n_ticks``-length
-        buffers, without evaluating the power model.  The lock-step kernel
-        advances a whole fleet through :func:`activity_profiles` instead.
+        The one-window case of :meth:`walk`: it updates the machine's
+        work/time accounting and writes the window's switching activity and
+        core occupancy into the provided ``n_ticks``-length buffers, without
+        evaluating the power model.  The lock-step kernel advances a whole
+        fleet through :func:`activity_profiles` instead.
         """
         if n_ticks <= 0:
             raise ValueError("duration shorter than one tick")
-        self.fill_profile(
-            self.next_segment(n_ticks, settings),
-            n_ticks,
-            settings,
-            activity_out,
-            core_fraction_out,
-        )
+        self.walk(1, n_ticks, settings, activity_out, core_fraction_out)
 
     def next_segment(self, ticks_left: int, settings) -> tuple:
         """Advance the phase cursor by one segment of at most ``ticks_left``.
@@ -151,39 +145,74 @@ class SimulatedMachine:
                 self.completed_at_s = self.time_s
         return phase, work_into_phase, work_per_tick, seg_ticks
 
-    def fill_profile(
+    def finish_window(self, segment: tuple, window_ticks: int, settings, spans: list) -> None:
+        """Append ``segment``, a window's first, and the segments that fill the window."""
+        spans.append(segment)
+        filled = segment[3]
+        while filled < window_ticks:
+            segment = self.next_segment(window_ticks - filled, settings)
+            spans.append(segment)
+            filled += segment[3]
+
+    def walk(
         self,
-        segment: tuple,
-        n_ticks: int,
+        n_windows: int,
+        window_ticks: int,
         settings,
         activity_out: np.ndarray,
         core_fraction_out: np.ndarray,
-    ) -> None:
-        """Evaluate a window's first ``segment``, then advance through the rest.
+    ) -> int:
+        """Advance up to ``n_windows`` windows at held ``settings``; return how many.
 
-        The numpy half of :meth:`activity_profile`: each segment's ticks
-        get the work-time grid ``work_into_phase + work_per_tick * k``
-        (``k = 1 .. seg_ticks``; loop phases oscillate in work time, so
-        slowdowns stretch their apparent period) and the phase's activity
-        and occupancy on it.
+        Fills the walked windows' ticks of the buffers and leaves the
+        machine exactly as that many :meth:`activity_profile` calls of
+        ``window_ticks`` would, window by window: every partial-window step
+        is :meth:`next_segment`.  A window that completes the workload is
+        filled to its end and ends the walk, so a walk that stops short
+        returns the windows through the one in which the workload
+        completed.  A walk on a completed machine coasts all ``n_windows``.
+
+        Two folds make long walks cheap, each an ``np.add.accumulate``,
+        which is a strict sequential left fold and so stores the bits of
+        the per-window ``+=`` chain: the run of whole windows the current
+        phase survives (one span, its window starts an ``(n, 1)`` column),
+        and a completed machine's coasting windows.
         """
-        filled = 0
-        while True:
-            phase, work_into_phase, work_per_tick, seg_ticks = segment
-            seg_end = filled + seg_ticks
-            if phase is None:
-                activity_out[filled:seg_end] = 0.0
-                core_fraction_out[filled:seg_end] = 0.0
-            else:
-                work_times = work_into_phase + work_per_tick * (
-                    np.arange(seg_ticks) + 1.0
-                )
-                activity_out[filled:seg_end] = phase.activity_at(work_times)
-                core_fraction_out[filled:seg_end] = phase.core_fraction
-            if seg_end >= n_ticks:
-                return
-            filled = seg_end
-            segment = self.next_segment(n_ticks - filled, settings)
+        spans: list = []
+        coasting = self.completed
+        window_s = window_ticks * self.tick_s
+        walked = 0
+        while walked < n_windows:
+            phase_index = self._phase_index
+            segment = self.next_segment(window_ticks, settings)
+            self.finish_window(segment, window_ticks, settings, spans)
+            walked += 1
+            n_rest = n_windows - walked
+            if n_rest == 0 or (self.completed and not coasting):
+                break
+            if coasting:
+                spans.append((None, 0.0, 0.0, n_rest * window_ticks))
+                self.time_s = float(_fold(self.time_s, window_s, n_rest)[-1])
+                walked = n_windows
+                break
+            phase, _, work_per_tick, _ = segment
+            if self._phase_index != phase_index:
+                continue
+            # One segment filled the window inside the phase: fold the
+            # whole windows the phase survives from here.
+            window_work = work_per_tick * window_ticks
+            starts = _fold(self._work_into_phase, window_work, n_rest)
+            needed = np.ceil((phase.work_units - starts[:-1]) / work_per_tick - 1e-12)
+            survives = (needed >= window_ticks) & (starts[1:] < phase.work_units - 1e-9)
+            n_run = survives.size if survives.all() else int(np.argmin(survives))
+            if n_run:
+                spans.append((phase, starts[:n_run, None], work_per_tick, window_ticks))
+                self._work_into_phase = float(starts[n_run])
+                self.work_done = float(_fold(self.work_done, window_work, n_run)[-1])
+                self.time_s = float(_fold(self.time_s, window_s, n_run)[-1])
+                walked += n_run
+        _fill_spans(spans, activity_out, core_fraction_out)
+        return walked
 
     def advance(
         self, duration_s: float, settings: ActuatorSettings
@@ -215,6 +244,40 @@ class SimulatedMachine:
         return power_w, temperature_c
 
 
+def _fold(start: float, step: float, n: int) -> np.ndarray:
+    """``start`` and its ``n`` successive ``+= step`` updates, in float64."""
+    terms = np.full(n + 1, step)
+    terms[0] = start
+    return np.add.accumulate(terms)
+
+
+def _fill_spans(spans: list, activity_out: np.ndarray, core_fraction_out: np.ndarray) -> None:
+    """Evaluate spans, in order, into per-tick profiles.
+
+    A span is a :meth:`SimulatedMachine.next_segment` result, a coasting
+    run of ticks (phase ``None``), or a fold of whole windows of one phase,
+    whose window starts are an ``(n, 1)`` column.  Each segment's ticks get
+    the work-time grid ``work_into_phase + work_per_tick * k`` (``k = 1 ..
+    seg_ticks``; loop phases oscillate in work time, so slowdowns stretch
+    their apparent period) and the phase's activity and occupancy on it.
+
+    A folded run evaluates its phase's ``np.sin`` over all its windows at
+    once: one of the numpy-build-dependent sites that DESIGN.md §7 names.
+    """
+    position = 0
+    for phase, work_into_phase, work_per_tick, seg_ticks in spans:
+        if phase is None:
+            end = position + seg_ticks
+            activity_out[position:end] = 0.0
+            core_fraction_out[position:end] = 0.0
+        else:
+            work_times = work_into_phase + work_per_tick * (np.arange(seg_ticks) + 1.0)
+            end = position + work_times.size
+            activity_out[position:end] = phase.activity_at(work_times).ravel()
+            core_fraction_out[position:end] = phase.core_fraction
+        position = end
+
+
 def activity_profiles(
     machines: "list[SimulatedMachine]",
     n_ticks: int,
@@ -237,7 +300,8 @@ def activity_profiles(
     as :meth:`~repro.workloads.Phase.activity_at` returns it
     (``a * (1.0 + 0.0 * wave) == a``, and clipping a valid activity to
     ``[0, 1]`` keeps it).  Rows that cross a phase boundary, complete or coast
-    finish the window through :meth:`~SimulatedMachine.fill_profile`.
+    finish the window through :meth:`~SimulatedMachine.finish_window` and
+    the walk's span evaluator.
 
     The stacked ``np.sin`` is the build caveat named once in DESIGN.md
     §7: elementwise ``np.sin`` gives the same bits at every array length
@@ -249,9 +313,9 @@ def activity_profiles(
         segment = machine.next_segment(n_ticks, held)
         phase, work_into_phase, work_per_tick, seg_ticks = segment
         if phase is None or seg_ticks != n_ticks:
-            machine.fill_profile(
-                segment, n_ticks, held, activity_out[k], core_fraction_out[k]
-            )
+            spans: list = []
+            machine.finish_window(segment, n_ticks, held, spans)
+            _fill_spans(spans, activity_out[k], core_fraction_out[k])
             continue
         inside.append(k)
         oscillates = phase.oscillates

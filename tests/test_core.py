@@ -69,6 +69,14 @@ class TestMayaDesign:
         assert a.controller is not b.controller
         assert a.mask.generate(20).tolist() != b.mask.generate(20).tolist()
 
+    def test_instances_share_the_design_bank(self, sys1_design):
+        """The bank's quantization tables are built once per design."""
+        a = sys1_design.instantiate(spawn(1, "inst", 0))
+        b = sys1_design.instantiate(spawn(1, "inst", 1))
+        assert a.bank is b.bank is sys1_design.bank
+        assert a.controller.bank is b.controller.bank is sys1_design.bank
+        assert sys1_design.bank.spec is SYS1
+
     def test_initial_settings_are_command_center(self, sys1_design):
         instance = sys1_design.instantiate(spawn(1, "inst"))
         settings = instance.initial_settings()

@@ -140,6 +140,14 @@ class TestMaintenance:
         assert cache.stats()["shards"]["occupied"] == 0
         assert TraceCache(root=tmp_path).stats()["compactions"] == 1
 
+    @pytest.mark.parametrize("value", ["big", "0", "-5", "nan", "inf"])
+    def test_invalid_size_bound_env_raises(self, monkeypatch, tmp_path, value):
+        monkeypatch.setenv("REPRO_CACHE_MAX_MB", value)
+        with pytest.raises(ValueError, match="REPRO_CACHE_MAX_MB"):
+            TraceCache(root=tmp_path)
+        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "1.5")
+        assert TraceCache(root=tmp_path).max_bytes == 1_500_000
+
     def test_default_cache_is_env_gated(self, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_CACHE", raising=False)
         assert default_cache() is None

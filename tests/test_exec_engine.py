@@ -51,6 +51,16 @@ class TestResolveWorkers:
             resolve_workers()
 
 
+class TestJobTimeoutEnv:
+    @pytest.mark.parametrize("value", ["soon", "0", "-1", "nan", "inf"])
+    def test_invalid_timeout_env_raises_before_simulating(self, monkeypatch, value):
+        """A timeout that is not a positive finite number would retry every
+        pooled chunk in-process, simulating it twice."""
+        monkeypatch.setenv("REPRO_JOB_TIMEOUT_S", value)
+        with pytest.raises(ValueError, match="REPRO_JOB_TIMEOUT_S"):
+            run_sessions(batch_jobs(n_runs=1), workers=2, cache=False)
+
+
 class TestDeterminism:
     def test_parallel_bit_identical_to_serial(self):
         """The tentpole guarantee: worker scheduling never changes results."""

@@ -81,6 +81,17 @@ class TestReductionOrder:
         src = "__all__ = []\n\ndef f(values):\n    return values.mean()\n"
         assert rule_ids(src, path="src/repro/masks/generators.py") == ["MAYA041"]
 
+    def test_actuators_and_thermal_are_in_scope(self):
+        src = """\
+        import numpy as np
+        __all__ = []
+        def f(values):
+            return values.mean(), values.astype(np.float32)
+        """
+        for module in ("actuators", "thermal"):
+            path = f"src/repro/machine/{module}.py"
+            assert rule_ids(src, path=path) == ["MAYA041", "MAYA042"]
+
 
 class TestDtypeNarrowing:
     HOT_PATH = "src/repro/machine/power.py"

@@ -144,6 +144,108 @@ class TestProgressRateClamp:
         assert not machine.completed
 
 
+def mixed_program():
+    """A long oscillating phase, four phases shorter than one window, a flat one."""
+    return PhaseProgram(name="mixed", phases=(
+        Phase("long", 0.3, 0.4, 0.5, osc_amplitude=0.3, osc_period_s=0.07),
+        *(
+            Phase(f"short{n}", 0.004 + 0.003 * n, 0.3 + 0.1 * n, 0.5,
+                  osc_amplitude=0.2 if n % 2 else 0.0, osc_period_s=0.003)
+            for n in range(4)
+        ),
+        Phase("flat", 0.1, 0.7, 1.0),
+    ))
+
+
+def cursor_state(machine):
+    return (
+        machine._phase_index,
+        machine._work_into_phase,
+        machine.work_done,
+        machine.time_s,
+        repr(machine.completed_at_s),
+    )
+
+
+class TestWalk:
+    """``walk`` over k windows leaves the machine, and fills the profile,
+    exactly as k ``activity_profile`` calls do."""
+
+    WINDOW_TICKS = 20
+
+    @staticmethod
+    def walk_against_calls(walker, stepper, n_windows, settings):
+        """Walk ``walker``, step ``stepper`` window by window, compare both."""
+        ticks = TestWalk.WINDOW_TICKS
+        activity = np.full(n_windows * ticks, np.nan)
+        core_fraction = np.full(n_windows * ticks, np.nan)
+        walked = walker.walk(n_windows, ticks, settings, activity, core_fraction)
+        # Only the walked windows are written.
+        assert np.isnan(activity[walked * ticks:]).all()
+        assert np.isnan(core_fraction[walked * ticks:]).all()
+        activity = activity[:walked * ticks]
+        core_fraction = core_fraction[:walked * ticks]
+        stepped_activity = np.empty((walked, ticks))
+        stepped_core = np.empty_like(stepped_activity)
+        for window in range(walked):
+            stepper.activity_profile(
+                ticks, settings, stepped_activity[window], stepped_core[window]
+            )
+        assert cursor_state(walker) == cursor_state(stepper)
+        assert activity.tobytes() == stepped_activity.tobytes()
+        assert core_fraction.tobytes() == stepped_core.tobytes()
+        return walked
+
+    @staticmethod
+    def pair(lead_ticks, settings):
+        """Two jittered machines, both already ``lead_ticks`` into the program."""
+        machines = [machine_for(mixed_program(), workload_jitter=0.08) for _ in range(2)]
+        for machine in machines:
+            if lead_ticks:
+                machine.activity_profile(
+                    lead_ticks, settings, np.empty(lead_ticks), np.empty(lead_ticks)
+                )
+        return machines
+
+    @pytest.mark.parametrize("settings", [
+        max_perf(), ActuatorSettings(SYS1.freq_min_ghz, 0.25, 0.5),
+    ], ids=["max", "throttled"])
+    @pytest.mark.parametrize("lead_ticks", [0, 7])
+    def test_walk_inside_the_workload(self, settings, lead_ticks):
+        walker, stepper = self.pair(lead_ticks, settings)
+        for n_windows in (1, 3, 9):
+            assert self.walk_against_calls(walker, stepper, n_windows, settings) == n_windows
+        assert not walker.completed
+
+    @pytest.mark.parametrize("lead_ticks", [0, 7])
+    def test_walk_stops_in_the_window_that_completes(self, lead_ticks):
+        settings = max_perf()
+        walker, stepper = self.pair(lead_ticks, settings)
+        walked = self.walk_against_calls(walker, stepper, 100, settings)
+        assert walker.completed and 0 < walked < 100
+        assert walker.completed_at_s > walker.time_s - self.WINDOW_TICKS * walker.tick_s
+        # The rest of the walk coasts.
+        assert self.walk_against_calls(walker, stepper, 100 - walked, settings) == 100 - walked
+
+    def test_phases_ending_on_window_boundaries(self):
+        """Unjittered 1.0-unit phases at max performance end on the last
+        tick of a window: the fold must stop there, as the ``1e-9``
+        boundary test does."""
+        settings = max_perf()
+        walker, stepper = (machine_for(two_phase_program()) for _ in range(2))
+        walked = self.walk_against_calls(walker, stepper, 120, settings)
+        assert walker.completed and walked == 100
+
+    def test_walk_on_a_finished_machine(self):
+        settings = max_perf()
+        walker, stepper = self.pair(0, settings)
+        for machine in (walker, stepper):
+            machine.advance(1.0, settings)
+            assert machine.completed
+        for n_windows in (1, 40):
+            assert self.walk_against_calls(walker, stepper, n_windows, settings) == n_windows
+
+
 class TestJitter:
     def test_jitter_perturbs_program(self):
         base = two_phase_program()
