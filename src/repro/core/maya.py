@@ -29,9 +29,13 @@ from .config import MayaConfig
 __all__ = ["MayaDesign", "MayaInstance", "build_maya_design"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MayaDesign:
-    """Per-platform design artifact: plant model + controller matrices."""
+    """Per-platform design artifact: plant model + controller matrices.
+
+    Equality and hashing are by identity: the fields hold numpy arrays,
+    whose element-wise ``==`` has no truth value.
+    """
 
     spec: PlatformSpec
     config: MayaConfig

@@ -162,7 +162,7 @@ def _group_chunks(jobs, pending, workers) -> list:
 
     Jobs are grouped by :func:`batch_key` through an insertion-ordered
     dict, so grouping — like everything else in this layer — is a pure
-    function of job order (MAYA030).  Each group is cut into chunks small
+    function of job order.  Each group is cut into chunks small
     enough that every worker gets one and no larger than
     :data:`DEFAULT_BATCH_SIZE`.
     """

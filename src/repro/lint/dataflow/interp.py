@@ -1,21 +1,18 @@
-"""Shared abstract interpreter for the dataflow analyses.
+"""Abstract interpreter behind the unit checker.
 
 :class:`Evaluator` walks function bodies over abstract values
 (:class:`AV`), resolving names, attributes, and calls through the
 :class:`~repro.lint.dataflow.model.ProjectModel`.  Control flow is handled
 by evaluating every branch and joining the resulting environments, and
-loop bodies are evaluated twice (enough for the flat lattices both
-analyses use, and bounded regardless by the join).
+loop bodies are evaluated twice (enough for the flat unit lattice, and
+bounded regardless by the join).
 
-The interpreter is analysis-agnostic: the *meaning* of a value lives in
-the ``payload`` slot, and subclasses define the lattice through a small
+The interpreter is lattice-agnostic: the *meaning* of a value lives in
+the ``payload`` slot, and a subclass defines the lattice through a small
 set of hooks (``join_payload``, ``const_payload``, ``binop_payload``,
 ``call_external``, ...).  Interprocedural behaviour is delegated to the
-``call_project`` hook so each analysis can pick its own summary strategy:
-the unit checker memoizes context-sensitive summaries keyed by argument
-units, while the taint certifier computes one symbolic summary per
-function and substitutes actuals at call sites.  Both are driven to a
-fixpoint by re-evaluating summaries until they stop changing.
+``call_project`` hook; the unit checker uses it to memoize
+context-sensitive summaries keyed by argument units.
 """
 
 from __future__ import annotations
@@ -69,8 +66,6 @@ class AV:
     ext: Optional[str] = None
     #: Element values of a tuple/list literal, when tracked.
     elems: Optional[Tuple["AV", ...]] = None
-    #: Project class of every element, when known (a ``list[X]`` parameter).
-    item_cls: Optional[str] = None
 
 
 @dataclass(frozen=True, order=True)
@@ -103,10 +98,6 @@ class Reporter:
     def unmute(self) -> None:
         self._mute -= 1
 
-    @property
-    def muted(self) -> bool:
-        return self._mute > 0
-
     def report(self, path: str, node: ast.AST, rule_id: str, message: str) -> None:
         if self._mute > 0:
             return
@@ -124,7 +115,7 @@ class Reporter:
 
 
 class Evaluator:
-    """Base abstract interpreter; subclasses implement the lattice hooks."""
+    """Abstract interpreter; a subclass implements the lattice hooks."""
 
     MAX_DEPTH = 40
     LOOP_PASSES = 2
@@ -139,70 +130,17 @@ class Evaluator:
         self._attr_stack = set()
 
     # ------------------------------------------------------------------
-    # Hooks (subclasses override)
+    # Hooks.  The lattice subclass (UnitsEvaluator) supplies the rest:
+    # join_payload, const_payload, string_payload, binop_payload,
+    # unary_payload, compare_payload, attr_av, global_av, bind_name,
+    # bind_attr, call_project, call_constructor, call_external.
     # ------------------------------------------------------------------
-
-    def join_payload(self, a: object, b: object) -> object:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return a if a == b else None
-
-    def const_payload(self, value: object) -> object:
-        return None
-
-    def binop_payload(self, node: ast.BinOp, left: AV, right: AV, ctx) -> object:
-        return None
-
-    def unary_payload(self, node: ast.UnaryOp, operand: AV, ctx) -> object:
-        if isinstance(node.op, (ast.USub, ast.UAdd)):
-            return operand.payload
-        return None
-
-    def compare_payload(self, node: ast.Compare, operands: List[AV], ctx) -> object:
-        return None
 
     def subscript_payload(self, obj: AV, node: ast.Subscript, ctx) -> object:
         return obj.payload
 
-    def attr_av(self, obj: AV, attr: str, node: ast.AST, ctx) -> AV:
-        return AV()
-
     def param_av(self, func: FunctionInfo, name: str) -> AV:
-        return AV(
-            cls=self._annotation_cls(func.annotations.get(name, ())),
-            item_cls=self._annotation_cls(func.element_annotations.get(name, ())),
-        )
-
-    def global_av(self, name: str, node: ast.AST, ctx) -> AV:
-        return AV()
-
-    def call_project(self, node, finfo, bound, args_map, arg_avs, complete, ctx) -> AV:
-        """A resolved call to a project function; default: opaque."""
-        return AV(cls=self._annotation_cls(finfo.return_annotation))
-
-    def call_constructor(self, node, class_name, args_map, arg_avs, complete, ctx) -> AV:
-        return AV(cls=class_name)
-
-    def call_external(self, node, dotted, receiver, arg_avs, env, ctx) -> AV:
-        """A call that does not resolve to project code."""
-        return AV()
-
-    def on_call(self, node: ast.Call, callee_name: str, arg_avs: List[AV], ctx) -> None:
-        """Observed for *every* call, resolved or not (sink checks)."""
-
-    def on_branch(self, test: AV, node: ast.AST, ctx) -> None:
-        """A control-flow decision was made on ``test``."""
-
-    def on_return(self, value: AV, node: ast.AST, ctx) -> None:
-        """A function is returning ``value``."""
-
-    def bind_name(self, name: str, value: AV, node: ast.AST, env: Dict[str, AV], ctx) -> None:
-        env[name] = value
-
-    def bind_attr(self, obj: AV, attr: str, value: AV, node: ast.AST, ctx) -> None:
-        """``obj.attr = value`` was executed."""
+        return AV(cls=self._annotation_cls(func.annotations.get(name, ())))
 
     def joined_payload(self, avs: List[AV]) -> object:
         payload = None
@@ -261,7 +199,6 @@ class Evaluator:
             ctor=a.ctor if a.ctor == b.ctor else None,
             ext=a.ext if a.ext == b.ext else None,
             elems=elems,
-            item_cls=a.item_cls if a.item_cls == b.item_cls else None,
         )
 
     def _join_env(self, a: Dict[str, AV], b: Dict[str, AV]) -> Dict[str, AV]:
@@ -306,25 +243,20 @@ class Evaluator:
             self._bind_target(stmt.target, AV(payload=payload), stmt, env, ctx)
         elif isinstance(stmt, ast.Return):
             value = self.eval(stmt.value, env, ctx) if stmt.value is not None else AV()
-            self.on_return(value, stmt, ctx)
             rets.append(value)
         elif isinstance(stmt, ast.Expr):
             self.eval(stmt.value, env, ctx)
         elif isinstance(stmt, ast.If):
-            test = self.eval(stmt.test, env, ctx)
-            self.on_branch(test, stmt, ctx)
+            self.eval(stmt.test, env, ctx)
             body_env = dict(env)
             else_env = dict(env)
             self._exec_body(stmt.body, body_env, ctx, rets)
             self._exec_body(stmt.orelse, else_env, ctx, rets)
             env.clear()
             env.update(self._join_env(body_env, else_env))
-        elif isinstance(stmt, ast.IfExp):  # pragma: no cover - expression form
-            self.eval(stmt, env, ctx)
         elif isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
             if isinstance(stmt, ast.While):
-                test = self.eval(stmt.test, env, ctx)
-                self.on_branch(test, stmt, ctx)
+                self.eval(stmt.test, env, ctx)
             else:
                 iterable = self.eval(stmt.iter, env, ctx)
                 self._bind_target(stmt.target, self._element_av(iterable), stmt, env, ctx)
@@ -359,8 +291,7 @@ class Evaluator:
             if stmt.exc is not None:
                 self.eval(stmt.exc, env, ctx)
         elif isinstance(stmt, ast.Assert):
-            test = self.eval(stmt.test, env, ctx)
-            self.on_branch(test, stmt, ctx)
+            self.eval(stmt.test, env, ctx)
             if stmt.msg is not None:
                 self.eval(stmt.msg, env, ctx)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -483,10 +414,6 @@ class Evaluator:
                 return self.call_project(node, method, obj, {}, [], True, ctx)
         return self.attr_av(obj, attr, node, ctx)
 
-    def site_av(self, av: AV) -> AV:
-        """Filter hook applied to each ``self.attr = ...`` site value."""
-        return av
-
     def eval_attr_sites(self, class_name: str, attr: str) -> Optional[AV]:
         """Join of every ``self.<attr> = ...`` site value (muted, memoized).
 
@@ -516,7 +443,7 @@ class Evaluator:
                     cls = self.model.class_named(class_name)
                     env = {}
                     ctx = ModuleCtx(path=cls.path if cls else "")
-                av = self.site_av(self.eval(value_expr, env, ctx))
+                av = self.eval(value_expr, env, ctx)
                 result = av if result is None else self.join_av(result, av)
         finally:
             self.reporter.unmute()
@@ -571,8 +498,7 @@ class Evaluator:
         return AV(payload=self.compare_payload(node, operands, ctx))
 
     def _eval_ifexp(self, node, env, ctx) -> AV:
-        test = self.eval(node.test, env, ctx)
-        self.on_branch(test, node, ctx)
+        self.eval(node.test, env, ctx)
         body = self.eval(node.body, env, ctx)
         orelse = self.eval(node.orelse, env, ctx)
         return self.join_av(body, orelse)
@@ -607,9 +533,6 @@ class Evaluator:
             if isinstance(value, ast.FormattedValue)
         ]
         return AV(payload=self.string_payload(avs))
-
-    def string_payload(self, avs: List[AV]) -> object:
-        return self.joined_payload(avs)
 
     def _eval_lambda(self, node, env, ctx) -> AV:
         return AV()
@@ -646,8 +569,7 @@ class Evaluator:
             iterable = self.eval(gen.iter, env, ctx)
             self._bind_target(gen.target, self._element_av(iterable), gen.iter, env, ctx)
             for cond in gen.ifs:
-                test = self.eval(cond, env, ctx)
-                self.on_branch(test, cond, ctx)
+                self.eval(cond, env, ctx)
 
     def _element_av(self, iterable: AV) -> AV:
         """The value a loop over ``iterable`` binds: its elements joined."""
@@ -656,7 +578,7 @@ class Evaluator:
             for extra in iterable.elems[1:]:
                 element = self.join_av(element, extra)
             return element
-        return AV(payload=iterable.payload, cls=iterable.item_cls)
+        return AV(payload=iterable.payload)
 
     # ------------------------------------------------------------------
     # Calls
@@ -683,42 +605,24 @@ class Evaluator:
             callee_name = callee.attr
 
         if target.func is not None:
-            result = self._project_call(node, target.func, target.bound, env, ctx)
-        elif target.ctor is not None:
-            result = self._constructor_call(node, target.ctor, env, ctx)
-        else:
-            receiver = None
-            if isinstance(callee, ast.Attribute):
-                receiver = self.eval(callee.value, env, ctx)
-            dotted = target.ext or callee_name
-            arg_avs = self._eval_args(node, env, ctx)
-            result = self.call_external(node, dotted, receiver, arg_avs, env, ctx)
-            self.on_call(node, callee_name, arg_avs, ctx)
-            return result
+            return self._project_call(node, target.func, target.bound, env, ctx)
+        if target.ctor is not None:
+            return self._constructor_call(node, target.ctor, env, ctx)
+        receiver = None
+        if isinstance(callee, ast.Attribute):
+            receiver = self.eval(callee.value, env, ctx)
+        dotted = target.ext or callee_name
+        arg_avs = self._eval_args(node, env, ctx)
+        return self.call_external(node, dotted, receiver, arg_avs, env, ctx)
 
-        arg_avs = self._eval_args(node, env, ctx, effects=False)
-        self.on_call(node, callee_name, arg_avs, ctx)
-        return result
-
-    def _eval_args(self, node: ast.Call, env, ctx, effects: bool = True) -> List[AV]:
+    def _eval_args(self, node: ast.Call, env, ctx) -> List[AV]:
         avs: List[AV] = []
         for arg in node.args:
             expr = arg.value if isinstance(arg, ast.Starred) else arg
-            avs.append(self.eval(expr, env, ctx) if effects else self._cached_arg(expr, env, ctx))
+            avs.append(self.eval(expr, env, ctx))
         for kw in node.keywords:
-            avs.append(
-                self.eval(kw.value, env, ctx) if effects else self._cached_arg(kw.value, env, ctx)
-            )
+            avs.append(self.eval(kw.value, env, ctx))
         return avs
-
-    def _cached_arg(self, expr, env, ctx) -> AV:
-        # Args were already evaluated once by match_args; re-evaluate muted
-        # so effect hooks do not fire twice.
-        self.reporter.mute()
-        try:
-            return self.eval(expr, env, ctx)
-        finally:
-            self.reporter.unmute()
 
     def match_args(self, params: Tuple[str, ...], node: ast.Call, env, ctx, has_kwarg=False):
         """Evaluate call arguments and map them onto parameter names.

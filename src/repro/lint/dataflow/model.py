@@ -33,7 +33,6 @@ __all__ = [
     "ModuleCtx",
     "name_tokens",
     "dotted_name",
-    "module_name",
 ]
 
 _TOKEN_RE = re.compile(r"[A-Z]?[a-z]+|[A-Z]+(?![a-z])|\d+")
@@ -42,18 +41,6 @@ _TOKEN_RE = re.compile(r"[A-Z]?[a-z]+|[A-Z]+(?![a-z])|\d+")
 def name_tokens(name: str) -> Tuple[str, ...]:
     """Split a snake_case / CamelCase identifier into lowercase tokens."""
     return tuple(tok.lower() for tok in _TOKEN_RE.findall(name))
-
-
-def module_name(path: str) -> str:
-    """Dotted module name used to key/name certificates."""
-    parts = path.replace("\\", "/").split("/")
-    if "repro" in parts:
-        parts = parts[parts.index("repro"):]
-    else:
-        parts = parts[-2:]
-    if parts and parts[-1].endswith(".py"):
-        parts[-1] = parts[-1][:-3]
-    return ".".join(part for part in parts if part not in ("", "__init__"))
 
 
 def dotted_name(node: ast.AST) -> str:
@@ -89,24 +76,6 @@ def _annotation_names(node: Optional[ast.AST]) -> Tuple[str, ...]:
     return ()
 
 
-def _element_names(node: Optional[ast.AST]) -> Tuple[str, ...]:
-    """Candidate class names of the elements of a ``list[X]`` annotation.
-
-    The annotation may be written as an expression or as a string
-    (``"list[X]"``); any other annotation names no element class.
-    """
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        try:
-            node = ast.parse(node.value, mode="eval").body
-        except SyntaxError:
-            return ()
-    if isinstance(node, ast.Subscript) and _annotation_names(node.value) in (
-        ("list",), ("List",)
-    ):
-        return _annotation_names(node.slice)
-    return ()
-
-
 @dataclass
 class FunctionInfo:
     """One ``def``: identity, parameters, and the AST body."""
@@ -120,8 +89,6 @@ class FunctionInfo:
     vararg: Optional[str] = None
     kwarg: Optional[str] = None
     annotations: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    #: Per ``list[X]``-annotated parameter, candidate names of ``X``.
-    element_annotations: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     return_annotation: Tuple[str, ...] = ()
     decorators: Tuple[str, ...] = ()
 
@@ -158,7 +125,6 @@ class ModuleCtx:
 
     path: str
     class_name: Optional[str] = None
-    name: str = "<module>"
 
 
 @dataclass
@@ -208,11 +174,6 @@ def _function_info(
         for a in args.posonlyargs + args.args + args.kwonlyargs
         if a.annotation is not None
     }
-    element_annotations = {
-        a.arg: elements
-        for a in args.posonlyargs + args.args + args.kwonlyargs
-        if (elements := _element_names(a.annotation))
-    }
     is_method = class_name is not None and "staticmethod" not in decorators
     if is_method and names:
         names = names[1:]
@@ -227,7 +188,6 @@ def _function_info(
         vararg=args.vararg.arg if args.vararg else None,
         kwarg=args.kwarg.arg if args.kwarg else None,
         annotations=annotations,
-        element_annotations=element_annotations,
         return_annotation=_annotation_names(node.returns),
         decorators=decorators,
     )

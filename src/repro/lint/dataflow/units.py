@@ -1,4 +1,4 @@
-"""Physical-unit inference and checking (MAYA010-MAYA013).
+"""Physical-unit inference and checking (MAYA010, MAYA011, MAYA013).
 
 Units are inferred from the repo-wide naming conventions (``_w``, ``_ghz``,
 ``_mhz``, ``volt``, ``idle_frac``, ``_ms``/``_s``, ``_c``, ...) and
@@ -35,7 +35,6 @@ __all__ = [
 UNIT_RULES = {
     "MAYA010": "mixed-unit arithmetic",
     "MAYA011": "wrong-unit call argument",
-    "MAYA012": "wrong-unit return value",
     "MAYA013": "wrong-unit binding or comparison",
 }
 
@@ -468,23 +467,6 @@ class UnitsEvaluator(Evaluator):
                     table = replace(table, cls=cls)
                 return table
         return AV(payload=unit, cls=cls)
-
-    # -- returns -------------------------------------------------------
-
-    def on_return(self, value: AV, node: ast.AST, ctx) -> None:
-        name = getattr(ctx, "name", "")
-        declared = unit_of_name(name) if name else None
-        if declared is None or not declared.dims:
-            return
-        actual = _concrete(value.payload if isinstance(value.payload, Unit) else None)
-        if actual is not None and not declared.compatible(actual):
-            self.reporter.report(
-                ctx.path,
-                node,
-                "MAYA012",
-                f"'{name}' returns {actual.label()} "
-                f"(name implies {declared.label()})",
-            )
 
     # -- calls ---------------------------------------------------------
 

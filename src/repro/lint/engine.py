@@ -12,13 +12,10 @@ bare ``# maya: ignore`` suppresses every rule.  Suppressions apply to any
 line of the statement a finding is reported on: for a multi-line (simple)
 statement the comment may sit on the first *or* the last physical line.
 
-The engine parses each file exactly once.  When constructed with
-``analyses`` (``"units"``, ``"taint"`` and/or ``"purity"``), the parsed
-trees are also fed to the whole-project dataflow pass
-(:mod:`repro.lint.dataflow`) and its findings are reported through the
-same suppression and formatting machinery; the taint analysis
-additionally yields a leakage certificate and the purity analysis its
-per-entry-point certificates, carried on the returned :class:`LintReport`.
+The engine parses each file exactly once.  The parsed trees are also fed
+to the whole-project unit checker (:mod:`repro.lint.dataflow.units`,
+MAYA010, MAYA011, MAYA013), whose findings go through the same suppression and
+formatting machinery as the per-module rules.
 """
 
 from __future__ import annotations
@@ -30,6 +27,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from .dataflow import ProjectModel, analyze_units
 from .rules import LintContext, Rule, default_rules
 
 __all__ = [
@@ -165,10 +163,6 @@ class LintReport:
     """Everything one lint run produced."""
 
     diagnostics: List[Diagnostic] = field(default_factory=list)
-    #: The taint analysis' leakage certificate, when it ran.
-    certificate: Optional[dict] = None
-    #: Per-entry-point cache-soundness certificates (purity analysis).
-    purity_certificates: Optional[Dict[str, dict]] = None
     #: Findings filtered out by ``# maya: ignore`` suppressions.
     suppressed: List[Diagnostic] = field(default_factory=list)
 
@@ -179,7 +173,7 @@ class LintReport:
 
 @dataclass
 class _ParsedFile:
-    """One successfully parsed module, ready for rules and dataflow."""
+    """One successfully parsed module, ready for the rules and units."""
 
     path: str
     tree: ast.Module
@@ -188,15 +182,10 @@ class _ParsedFile:
 
 
 class LintEngine:
-    """Run a rule set (and optional dataflow analyses) over sources."""
+    """Run a per-module rule set and the unit checker over sources."""
 
-    def __init__(
-        self,
-        rules: Optional[Sequence[Rule]] = None,
-        analyses: Sequence[str] = (),
-    ) -> None:
+    def __init__(self, rules: Optional[Sequence[Rule]] = None) -> None:
         self.rules = tuple(rules) if rules is not None else default_rules()
-        self.analyses = tuple(analyses)
 
     # -- parsing -------------------------------------------------------
 
@@ -229,55 +218,47 @@ class LintEngine:
     # -- running -------------------------------------------------------
 
     def _check_file(
-        self, parsed: _ParsedFile, rules, dataflow
+        self, parsed: _ParsedFile, unit_findings
     ) -> Tuple[List[Diagnostic], List[Diagnostic]]:
-        ctx = LintContext(
-            path=parsed.path, source_lines=parsed.source_lines, dataflow=dataflow
+        ctx = LintContext(path=parsed.path, source_lines=parsed.source_lines)
+        raw = [
+            (rule.rule_id, rule.severity, line, col, message)
+            for rule in self.rules
+            for line, col, message in rule.check(parsed.tree, ctx)
+        ]
+        raw.extend(
+            (f.rule_id, "error", f.line, f.col, f.message) for f in unit_findings
         )
         diagnostics: List[Diagnostic] = []
         suppressed_diags: List[Diagnostic] = []
-        for rule in rules:
-            for line, col, message in rule.check(parsed.tree, ctx):
-                diagnostic = Diagnostic(
-                    path=parsed.path,
-                    line=line,
-                    col=col,
-                    rule_id=rule.rule_id,
-                    severity=rule.severity,
-                    message=message,
-                )
-                suppressed = parsed.suppressions.get(line, frozenset())
-                if suppressed is None or rule.rule_id in suppressed:
-                    suppressed_diags.append(diagnostic)
-                else:
-                    diagnostics.append(diagnostic)
+        for rule_id, severity, line, col, message in raw:
+            diagnostic = Diagnostic(
+                path=parsed.path,
+                line=line,
+                col=col,
+                rule_id=rule_id,
+                severity=severity,
+                message=message,
+            )
+            suppressed = parsed.suppressions.get(line, frozenset())
+            if suppressed is None or rule_id in suppressed:
+                suppressed_diags.append(diagnostic)
+            else:
+                diagnostics.append(diagnostic)
         return diagnostics, suppressed_diags
 
     def _run(self, parsed_files, syntax_errors) -> LintReport:
-        rules = self.rules
-        dataflow = None
-        if self.analyses:
-            from .dataflow import DataflowContext, dataflow_rules
-
-            dataflow = DataflowContext.build(
-                [(parsed.path, parsed.tree) for parsed in parsed_files],
-                self.analyses,
-            )
-            rules = rules + dataflow_rules(self.analyses)
+        model = ProjectModel([(parsed.path, parsed.tree) for parsed in parsed_files])
+        unit_findings: Dict[str, list] = {}
+        for finding in analyze_units(model):
+            unit_findings.setdefault(finding.path, []).append(finding)
         diagnostics = list(syntax_errors)
         suppressed: List[Diagnostic] = []
         for parsed in parsed_files:
-            kept, muted = self._check_file(parsed, rules, dataflow)
+            kept, muted = self._check_file(parsed, unit_findings.get(parsed.path, ()))
             diagnostics.extend(kept)
             suppressed.extend(muted)
-        return LintReport(
-            diagnostics=sorted(diagnostics),
-            certificate=dataflow.certificate if dataflow is not None else None,
-            purity_certificates=(
-                dataflow.purity_certificates if dataflow is not None else None
-            ),
-            suppressed=sorted(suppressed),
-        )
+        return LintReport(diagnostics=sorted(diagnostics), suppressed=sorted(suppressed))
 
     def run_source(self, source: str, path: str = "<string>") -> LintReport:
         """Lint one module given as a string."""
@@ -287,7 +268,7 @@ class LintEngine:
         return self._run([parsed], [])
 
     def run_paths(self, paths: Iterable) -> LintReport:
-        """Lint files/directories; dataflow sees every file at once."""
+        """Lint files/directories; the unit checker sees every file at once."""
         parsed_files: List[_ParsedFile] = []
         syntax_errors: List[Diagnostic] = []
         for path in iter_python_files(paths):
@@ -324,19 +305,11 @@ def format_text(diagnostics: Sequence[Diagnostic]) -> str:
     return "\n".join(lines)
 
 
-def format_json(
-    diagnostics: Sequence[Diagnostic],
-    certificate: Optional[dict] = None,
-    purity_certificates: Optional[Dict[str, dict]] = None,
-) -> str:
+def format_json(diagnostics: Sequence[Diagnostic]) -> str:
     payload = {
         "findings": [diag.as_dict() for diag in diagnostics],
         "total": len(diagnostics),
     }
-    if certificate is not None:
-        payload["leakage_certificate"] = certificate
-    if purity_certificates is not None:
-        payload["purity_certificates"] = purity_certificates
     return json.dumps(payload, indent=2, sort_keys=True)
 
 

@@ -46,18 +46,9 @@ class LintContext:
     path: str
     #: Physical source lines (used by rules that need raw text).
     source_lines: tuple
-    #: Whole-project dataflow results (a
-    #: :class:`repro.lint.dataflow.DataflowContext`) when the engine was
-    #: configured with ``analyses``; None for plain per-module lint runs.
-    dataflow: object = None
 
     def path_endswith(self, suffixes: tuple) -> bool:
         return any(self.path.endswith(suffix) for suffix in suffixes)
-
-    @property
-    def module_stem(self) -> str:
-        name = self.path.rsplit("/", 1)[-1]
-        return name[:-3] if name.endswith(".py") else name
 
 
 class Rule:
@@ -314,176 +305,6 @@ class FloatEqualityRule(Rule):
 
 
 # --------------------------------------------------------------------------
-# MAYA004 — mutable default arguments
-# --------------------------------------------------------------------------
-
-
-_MUTABLE_CONSTRUCTORS = frozenset({"list", "dict", "set", "bytearray"})
-
-
-def _is_mutable_default(node: ast.AST) -> bool:
-    if isinstance(
-        node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
-    ):
-        return True
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in _MUTABLE_CONSTRUCTORS
-    )
-
-
-@register
-class MutableDefaultRule(Rule):
-    """Mutable defaults are shared across calls — state leaks between runs."""
-
-    rule_id = "MAYA004"
-    severity = "error"
-    summary = "mutable default argument"
-
-    def check(self, tree: ast.Module, ctx: LintContext) -> Iterator[RawFinding]:
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            defaults = list(node.args.defaults) + [
-                d for d in node.args.kw_defaults if d is not None
-            ]
-            for default in defaults:
-                if _is_mutable_default(default):
-                    yield (
-                        default.lineno,
-                        default.col_offset,
-                        "mutable default argument; use None and create the "
-                        "object inside the function",
-                    )
-
-
-# --------------------------------------------------------------------------
-# MAYA005 — public modules must declare __all__
-# --------------------------------------------------------------------------
-
-
-@register
-class MissingAllRule(Rule):
-    """Public modules without ``__all__`` leak implementation names.
-
-    Every public module in ``src/repro`` declares its API explicitly;
-    ``import *`` hygiene aside, the declaration is what the docs and the
-    re-exporting ``__init__`` files key off.  Modules whose name starts
-    with an underscore (``__main__``, private helpers) are exempt.
-    """
-
-    rule_id = "MAYA005"
-    severity = "warning"
-    summary = "public module missing __all__"
-
-    def check(self, tree: ast.Module, ctx: LintContext) -> Iterator[RawFinding]:
-        if ctx.module_stem.startswith("_"):
-            return
-        for node in tree.body:
-            targets = []
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                targets = [node.target]
-            for target in targets:
-                if isinstance(target, ast.Name) and target.id == "__all__":
-                    return
-        yield (1, 0, "public module does not declare __all__")
-
-
-# --------------------------------------------------------------------------
-# MAYA006 — bare except
-# --------------------------------------------------------------------------
-
-
-@register
-class BareExceptRule(Rule):
-    """``except:`` swallows KeyboardInterrupt/SystemExit and hides bugs."""
-
-    rule_id = "MAYA006"
-    severity = "error"
-    summary = "bare except clause"
-
-    def check(self, tree: ast.Module, ctx: LintContext) -> Iterator[RawFinding]:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ExceptHandler) and node.type is None:
-                yield (
-                    node.lineno,
-                    node.col_offset,
-                    "bare 'except:'; catch a specific exception type",
-                )
-
-
-# --------------------------------------------------------------------------
-# MAYA030 — execution-layer results must be collated in job order
-# --------------------------------------------------------------------------
-
-
-@register
-class NondeterministicCollationRule(Rule):
-    """The execution layer must collate results in submission order.
-
-    ``repro.exec`` guarantees that ``run_sessions`` returns traces in job
-    order, bit-identical whether jobs ran serially, in a pool, or from the
-    cache.  Two idioms silently break that guarantee: iterating futures in
-    *completion* order (``concurrent.futures.as_completed``) and iterating
-    an unordered container (a ``set``/``frozenset`` of futures or jobs).
-    Both reorder results by scheduling accidents, so the rule bans them
-    inside ``src/repro/exec/``.  If completion-order draining is ever
-    genuinely needed, pair it with an explicit reorder-by-index step and
-    suppress with ``# maya: ignore[MAYA030]`` on that line.
-    """
-
-    rule_id = "MAYA030"
-    severity = "error"
-    summary = "nondeterministic result collation in the execution layer"
-
-    scoped_path_fragment = "repro/exec/"
-
-    _unordered_builtins = frozenset({"set", "frozenset"})
-
-    def _is_unordered(self, node: ast.AST, aliases: Dict[str, str]) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call):
-            resolved = _resolve(_dotted_name(node.func), aliases)
-            return resolved in self._unordered_builtins
-        return False
-
-    def check(self, tree: ast.Module, ctx: LintContext) -> Iterator[RawFinding]:
-        if self.scoped_path_fragment not in ctx.path:
-            return
-        aliases = _import_aliases(tree)
-        for call, resolved in _resolved_calls(tree):
-            if resolved == "concurrent.futures.as_completed" or resolved.endswith(
-                ".as_completed"
-            ):
-                yield (
-                    call.lineno,
-                    call.col_offset,
-                    f"{resolved}() yields results in completion order; "
-                    "collate futures by job index instead",
-                )
-        iterables: list = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.For):
-                iterables.append(node.iter)
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-            ):
-                iterables.extend(gen.iter for gen in node.generators)
-        for iterable in iterables:
-            if self._is_unordered(iterable, aliases):
-                yield (
-                    iterable.lineno,
-                    iterable.col_offset,
-                    "iteration over an unordered set in the execution "
-                    "layer; results must be collated in job order",
-                )
-
-
-# --------------------------------------------------------------------------
 # MAYA031 — execution-layer filesystem enumeration must be sorted
 # --------------------------------------------------------------------------
 
@@ -730,130 +551,74 @@ class ProfilerIsolationRule(Rule):
 
 
 # --------------------------------------------------------------------------
-# MAYA041/MAYA042 — float64 arithmetic with a declared order in hot paths
+# MAYA050 — simulation code reads nothing of the host
 # --------------------------------------------------------------------------
 
-#: The simulation hot paths: the modules whose arithmetic produces the
-#: recorded traces (physics, sensing, control, masks and the kernel).
-_HOT_PATH_FRAGMENTS = (
-    "machine/actuators.py",
-    "machine/power.py",
-    "machine/sensors.py",
-    "machine/machine.py",
-    "machine/thermal.py",
-    "control/controller.py",
-    "control/fixedpoint.py",
-    "exec/batch.py",
-    "core/runtime.py",
-    "core/maya.py",
-    "defenses/base.py",
-    "defenses/designs.py",
-    "workloads/phases.py",
-    "/masks/",
-)
-
-
-def _dtype_word(node: ast.AST) -> str:
-    """The dtype-ish identifier an expression names ('' if none)."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return ""
-
 
 @register
-class ReductionOrderRule(Rule):
-    """A reduction in a hot path must name the axis it accumulates along.
+class HostStateRule(Rule):
+    """Simulation code may not import host-state modules or open files.
 
-    Floating-point sums are not associative: the bits of ``x.sum()``
-    depend on the order numpy accumulates in, and that order follows the
-    array's shape and layout.  Naming the axis (``axis=0`` for a 1-D
-    window, ``axis=1`` for a ``(B, ticks)`` block) states the accumulation
-    order in the source, so a refactor that reshapes the operand shows up
-    in review rather than as a silent trace change.
+    A trace is a function of the :class:`~repro.exec.jobs.SessionJob` it
+    is cached under: the job key digests the job's fields and the salted
+    sources, nothing else.  An environment variable, a file, the working
+    directory or the interpreter's platform read anywhere in the
+    simulation would make two hosts cache different traces under one key.
+    Inside the simulation packages and the lock-step kernel every import
+    of a module that exposes host state, and every ``open()``/``input()``
+    call, is therefore an error; host configuration belongs to the engine
+    layer, which passes it in as job fields or arguments.
     """
 
-    rule_id = "MAYA041"
+    rule_id = "MAYA050"
     severity = "error"
-    summary = "reduction without an explicit axis in a simulation hot path"
+    summary = "host-state import or file read in simulation code"
 
-    scoped_path_fragments = _HOT_PATH_FRAGMENTS
-
-    reductions = frozenset(
-        {"sum", "mean", "std", "var", "prod", "cumsum", "average",
-         "nansum", "nanmean", "nanstd", "nanvar"}
+    scoped_path_fragments = (
+        "/machine/",
+        "/control/",
+        "/masks/",
+        "/workloads/",
+        "/defenses/",
+        "/core/",
+        "/exec/batch.py",
     )
 
+    host_modules = frozenset(
+        {
+            "os", "sys", "platform", "locale", "pathlib", "io", "glob",
+            "shutil", "subprocess", "socket", "tempfile",
+        }
+    )
+
+    banned_calls = frozenset({"open", "input"})
+
     def check(self, tree: ast.Module, ctx: LintContext) -> Iterator[RawFinding]:
         if not any(fragment in ctx.path for fragment in self.scoped_path_fragments):
             return
-        aliases = _import_aliases(tree)
         for node in ast.walk(tree):
-            if not (
+            if (
                 isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in self.reductions
+                and isinstance(node.func, ast.Name)
+                and node.func.id in self.banned_calls
             ):
-                continue
-            if any(kw.arg == "axis" for kw in node.keywords):
-                continue
-            root = _dotted_name(node.func.value).split(".", 1)[0]
-            if root in aliases:
-                # A module function: only numpy's take the axis second.
-                if not aliases[root].startswith("numpy"):
-                    continue
-                axis_position = 1
+                yield (
+                    node.lineno,
+                    node.col_offset,
+                    f"{node.func.id}() in simulation code; a trace may depend "
+                    "only on its job's fields",
+                )
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
             else:
-                # An array method: the axis is the first argument.
-                axis_position = 0
-            if len(node.args) > axis_position:
                 continue
-            yield (
-                node.lineno,
-                node.col_offset,
-                f"reduction '{node.func.attr}' has no axis=; name the axis "
-                "so the accumulation order is explicit",
-            )
-
-
-@register
-class DtypeNarrowingRule(Rule):
-    """Hot-path arithmetic stays float64 end to end.
-
-    A float32 or float16 cast changes every downstream bit of a trace and
-    loses the precision the RAPL quantizer and the controller's
-    fixed-point model are calibrated against.  Flags ``dtype=`` keywords,
-    ``.astype(...)`` arguments and scalar-type calls naming a narrow type.
-    """
-
-    rule_id = "MAYA042"
-    severity = "error"
-    summary = "float32/float16 narrowing in a simulation hot path"
-
-    scoped_path_fragments = _HOT_PATH_FRAGMENTS
-
-    narrow_dtypes = frozenset({"float32", "float16", "half", "single"})
-
-    def check(self, tree: ast.Module, ctx: LintContext) -> Iterator[RawFinding]:
-        if not any(fragment in ctx.path for fragment in self.scoped_path_fragments):
-            return
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            named = [_dtype_word(kw.value) for kw in node.keywords if kw.arg == "dtype"]
-            callee = _dtype_word(node.func)
-            if callee == "astype" and node.args:
-                named.append(_dtype_word(node.args[0]))
-            elif callee in self.narrow_dtypes:
-                named.append(callee)
-            for word in named:
-                if word in self.narrow_dtypes:
+            for module in modules:
+                if module.split(".", 1)[0] in self.host_modules:
                     yield (
                         node.lineno,
                         node.col_offset,
-                        f"dtype narrowing to {word} in simulation code "
-                        "(traces are float64 end to end)",
+                        f"import of host-state module {module!r} in simulation "
+                        "code; a trace may depend only on its job's fields",
                     )

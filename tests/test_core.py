@@ -1,5 +1,7 @@
 """Tests for repro.core (config, Maya design/instance, session runner)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,17 @@ class TestMayaDesign:
         assert a.bank is b.bank is sys1_design.bank
         assert a.controller.bank is b.controller.bank is sys1_design.bank
         assert sys1_design.bank.spec is SYS1
+
+    def test_equality_and_hash_are_by_identity(self, sys1_design):
+        """Comparing or hashing a design returns instead of raising."""
+        copy = pickle.loads(pickle.dumps(sys1_design))
+        assert sys1_design == sys1_design
+        assert (sys1_design == copy) is False
+        assert hash(sys1_design) == hash(sys1_design)
+        assert isinstance(hash(copy), int)
+        a = sys1_design.instantiate(spawn(1, "inst", 0))
+        b = sys1_design.instantiate(spawn(1, "inst", 1))
+        assert a.bank is b.bank is sys1_design.bank
 
     def test_initial_settings_are_command_center(self, sys1_design):
         instance = sys1_design.instantiate(spawn(1, "inst"))

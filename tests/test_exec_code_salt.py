@@ -1,8 +1,14 @@
 """code_salt() sensitivity: every source outside the unsalted packages
 moves the digest, the control loop included; the unsalted packages,
-file renames and the epoch behave as documented."""
+file renames and the epoch behave as documented; and a simulated session
+loads no unsalted package but telemetry, whose values MAYA032 keeps out
+of the simulation."""
 
+import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import repro
@@ -89,3 +95,46 @@ class TestDigestSensitivity:
     def test_code_salt_matches_direct_digest(self):
         jobs_mod.code_salt.cache_clear()
         assert jobs_mod.code_salt() == digest(PACKAGE_ROOT)
+
+
+#: Simulates a Maya fleet and a constant-settings fleet through the
+#: lock-step kernel, then prints the repro modules of unsalted packages
+#: the process has loaded.
+SESSION_IMPORTS_SCRIPT = """
+import json
+import sys
+
+from repro.exec import SessionJob, execute_jobs_batched
+from repro.exec.jobs import _UNSALTED_PACKAGES
+from repro.machine import SYS1
+
+for defense in ("maya_gs", "noisy_baseline"):
+    execute_jobs_batched([
+        SessionJob(spec=SYS1, workload="volrend", defense=defense, seed=3,
+                   run_id=0, duration_s=0.2,
+                   design_overrides={"sysid_intervals": 400})
+    ])
+print(json.dumps(sorted(
+    name for name in sys.modules
+    if name.split(".")[0] == "repro"
+    and len(name.split(".")) > 1
+    and name.split(".")[1] in _UNSALTED_PACKAGES
+)))
+"""
+
+
+def test_sessions_load_no_unsalted_package_but_telemetry():
+    """A trace can only come from salted code: the kernel, the Maya design
+    build and the constant-settings path import nothing from the unsalted
+    packages except ``repro.telemetry``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(PACKAGE_ROOT.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", SESSION_IMPORTS_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    loaded = json.loads(proc.stdout)
+    assert [name for name in loaded if not name.startswith("repro.telemetry")] == []

@@ -1,8 +1,8 @@
 """Env sweep: execution-infrastructure env vars never change results.
 
-The purity analysis (MAYA050) proves statically that no sim-reachable
-code reads ``REPRO_*`` configuration; this is the dynamic half of that
-contract.  The same ``SessionJob`` must produce the same content address
+Lint rule MAYA050 keeps environment reads out of the simulation packages
+and the lock-step kernel; the engine layer does read ``REPRO_*``
+configuration, and this sweep checks what it does with it.  The same ``SessionJob`` must produce the same content address
 and a bit-identical trace whether its lock-step chunks run in-process or
 across workers, or with telemetry recording enabled — the
 infrastructure knobs select *how* the work is done, never *what* is

@@ -1,6 +1,7 @@
 """Tests for repro.exec.jobs (declarative specs + content addressing)."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -90,20 +91,35 @@ class TestContentAddress:
         assert tiny_job().key() == tiny_job().key()
 
     def test_key_changes_with_any_field(self):
+        """Every field of the job is part of its content address: two jobs
+        that differ in any one field never share a trace-store entry."""
+        perturbations = {
+            "spec": SYS2,
+            "workload": "water_nsquared",
+            "defense": "noisy_baseline",
+            "workload_kwargs": {"duration_s": 2.0},
+            "factory_seed": 5,
+            "design_overrides": {"sysid_intervals": 400},
+            "seed": 12,
+            "run_id": ("test", "baseline", "volrend", 1),
+            "duration_s": 1.0,
+            "interval_s": 0.010,
+            "tick_s": 0.002,
+            "max_duration_s": 300.0,
+            "tail_s": 1.0,
+            "record_temperature": True,
+            "workload_jitter": 0.05,
+        }
+        # A new field must get a perturbation here before it can pass.
+        assert set(perturbations) == {f.name for f in fields(SessionJob)}
         base = tiny_job()
-        variants = [
-            tiny_job(seed=12),
-            tiny_job(run_id=("test", "baseline", "volrend", 1)),
-            tiny_job(workload="water_nsquared"),
-            tiny_job(defense="noisy_baseline"),
-            tiny_job(duration_s=1.0),
-            tiny_job(spec=SYS2),
-            tiny_job(workload_kwargs={"duration_s": 2.0}),
-            tiny_job(design_overrides={"sysid_intervals": 400}),
-        ]
-        keys = {job.key() for job in variants}
-        assert base.key() not in keys
-        assert len(keys) == len(variants)
+        keys = {}
+        for name, value in perturbations.items():
+            variant = tiny_job(**{name: value})
+            assert getattr(variant, name) != getattr(base, name), name
+            keys[name] = variant.key()
+        assert base.key() not in keys.values()
+        assert len(set(keys.values())) == len(perturbations)
 
     def test_code_salt_is_a_stable_digest(self):
         assert len(code_salt()) == 64

@@ -1,4 +1,4 @@
-"""Unit-checking dataflow analysis (MAYA010-MAYA013): the Unit algebra,
+"""Unit-checking dataflow analysis (MAYA010, MAYA011, MAYA013): the Unit algebra,
 the naming-convention registry, the known-bad fixture corpus, and the
 gate asserting the shipped source tree is unit-clean."""
 
@@ -17,7 +17,7 @@ FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures" / "dataflow_bad"
 
 
 def units_engine():
-    return LintEngine(rules=(), analyses=("units",))
+    return LintEngine(rules=())
 
 
 def rule_ids(path):
@@ -87,7 +87,6 @@ class TestFixtureCorpus:
         [
             ("units_bad_arithmetic.py", {"MAYA010"}),
             ("units_bad_call.py", {"MAYA011"}),
-            ("units_bad_return.py", {"MAYA012"}),
             ("units_bad_binding.py", {"MAYA013"}),
         ],
     )

@@ -20,110 +20,11 @@ class TestRegistry:
             "MAYA001",
             "MAYA002",
             "MAYA003",
-            "MAYA004",
-            "MAYA005",
-            "MAYA006",
-            "MAYA030",
             "MAYA031",
             "MAYA032",
             "MAYA033",
-            "MAYA041",
-            "MAYA042",
+            "MAYA050",
         )
-
-
-class TestReductionOrder:
-    HOT_PATH = "src/repro/machine/sensors.py"
-
-    def test_flags_method_reduction_without_axis(self):
-        src = """\
-        __all__ = []
-        def energy(tick_powers):
-            return tick_powers.sum()
-        """
-        assert rule_ids(src, path=self.HOT_PATH) == ["MAYA041"]
-
-    def test_flags_numpy_function_without_axis(self):
-        src = """\
-        import numpy as np
-        __all__ = []
-        def boundaries(work):
-            return np.cumsum(work), np.mean(work)
-        """
-        assert rule_ids(src, path="src/repro/workloads/phases.py") == [
-            "MAYA041",
-            "MAYA041",
-        ]
-
-    def test_keyword_or_positional_axis_is_clean(self):
-        src = """\
-        import numpy as np
-        __all__ = []
-        def energy(tick_powers):
-            return tick_powers.sum(axis=1), np.sum(tick_powers, 1), tick_powers.mean(0)
-        """
-        assert rule_ids(src, path=self.HOT_PATH) == []
-
-    def test_builtin_and_non_numpy_module_reductions_are_clean(self):
-        src = """\
-        import statistics
-        __all__ = []
-        def total(values):
-            return sum(values), statistics.mean(values)
-        """
-        assert rule_ids(src, path=self.HOT_PATH) == []
-
-    def test_out_of_scope_modules_are_ignored(self):
-        src = "__all__ = []\n\ndef f(values):\n    return values.sum()\n"
-        assert rule_ids(src, path="src/repro/analysis/probe.py") == []
-
-    def test_masks_package_is_in_scope(self):
-        src = "__all__ = []\n\ndef f(values):\n    return values.mean()\n"
-        assert rule_ids(src, path="src/repro/masks/generators.py") == ["MAYA041"]
-
-    def test_actuators_and_thermal_are_in_scope(self):
-        src = """\
-        import numpy as np
-        __all__ = []
-        def f(values):
-            return values.mean(), values.astype(np.float32)
-        """
-        for module in ("actuators", "thermal"):
-            path = f"src/repro/machine/{module}.py"
-            assert rule_ids(src, path=path) == ["MAYA041", "MAYA042"]
-
-
-class TestDtypeNarrowing:
-    HOT_PATH = "src/repro/machine/power.py"
-
-    def test_flags_astype_dtype_keyword_and_scalar_type(self):
-        src = """\
-        import numpy as np
-        __all__ = []
-        def narrow(power_w, n_ticks):
-            a = power_w.astype(np.float32)
-            b = np.zeros(n_ticks, dtype="float16")
-            return a, b, np.float32(1.0)
-        """
-        assert rule_ids(src, path=self.HOT_PATH) == ["MAYA042"] * 3
-
-    def test_float64_is_clean(self):
-        src = """\
-        import numpy as np
-        __all__ = []
-        def wide(power_w, n_ticks):
-            return power_w.astype(np.float64), np.zeros(n_ticks, dtype=float)
-        """
-        assert rule_ids(src, path=self.HOT_PATH) == []
-
-    def test_out_of_scope_modules_are_ignored(self):
-        src = """\
-        import numpy as np
-        __all__ = []
-        def narrow(x):
-            return x.astype(np.float32)
-        """
-        assert rule_ids(src, path="src/repro/attacks/mlp.py") == []
 
 
 class TestDirectRandomness:
@@ -261,164 +162,8 @@ class TestFloatEquality:
         assert rule_ids("__all__ = []\nok = 0.0 == x == 1.0\n") == ["MAYA003"]
 
 
-class TestMutableDefault:
-    def test_flags_list_dict_set_literals(self):
-        src = """\
-        __all__ = []
-
-        def f(a=[], b={}, c=set()):
-            return a, b, c
-        """
-        assert rule_ids(src) == ["MAYA004"] * 3
-
-    def test_flags_keyword_only_defaults(self):
-        src = """\
-        __all__ = []
-
-        def f(*, table=dict()):
-            return table
-        """
-        assert rule_ids(src) == ["MAYA004"]
-
-    def test_flags_lambda_defaults(self):
-        assert rule_ids("__all__ = []\nf = lambda a=[]: a\n") == ["MAYA004"]
-
-    def test_immutable_defaults_are_clean(self):
-        src = """\
-        __all__ = []
-
-        def f(a=None, b=(), c=0, d="x", e=frozenset()):
-            return a, b, c, d, e
-        """
-        assert rule_ids(src) == []
-
-
-class TestMissingAll:
-    def test_flags_module_without_all(self):
-        assert rule_ids("x = 1\n") == ["MAYA005"]
-
-    def test_module_with_all_is_clean(self):
-        assert rule_ids('__all__ = ["x"]\nx = 1\n') == []
-
-    def test_annotated_all_is_clean(self):
-        assert rule_ids('__all__: list = ["x"]\nx = 1\n') == []
-
-    def test_underscore_modules_exempt(self):
-        assert rule_ids("x = 1\n", path="src/repro/__main__.py") == []
-        assert rule_ids("x = 1\n", path="src/repro/_helper.py") == []
-
-    def test_reported_on_line_one(self):
-        diag = lint("x = 1\n")[0]
-        assert (diag.rule_id, diag.line) == ("MAYA005", 1)
-
-
-class TestBareExcept:
-    def test_flags_bare_except(self):
-        src = """\
-        __all__ = []
-        try:
-            x = 1
-        except:
-            pass
-        """
-        assert rule_ids(src) == ["MAYA006"]
-
-    def test_typed_except_is_clean(self):
-        src = """\
-        __all__ = []
-        try:
-            x = 1
-        except ValueError:
-            pass
-        """
-        assert rule_ids(src) == []
-
-
-class TestNondeterministicCollation:
-    EXEC_PATH = "src/repro/exec/engine.py"
-
-    def test_flags_as_completed(self):
-        src = """\
-        from concurrent.futures import as_completed
-        __all__ = []
-        def drain(futures):
-            return [f.result() for f in as_completed(futures)]
-        """
-        assert rule_ids(src, path=self.EXEC_PATH) == ["MAYA030"]
-
-    def test_flags_module_qualified_as_completed(self):
-        src = """\
-        import concurrent.futures
-        __all__ = []
-        def drain(futures):
-            for f in concurrent.futures.as_completed(futures):
-                f.result()
-        """
-        assert rule_ids(src, path=self.EXEC_PATH) == ["MAYA030"]
-
-    def test_flags_iteration_over_set_call(self):
-        src = """\
-        __all__ = []
-        def drain(futures):
-            for f in set(futures):
-                f.result()
-        """
-        assert rule_ids(src, path=self.EXEC_PATH) == ["MAYA030"]
-
-    def test_flags_set_comprehension_iteration(self):
-        src = """\
-        __all__ = []
-        def drain(futures):
-            return [f.result() for f in {f for f in futures}]
-        """
-        assert rule_ids(src, path=self.EXEC_PATH) == ["MAYA030"]
-
-    def test_flags_dict_comprehension_over_set(self):
-        src = """\
-        __all__ = []
-        def index(jobs):
-            return {job: run(job) for job in set(jobs)}
-        """
-        assert rule_ids(src, path="src/repro/exec/batch.py") == ["MAYA030"]
-
-    def test_list_iteration_is_clean(self):
-        src = """\
-        __all__ = []
-        def drain(futures):
-            return [f.result() for f in futures]
-        """
-        assert rule_ids(src, path=self.EXEC_PATH) == []
-
-    def test_set_membership_without_iteration_is_clean(self):
-        src = """\
-        __all__ = []
-        def consistent(jobs):
-            keys = {key(job) for job in jobs}
-            return len(keys) == 1
-        """
-        assert rule_ids(src, path="src/repro/exec/batch.py") == []
-
-    def test_only_applies_inside_exec_package(self):
-        src = """\
-        from concurrent.futures import as_completed
-        __all__ = []
-        def drain(futures):
-            return [f.result() for f in as_completed(futures)]
-        """
-        assert rule_ids(src, path="src/repro/experiments/example.py") == []
-
-    def test_suppressible_with_targeted_ignore(self):
-        src = """\
-        from concurrent.futures import as_completed
-        __all__ = []
-        def drain(futures):
-            return [f.result() for f in as_completed(futures)]  # maya: ignore[MAYA030]
-        """
-        assert rule_ids(src, path=self.EXEC_PATH) == []
-
-
 class TestUnsortedEnumeration:
-    EXEC_PATH = "src/repro/exec/batch.py"
+    EXEC_PATH = "src/repro/exec/cache.py"
 
     def test_flags_unsorted_path_glob(self):
         src = """\
@@ -712,3 +457,68 @@ class TestProfilerIsolation:
                 return job
         """
         assert rule_ids(src, path="src/repro/exec/example.py") == []
+
+
+class TestHostState:
+    SIM_PATH = "src/repro/machine/power.py"
+
+    def test_flags_host_module_imports(self):
+        src = """\
+        import os
+        import os.path
+        import sys as system
+        from pathlib import Path
+        from io import StringIO
+        __all__ = []
+        """
+        assert rule_ids(src, path=self.SIM_PATH) == ["MAYA050"] * 5
+
+    def test_flags_every_listed_module(self):
+        for module in ("platform", "locale", "glob", "shutil", "subprocess",
+                       "socket", "tempfile"):
+            src = f"import {module}\n__all__ = []\n"
+            assert rule_ids(src, path=self.SIM_PATH) == ["MAYA050"], module
+
+    def test_flags_open_and_input_calls(self):
+        src = """\
+        __all__ = []
+        def load(name):
+            with open(name) as handle:
+                return handle.read() + input()
+        """
+        assert rule_ids(src, path=self.SIM_PATH) == ["MAYA050"] * 2
+
+    def test_numeric_imports_and_methods_are_clean(self):
+        src = """\
+        import math
+        import numpy as np
+        from ..telemetry import emit
+        __all__ = []
+        def f(store):
+            return store.open(), np.io, math.pi
+        """
+        assert rule_ids(src, path=self.SIM_PATH) == []
+
+    def test_applies_to_every_simulation_package_and_the_kernel(self):
+        for path in (
+            "src/repro/control/controller.py",
+            "src/repro/masks/generators.py",
+            "src/repro/workloads/phases.py",
+            "src/repro/defenses/base.py",
+            "src/repro/core/runtime.py",
+            "src/repro/exec/batch.py",
+        ):
+            assert rule_ids("import os\n__all__ = []\n", path=path) == ["MAYA050"], path
+
+    def test_engine_layer_and_drivers_are_exempt(self):
+        for path in (
+            "src/repro/exec/engine.py",
+            "src/repro/exec/jobs.py",
+            "src/repro/experiments/fig14_overheads.py",
+            "src/repro/telemetry/__init__.py",
+        ):
+            assert rule_ids("import os\n__all__ = []\n", path=path) == [], path
+
+    def test_suppressible_with_targeted_ignore(self):
+        src = "import os  # maya: ignore[MAYA050]\n__all__ = []\n"
+        assert rule_ids(src, path=self.SIM_PATH) == []
