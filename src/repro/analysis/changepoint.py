@@ -3,7 +3,10 @@
 The paper uses MATLAB's ``findchangepts`` to recover application phases
 from power traces.  We implement the PELT algorithm (Killick et al., 2012)
 with the Gaussian likelihood cost for a simultaneous change in mean and
-variance, as one vectorized scan over a single segment-cost implementation.
+variance over a single segment-cost implementation.  The scan takes the
+segment ends in blocks of ``min_size``: one cost evaluation scores every
+(candidate, end) pair of a block, and the result equals the serial scan's
+(DESIGN.md §7b).
 
 PELT targets  sum_i cost(segment_i) + penalty * n_changepoints  in
 near-linear time thanks to its pruning rule.  With a minimum segment size
@@ -36,8 +39,9 @@ class SegmentCost:
         self._cum = np.concatenate([[0.0], np.cumsum(signal)])
         self._cum2 = np.concatenate([[0.0], np.cumsum(signal**2)])
 
-    def costs(self, starts: np.ndarray, end: int) -> np.ndarray:
-        """Cost of signal[s:end] (end exclusive) for every s in ``starts``.
+    def costs(self, starts: np.ndarray, end: "int | np.ndarray") -> np.ndarray:
+        """Cost of signal[s:e] (e exclusive) for every pair of ``starts``
+        and ``end`` (broadcast against each other).
 
         ``float_power`` squares through libm ``pow``, as a scalar ``** 2``
         does; an array ``** 2`` multiplies, which can differ in the last ulp.
@@ -72,6 +76,9 @@ def pelt(
         return []
     if penalty is None:
         penalty = 3.0 * np.log(n)
+    # A zero-length segment never scores (its end is skipped), so a
+    # min_size of 0 segments like 1.
+    min_size = max(min_size, 1)
 
     cost = SegmentCost(signal)
     # f[t]: optimal cost of signal[0:t]; partial candidate set per PELT.
@@ -79,26 +86,9 @@ def pelt(
     f[0] = -penalty
     last_change = np.zeros(n + 1, dtype=int)
     candidates = np.zeros(1, dtype=np.int64)
-
-    for t in range(min_size, n + 1):
-        # Candidates stay ascending, so those with t - s >= min_size are a
-        # prefix, and argmin's first minimum is the strict-< tie-break of
-        # a serial scan.  Too-young candidates keep f[s] as their score.
-        valid = int(np.searchsorted(candidates, t - min_size, side="right"))
-        if valid == 0:
-            continue
-        scores = f[candidates]
-        scores[:valid] = scores[:valid] + cost.costs(candidates[:valid], t) + penalty
-        best = int(np.argmin(scores[:valid]))
-        best_cost = scores[best]
-        if not np.isfinite(best_cost):
-            continue
-        f[t] = best_cost
-        last_change[t] = candidates[best]
-        # PELT pruning: drop a candidate whose score, less the penalty it
-        # could still save, exceeds the best.  Too-young ones are judged on
-        # f[s] alone, which assumes their future segment costs are >= 0.
-        candidates = np.append(candidates[scores - penalty <= best_cost], t)
+    for t0 in range(min_size, n + 1, min_size):
+        ends = np.arange(t0, min(t0 + min_size, n + 1))
+        candidates = _scan_block(cost, f, last_change, candidates, ends, min_size, penalty)
 
     changepoints = []
     t = n
@@ -109,6 +99,74 @@ def pelt(
         changepoints.append(s)
         t = s
     return sorted(changepoints)
+
+
+def _scan_block(
+    cost: SegmentCost,
+    f: np.ndarray,
+    last_change: np.ndarray,
+    candidates: np.ndarray,
+    ends: np.ndarray,
+    min_size: int,
+    penalty: float,
+) -> np.ndarray:
+    """PELT's step for each of ``ends`` (at most ``min_size`` consecutive
+    segment ends); fills ``f`` and ``last_change`` and returns the
+    candidates that survive the block.
+
+    A candidate that scores at an end of the block starts before the
+    block, so its ``f`` is known, and one added inside the block is too
+    young to score in it: one cost evaluation scores the whole block.
+    Each end's winner is the first minimum of its row, as the serial
+    scan's strict ``<`` picks; if a winner was pruned at an earlier end of
+    the block, the block is scored again from that end without the
+    candidates pruned before it.
+    """
+    scoring = int(np.searchsorted(candidates, ends[-1] - min_size, side="right"))
+    if scoring == 0:
+        return candidates
+    width, count = ends.size, candidates.size
+    steps = np.arange(width)
+    earlier = steps < steps[:, None]  # earlier[j, k]: end k comes before end j
+    f_start = f[candidates]
+    # judged[j, i]: what pruning at end j judges candidate i on, its score
+    # or, while it is too young to score, f[s].  The last ``width``
+    # columns are the candidates this block adds.
+    judged = np.empty((width, count + width))
+    np.add(
+        f_start[:scoring] + cost.costs(candidates[:scoring], ends[:, None]),
+        penalty,
+        out=judged[:, :scoring],
+    )
+    judged[:, scoring:count] = f_start[scoring:]
+    # Only candidates after the first end's scoring prefix can be too young.
+    full = int(np.searchsorted(candidates, ends[0] - min_size, side="right"))
+    young = candidates[full:scoring] > ends[:, None] - min_size
+    masked = judged[:, :scoring].copy()
+    masked[:, full:][young] = np.inf
+    np.copyto(judged[:, full:scoring], f_start[full:scoring], where=young)
+    while True:
+        winners = np.argmin(masked, axis=1)
+        best = masked[steps, winners]
+        finite = np.isfinite(best)
+        f[ends] = np.where(finite, best, np.inf)
+        # A block candidate is judged from the end after its own; -inf keeps it before.
+        judged[:, count:] = np.where(earlier, f[ends], -np.inf)
+        # PELT pruning: drop a candidate whose score, less the penalty it
+        # could still save, exceeds the best.  Too-young ones are judged on
+        # f[s] alone, which assumes their future segment costs are >= 0.
+        # An end without a finite best prunes nothing.
+        kept = (judged - penalty <= best[:, None]) | ~finite[:, None]
+        lost = np.flatnonzero(finite & (earlier.T & ~kept[:, winners]).any(axis=0))
+        if lost.size == 0:
+            break
+        first = lost[0]
+        masked[first:, ~np.logical_and.reduce(kept[:first, :scoring], axis=0)] = np.inf
+
+    last_change[ends[finite]] = candidates[winners[finite]]
+    survives = np.logical_and.reduce(kept, axis=0)
+    survives[count:] &= finite
+    return np.concatenate([candidates, ends])[survives]
 
 
 def changepoint_times(

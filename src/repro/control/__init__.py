@@ -1,7 +1,7 @@
 """Formal-control substrate: system ID, synthesis, and the runtime controller."""
 
 from .arx import ArxModel, fit_arx, fit_arx_records
-from .controller import ControllerFleet, MatrixController
+from .controller import ControllerFleet, MatrixController, command_grid
 from .fixedpoint import FixedPointController, FixedPointFormat, FixedPointOverflowError
 from .naive import NaiveTracker
 from .statespace import StateSpace
@@ -20,6 +20,7 @@ __all__ = [
     "fit_arx_records",
     "ControllerFleet",
     "MatrixController",
+    "command_grid",
     "FixedPointController",
     "FixedPointFormat",
     "FixedPointOverflowError",

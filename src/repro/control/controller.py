@@ -26,7 +26,7 @@ from ..machine import ActuatorBank, ActuatorSettings
 from .statespace import StateSpace
 from .synthesis import DesignedController
 
-__all__ = ["ControllerFleet", "MatrixController"]
+__all__ = ["ControllerFleet", "MatrixController", "command_grid"]
 
 
 class _FleetHeld:
@@ -81,9 +81,11 @@ class MatrixController:
         design: DesignedController,
         bank: ActuatorBank,
         command_center: tuple[float, float, float] | None = None,
+        grid: "_CommandTables | None" = None,
     ) -> None:
         self.design = design
         self.bank = bank
+        self._grid = grid
         plant = design.plant
         self._u_op = plant.u_op
         self._u_center = np.asarray(
@@ -91,10 +93,7 @@ class MatrixController:
             dtype=float,
         )
         self._y_scale = plant.y_scale_w
-        # Per input, +1 when raising it raises power (a sign-less input
-        # counts as +1): the rail conditional integration checks.
-        signs = plant.input_power_signs()
-        self._rail_signs = np.where(signs != 0, signs, 1.0)
+        self._rail_signs = _rail_signs(plant)
         self._m_gain = design.m_gain[:, 0]
         self._k_z = design.k_z[:, 0]
         #: The one-row fleet :meth:`step` advances: built by the first step
@@ -105,6 +104,14 @@ class MatrixController:
     @property
     def interval_s(self) -> float:
         return self.design.plant.interval_s
+
+    @property
+    def grid(self) -> "_CommandTables":
+        """The :func:`command_grid` of this controller's design and bank:
+        the one given (a design's shared grid), else built on first use."""
+        if self._grid is None:
+            self._grid = command_grid(self.design, self.bank)
+        return self._grid
 
     @property
     def state_vector(self) -> np.ndarray:
@@ -209,15 +216,24 @@ _CASE_ERRORS = np.array([-1.0, 0.0, 1.0, np.nan])
 _SETTLE_STEPS = 64
 
 
-class _CommandTables:
-    """What a step needs of each applied command, gathered by command index.
+def _rail_signs(plant) -> np.ndarray:
+    """Per input, +1 when raising it raises power (a sign-less input
+    counts as +1): the rail conditional integration checks."""
+    signs = plant.input_power_signs()
+    return np.where(signs != 0, signs, 1.0)
 
-    Rows ``0 .. N-1`` are the bank's joint level grid
-    (:meth:`~repro.machine.ActuatorBank.level_grid`, 1,287 level triples on
-    SYS1), the only commands a step applies.  Rows ``N ..`` are a fleet's
-    starting commands, which may hold any value (a seeded off-grid command
-    included); they have no levels.  Every entry is computed once, by the
-    step's own expressions:
+
+class _CommandTables:
+    """What a step needs of each of a set of applied commands, gathered by
+    command index.
+
+    A fleet's rows index two tables: one of their starting commands, which
+    may hold any value (a seeded off-grid command included), until the
+    first step, and then the :func:`command_grid`, whose rows are the
+    bank's joint levels (:meth:`~repro.machine.ActuatorBank.level_grid`,
+    1,287 level triples on SYS1), the only commands a step applies.  Only
+    the grid has ``levels``.  Every entry is computed once, by the step's
+    own expressions:
 
     * ``u_applied``: the centered command the estimator sees,
       ``normalize(levels) - u_op`` on the grid;
@@ -232,13 +248,11 @@ class _CommandTables:
     """
 
     def __init__(
-        self, plant_ss: StateSpace, bank: ActuatorBank, u_op: np.ndarray,
-        rail_signs: np.ndarray, start_u_applied: np.ndarray,
+        self, plant_ss: StateSpace, u_op: np.ndarray, rail_signs: np.ndarray,
+        u_applied: np.ndarray, levels: "np.ndarray | None" = None,
     ) -> None:
-        self.levels = bank.level_grid()
-        self.u_applied = np.concatenate(
-            [bank.normalize_many(self.levels) - u_op, start_u_applied]
-        )
+        self.levels = levels
+        self.u_applied = u_applied
         self.d_u = np.matmul(plant_ss.d, self.u_applied[:, :, None])[:, 0, 0]
         self.b_u = np.matmul(plant_ss.b, self.u_applied[:, :, None])[:, :, 0]
         u_prev_norm = self.u_applied + u_op
@@ -248,6 +262,22 @@ class _CommandTables:
             railed = np.where(towards_more, u_prev_norm >= 1.0, u_prev_norm <= 0.0)
             frozen.append(np.logical_and.reduce(railed, axis=1) & ~(np.abs(error) < 1e-12))
         self.frozen = np.array(frozen)
+
+
+def command_grid(design: DesignedController, bank: ActuatorBank) -> _CommandTables:
+    """The command tables of every joint level of ``bank`` under ``design``.
+
+    They depend on the design and bank alone, so a
+    :class:`~repro.core.maya.MayaDesign` builds them once
+    (``MayaDesign.command_grid``) and every fleet of its instances shares
+    them.
+    """
+    plant = design.plant
+    levels = bank.level_grid()
+    return _CommandTables(
+        design.plant_ss, plant.u_op, _rail_signs(plant),
+        bank.normalize_many(levels) - plant.u_op, levels,
+    )
 
 
 class ControllerFleet:
@@ -261,11 +291,12 @@ class ControllerFleet:
     only through :meth:`write_back`.
 
     Each row's applied command is an index into :class:`_CommandTables`:
-    a joint actuator level index once the row has stepped, its starting
-    command before.  The step gathers the command's contractions ``D·u``
-    and ``B·u`` and the anti-windup test's outcome from the tables instead
-    of normalizing levels, contracting them and testing rails, and
-    quantizes straight to the next index
+    into its starting commands' tables before the first step, and a joint
+    actuator level index into the first controller's shared
+    :attr:`~MatrixController.grid` after.  The step gathers the command's
+    contractions ``D·u`` and ``B·u`` and the anti-windup test's outcome
+    from the tables instead of normalizing levels, contracting them and
+    testing rails, and quantizes straight to the next index
     (:meth:`~repro.machine.ActuatorBank.quantize_index_many`).  The
     saturation and anti-windup counters are settled from the steps' raw
     commands and freezes by :meth:`write_back`, :meth:`keep` and every
@@ -295,13 +326,15 @@ class ControllerFleet:
         held = [controller._held() for controller in controllers]
         self._x_pred = np.array([state[0] for state in held])
         self._z = np.array([state[1] for state in held], dtype=float)
+        self._grid = first.grid
+        #: The tables ``_command`` indexes: the rows' starting commands
+        #: until the first step, then the level grid.
         self._tables = _CommandTables(
-            self._plant_ss, self._bank, first._u_op, first._rail_signs,
+            self._plant_ss, first._u_op, first._rail_signs,
             np.array([state[2] for state in held]),
         )
-        #: Each row's applied command, as a row of the tables: the rows'
-        #: starting commands follow the level grid.
-        self._command = len(self._tables.levels) + np.arange(len(held))
+        #: Each row's applied command, as a row of ``_tables``.
+        self._command = np.arange(len(held))
         #: Per row: last sat_hi, sat_lo and anti-windup flag, then the
         #: cumulative saturation and anti-windup step counts, as of the
         #: last :meth:`_settle`.
@@ -354,6 +387,7 @@ class ControllerFleet:
         # The bank clips each denormalized command into its actuator's
         # range, which snaps to the level a clip of u_norm to [0, 1] would.
         command = self._bank.quantize_index_many(u_norm)
+        self._tables = self._grid
         self._command = command
         self._x_pred = x_pred
         self._z = z
@@ -362,7 +396,7 @@ class ControllerFleet:
         if len(self._frozen) == _SETTLE_STEPS:
             self._settle()
         self.ahead = True
-        return tables.levels[command]
+        return self._grid.levels[command]
 
     def _settle(self) -> None:
         """Bring the counters up to date with the steps since the last settle."""

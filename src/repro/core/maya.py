@@ -19,6 +19,7 @@ from ..control import (
     DesignedController,
     MatrixController,
     PlantModel,
+    command_grid,
     design_controller,
     identify_plant,
 )
@@ -52,6 +53,14 @@ class MayaDesign:
         """
         return ActuatorBank(self.spec)
 
+    @cached_property
+    def command_grid(self):
+        """The controller's command tables over the bank's levels
+        (:func:`~repro.control.command_grid`), shared by every instance's
+        controller fleets, so a new instance's first step builds only its
+        starting command's row."""
+        return command_grid(self.controller, self.bank)
+
     def instantiate(self, rng: np.random.Generator) -> "MayaInstance":
         """Create a fresh runtime instance with its own randomness."""
         bank = self.bank
@@ -61,7 +70,8 @@ class MayaDesign:
         mask = make_mask(self.config.mask_family, self.mask_range_w, rng, **kwargs)
         return MayaInstance(
             controller=MatrixController(
-                self.controller, bank, command_center=self.config.command_center
+                self.controller, bank, command_center=self.config.command_center,
+                grid=self.command_grid,
             ),
             mask=mask,
             bank=bank,

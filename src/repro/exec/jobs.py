@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -93,6 +93,12 @@ def _as_pairs(value: object) -> tuple:
         return ()
     items = value.items() if isinstance(value, dict) else value
     return tuple(sorted((str(key), val) for key, val in items))
+
+
+@lru_cache(maxsize=None)
+def _spec_payload(spec: PlatformSpec) -> dict:
+    """``asdict(spec)``, converted once per platform; callers copy it."""
+    return asdict(spec)
 
 
 @dataclass(frozen=True)
@@ -179,8 +185,8 @@ class SessionJob:
 
     def describe(self) -> dict:
         """Canonical JSON-ready description (the content-hash payload)."""
-        payload = asdict(self)
-        payload["spec"] = asdict(self.spec)
+        payload = {field.name: getattr(self, field.name) for field in fields(self)}
+        payload["spec"] = dict(_spec_payload(self.spec))
         payload["run_id"] = repr(self.run_id)
         payload["workload_kwargs"] = [list(pair) for pair in self.workload_kwargs]
         payload["design_overrides"] = [list(pair) for pair in self.design_overrides]

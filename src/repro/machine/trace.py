@@ -65,10 +65,6 @@ class Trace:
     def completed(self) -> bool:
         return bool(np.isfinite(self.completed_at_s))
 
-    def interval_times_s(self) -> np.ndarray:
-        """Wall-clock time at the end of each control interval."""
-        return (np.arange(self.n_intervals) + 1) * self.interval_s
-
     def tracking_error(self) -> np.ndarray:
         """Per-interval |target - measured|, for intervals with a target."""
         valid = np.isfinite(self.target_w)

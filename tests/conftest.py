@@ -8,12 +8,19 @@ fresh runtime objects from it.
 
 from __future__ import annotations
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.config import MayaConfig
 from repro.core.maya import MayaDesign, build_maya_design
 from repro.defenses.designs import DefenseFactory
+from repro.lint import LintEngine
+from repro.lint.__main__ import main as lint_main
 from repro.machine import SYS1, ActuatorBank, PowerModel, spawn
 
 
@@ -57,3 +64,38 @@ def bank() -> ActuatorBank:
 @pytest.fixture()
 def power_model(rng) -> PowerModel:
     return PowerModel(SYS1, rng)
+
+
+@dataclass
+class PackageLint:
+    """What one ``python -m repro.lint`` run printed and reported."""
+
+    returncode: int
+    stdout: str
+    stderr: str
+    #: The paths the run linted, resolved.
+    paths: list
+    diagnostics: list
+
+
+@pytest.fixture(scope="session")
+def package_lint() -> PackageLint:
+    """``python -m repro.lint`` on its default target (the ``repro``
+    package), run once in-process through ``main`` for every tree gate."""
+    runs = []
+    run_paths = LintEngine.run_paths
+
+    def recording(engine, paths):
+        report = run_paths(engine, paths)
+        runs.append((paths, report))
+        return report
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, redirect_stdout(stdout), redirect_stderr(stderr):
+        patch.setattr(LintEngine, "run_paths", recording)
+        returncode = lint_main([])
+    ((paths, report),) = runs
+    return PackageLint(
+        returncode, stdout.getvalue(), stderr.getvalue(),
+        [Path(path).resolve() for path in paths], report.diagnostics,
+    )

@@ -10,8 +10,11 @@ from repro.analysis import changepoint_times, pelt
 from repro.analysis.changepoint import SegmentCost
 
 
-def _serial_pelt(signal, penalty=None, min_size=5):
-    """The scalar PELT loop that ``pelt`` vectorizes, kept as its oracle."""
+def _serial_pelt(signal, penalty=None, min_size=5, trace=None):
+    """The scalar PELT loop that ``pelt`` vectorizes, kept as its oracle.
+
+    With a ``trace`` list, each end appends ``(t, candidates, f)``: the
+    candidates it scores among and the (finally filled) ``f`` array."""
     signal = np.asarray(signal, dtype=float).reshape(-1)
     n = signal.size
     if n < 2 * min_size:
@@ -27,6 +30,8 @@ def _serial_pelt(signal, penalty=None, min_size=5):
     candidates = [0]
 
     for t in range(min_size, n + 1):
+        if trace is not None:
+            trace.append((t, list(candidates), f))
         best_cost = np.inf
         best_s = 0
         costs = {}
@@ -59,6 +64,25 @@ def _serial_pelt(signal, penalty=None, min_size=5):
         changepoints.append(s)
         t = s
     return sorted(changepoints)
+
+
+def _pruned_block_winners(signal, penalty, min_size):
+    """Ends whose winner among the candidates at the start of their
+    ``min_size`` block was pruned at an earlier end of that block, per the
+    serial oracle: the ends where ``pelt`` scores its block again."""
+    trace = []
+    _serial_pelt(signal, penalty, min_size, trace)
+    cost = SegmentCost(signal)
+    at_end = {t: candidates for t, candidates, _ in trace}
+    pruned = []
+    for t, candidates, f in trace:
+        block_start = min_size + (t - min_size) // min_size * min_size
+        valid = [s for s in at_end[block_start] if t - s >= min_size]
+        scores = [f[s] + cost.cost(s, t) + penalty for s in valid]
+        if scores and np.isfinite(min(scores)):
+            if valid[int(np.argmin(scores))] not in candidates:
+                pruned.append(t)
+    return pruned
 
 
 @st.composite
@@ -244,3 +268,41 @@ class TestPelt:
     @settings(max_examples=300, deadline=None)
     def test_matches_serial_scan(self, signal, min_size, penalty):
         assert pelt(signal, penalty, min_size) == _serial_pelt(signal, penalty, min_size)
+
+    def test_long_signal_of_many_blocks(self):
+        rng = np.random.default_rng(11)
+        signal = np.concatenate(
+            [rng.normal(m, s, 120) for m, s in ((0, 1), (4, 0.5), (-2, 2), (1, 1), (1, 3), (6, 1))]
+        )
+        assert signal.size // 25 >= 20
+        expected = _serial_pelt(signal, min_size=25)
+        assert len(expected) >= 4
+        assert pelt(signal, min_size=25) == expected
+
+    def test_winner_pruned_earlier_in_its_block(self):
+        # At ends 5 and 7 the best of the block's starting candidates was
+        # pruned at the block's first end (4 and 6), so both blocks of two
+        # ends are scored twice.
+        signal = np.array([-0.6, 0.6, -2.0, -0.3, -0.9, -0.3, 0.1, -0.4])
+        assert _pruned_block_winners(signal, 0.5, 2) == [5, 7]
+        assert pelt(signal, 0.5, 2) == _serial_pelt(signal, 0.5, 2) == [2, 6]
+
+    @given(piecewise_signals(), st.none() | st.floats(0.1, 60.0))
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_of_one_end(self, signal, penalty):
+        expected = _serial_pelt(signal, penalty, 1)
+        assert pelt(signal, penalty, 1) == expected
+        # A zero-length segment never scores, so min_size 0 segments like 1.
+        assert pelt(signal, penalty, 0) == expected
+
+    @pytest.mark.parametrize("min_size", [1, 2, 5, 25])
+    @pytest.mark.parametrize("extra", [0, 1, 3])
+    def test_just_above_two_segments(self, min_size, extra):
+        rng = np.random.default_rng(min_size * 10 + extra)
+        half = min_size + extra // 2
+        signal = np.concatenate(
+            [rng.normal(0, 1, half), rng.normal(5, 1, 2 * min_size + extra - half)]
+        )
+        assert signal.size == 2 * min_size + extra
+        for penalty in (None, 0.5, 5.0):
+            assert pelt(signal, penalty, min_size) == _serial_pelt(signal, penalty, min_size)

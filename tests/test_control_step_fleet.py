@@ -188,35 +188,53 @@ class TestCommandTables:
         controller = MatrixController(sys1_design.controller, bank)
         off_grid = np.array([0.3, -0.2, 0.7]) - controller._u_op
         controller._u_applied = off_grid
-        tables = ControllerFleet([controller])._tables
+        fleet = ControllerFleet([controller])
+        grid_tables, start_tables = fleet._grid, fleet._tables
         dvfs, idle, balloon = (actuator.levels.tolist() for actuator in bank.actuators)
         grid = [(f, i, b) for f in dvfs for i in idle for b in balloon]
-        assert len(tables.levels) == len(grid) == 9 * 13 * 11
+        assert len(grid_tables.levels) == len(grid) == 9 * 13 * 11
         plant_ss = sys1_design.controller.plant_ss
         for command, levels in enumerate(grid):
-            assert tables.levels[command].tolist() == list(levels)
+            assert grid_tables.levels[command].tolist() == list(levels)
             expected = np.array([
                 actuator.normalize(level) for actuator, level in zip(bank.actuators, levels)
             ]) - controller._u_op
-            assert np.array_equal(tables.u_applied[command], expected)
-        # The fleet's starting command follows the grid, as given.
-        assert np.array_equal(tables.u_applied[len(grid)], off_grid)
-        for command, u_applied in enumerate(tables.u_applied):
-            assert np.array_equal(tables.d_u[command:command + 1], plant_ss.d @ u_applied)
-            assert np.array_equal(tables.b_u[command], plant_ss.b @ u_applied)
-            for error in EDGE_ERRORS:
-                case = _ERROR_EDGES.searchsorted(np.array([error]))[0]
-                assert tables.frozen[case, command] == _scalar_frozen(
-                    error, u_applied, controller
-                ), (command, error)
+            assert np.array_equal(grid_tables.u_applied[command], expected)
+        # The fleet's starting command has its own table, as given.
+        assert start_tables.levels is None
+        assert np.array_equal(start_tables.u_applied, [off_grid])
+        for tables in (grid_tables, start_tables):
+            for command, u_applied in enumerate(tables.u_applied):
+                assert np.array_equal(tables.d_u[command:command + 1], plant_ss.d @ u_applied)
+                assert np.array_equal(tables.b_u[command], plant_ss.b @ u_applied)
+                for error in EDGE_ERRORS:
+                    case = _ERROR_EDGES.searchsorted(np.array([error]))[0]
+                    assert tables.frozen[case, command] == _scalar_frozen(
+                        error, u_applied, controller
+                    ), (command, error)
 
     def test_tables_cover_every_rail_pattern(self, sys1_design):
         tables = ControllerFleet(
             [MatrixController(sys1_design.controller, ActuatorBank(SYS1))]
-        )._tables
+        )._grid
         # Some commands freeze for each signed case, none in the vanishing one.
         assert tables.frozen[0].any() and tables.frozen[2].any()
         assert not tables.frozen[1].any()
+
+    def test_fleets_of_one_design_share_its_grid(self, sys1_design):
+        rng = spawn(5, "shared-grid")
+        instances = [sys1_design.instantiate(rng) for _ in range(3)]
+        one = ControllerFleet([instances[0].controller])
+        two = ControllerFleet([instance.controller for instance in instances[1:]])
+        assert one._grid is two._grid is sys1_design.command_grid
+        for name in ("levels", "u_applied", "d_u", "b_u", "frozen"):
+            assert getattr(one._grid, name) is getattr(two._grid, name)
+        # Stepping leaves the rows on the shared grid; each fleet built only
+        # its own starting commands' table.
+        levels = one.step(np.array([20.0]), np.array([18.0]))
+        assert one._tables is sys1_design.command_grid
+        assert levels.tolist() == [one._grid.levels[one._command[0]].tolist()]
+        assert two._tables.u_applied.shape == (2, 3)
 
 
 class TestWriteBack:

@@ -1,13 +1,34 @@
 """Tests for repro.exec.jobs (declarative specs + content addressing)."""
 
+import hashlib
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import pytest
 
 from repro.defenses.designs import DefenseFactory
 from repro.exec import SessionJob, code_salt
 from repro.machine import SYS1, SYS2
+
+
+#: One changed value per field of :class:`SessionJob`.
+PERTURBATIONS = {
+    "spec": SYS2,
+    "workload": "water_nsquared",
+    "defense": "noisy_baseline",
+    "workload_kwargs": {"duration_s": 2.0},
+    "factory_seed": 5,
+    "design_overrides": {"sysid_intervals": 400},
+    "seed": 12,
+    "run_id": ("test", "baseline", "volrend", 1),
+    "duration_s": 1.0,
+    "interval_s": 0.010,
+    "tick_s": 0.002,
+    "max_duration_s": 300.0,
+    "tail_s": 1.0,
+    "record_temperature": True,
+    "workload_jitter": 0.05,
+}
 
 
 def tiny_job(**overrides):
@@ -93,33 +114,36 @@ class TestContentAddress:
     def test_key_changes_with_any_field(self):
         """Every field of the job is part of its content address: two jobs
         that differ in any one field never share a trace-store entry."""
-        perturbations = {
-            "spec": SYS2,
-            "workload": "water_nsquared",
-            "defense": "noisy_baseline",
-            "workload_kwargs": {"duration_s": 2.0},
-            "factory_seed": 5,
-            "design_overrides": {"sysid_intervals": 400},
-            "seed": 12,
-            "run_id": ("test", "baseline", "volrend", 1),
-            "duration_s": 1.0,
-            "interval_s": 0.010,
-            "tick_s": 0.002,
-            "max_duration_s": 300.0,
-            "tail_s": 1.0,
-            "record_temperature": True,
-            "workload_jitter": 0.05,
-        }
         # A new field must get a perturbation here before it can pass.
-        assert set(perturbations) == {f.name for f in fields(SessionJob)}
+        assert set(PERTURBATIONS) == {f.name for f in fields(SessionJob)}
         base = tiny_job()
         keys = {}
-        for name, value in perturbations.items():
+        for name, value in PERTURBATIONS.items():
             variant = tiny_job(**{name: value})
             assert getattr(variant, name) != getattr(base, name), name
             keys[name] = variant.key()
         assert base.key() not in keys.values()
-        assert len(set(keys.values())) == len(perturbations)
+        assert len(set(keys.values())) == len(PERTURBATIONS)
+
+    def test_key_is_the_asdict_payload_digest(self):
+        """``describe`` builds the payload field by field; every key is the
+        digest of the ``dataclasses.asdict`` payload it replaced."""
+
+        def asdict_key(job):
+            payload = asdict(job)
+            payload["spec"] = asdict(job.spec)
+            payload["run_id"] = repr(job.run_id)
+            payload["workload_kwargs"] = [list(pair) for pair in job.workload_kwargs]
+            payload["design_overrides"] = [list(pair) for pair in job.design_overrides]
+            digest = hashlib.sha256()
+            digest.update(code_salt().encode())
+            digest.update(b"\x1f")
+            digest.update(json.dumps(payload, sort_keys=True, default=repr).encode())
+            return digest.hexdigest()
+
+        jobs = [tiny_job()] + [tiny_job(**{name: value}) for name, value in PERTURBATIONS.items()]
+        for job in jobs:
+            assert job.key() == asdict_key(job)
 
     def test_code_salt_is_a_stable_digest(self):
         assert len(code_salt()) == 64

@@ -7,12 +7,10 @@ from pathlib import Path
 
 import pytest
 
-import repro
 from repro.lint import LintEngine
-from repro.lint.dataflow import DIMENSIONLESS, Unit, unit_of_name
+from repro.lint.dataflow import DIMENSIONLESS, UNIT_RULES, Unit, unit_of_name
 from repro.lint.dataflow.units import GIGAHERTZ, MEGAHERTZ, SECOND, WATT
 
-PACKAGE_DIR = Path(repro.__file__).resolve().parent
 FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures" / "dataflow_bad"
 
 
@@ -137,6 +135,6 @@ class TestPolymorphism:
 class TestSourceTreeGate:
     """The shipped package must be unit-clean under its own analysis."""
 
-    def test_src_repro_is_unit_clean(self):
-        diags = units_engine().lint_paths([PACKAGE_DIR])
+    def test_src_repro_is_unit_clean(self, package_lint):
+        diags = [d for d in package_lint.diagnostics if d.rule_id in UNIT_RULES]
         assert diags == [], "\n".join(d.format() for d in diags)

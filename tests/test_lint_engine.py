@@ -107,8 +107,8 @@ class TestFixtureCorpus:
 class TestSourceTreeGate:
     """The shipped package must satisfy its own linter."""
 
-    def test_src_repro_is_lint_clean(self):
-        diags = lint_paths([PACKAGE_DIR])
+    def test_src_repro_is_lint_clean(self, package_lint):
+        diags = package_lint.diagnostics
         assert diags == [], "\n".join(d.format() for d in diags)
 
 
@@ -179,8 +179,8 @@ class TestSuppressionWhitespace:
 
 
 class TestCli:
-    def test_exit_zero_and_clean_message_on_src(self, run_cli):
-        proc = run_cli(str(PACKAGE_DIR))
+    def test_exit_zero_and_clean_message_on_src(self, package_lint):
+        proc = package_lint
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "clean" in proc.stdout
 
@@ -211,8 +211,9 @@ class TestCli:
         listed = tuple(line.split()[0] for line in proc.stdout.splitlines())
         assert listed == KEPT_RULE_IDS
 
-    def test_default_target_is_package_and_clean(self, run_cli):
-        proc = run_cli()
+    def test_default_target_is_package_and_clean(self, package_lint):
+        proc = package_lint
+        assert proc.paths == [PACKAGE_DIR]
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_certify_unknown_platform_is_usage_error(self, run_cli):

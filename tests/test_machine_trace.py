@@ -38,10 +38,6 @@ class TestTrace:
         assert not make_trace().completed
         assert make_trace(completed_at=0.1).completed
 
-    def test_interval_times(self):
-        times = make_trace(n_intervals=3).interval_times_s()
-        assert np.allclose(times, [0.02, 0.04, 0.06])
-
     def test_tracking_error_skips_nan_targets(self):
         trace = make_trace(n_intervals=5)
         err = trace.tracking_error()
