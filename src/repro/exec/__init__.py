@@ -7,12 +7,12 @@ specs lock-step in chunks, fans the chunks out over worker processes and
 collates the traces in job order, with results guaranteed bit-identical
 to running each job alone.  See
 :mod:`repro.exec.engine` for the determinism contract and
-:mod:`repro.exec.cache` for the cache layout and environment knobs.
+:mod:`repro.exec.cache` for the cache layout; :mod:`repro.host` reads the
+environment knobs.
 """
 
 from .batch import batch_key, execute_jobs_batched
 from .cache import (
-    DEFAULT_CACHE_DIR,
     LAYOUT_VERSION,
     PACK_SCHEMA,
     TraceCache,
@@ -33,7 +33,6 @@ from .registry import (
 )
 
 __all__ = [
-    "DEFAULT_CACHE_DIR",
     "LAYOUT_VERSION",
     "PACK_SCHEMA",
     "TraceCache",

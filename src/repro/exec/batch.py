@@ -176,8 +176,8 @@ class SessionRow:
 
     Construction binds ``defense`` to ``machine`` and builds the defense's
     RAPL sensor, each on the session's own spawn-keyed stream, and opens
-    the session's telemetry channel when recording is on (``job_key``
-    binds its manifest to a job's content address).
+    the session's telemetry channel when recording is on (``job`` binds
+    its manifest to the job's content address and identity).
     """
 
     def __init__(
@@ -191,7 +191,7 @@ class SessionRow:
         duration_s: "float | None",
         max_duration_s: float,
         tail_s: float,
-        job_key: "str | None" = None,
+        job: "SessionJob | None" = None,
     ) -> None:
         max_intervals = int(round(max_duration_s / interval_s))
         if duration_s is None:
@@ -216,7 +216,7 @@ class SessionRow:
         recorder = telemetry.get_recorder()
         self.channel = (
             recorder.session(
-                job_key=job_key,
+                job_key=None if job is None else job.key(),
                 platform=machine.spec.name,
                 workload=workload,
                 defense=defense.name,
@@ -228,6 +228,7 @@ class SessionRow:
                 max_duration_s=max_duration_s,
                 tail_s=tail_s,
                 record_temperature=machine.record_temperature,
+                **({} if job is None else telemetry.job_fields(job)),
             )
             if recorder.enabled
             else None
@@ -290,7 +291,6 @@ def build_fleet(
     jobs: "list[SessionJob]", factory: DefenseFactory | None = None
 ) -> "list[SessionRow]":
     """One :class:`SessionRow` per job, seeded as the job describes."""
-    keyed = telemetry.enabled()
     rows = []
     for job in jobs:
         defense = job.resolve_factory(factory).create(job.defense)
@@ -303,7 +303,7 @@ def build_fleet(
             duration_s=job.duration_s,
             max_duration_s=job.max_duration_s,
             tail_s=job.tail_s,
-            job_key=job.key() if keyed else None,
+            job=job,
         ))
     return rows
 

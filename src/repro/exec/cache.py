@@ -67,12 +67,8 @@ All shard-tree enumeration is wrapped directly in ``sorted(...)``
 (MAYA031): store behaviour is a function of store *content*, never of
 readdir order.
 
-Environment:
-
-* ``REPRO_CACHE=1`` — enable the default cache for every
-  :func:`~repro.exec.engine.run_sessions` call;
-* ``REPRO_CACHE_DIR`` — cache directory (default ``.maya-cache/``);
-* ``REPRO_CACHE_MAX_MB`` — size bound in megabytes.
+``REPRO_CACHE``, ``REPRO_CACHE_DIR`` and ``REPRO_CACHE_MAX_MB`` are read
+through :mod:`repro.host`.
 """
 
 from __future__ import annotations
@@ -80,7 +76,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import math
 import os
 import tarfile
 import zipfile
@@ -89,21 +84,16 @@ from pathlib import Path, PurePosixPath
 
 import numpy as np
 
-from .. import telemetry
+from .. import host, telemetry
 from ..machine import Trace
 from ..telemetry import profile
 
 __all__ = [
     "TraceCache",
     "default_cache",
-    "DEFAULT_CACHE_DIR",
     "LAYOUT_VERSION",
     "PACK_SCHEMA",
 ]
-
-DEFAULT_CACHE_DIR = ".maya-cache"
-_DEFAULT_MAX_MB = 512.0
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
 
 #: On-disk layout generation (v2 = sharded + journal).
 LAYOUT_VERSION = 2
@@ -150,19 +140,11 @@ class TraceCache:
     """Sharded store of content-addressed, LRU-bounded trace entries."""
 
     def __init__(self, root: object = None, max_bytes: object = None) -> None:
-        if root is None:
-            root = os.environ.get("REPRO_CACHE_DIR", "").strip() or DEFAULT_CACHE_DIR
-        self.root = Path(root)
-        if max_bytes is None:
-            env = os.environ.get("REPRO_CACHE_MAX_MB", "").strip()
-            try:
-                max_mb = float(env) if env else _DEFAULT_MAX_MB
-            except ValueError:
-                max_mb = math.nan
-            if not 0.0 < max_mb < math.inf:
-                raise ValueError(f"REPRO_CACHE_MAX_MB must be a positive number, got {env!r}")
-            max_bytes = max_mb * 1e6
-        self.max_bytes = int(max_bytes)
+        """A store at ``root`` bounded to ``max_bytes`` (defaults:
+        ``REPRO_CACHE_DIR`` and ``REPRO_CACHE_MAX_MB``)."""
+        config = host.settings()
+        self.root = Path(config.cache_dir if root is None else root)
+        self.max_bytes = int(config.cache_max_mb * 1e6 if max_bytes is None else max_bytes)
         #: Runtime counters for this cache handle (not persisted).
         self.hits = 0
         self.misses = 0
@@ -206,10 +188,6 @@ class TraceCache:
 
     def _key_sidecar(self, key: str, suffix: str) -> Path:
         return self.root / _SHARDS / key[:2] / f"{key}{suffix}"
-
-    def _sidecar(self, path: Path) -> Path:
-        """The telemetry sidecar of a cache entry (``<key>.events.jsonl``)."""
-        return path.with_name(path.stem + ".events.jsonl")
 
     # -- journal -------------------------------------------------------
 
@@ -356,15 +334,11 @@ class TraceCache:
             lines.append(_dumps({"op": "put", "id": entry_id,
                                  "bytes": nbytes, "keys": list(keys)}))
         data = ("\n".join(lines) + "\n").encode()
-        tmp = self.journal_path.with_name(f".{_JOURNAL}.{os.getpid()}.tmp")
         with profile.span("cache.compact", entries=len(self._entries)):
             try:
-                tmp.write_bytes(data)
-                os.replace(tmp, self.journal_path)
+                host.atomic_write(self.journal_path, data)
             except OSError:
                 return
-            finally:
-                tmp.unlink(missing_ok=True)
         self._compactions += 1
         telemetry.count("exec.cache.compactions")
         try:
@@ -528,8 +502,8 @@ class TraceCache:
         path = self._entry_path(entry_id)
         try:
             with profile.span("cache.pack_write", key=entry_id, sessions=len(keys)):
-                _atomic_write(path, lambda tmp: _save_pack(
-                    tmp, keys, [trace for _, trace in members]))
+                host.atomic_write(path, lambda handle: _save_pack(
+                    handle, keys, [trace for _, trace in members]))
             nbytes = _file_bytes(path)
             for (job, _), key in zip(members, keys):
                 nbytes += self._sidecar_bytes(job, key)
@@ -726,7 +700,7 @@ class TraceCache:
                 if extracted is None:
                     continue
                 data = extracted.read()
-                _atomic_write(target, lambda tmp: tmp.write_bytes(data))
+                host.atomic_write(target, data)
                 added.append(target)
         # Second pass so every imported entry's sidecars — possibly in
         # other shards of the archive — are already on disk when sized.
@@ -762,19 +736,9 @@ class TraceCache:
 # -- packs ---------------------------------------------------------------
 
 
-def _atomic_write(path: Path, write) -> None:
-    """``write(tmp)`` to a temp file beside ``path``, then rename it in."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _save_pack(path: Path, keys, traces) -> None:
-    """Write ``traces`` (equal array shapes) as one uncompressed pack."""
+def _save_pack(file, keys, traces) -> None:
+    """Write ``traces`` (equal array shapes) as one uncompressed pack to
+    ``file``, a path or an open binary file."""
     arrays = {
         "schema": np.asarray(PACK_SCHEMA),
         "keys": np.asarray(list(keys)),
@@ -789,8 +753,7 @@ def _save_pack(path: Path, keys, traces) -> None:
         arrays[name] = np.stack(
             [np.asarray(getattr(t, name), dtype=np.float64) for t in traces]
         )
-    with open(path, "wb") as handle:
-        np.savez(handle, **arrays)
+    np.savez(file, **arrays)
 
 
 def _pack_keys(data) -> list:
@@ -829,6 +792,4 @@ def _pack_trace(columns: dict, row: int) -> Trace:
 
 def default_cache() -> TraceCache | None:
     """The env-gated default cache: enabled only when ``REPRO_CACHE`` is set."""
-    if os.environ.get("REPRO_CACHE", "").strip().lower() in _TRUTHY:
-        return TraceCache()
-    return None
+    return TraceCache() if host.settings().cache else None

@@ -28,11 +28,10 @@ from __future__ import annotations
 import hashlib
 import math
 import multiprocessing
-import os
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 
-from .. import telemetry
+from .. import host, telemetry
 from ..telemetry import profile
 from ..defenses.designs import DefenseFactory
 from .batch import DEFAULT_BATCH_SIZE, batch_key, execute_jobs_batched
@@ -44,43 +43,21 @@ __all__ = [
     "run_sessions",
 ]
 
-#: Default per-chunk timeout (overridable via ``REPRO_JOB_TIMEOUT_S``).
-DEFAULT_JOB_TIMEOUT_S = 600.0
-
 
 def resolve_workers(workers: object = None) -> int:
-    """Worker count: explicit argument > ``REPRO_WORKERS`` env > 1 (serial).
+    """Worker count: explicit argument > ``REPRO_WORKERS`` > 1 (serial).
 
-    An explicit ``workers`` of ``None`` or ``0`` means "unset" (an
-    :class:`ExperimentScale` leaves it 0 by default) and defers to the
-    environment.
+    Either source must be a whole number of at least 1.
     """
-    if workers is not None and int(workers) > 0:
-        return int(workers)
-    env = os.environ.get("REPRO_WORKERS", "").strip()
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"REPRO_WORKERS must be an integer, got {env!r}") from None
-        if value > 0:
-            return value
-    return 1
+    if workers is None:
+        return host.settings().workers
+    return host.positive_int(workers, "workers")
 
 
 def _job_timeout_s(timeout_s: object) -> float:
-    if timeout_s is not None:
-        return float(timeout_s)
-    env = os.environ.get("REPRO_JOB_TIMEOUT_S", "").strip()
-    if not env:
-        return DEFAULT_JOB_TIMEOUT_S
-    try:
-        value = float(env)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"REPRO_JOB_TIMEOUT_S must be a positive number, got {env!r}")
-    return value
+    if timeout_s is None:
+        return host.settings().job_timeout_s
+    return host.positive_float(timeout_s, "timeout_s")
 
 
 def _chunk_span_key(chunk_jobs):
@@ -108,11 +85,13 @@ def run_sessions(
       the jobs' declarative description; purely an optimization (avoids
       rebuilding Maya designs in this process and, under fork, in the
       workers).
-    * ``timeout_s`` — per-chunk timeout (default ``REPRO_JOB_TIMEOUT_S``
-      or 600 s); a timed-out or crashed chunk is redone once in-process.
+    * ``timeout_s`` — per-chunk timeout in seconds (default
+      ``REPRO_JOB_TIMEOUT_S``); a timed-out or crashed chunk is redone once
+      in-process.
     """
     jobs = list(jobs)
     workers = resolve_workers(workers)
+    timeout_s = _job_timeout_s(timeout_s)
     if cache is None:
         cache = default_cache()
     elif cache is False:
@@ -145,7 +124,7 @@ def run_sessions(
         if pending:
             _execute_chunks(
                 jobs, _group_chunks(jobs, pending, workers), results, workers,
-                factory, cache, _job_timeout_s(timeout_s),
+                factory, cache, timeout_s,
             )
         telemetry.ops(
             "run.end",

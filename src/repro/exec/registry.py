@@ -18,15 +18,8 @@ pure function of their inputs, which keeps ``diff`` meaningful.
 
 :func:`record_run` is the ambient entry point the bench, the attack
 pipeline and the experiment harness call — a no-op unless
-``REPRO_REGISTRY`` is truthy (mirroring ``REPRO_TELEMETRY``), so the
-registry costs nothing when disabled.
-
-Environment:
-
-* ``REPRO_REGISTRY=1`` — record a manifest for every bench/attack/figure
-  run;
-* ``REPRO_REGISTRY_DIR`` — registry directory (default
-  ``.maya-registry/``).
+``REPRO_REGISTRY`` is on (:mod:`repro.host`), so the registry costs
+nothing when disabled.
 """
 
 from __future__ import annotations
@@ -36,20 +29,17 @@ import json
 import os
 from pathlib import Path
 
-from .. import telemetry
+from .. import host, telemetry
 from .jobs import code_salt
 
 __all__ = [
     "MANIFEST_SCHEMA",
-    "DEFAULT_REGISTRY_DIR",
     "RunRegistry",
     "default_registry",
     "record_run",
 ]
 
 MANIFEST_SCHEMA = "maya.exec.run-manifest.v1"
-DEFAULT_REGISTRY_DIR = ".maya-registry"
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
 
 
 def _dumps(payload: object) -> str:
@@ -67,10 +57,8 @@ class RunRegistry:
     """Directory of run manifests binding results to their inputs."""
 
     def __init__(self, root: object = None) -> None:
-        if root is None:
-            root = (os.environ.get("REPRO_REGISTRY_DIR", "").strip()
-                    or DEFAULT_REGISTRY_DIR)
-        self.root = Path(root)
+        """A registry at ``root`` (default ``REPRO_REGISTRY_DIR``)."""
+        self.root = Path(host.settings().registry_dir if root is None else root)
 
     @property
     def index_path(self) -> Path:
@@ -97,7 +85,7 @@ class RunRegistry:
             "kind": str(kind),
             "name": str(name),
             "code_salt": code_salt(),
-            "git_sha": telemetry.git_sha(),
+            "git_sha": host.git_sha(),
             "jobs": sorted({job.key() for job in jobs}),
             "artifacts": [
                 {"path": str(path), "sha256": _artifact_digest(Path(path))}
@@ -107,14 +95,8 @@ class RunRegistry:
         }
         run_id = hashlib.sha256(_dumps(manifest).encode()).hexdigest()[:16]
         manifest["run_id"] = run_id
-        path = self._manifest_path(run_id)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        host.atomic_write(self._manifest_path(run_id),
+                          json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         line = _dumps({"run_id": run_id, "kind": manifest["kind"],
                        "name": manifest["name"]}) + "\n"
         fd = os.open(self.index_path,
@@ -181,9 +163,7 @@ class RunRegistry:
 
 def default_registry() -> "RunRegistry | None":
     """The env-gated registry: enabled only when ``REPRO_REGISTRY`` is set."""
-    if os.environ.get("REPRO_REGISTRY", "").strip().lower() in _TRUTHY:
-        return RunRegistry()
-    return None
+    return RunRegistry() if host.settings().registry else None
 
 
 def record_run(kind: str, name: str, jobs=(), artifacts=(),

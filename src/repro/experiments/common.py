@@ -88,14 +88,13 @@ def record_traces(
     duration_s: float | None,
     seed: int = 0,
     tag: str = "traces",
-    workers: int | None = None,
     cache: object = None,
 ) -> list[Trace]:
     """Record ``n_runs`` executions of one workload under one defense.
 
     The runs are independent sessions, so they are submitted as declarative
     jobs to :func:`repro.exec.run_sessions` — parallel across
-    ``workers`` processes (``REPRO_WORKERS`` by default) and served from
+    ``REPRO_WORKERS`` processes and served from
     the content-addressed trace cache when one is enabled, with results
     bit-identical to running the jobs one at a time.
     """
@@ -111,7 +110,7 @@ def record_traces(
         )
         for run in range(n_runs)
     ]
-    traces = run_sessions(jobs, workers=workers, cache=cache, factory=factory)
+    traces = run_sessions(jobs, cache=cache, factory=factory)
     # Bind the recorded group to its inputs in the run registry (no-op
     # unless REPRO_REGISTRY is on).
     record_run(

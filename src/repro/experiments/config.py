@@ -36,10 +36,6 @@ class ExperimentScale:
     mlp_epochs: int
     #: System-identification excitation intervals per training app.
     sysid_intervals: int
-    #: Worker processes for session fan-out (:mod:`repro.exec`).  0 means
-    #: "unset": defer to the ``REPRO_WORKERS`` environment variable and
-    #: fall back to serial execution.
-    workers: int = 0
 
 
 SCALES = {

@@ -71,5 +71,5 @@ def run(
             name="fig6", spec=spec, class_workloads=apps, defense=defense,
             scale=scale, seed=seed, pool=20,
         )
-        outcomes[defense] = run_attack(scenario, factory, workers=scale.workers)
+        outcomes[defense] = run_attack(scenario, factory)
     return Fig6Result(outcomes=outcomes, apps=apps)

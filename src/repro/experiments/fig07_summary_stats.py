@@ -66,7 +66,7 @@ def run(
             traces = record_traces(
                 spec, app, factory, defense,
                 n_runs=scale.average_runs, duration_s=scale.duration_s,
-                seed=seed, tag="fig7", workers=scale.workers,
+                seed=seed, tag="fig7",
             )
             sampled = [
                 sample_rapl(trace, seed, (defense, app, i))

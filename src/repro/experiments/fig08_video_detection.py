@@ -74,5 +74,5 @@ def run(
             # run budget.
             runs_per_class=2 * scale.runs_per_class,
         )
-        outcomes[defense] = run_attack(scenario, factory, workers=scale.workers)
+        outcomes[defense] = run_attack(scenario, factory)
     return Fig8Result(outcomes=outcomes, videos=videos)

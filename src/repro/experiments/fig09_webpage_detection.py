@@ -69,5 +69,5 @@ def run(
             segment_stride_s=1.0,
             feature_mode="fft",
         )
-        outcomes[defense] = run_attack(scenario, factory, workers=scale.workers)
+        outcomes[defense] = run_attack(scenario, factory)
     return Fig9Result(outcomes=outcomes, pages=pages)

@@ -61,7 +61,7 @@ def run(
             traces = record_traces(
                 spec, app, factory, defense,
                 n_runs=scale.average_runs, duration_s=scale.duration_s,
-                seed=seed, tag="fig10", workers=scale.workers,
+                seed=seed, tag="fig10",
             )
             sampled = [
                 sample_rapl(trace, seed, (defense, app, i))

@@ -179,7 +179,7 @@ def run(
         for defense in defenses
         for run_index in range(n_runs)
     ]
-    traces = run_sessions(jobs, workers=scale.workers, factory=factory)
+    traces = run_sessions(jobs, factory=factory)
 
     per_defense: dict[str, DefenseChangepoints] = {}
     for defense_index, defense in enumerate(defenses):

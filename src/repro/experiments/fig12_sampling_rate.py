@@ -56,7 +56,7 @@ def run(
     )
     # Record the victim traces once; the attacker re-samples them at each
     # rate, exactly as changing the malicious module's polling interval.
-    traces = simulate_runs(base, factory, workers=scale.workers)
+    traces = simulate_runs(base, factory)
 
     outcomes: dict[float, AttackOutcome] = {}
     for interval in intervals_s:

@@ -70,7 +70,7 @@ def run(
         traces = record_traces(
             spec, app, factory, "maya_gs",
             n_runs=scale.average_runs, duration_s=scale.duration_s,
-            seed=seed, tag="fig13", workers=scale.workers,
+            seed=seed, tag="fig13",
         )
         valid = [np.isfinite(t.target_w) for t in traces]
         mask_avg = average_traces([t.target_w[v] for t, v in zip(traces, valid)])

@@ -127,7 +127,7 @@ def run(
         for defense in ("baseline",) + tuple(defenses):
             jobs.append(_completion_job(spec, app, factory, defense, seed, cap))
             labels.append((app, defense))
-    traces = run_sessions(jobs, workers=scale.workers, factory=factory)
+    traces = run_sessions(jobs, factory=factory)
 
     measured = {
         label: _power_and_completion(trace)

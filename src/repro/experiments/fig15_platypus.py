@@ -76,7 +76,7 @@ def run(
         for instruction in INSTRUCTION_LOOPS
         for run_index in range(n_runs)
     ]
-    traces = iter(run_sessions(jobs, workers=scale.workers, factory=factory))
+    traces = iter(run_sessions(jobs, factory=factory))
 
     averages: dict[str, dict[str, np.ndarray]] = {}
     separation: dict[str, float] = {}

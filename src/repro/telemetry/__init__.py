@@ -8,7 +8,8 @@ batch grouping).  This package makes those dynamics observable without
 ever feeding back into them:
 
 * **Strictly out-of-band.**  A recorder sink is injected (ambient module
-  state set by :func:`set_recorder` or the ``REPRO_TELEMETRY`` env var);
+  state set by :func:`set_recorder` or ``REPRO_TELEMETRY``, read through
+  :mod:`repro.host`);
   the default is the :class:`NullRecorder`, whose cost is one attribute
   check per emission site.  Simulation state never reads telemetry back,
   and lint rule MAYA032 statically enforces that no ``repro.telemetry``
@@ -42,13 +43,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-import subprocess
 from bisect import bisect_left
 from pathlib import Path
 
+from .. import host
+
 __all__ = [
-    "DEFAULT_TELEMETRY_DIR",
     "ERR_HIST_EDGES_W",
     "GROUP_SIZE_HIST_EDGES",
     "MANIFEST_SCHEMA",
@@ -62,7 +62,7 @@ __all__ = [
     "enabled",
     "gauge",
     "get_recorder",
-    "git_sha",
+    "job_fields",
     "job_identity",
     "observe",
     "ops",
@@ -73,8 +73,6 @@ __all__ = [
 
 MANIFEST_SCHEMA = "maya.telemetry.session.v1"
 METRICS_SCHEMA = "maya.telemetry.metrics.v1"
-DEFAULT_TELEMETRY_DIR = ".maya-telemetry"
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
 
 #: Static bucket edges (watts) for the per-interval |tracking error|
 #: histogram.  Fixed at import time so rendered histograms are
@@ -209,9 +207,15 @@ class MetricsRegistry:
 # Session identity
 # --------------------------------------------------------------------------
 
+#: :class:`~repro.exec.jobs.SessionJob` fields that change a trace but are
+#: not arguments of a lock-step row; a row built without a job (a
+#: ``run_session`` call) leaves them None.
+_JOB_FIELDS = ("factory_seed", "design_overrides", "workload_kwargs", "workload_jitter")
+
 #: The fields that identify one session run (a behavioural identity: two
-#: runs sharing them must emit identical event streams).  Deliberately
-#: excludes *how* the session was executed (fleet size, worker count, cache state).
+#: runs sharing them must emit identical event streams).  Every job field
+#: that can change a trace is one of them; *how* the session was executed
+#: (fleet size, worker count, cache state) is deliberately not.
 _IDENTITY_FIELDS = (
     "platform",
     "workload",
@@ -224,6 +228,7 @@ _IDENTITY_FIELDS = (
     "max_duration_s",
     "tail_s",
     "record_temperature",
+    *_JOB_FIELDS,
 )
 
 
@@ -247,50 +252,22 @@ def session_digest(**identity: object) -> str:
     return digest.hexdigest()[:20]
 
 
+def job_fields(job) -> dict:
+    """The identity fields a lock-step row takes from its job, not its
+    arguments (see :data:`_JOB_FIELDS`)."""
+    return {field: getattr(job, field) for field in _JOB_FIELDS}
+
+
 def job_identity(job) -> str:
     """The session digest of a :class:`~repro.exec.jobs.SessionJob`.
 
     Must agree with the identity of the channel the lock-step kernel opens
     for the same job — the trace cache keys its telemetry
-    sidecars on this.
+    sidecars on this.  Every identity field after the first,
+    ``platform`` (the spec's name), is the job attribute of that name.
     """
-    return session_digest(
-        platform=job.spec.name,
-        workload=job.workload,
-        defense=job.defense,
-        seed=job.seed,
-        run_id=job.run_id,
-        interval_s=job.interval_s,
-        duration_s=job.duration_s,
-        tick_s=job.tick_s,
-        max_duration_s=job.max_duration_s,
-        tail_s=job.tail_s,
-        record_temperature=job.record_temperature,
-    )
-
-
-def git_sha() -> "str | None":
-    """The repository HEAD SHA, or None outside a git checkout."""
-    global _GIT_SHA
-    if _GIT_SHA is _UNSET:
-        sha = os.environ.get("GITHUB_SHA", "").strip() or None
-        if sha is None:
-            try:
-                sha = subprocess.run(
-                    ["git", "rev-parse", "HEAD"],
-                    capture_output=True,
-                    text=True,
-                    timeout=5,
-                    check=True,
-                ).stdout.strip() or None
-            except (OSError, subprocess.SubprocessError):
-                sha = None
-        _GIT_SHA = sha
-    return _GIT_SHA
-
-
-_UNSET = object()
-_GIT_SHA: object = _UNSET
+    identity = {field: getattr(job, field) for field in _IDENTITY_FIELDS[1:]}
+    return session_digest(platform=job.spec.name, **identity)
 
 
 def _code_salt() -> "str | None":
@@ -385,7 +362,7 @@ class SessionChannel:
             "engine": self.engine,
             "job_key": self.job_key,
             "code_salt": _code_salt(),
-            "git_sha": git_sha(),
+            "git_sha": host.git_sha(),
         }
         for field in _IDENTITY_FIELDS:
             value = self.identity.get(field)
@@ -410,7 +387,7 @@ class SessionChannel:
         lines = [_dumps(self._manifest()), *self._lines, _dumps(self._summary())]
         path = self.recorder.session_path(self.digest)
         self.recorder.metrics.count("telemetry.sessions")
-        _atomic_write_text(path, "\n".join(lines) + "\n")
+        host.atomic_write(path, "\n".join(lines) + "\n")
         return path
 
 
@@ -429,12 +406,8 @@ class TelemetryRecorder:
     enabled = True
 
     def __init__(self, root: object = None) -> None:
-        if root is None:
-            root = (
-                os.environ.get("REPRO_TELEMETRY_DIR", "").strip()
-                or DEFAULT_TELEMETRY_DIR
-            )
-        self.root = Path(root)
+        """A recorder writing under ``root`` (default ``REPRO_TELEMETRY_DIR``)."""
+        self.root = Path(host.settings().telemetry_dir if root is None else root)
         self.metrics = MetricsRegistry()
         self._ops_seq = 0
 
@@ -472,18 +445,8 @@ class TelemetryRecorder:
         payload = {"schema": METRICS_SCHEMA}
         payload.update(self.metrics.render())
         path = self.root / "metrics.json"
-        _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        host.atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return path
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 # --------------------------------------------------------------------------
@@ -497,10 +460,7 @@ def get_recorder():
     """The ambient recorder; lazily derived from ``REPRO_TELEMETRY``."""
     global _RECORDER
     if _RECORDER is None:
-        if os.environ.get("REPRO_TELEMETRY", "").strip().lower() in _TRUTHY:
-            _RECORDER = TelemetryRecorder()
-        else:
-            _RECORDER = NullRecorder()
+        _RECORDER = TelemetryRecorder() if host.settings().telemetry else NullRecorder()
     return _RECORDER
 
 
@@ -574,7 +534,7 @@ def store_session_events(sidecar_path: Path, job) -> int:
         data = source.read_bytes()
     except OSError:
         return 0
-    _atomic_write_bytes(Path(sidecar_path), data)
+    host.atomic_write(Path(sidecar_path), data)
     return len(data)
 
 
@@ -602,7 +562,7 @@ def restore_session_events(sidecar_path: Path, job) -> int:
         target = recorder.session_path(job_identity(job))
     except AttributeError:
         return 0  # synthetic job: nothing to replay into (see above)
-    _atomic_write_bytes(target, data)
+    host.atomic_write(target, data)
     recorder.metrics.count("telemetry.sessions.replayed")
     return len(data)
 
@@ -623,13 +583,3 @@ def _whole_session(data: bytes) -> bool:
         and records[0].get("schema") == MANIFEST_SCHEMA
         and records[-1].get("type") == "end"
     )
-
-
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)

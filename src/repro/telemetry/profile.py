@@ -5,7 +5,8 @@ deterministic sim time; this module answers *where the engine spent
 wall-clock time* doing it.  The two are kept rigorously apart:
 
 * **Strictly out-of-band.**  A profiler sink is injected (ambient module
-  state set by :func:`set_profiler` or the ``REPRO_PROFILE`` env var);
+  state set by :func:`set_profiler` or ``REPRO_PROFILE``, read through
+  :mod:`repro.host`);
   the default :class:`NullProfiler` reduces every span site to one
   attribute check.  Nothing in the simulation reads profiler state, and
   lint rule MAYA033 statically bans *any* profiler symbol — even
@@ -34,11 +35,11 @@ profiler measures the harness, not the simulation.
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from pathlib import Path
 
-from . import DEFAULT_TELEMETRY_DIR, _dumps, _TRUTHY, git_sha
+from .. import host
+from . import _dumps
 
 __all__ = [
     "PROFILE_FILE",
@@ -109,19 +110,15 @@ class _Span:
 class SpanProfiler:
     """Records a hierarchical span tree to ``<root>/profile.jsonl``.
 
-    The root directory resolves ``REPRO_PROFILE_DIR`` first, then
-    ``REPRO_TELEMETRY_DIR``, then the default telemetry directory — so a
-    profiled telemetry run lands both artifact families side by side.
+    The root directory defaults to ``REPRO_PROFILE_DIR``, which defaults
+    to the telemetry directory — so a profiled telemetry run lands both
+    artifact families side by side.
     """
 
     enabled = True
 
     def __init__(self, root: object = None) -> None:
-        if root is None:
-            root = os.environ.get("REPRO_PROFILE_DIR") or os.environ.get(
-                "REPRO_TELEMETRY_DIR"
-            ) or DEFAULT_TELEMETRY_DIR
-        self.root = Path(root)
+        self.root = Path(host.settings().profile_dir if root is None else root)
         self._stack: list = []
         self._occurrence: dict = {}
         self._buffer: list = []
@@ -171,7 +168,7 @@ class SpanProfiler:
         lines = []
         if not self._manifest_written and not path.exists():
             lines.append(
-                _dumps({"type": "manifest", "schema": PROFILE_SCHEMA, "git_sha": git_sha()})
+                _dumps({"type": "manifest", "schema": PROFILE_SCHEMA, "git_sha": host.git_sha()})
             )
         lines.extend(_dumps(record) for record in self._buffer)
         with open(path, "a", encoding="utf-8") as handle:
@@ -187,10 +184,7 @@ def get_profiler():
     """The ambient profiler (``REPRO_PROFILE`` env unless one was set)."""
     global _PROFILER
     if _PROFILER is None:
-        if os.environ.get("REPRO_PROFILE", "").strip().lower() in _TRUTHY:
-            _PROFILER = SpanProfiler()
-        else:
-            _PROFILER = NullProfiler()
+        _PROFILER = SpanProfiler() if host.settings().profile else NullProfiler()
     return _PROFILER
 
 

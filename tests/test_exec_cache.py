@@ -475,7 +475,9 @@ class TestFailedWrites:
         recorder = TelemetryRecorder(root=tmp_path / "telemetry")
         telemetry.set_recorder(recorder)
         try:
-            traces = run_sessions(jobs, cache=TraceCache(root=tmp_path / "cache"))
+            # One chunk, so the packed case writes (and fails) one group
+            # pack under any REPRO_WORKERS.
+            traces = run_sessions(jobs, workers=1, cache=TraceCache(root=tmp_path / "cache"))
             counters = recorder.metrics.render()["counters"]
         finally:
             telemetry.set_recorder(None)

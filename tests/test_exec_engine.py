@@ -1,6 +1,7 @@
 """Tests for repro.exec.engine (parallel fan-out + determinism guarantee)."""
 
 import concurrent.futures
+import math
 import multiprocessing
 import os
 import signal
@@ -38,7 +39,7 @@ class TestResolveWorkers:
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "5")
         assert resolve_workers() == 5
-        assert resolve_workers(0) == 5  # 0 = unset, defer to env
+        assert resolve_workers(None) == 5
 
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
@@ -50,6 +51,20 @@ class TestResolveWorkers:
         with pytest.raises(ValueError):
             resolve_workers()
 
+    @pytest.mark.parametrize("value", ["many", "0", "-2", "nan", "inf"])
+    def test_invalid_env_raises(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_WORKERS", value)
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+            resolve_workers()
+
+    @pytest.mark.parametrize("value", ["many", 0, -2, math.nan, math.inf])
+    def test_invalid_argument_raises(self, monkeypatch, value):
+        """An explicit count is checked like the env knob; 0 or a negative
+        count no longer falls back to ``REPRO_WORKERS``."""
+        monkeypatch.setenv("REPRO_WORKERS", "5")
+        with pytest.raises(ValueError, match="workers"):
+            resolve_workers(value)
+
 
 class TestJobTimeoutEnv:
     @pytest.mark.parametrize("value", ["soon", "0", "-1", "nan", "inf"])
@@ -59,6 +74,13 @@ class TestJobTimeoutEnv:
         monkeypatch.setenv("REPRO_JOB_TIMEOUT_S", value)
         with pytest.raises(ValueError, match="REPRO_JOB_TIMEOUT_S"):
             run_sessions(batch_jobs(n_runs=1), workers=2, cache=False)
+
+    @pytest.mark.parametrize("value", ["soon", 0, -1, math.nan, math.inf])
+    def test_invalid_timeout_argument_raises_before_simulating(self, value):
+        """An explicit timeout gets the env knob's check: ``timeout_s=0``
+        used to time out every pooled chunk and redo it in-process."""
+        with pytest.raises(ValueError, match="timeout_s"):
+            run_sessions(batch_jobs(n_runs=1), workers=2, cache=False, timeout_s=value)
 
 
 class TestDeterminism:

@@ -1,28 +1,35 @@
 """Env sweep: execution-infrastructure env vars never change results.
 
 Lint rule MAYA050 keeps environment reads out of the simulation packages
-and the lock-step kernel; the engine layer does read ``REPRO_*``
-configuration, and this sweep checks what it does with it.  The same ``SessionJob`` must produce the same content address
-and a bit-identical trace whether its lock-step chunks run in-process or
-across workers, or with telemetry recording enabled — the
-infrastructure knobs select *how* the work is done, never *what* is
-computed.
+and the lock-step kernel; :mod:`repro.host` reads every ``REPRO_*`` knob,
+and this sweep checks what the engine does with them.  The same
+``SessionJob`` must produce the same content address and a bit-identical
+trace whether its lock-step chunks run in-process or across workers, with
+telemetry or span profiling on, recorded in the run registry, or stored
+in and replayed from the trace cache -- the infrastructure knobs select
+*how* the work is done, never *what* is computed.
 """
 
-from repro import telemetry
-from repro.exec import SessionJob, run_sessions
-from repro.machine import SYS1
+from dataclasses import fields
 
-#: Every infrastructure variable the sweep perturbs (and must clear).
-INFRA_VARS = (
-    "REPRO_WORKERS",
-    "REPRO_TELEMETRY",
-)
+from repro import telemetry
+from repro.exec import SessionJob, record_run, run_sessions
+from repro.host import Settings
+from repro.machine import SYS1
+from repro.telemetry import profile
+
+#: Every ``REPRO_*`` knob, one per :class:`Settings` field.
+KNOBS = tuple(f"REPRO_{field.name.upper()}" for field in fields(Settings))
+#: The directory knobs: each points under the test's ``tmp_path``.
+DIR_KNOBS = tuple(name for name in KNOBS if name.endswith("_DIR"))
 
 #: The sweep matrix: each entry is one infrastructure configuration.
 SWEEP = (
-    {"REPRO_WORKERS": "2"},
+    {"REPRO_WORKERS": "2", "REPRO_JOB_TIMEOUT_S": "30"},
     {"REPRO_TELEMETRY": "1"},
+    {"REPRO_PROFILE": "1"},
+    {"REPRO_REGISTRY": "1"},
+    {"REPRO_CACHE": "1", "REPRO_CACHE_MAX_MB": "1"},
 )
 
 
@@ -40,20 +47,30 @@ def sweep_jobs():
     ]
 
 
-def run_under(monkeypatch, tmp_path, env):
-    for name in INFRA_VARS:
+def run_under(monkeypatch, root, env):
+    """Keys and traces of the sweep jobs, run twice under ``env`` alone.
+
+    The second run replays the first from the trace store when the
+    configuration turns the store on.
+    """
+    for name in KNOBS:
         monkeypatch.delenv(name, raising=False)
+    for name in DIR_KNOBS:
+        monkeypatch.setenv(name, str(root / name.lower()))
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    monkeypatch.setenv("REPRO_TELEMETRY_DIR", str(tmp_path / "telemetry"))
-    telemetry.set_recorder(None)  # re-derive from the patched environment
+    # Re-derive the ambient sinks from the patched environment.
+    telemetry.set_recorder(None)
+    profile.set_profiler(None)
     try:
         jobs = sweep_jobs()
         keys = [job.key() for job in jobs]
-        traces = run_sessions(jobs, cache=False)
+        runs = [run_sessions(jobs) for _ in range(2)]
+        record_run(kind="traces", name="env-sweep", jobs=jobs)
     finally:
         telemetry.set_recorder(None)
-    return keys, traces
+        profile.set_profiler(None)
+    return keys, runs
 
 
 def trace_bytes(trace):
@@ -69,12 +86,23 @@ def trace_bytes(trace):
 
 
 class TestEnvSweep:
+    def test_sweep_turns_every_knob(self):
+        """A knob added to :class:`Settings` fails here until it is swept."""
+        swept = {name for env in SWEEP for name in env}
+        assert swept | set(DIR_KNOBS) == set(KNOBS)
+
     def test_key_and_trace_are_env_invariant(self, monkeypatch, tmp_path):
-        baseline_keys, baseline_traces = run_under(monkeypatch, tmp_path, {})
-        for env in SWEEP:
-            keys, traces = run_under(monkeypatch, tmp_path, env)
+        baseline_keys, (baseline_traces, _) = run_under(monkeypatch, tmp_path / "base", {})
+        for index, env in enumerate(SWEEP):
+            keys, runs = run_under(monkeypatch, tmp_path / str(index), env)
             assert keys == baseline_keys, env
-            assert len(traces) == len(baseline_traces)
-            for got, want in zip(traces, baseline_traces):
-                assert got.equals(want), env
-                assert trace_bytes(got) == trace_bytes(want), env
+            for traces in runs:
+                assert len(traces) == len(baseline_traces)
+                for got, want in zip(traces, baseline_traces):
+                    assert got.equals(want), env
+                    assert trace_bytes(got) == trace_bytes(want), env
+        # Each knob took effect where it points.
+        assert list((tmp_path / "4" / "repro_cache_dir").rglob("*.npz"))
+        assert (tmp_path / "2" / "repro_profile_dir" / "profile.jsonl").is_file()
+        assert list((tmp_path / "3" / "repro_registry_dir" / "runs").glob("*.json"))
+        assert list((tmp_path / "1" / "repro_telemetry_dir").glob("session-*.jsonl"))

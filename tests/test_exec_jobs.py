@@ -6,6 +6,7 @@ from dataclasses import asdict, fields
 
 import pytest
 
+from repro import telemetry
 from repro.defenses.designs import DefenseFactory
 from repro.exec import SessionJob, code_salt
 from repro.machine import SYS1, SYS2
@@ -152,6 +153,49 @@ class TestContentAddress:
     def test_describe_is_json_serializable(self):
         payload = json.dumps(tiny_job().describe(), sort_keys=True)
         assert "volrend" in payload
+
+
+class TestSessionIdentity:
+    """The telemetry identity names a session file; every field that can
+    change a trace is part of it, so two sessions never share one file."""
+
+    def test_identity_changes_with_any_field(self):
+        base = telemetry.job_identity(tiny_job())
+        identities = {
+            name: telemetry.job_identity(tiny_job(**{name: value}))
+            for name, value in PERTURBATIONS.items()
+        }
+        assert base not in identities.values()
+        assert len(set(identities.values())) == len(PERTURBATIONS)
+
+    def test_fleet_rows_open_the_job_identity(self, tmp_path):
+        from repro.core.runtime import make_machine
+        from repro.exec.batch import SessionRow, build_fleet
+        from repro.workloads import get_workload
+
+        # volrend takes no keyword arguments: vary workload_kwargs on a
+        # workload that does.
+        jobs = [tiny_job(), tiny_job(workload="loop_imul", workload_kwargs={"duration_s": 2.0})]
+        jobs += [tiny_job(**{name: value}) for name, value in PERTURBATIONS.items()
+                 if name != "workload_kwargs"]
+        telemetry.set_recorder(telemetry.TelemetryRecorder(root=tmp_path))
+        try:
+            rows = [row for job in jobs for row in build_fleet([job])]
+            bare = SessionRow(
+                make_machine(SYS1, get_workload("volrend"), seed=11, run_id=0),
+                DefenseFactory(SYS1).create("baseline"),
+                seed=11, run_id=0, interval_s=0.020, duration_s=0.5,
+                max_duration_s=600.0, tail_s=2.0,
+            )
+        finally:
+            telemetry.set_recorder(None)
+        assert [row.channel.digest for row in rows] == [
+            telemetry.job_identity(job) for job in jobs
+        ]
+        assert [row.channel.job_key for row in rows] == [job.key() for job in jobs]
+        # A row run without a job (``run_session``) has no job-only fields.
+        for field in ("factory_seed", "design_overrides", "workload_kwargs", "workload_jitter"):
+            assert bare.channel.identity.get(field) is None
 
 
 class TestFactorySnapshot:

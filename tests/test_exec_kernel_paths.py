@@ -15,6 +15,8 @@ time-major.  Also covered: the engine sends every pending job, a lone one
 included, to the kernel as lock-step chunks.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -117,7 +119,7 @@ class TestChooseBackend:
         # Without an explicit worker count the engine never starts a pool,
         # however many cores the host has.
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        monkeypatch.setattr(engine_mod.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", None)
         sizes = record_chunks(monkeypatch)
         jobs = [make_job(sys1_factory, run=run) for run in range(4)]

@@ -17,7 +17,7 @@ import json
 
 import pytest
 
-from repro import telemetry
+from repro import host, telemetry
 from repro.exec import SessionJob, TraceCache, run_sessions
 from repro.telemetry import TelemetryRecorder
 from repro.telemetry.__main__ import main as telemetry_cli
@@ -159,5 +159,5 @@ def test_null_recorder_leaves_no_files(sys1_factory, tmp_path, monkeypatch):
         _jobs(sys1_factory, seeds=(11,)),
         factory=sys1_factory, cache=False,
     )
-    assert not (tmp_path / telemetry.DEFAULT_TELEMETRY_DIR).exists()
+    assert not (tmp_path / host.Settings().telemetry_dir).exists()
     assert list(tmp_path.iterdir()) == []
