@@ -64,6 +64,17 @@ class ArxModel:
         u_history = np.asarray(u_history, dtype=float).reshape(self.nb, self.n_inputs)
         return float(self.a_coeffs @ y_history + np.sum(self.b_coeffs * u_history))
 
+    def predict_record(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """:meth:`predict` of ``y[t]`` for each ``t >= max(na, nb - 1)`` of a record.
+
+        ``y`` has shape ``(T,)`` and ``u`` shape ``(T, n_inputs)``; the
+        predictions come from one product with the regression rows.
+        """
+        phi, _ = _regression_rows(
+            np.asarray(y, dtype=float).reshape(-1), np.atleast_2d(u), self.na, self.nb
+        )
+        return phi @ np.concatenate([self.a_coeffs, self.b_coeffs.ravel()])
+
     def simulate(self, inputs: np.ndarray) -> np.ndarray:
         """Free-run simulation from zero initial conditions."""
         return self.to_statespace().simulate(inputs)[:, 0]
@@ -169,17 +180,13 @@ def fit_arx_records(
 def _regression_rows(
     y: np.ndarray, u: np.ndarray, na: int, nb: int
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Row ``t``: ``y[t-1] .. y[t-na]``, then ``u[t] .. u[t-nb+1]``; target ``y[t]``."""
     history = max(na, nb - 1)
-    rows = []
-    targets = []
-    for t in range(history, y.size):
-        past_y = y[t - na:t][::-1]
-        past_u = [u[t - j] for j in range(nb)]
-        rows.append(np.concatenate([past_y, np.concatenate(past_u)]))
-        targets.append(y[t])
-    if not rows:
+    if y.size <= history:
         raise ValueError("record too short for the requested orders")
-    return np.asarray(rows), np.asarray(targets)
+    t = np.arange(history, y.size)[:, None]
+    past_u = u[t - np.arange(nb)].reshape(t.size, -1)
+    return np.hstack([y[t - 1 - np.arange(na)], past_u]), y[history:]
 
 
 def _solve(

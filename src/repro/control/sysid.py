@@ -142,10 +142,15 @@ def run_excitation(
 
     Inputs are held at random levels for random 1-4 interval stretches
     (a PRBS-like excitation), which spreads energy over the frequency band
-    the controller must operate in.  Neither noise term feeds back into
-    the excitation, so the run's power and RAPL counter noise are drawn
-    ahead in one :func:`~repro.machine.power.draw_noise` call, which draws
-    what one window at a time would.
+    the controller must operate in.  Nothing in the run reads the machine
+    back, so it is evaluated as one record: the hold schedule is drawn
+    first, each hold is one :meth:`~SimulatedMachine.walk` (the app restarts
+    whenever it completes), and the whole record's power and counter reads
+    are one :func:`~repro.machine.batch_window_power` call (intervals as
+    rows) and one :func:`~repro.machine.measure_windows` call.  Both are
+    row-wise and the noise is drawn ahead in one
+    :func:`~repro.machine.draw_noise` call, so the record equals stepping
+    the run one interval at a time.
     """
     machine = SimulatedMachine(spec, workload, seed=seed, run_id=("sysid", workload.name))
     bank = machine.bank
@@ -155,28 +160,40 @@ def run_excitation(
     power_noise_w, counter_noise_w = draw_noise(
         [machine.power_model], [sensor], n_intervals, ticks
     )
-    activity = np.empty((1, ticks))
-    core_fraction = np.empty((1, ticks))
 
-    u_rows = np.empty((n_intervals, 3))
-    y_rows = np.empty(n_intervals)
-    settings = bank.random_settings(rng)
-    hold_left = 0
-    for t in range(n_intervals):
-        if hold_left == 0:
-            settings = bank.random_settings(rng)
-            levels = np.array([tuple(settings)])
-            hold_left = int(rng.integers(hold_range[0], hold_range[1] + 1))
-        hold_left -= 1
-        machine.activity_profile(ticks, settings, activity[0], core_fraction[0])
-        power_w = batch_window_power(
-            machine.power_model, activity, core_fraction, levels,
-            power_noise_w[:, t * ticks:(t + 1) * ticks],
-        )
-        u_rows[t] = bank.normalize(settings)
-        y_rows[t] = measure_windows(power_w, machine.tick_s, counter_noise_w[:, t])[0]
-        if machine.completed:
-            machine.reset()
+    # The hold schedule, in the order an interval-by-interval run draws
+    # it: one discarded setting, then each hold's setting and length.
+    bank.random_settings(rng)
+    held = []
+    lengths = []
+    remaining = n_intervals
+    while remaining > 0:
+        held.append(bank.random_settings(rng))
+        lengths.append(min(int(rng.integers(hold_range[0], hold_range[1] + 1)), remaining))
+        remaining -= lengths[-1]
+
+    activity = np.empty((n_intervals, ticks))
+    core_fraction = np.empty((n_intervals, ticks))
+    start = 0
+    for settings, length in zip(held, lengths):
+        end = start + length
+        while start < end:
+            start += machine.walk(
+                end - start, ticks, settings,
+                activity[start:end].reshape(-1), core_fraction[start:end].reshape(-1),
+            )
+            if machine.completed:
+                machine.reset()
+
+    power_w = batch_window_power(
+        machine.power_model, activity, core_fraction,
+        np.repeat(np.reshape([tuple(settings) for settings in held], (-1, 3)), lengths, axis=0),
+        power_noise_w.reshape(n_intervals, ticks),
+    )
+    y_rows = measure_windows(power_w[None], machine.tick_s, counter_noise_w)[0]
+    u_rows = np.repeat(
+        np.reshape([bank.normalize(settings) for settings in held], (-1, 3)), lengths, axis=0
+    )
     return ExcitationRecord(workload.name, u_rows, y_rows / spec.tdp_w)
 
 
@@ -212,17 +229,12 @@ def identify_plant(
     arx = fit_arx_records(deviation_records, na=na, nb=nb)
 
     # One-step-prediction R^2 over all records, for a quick sanity check.
-    sse = 0.0
-    sst = 0.0
-    for y_dev, u_dev in deviation_records:
-        history = max(na, nb - 1)
-        for t in range(history, y_dev.size):
-            pred = arx.predict(
-                y_dev[t - na:t][::-1], np.stack([u_dev[t - j] for j in range(nb)])
-            )
-            sse += (y_dev[t] - pred) ** 2
-            sst += y_dev[t] ** 2
-    fit_r2 = 1.0 - sse / max(sst, 1e-12)
+    history = max(na, nb - 1)
+    target = np.concatenate([y_dev[history:] for y_dev, _ in deviation_records])
+    residual = target - np.concatenate(
+        [arx.predict_record(y_dev, u_dev) for y_dev, u_dev in deviation_records]
+    )
+    fit_r2 = 1.0 - float(residual @ residual) / max(float(target @ target), 1e-12)
 
     return PlantModel(
         platform=spec.name,

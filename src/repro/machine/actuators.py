@@ -73,8 +73,12 @@ class QuantizedActuator:
         return self.quantize(self.min_level + float(fraction) * span)
 
     def random_level(self, rng: np.random.Generator) -> float:
-        """Pick a uniformly random level (used by the noisy baselines)."""
-        return float(rng.choice(self.levels))
+        """Pick a uniformly random level (used by the noisy baselines).
+
+        The value and generator state of ``rng.choice(self.levels)``, at a
+        quarter of its cost.
+        """
+        return float(self.levels[rng.integers(0, self.levels.size)])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -54,6 +54,16 @@ class TestArxModel:
         pred = model.predict(y[t - 2:t][::-1], np.stack([u[t], u[t - 1]]))
         assert pred == pytest.approx(y[t], abs=1e-9)
 
+    def test_predict_record_matches_predict(self):
+        model = ArxModel(a_coeffs=[0.6, -0.1, 0.05], b_coeffs=[[0.4, -0.2], [0.1, 0.05]])
+        rng = np.random.default_rng(2)
+        u = rng.normal(size=(40, 2))
+        y = simulate_arx(model, u, noise=rng.normal(scale=0.1, size=40))
+        expected = [
+            model.predict(y[t - 3:t][::-1], np.stack([u[t], u[t - 1]])) for t in range(3, 40)
+        ]
+        assert np.allclose(model.predict_record(y, u), expected, rtol=0, atol=1e-12)
+
     def test_empty_coeffs_rejected(self):
         with pytest.raises(ValueError):
             ArxModel([], [[1.0]])

@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy import linalg as scipy_linalg  # a test requirement: the solver's reference
 
-from repro.control import SynthesisSpec, design_controller
+from repro.control import SynthesisSpec, design_controller, identify_plant
+from repro.control import synthesis
+from repro.machine import SYS1, SYS2, SYS3, spawn
+
+
+def relative_error(x, reference):
+    return np.linalg.norm(x - reference) / np.linalg.norm(reference)
 
 
 class TestSynthesisSpec:
@@ -67,3 +75,64 @@ class TestDesignedController:
         # output converges, meaning the physical power converges to target.
         outputs = cl.simulate(np.concatenate([np.zeros((50, 1)), np.full((300, 1), 0.05)]))
         assert outputs[-1, 0] == pytest.approx(0.05, abs=0.005)
+
+
+class TestRiccatiSolver:
+    """The doubling solver against SciPy's ``solve_discrete_are``."""
+
+    @pytest.fixture(scope="class", params=[SYS1, SYS2, SYS3], ids=lambda spec: spec.name)
+    def plant(self, request):
+        return identify_plant(request.param, seed=0, n_intervals=400)
+
+    @pytest.mark.parametrize("guardband", [0.1, 0.4, 0.7])
+    def test_design_equations_match_scipy(self, plant, guardband, monkeypatch):
+        solved = []
+
+        def recording(a, b, q, r):
+            x = solve(a, b, q, r)
+            solved.append((a, b, q, r, x))
+            return x
+
+        solve = synthesis._solve_dare
+        monkeypatch.setattr(synthesis, "_solve_dare", recording)
+        design_controller(plant, SynthesisSpec(guardband=guardband))
+        assert len(solved) == 2  # the LQR and the Kalman equation
+        for a, b, q, r, x in solved:
+            reference = scipy_linalg.solve_discrete_are(a, b, q, r)
+            assert relative_error(x, reference) <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        m=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        radius=st.floats(0.1, 1.2),
+    )
+    def test_stabilizable_systems_match_scipy(self, n, m, seed, radius):
+        rng = spawn(seed, "dare-system")
+        a = rng.uniform(-1.0, 1.0, (n, n)) * radius
+        b = rng.uniform(-1.0, 1.0, (n, m))
+        # Well controllable, hence stabilizable; Q > 0 makes (Q, A) detectable.
+        ctrb = np.hstack([np.linalg.matrix_power(a, k) @ b for k in range(n)])
+        singular = np.linalg.svd(ctrb, compute_uv=False)
+        assume(singular[-1] >= 1e-2 * singular[0])
+        c = rng.uniform(-1.0, 1.0, (n, n))
+        q = c.T @ c + 1e-3 * np.eye(n)
+        r = np.diag(rng.uniform(0.1, 10.0, m))
+        x = synthesis._solve_dare(a, b, q, r)
+        reference = scipy_linalg.solve_discrete_are(a, b, q, r)
+        assert relative_error(x, reference) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            # An unstable mode no input reaches: the iterates overflow.
+            (np.diag([2.0, 0.5]), np.array([[0.0], [1.0]])),
+            # An unreached mode on the unit circle: the iterates never settle.
+            (np.eye(1), np.zeros((1, 1))),
+        ],
+        ids=["unstable", "unit-circle"],
+    )
+    def test_unstabilizable_pair_raises(self, a, b):
+        with pytest.raises(RuntimeError, match="stabilizable"):
+            synthesis._solve_dare(a, b, np.eye(a.shape[0]), np.eye(b.shape[1]))

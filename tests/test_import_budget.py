@@ -1,13 +1,15 @@
-"""Which SciPy modules the package loads, checked in a fresh interpreter.
+"""The package runs without SciPy, checked in a fresh interpreter.
 
 ``import scipy.signal`` costs more than the rest of ``import repro``, and
-every figure run, CLI and pool worker pays the package's import before it
-simulates anything.  The simulator therefore runs its first-order filters
-without SciPy (:func:`repro.machine.power.first_order_rows`), and the one
-SciPy import left, the Riccati solver of controller synthesis, happens
-inside :func:`repro.control.synthesis.design_controller`.  This test runs
-each simulation path in a subprocess and records which SciPy modules are
-loaded after each step.
+``import scipy.linalg`` about as much again, and every figure run, CLI and
+pool worker would pay for them before simulating anything.  The simulator
+therefore runs its first-order filters without SciPy
+(:func:`repro.machine.power.first_order_rows`) and controller synthesis
+solves its Riccati equations in numpy
+(:func:`repro.control.synthesis._solve_dare`); SciPy serves the tests
+alone, as the oracle of both.  This test runs each simulation path in a
+subprocess and records which SciPy modules are loaded after each step, and
+runs a Maya design and session with SciPy made unimportable.
 """
 
 from __future__ import annotations
@@ -80,16 +82,21 @@ print(json.dumps(steps))
 """
 
 
-@pytest.fixture(scope="module")
-def loaded():
-    """SciPy modules loaded after each step of :data:`SCRIPT`."""
+def last_output_line(script: str) -> str:
+    """Run ``script`` in a fresh interpreter on ``src/``; return its last stdout line."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     result = subprocess.run(
-        [sys.executable, "-c", SCRIPT], capture_output=True, text=True, env=env
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout.strip().splitlines()[-1])
+    return result.stdout.strip().splitlines()[-1]
+
+
+@pytest.fixture(scope="module")
+def loaded():
+    """SciPy modules loaded after each step of :data:`SCRIPT`."""
+    return json.loads(last_output_line(SCRIPT))
 
 
 def test_import_repro_loads_numpy_but_no_scipy(loaded):
@@ -98,22 +105,41 @@ def test_import_repro_loads_numpy_but_no_scipy(loaded):
     assert loaded["imports"] == []
 
 
-def test_synthesis_loads_scipy_linalg(loaded):
-    assert "scipy.linalg" in loaded["sysid + synthesis"]
+STEPS = ["sysid + synthesis", "run_session", "lock-step fleet", "constant-settings fleet",
+         "temperature"]
 
 
-@pytest.mark.parametrize(
-    "step",
-    [
-        "sysid + synthesis",
-        "run_session",
-        "lock-step fleet",
-        "constant-settings fleet",
-        "temperature",
-    ],
-)
+def test_no_step_loads_any_scipy_module(loaded):
+    assert {step: loaded[step] for step in STEPS} == {step: [] for step in STEPS}
+
+
+@pytest.mark.parametrize("step", STEPS)
 def test_simulation_never_loads_scipy_signal(loaded, step):
     assert "scipy.signal" not in loaded[step]
+
+
+#: Builds a Maya design and runs a session with every SciPy import failing.
+BLOCKED_SCRIPT = """
+import sys
+
+sys.modules["scipy"] = None
+
+import repro
+from repro.experiments.common import make_factory
+from repro.experiments.config import get_scale
+from repro.machine import SYS1
+from repro.workloads import get_workload
+
+factory = make_factory(SYS1, get_scale("smoke"))
+defense = factory.create("maya_gs")
+machine = repro.make_machine(SYS1, get_workload("volrend"), seed=3, run_id=0)
+trace = repro.run_session(machine, defense, seed=3, duration_s=0.2)
+print(trace.power_w.size)
+"""
+
+
+def test_maya_design_and_session_run_without_scipy():
+    assert int(last_output_line(BLOCKED_SCRIPT)) > 0
 
 
 def test_temperature_step_records_temperature(loaded):

@@ -68,6 +68,17 @@ class TestPlatformActuators:
         assert np.allclose(np.diff(levels), 0.1)
 
 
+    @pytest.mark.parametrize("spec", [SYS1, SYS2, SYS3], ids=lambda spec: spec.name)
+    def test_random_level_draws_what_choice_draws(self, spec):
+        """Same values and generator state as ``rng.choice(levels)``."""
+        for actuator in ActuatorBank(spec).actuators:
+            ours = spawn(5, "random-level", spec.name, actuator.name)
+            theirs = spawn(5, "random-level", spec.name, actuator.name)
+            for _ in range(2000):
+                assert actuator.random_level(ours) == float(theirs.choice(actuator.levels))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 class TestActuatorSettings:
     def test_vector_round_trip(self):
         s = ActuatorSettings(1.5, 0.2, 0.4)
