@@ -106,16 +106,19 @@ class TestRiccatiSolver:
         n=st.integers(1, 6),
         m=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
-        radius=st.floats(0.1, 1.2),
+        radius=st.floats(0.1, 1.1),
     )
     def test_stabilizable_systems_match_scipy(self, n, m, seed, radius):
+        """Well-conditioned draws: on weakly controllable, strongly unstable
+        systems SciPy's own error exceeds the tolerance."""
         rng = spawn(seed, "dare-system")
-        a = rng.uniform(-1.0, 1.0, (n, n)) * radius
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        a *= radius / max(np.abs(np.linalg.eigvals(a)).max(), 1e-3)
         b = rng.uniform(-1.0, 1.0, (n, m))
         # Well controllable, hence stabilizable; Q > 0 makes (Q, A) detectable.
         ctrb = np.hstack([np.linalg.matrix_power(a, k) @ b for k in range(n)])
         singular = np.linalg.svd(ctrb, compute_uv=False)
-        assume(singular[-1] >= 1e-2 * singular[0])
+        assume(singular[-1] >= 5e-2 * singular[0])
         c = rng.uniform(-1.0, 1.0, (n, n))
         q = c.T @ c + 1e-3 * np.eye(n)
         r = np.diag(rng.uniform(0.1, 10.0, m))
