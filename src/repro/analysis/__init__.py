@@ -1,24 +1,17 @@
-"""Signal-analysis substrate: change points, DTW, spectra, summaries."""
+"""Signal-analysis substrate: change points, DTW, spectra, summaries.
 
-from .changepoint import changepoint_times, gaussian_cost, pelt
-from .dtw import dtw_distance, dtw_normalized
-from .leakage import leakage_per_feature, mutual_information_bits
-from .spectrum import amplitude_spectrum, spectral_energy_spread, spectral_peaks
-from .summary import BoxStats, average_traces, box_stats, distribution_overlap
+Each name loads its own submodule on first use (:mod:`repro._lazy`).
+"""
 
-__all__ = [
-    "changepoint_times",
-    "gaussian_cost",
-    "pelt",
-    "dtw_distance",
-    "dtw_normalized",
-    "leakage_per_feature",
-    "mutual_information_bits",
-    "amplitude_spectrum",
-    "spectral_energy_spread",
-    "spectral_peaks",
-    "BoxStats",
-    "average_traces",
-    "box_stats",
-    "distribution_overlap",
-]
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "changepoint": ("changepoint_times", "gaussian_cost", "pelt"),
+    "dtw": ("dtw_distance", "dtw_normalized"),
+    "leakage": ("leakage_per_feature", "mutual_information_bits"),
+    "spectrum": ("amplitude_spectrum", "spectral_energy_spread", "spectral_peaks"),
+    "summary": ("BoxStats", "average_traces", "box_stats", "distribution_overlap"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,41 +1,25 @@
-"""Attacker substrate: ML-based power side-channel attacks (Table IV)."""
+"""Attacker substrate: ML-based power side-channel attacks (Table IV).
 
-from .covert import (
-    CovertChannelResult,
-    CovertReceiver,
-    CovertSender,
-    random_bits,
-)
-from .features import FeatureConfig, TraceFeaturizer, segment_trace
-from .metrics import ConfusionResult, confusion_matrix
-from .mlp import MLPClassifier, MLPConfig
-from .template import GaussianTemplateClassifier
-from .pipeline import (
-    AttackOutcome,
-    AttackScenario,
-    run_attack,
-    sample_runs,
-    simulate_runs,
-    train_and_evaluate,
-)
+Each name loads its own submodule on first use (:mod:`repro._lazy`).
+"""
 
-__all__ = [
-    "CovertChannelResult",
-    "CovertReceiver",
-    "CovertSender",
-    "random_bits",
-    "FeatureConfig",
-    "TraceFeaturizer",
-    "segment_trace",
-    "ConfusionResult",
-    "confusion_matrix",
-    "MLPClassifier",
-    "MLPConfig",
-    "GaussianTemplateClassifier",
-    "AttackOutcome",
-    "AttackScenario",
-    "run_attack",
-    "sample_runs",
-    "simulate_runs",
-    "train_and_evaluate",
-]
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "covert": ("CovertChannelResult", "CovertReceiver", "CovertSender", "random_bits"),
+    "features": ("FeatureConfig", "TraceFeaturizer", "segment_trace"),
+    "metrics": ("ConfusionResult", "confusion_matrix"),
+    "mlp": ("MLPClassifier", "MLPConfig"),
+    "template": ("GaussianTemplateClassifier",),
+    "pipeline": (
+        "AttackOutcome",
+        "AttackScenario",
+        "run_attack",
+        "sample_runs",
+        "simulate_runs",
+        "train_and_evaluate",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

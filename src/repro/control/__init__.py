@@ -1,37 +1,25 @@
-"""Formal-control substrate: system ID, synthesis, and the runtime controller."""
+"""Formal-control substrate: system ID, synthesis, and the runtime controller.
 
-from .arx import ArxModel, fit_arx, fit_arx_records
-from .controller import ControllerFleet, MatrixController, command_grid
-from .fixedpoint import FixedPointController, FixedPointFormat, FixedPointOverflowError
-from .naive import NaiveTracker
-from .statespace import StateSpace
-from .synthesis import DesignedController, SynthesisSpec, design_controller
-from .sysid import (
-    ExcitationRecord,
-    PlantModel,
-    identify_plant,
-    run_excitation,
-    training_programs,
-)
+Each name loads its own submodule on first use (:mod:`repro._lazy`).
+"""
 
-__all__ = [
-    "ArxModel",
-    "fit_arx",
-    "fit_arx_records",
-    "ControllerFleet",
-    "MatrixController",
-    "command_grid",
-    "FixedPointController",
-    "FixedPointFormat",
-    "FixedPointOverflowError",
-    "NaiveTracker",
-    "StateSpace",
-    "DesignedController",
-    "SynthesisSpec",
-    "design_controller",
-    "ExcitationRecord",
-    "PlantModel",
-    "identify_plant",
-    "run_excitation",
-    "training_programs",
-]
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "arx": ("ArxModel", "fit_arx", "fit_arx_records"),
+    "controller": ("ControllerFleet", "MatrixController", "command_grid"),
+    "fixedpoint": ("FixedPointController", "FixedPointFormat", "FixedPointOverflowError"),
+    "naive": ("NaiveTracker",),
+    "statespace": ("StateSpace",),
+    "synthesis": ("DesignedController", "SynthesisSpec", "design_controller"),
+    "sysid": (
+        "ExcitationRecord",
+        "PlantModel",
+        "identify_plant",
+        "run_excitation",
+        "training_programs",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

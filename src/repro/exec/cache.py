@@ -77,7 +77,6 @@ import hashlib
 import io
 import json
 import os
-import tarfile
 import zipfile
 import zlib
 from pathlib import Path, PurePosixPath
@@ -652,6 +651,8 @@ class TraceCache:
         Members are sorted, timestamps zeroed and ownership stripped, so
         two stores with identical content export identical archives.
         """
+        import tarfile
+
         self._refresh()
         archive_path = Path(archive_path)
         archive_path.parent.mkdir(parents=True, exist_ok=True)
@@ -685,6 +686,8 @@ class TraceCache:
         construction).  Only regular files laid out as
         ``shards/<shard>/<name>`` are accepted.
         """
+        import tarfile
+
         self._refresh()
         added: list = []
         skipped = 0
@@ -717,7 +720,7 @@ class TraceCache:
         return {"archive": str(Path(archive_path)), "entries": len(records),
                 "files": len(added), "skipped": skipped}
 
-    def _import_target(self, member: tarfile.TarInfo) -> Path | None:
+    def _import_target(self, member) -> Path | None:
         if not member.isreg():
             return None
         parts = PurePosixPath(member.name).parts

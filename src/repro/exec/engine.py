@@ -15,7 +15,9 @@ attack pipeline route their simulation batches through.  It
    collated **strictly in job order**, never in completion order, so the
    output is independent of worker scheduling.  A chunk whose worker
    crashes or times out is redone once in-process (the spawn-keyed RNG
-   makes the redo bit-identical);
+   makes the redo bit-identical).  ``multiprocessing`` and
+   ``concurrent.futures`` are imported only when a pool starts, so an
+   in-process run never loads them (tested);
 4. stores each chunk with one bulk ``put_many``.
 
 Determinism guarantee (tested): ``run_sessions(jobs, workers=n)`` returns
@@ -27,9 +29,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import multiprocessing
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 
 from .. import host, telemetry
 from ..telemetry import profile
@@ -167,6 +166,9 @@ def _execute_chunks(jobs, groups, results, workers, factory, cache, timeout_s):
     n_chunks = sum(len(chunks) for chunks in groups)
     pool = None
     if workers > 1 and n_chunks > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         if factory is not None:
             # Pre-fork memoization: under the fork start method the workers
             # inherit the parent's built designs instead of re-running sysid.
@@ -230,6 +232,9 @@ def _result_or_retry(future, chunk_jobs: "list[SessionJob]", factory, timeout_s:
     raised by a job itself (bad workload name, invalid config) would
     fail identically on retry and propagates immediately.
     """
+    from concurrent.futures import BrokenExecutor
+    from concurrent.futures import TimeoutError as FutureTimeoutError
+
     try:
         return future.result(timeout=timeout_s)
     except (BrokenExecutor, FutureTimeoutError, OSError) as failure:

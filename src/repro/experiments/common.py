@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..attacks.mlp import MLPConfig
-from ..attacks.pipeline import AttackScenario
 from ..defenses.designs import DefenseFactory
 from ..exec import SessionJob, record_run, run_sessions
 from ..machine import PlatformSpec, RaplSensor, Trace, spawn
@@ -61,8 +59,17 @@ def attack_scenario(
     scale: ExperimentScale,
     seed: int = 0,
     **overrides: object,
-) -> AttackScenario:
-    """Build an :class:`AttackScenario` from the scale's defaults."""
+):
+    """Build an :class:`~repro.attacks.pipeline.AttackScenario` from the
+    scale's defaults.
+
+    The attack stack is imported here, not with this module, so a figure
+    that runs no attack never loads it; the figures that call this import
+    :mod:`repro.attacks` at module level themselves.
+    """
+    from ..attacks.mlp import MLPConfig
+    from ..attacks.pipeline import AttackScenario
+
     params: dict = dict(
         name=name,
         spec=spec,

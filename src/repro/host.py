@@ -17,7 +17,6 @@ import functools
 import math
 import operator
 import os
-import subprocess
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -106,6 +105,8 @@ def git_sha() -> "str | None":
 
     Resolved at the first call, not at import, and kept for the process.
     """
+    import subprocess
+
     sha = os.environ.get("GITHUB_SHA", "").strip()
     if sha:
         return sha

@@ -15,7 +15,7 @@ time-major.  Also covered: the engine sends every pending job, a lone one
 included, to the kernel as lock-step chunks.
 """
 
-import os
+import json
 
 import numpy as np
 import pytest
@@ -40,6 +40,7 @@ from repro.telemetry import TelemetryRecorder
 from repro.workloads import Phase, PhaseProgram
 
 from .conftest import TEST_SEED
+from .test_import_budget import last_output_line
 from .test_machine_row_independence import HalvedRatePhase
 
 
@@ -115,16 +116,48 @@ class TestChooseBackend:
         run_sessions(jobs, workers=1, cache=False)
         assert sizes == [4]
 
-    def test_auto_never_picks_process(self, sys1_factory, monkeypatch):
+    def test_auto_never_picks_process(self):
         # Without an explicit worker count the engine never starts a pool,
-        # however many cores the host has.
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", None)
-        sizes = record_chunks(monkeypatch)
-        jobs = [make_job(sys1_factory, run=run) for run in range(4)]
-        run_sessions(jobs, cache=False)
-        assert sizes == [4]
+        # however many cores the host has: every job runs in one in-process
+        # chunk, and the pool modules are never even imported (checked in a
+        # fresh interpreter, where nothing else has loaded them).
+        script = f"""
+import json
+import os
+import sys
+
+os.environ.pop("REPRO_WORKERS", None)
+os.cpu_count = lambda: 8
+
+import repro.exec.engine as engine_mod
+from repro.exec import SessionJob, run_sessions
+from repro.experiments.common import make_factory
+from repro.experiments.config import get_scale
+from repro.machine import SYS1
+
+sizes = []
+real = engine_mod.execute_jobs_batched
+
+
+def spy(chunk_jobs, factory=None):
+    sizes.append(len(chunk_jobs))
+    return real(chunk_jobs, factory=factory)
+
+
+engine_mod.execute_jobs_batched = spy
+factory = make_factory(SYS1, get_scale("smoke"))
+jobs = [
+    SessionJob.for_factory(
+        factory, workload="volrend", defense="baseline", seed={TEST_SEED},
+        run_id=run, duration_s=1.0,
+    )
+    for run in range(4)
+]
+run_sessions(jobs, cache=False)
+pool = [name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules]
+print(json.dumps({{"sizes": sizes, "pool": pool}}))
+"""
+        assert json.loads(last_output_line(script)) == {"sizes": [4], "pool": []}
 
     def test_fast_jobs_always_batch(self, sys1_factory, monkeypatch):
         # Masked per-row termination batches completion-mode and

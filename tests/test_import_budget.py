@@ -1,4 +1,4 @@
-"""The package runs without SciPy, checked in a fresh interpreter.
+"""What a run imports, checked in a fresh interpreter.
 
 ``import scipy.signal`` costs more than the rest of ``import repro``, and
 ``import scipy.linalg`` about as much again, and every figure run, CLI and
@@ -10,6 +10,13 @@ solves its Riccati equations in numpy
 alone, as the oracle of both.  This test runs each simulation path in a
 subprocess and records which SciPy modules are loaded after each step, and
 runs a Maya design and session with SciPy made unimportable.
+
+The same set-up cost holds for the package's own modules and the heavier
+stdlib: a figure module loads no sibling figure, no attack stack unless it
+runs an attack, and no process-pool, archive or subprocess module (DESIGN.md
+section 6d, "What a run imports"); and once its defenses are built, a
+figure's first call imports no ``repro`` module, so no import lands inside
+a timed call.
 """
 
 from __future__ import annotations
@@ -144,3 +151,63 @@ def test_maya_design_and_session_run_without_scipy():
 
 def test_temperature_step_records_temperature(loaded):
     assert loaded["temperature recorded"]
+
+
+#: Imports one figure module after numpy; prints the modules that loaded.
+FIGURE_IMPORT = """
+import json
+import sys
+
+import numpy
+
+before = set(sys.modules)
+import repro.experiments.{figure}
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+#: Stdlib packages that only a process pool, a store archive or a git
+#: lookup needs.
+UNUSED_STDLIB = ("multiprocessing", "concurrent.futures", "tarfile", "subprocess", "logging")
+
+
+def under(name: str, package: str) -> bool:
+    return name == package or name.startswith(package + ".")
+
+
+@pytest.mark.parametrize("figure", ["fig14_overheads", "fig11_changepoints"])
+def test_figure_import_loads_no_sibling_attack_or_pool_module(figure):
+    loaded = json.loads(last_output_line(FIGURE_IMPORT.format(figure=figure)))
+    assert f"repro.experiments.{figure}" in loaded
+    assert [
+        name for name in loaded
+        if name.startswith("repro.experiments.fig") and name != f"repro.experiments.{figure}"
+    ] == []
+    assert [name for name in loaded if under(name, "repro.attacks")] == []
+    assert [
+        name for name in loaded
+        if any(under(name, package) for package in UNUSED_STDLIB)
+    ] == []
+
+
+#: Builds Fig. 14's defense, then prints the ``repro`` modules its first
+#: call loads.
+FIRST_CALL = """
+import json
+import sys
+
+from repro.experiments import fig14_overheads
+from repro.experiments.common import make_factory
+from repro.experiments.config import get_scale
+from repro.machine import SYS1
+
+factory = make_factory(SYS1, get_scale("smoke"), seed=7)
+factory.create("maya_gs")
+before = set(sys.modules)
+fig14_overheads.run("smoke", seed=7, factory=factory, defenses=("maya_gs",))
+new = set(sys.modules) - before
+print(json.dumps(sorted(name for name in new if name.split(".")[0] == "repro")))
+"""
+
+
+def test_first_figure_call_imports_no_repro_module():
+    assert json.loads(last_output_line(FIRST_CALL)) == []
