@@ -37,6 +37,50 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+#: Adam's moment decay rates and denominator guard.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
+def _adam_update(
+    param: np.ndarray,
+    grad: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    scratch: "tuple[np.ndarray, np.ndarray]",
+    corr1: float,
+    corr2: float,
+    learning_rate: float,
+    weight_decay: "float | None" = None,
+) -> None:
+    """One Adam update of ``param`` and its moments ``m`` and ``v``, in place.
+
+    The operations of ``g = grad + weight_decay * param`` (``g = grad``
+    without decay), ``m = beta1 * m + (1 - beta1) * g``, ``v = beta2 * v
+    + (1 - beta2) * g**2`` and ``param -= learning_rate * ((m / corr1) /
+    (sqrt(v / corr2) + eps))``, in that order, written into the two
+    ``scratch`` arrays shaped like ``param`` rather than into temporaries.
+    """
+    first, second = scratch
+    g = grad
+    if weight_decay is not None:
+        np.multiply(weight_decay, param, out=first)
+        g = np.add(grad, first, out=first)
+    np.multiply(1 - _BETA1, g, out=second)
+    np.multiply(_BETA1, m, out=m)
+    m += second
+    np.square(g, out=first)
+    first *= 1 - _BETA2
+    np.multiply(_BETA2, v, out=v)
+    v += first
+    np.divide(v, corr2, out=first)
+    np.sqrt(first, out=first)
+    first += _EPS
+    np.divide(m, corr1, out=second)
+    second /= first
+    second *= learning_rate
+    param -= second
+
+
 class MLPClassifier:
     """ReLU MLP with log-softmax output, trained with Adam."""
 
@@ -101,24 +145,21 @@ class MLPClassifier:
                 {
                     "mw": np.zeros_like(w), "vw": np.zeros_like(w),
                     "mb": np.zeros_like(b), "vb": np.zeros_like(b),
+                    "scratch_w": (np.empty_like(w), np.empty_like(w)),
+                    "scratch_b": (np.empty_like(b), np.empty_like(b)),
                 }
                 for w, b in zip(self.weights, self.biases)
             ]
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        corr1 = 1 - _BETA1**step
+        corr2 = 1 - _BETA2**step
         for layer, state in enumerate(self._adam_state):
-            gw = grads_w[layer] + cfg.weight_decay * self.weights[layer]
-            gb = grads_b[layer]
-            state["mw"] = beta1 * state["mw"] + (1 - beta1) * gw
-            state["vw"] = beta2 * state["vw"] + (1 - beta2) * gw**2
-            state["mb"] = beta1 * state["mb"] + (1 - beta1) * gb
-            state["vb"] = beta2 * state["vb"] + (1 - beta2) * gb**2
-            corr1 = 1 - beta1**step
-            corr2 = 1 - beta2**step
-            self.weights[layer] -= cfg.learning_rate * (
-                (state["mw"] / corr1) / (np.sqrt(state["vw"] / corr2) + eps)
+            _adam_update(
+                self.weights[layer], grads_w[layer], state["mw"], state["vw"],
+                state["scratch_w"], corr1, corr2, cfg.learning_rate, cfg.weight_decay,
             )
-            self.biases[layer] -= cfg.learning_rate * (
-                (state["mb"] / corr1) / (np.sqrt(state["vb"] / corr2) + eps)
+            _adam_update(
+                self.biases[layer], grads_b[layer], state["mb"], state["vb"],
+                state["scratch_b"], corr1, corr2, cfg.learning_rate,
             )
 
     # -- public API ------------------------------------------------------

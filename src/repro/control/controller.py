@@ -158,10 +158,10 @@ class MatrixController:
         fleet = self._resident
         if fleet is None:
             fleet = self._resident = ControllerFleet([self])
-        levels = fleet.step(
+        command = fleet.step(
             np.array([target_w], dtype=float), np.array([measured_w], dtype=float)
         )
-        return ActuatorSettings(*levels[0].tolist())
+        return ActuatorSettings(*self.grid.levels[command[0]].tolist())
 
     def _catch_up(self) -> None:
         """Write the resident fleet back if it has stepped since."""
@@ -347,11 +347,19 @@ class ControllerFleet:
         #: Whether a step has run since the last write-back of every row.
         self.ahead = False
 
+    @property
+    def levels(self) -> np.ndarray:
+        """The ``(N, 3)`` level grid the commands of :meth:`step` index."""
+        return self._grid.levels
+
     def step(self, targets_w: np.ndarray, measured_w: np.ndarray) -> np.ndarray:
-        """One control interval for every row; returns the ``(B, 3)`` levels.
+        """One control interval for every row; returns the ``(B,)`` commands.
 
         ``targets_w`` and ``measured_w`` hold one value per row, with the
-        timing of :meth:`MatrixController.step`.
+        timing of :meth:`MatrixController.step`.  Each command is the joint
+        level index of the settings for the next interval: a row of the
+        bank's :meth:`~repro.machine.ActuatorBank.level_grid` (and of the
+        grid's ``levels``), which the lock-step loop carries as is.
         """
         plant_ss = self._plant_ss
         tables = self._tables
@@ -396,7 +404,7 @@ class ControllerFleet:
         if len(self._frozen) == _SETTLE_STEPS:
             self._settle()
         self.ahead = True
-        return self._grid.levels[command]
+        return command
 
     def _settle(self) -> None:
         """Bring the counters up to date with the steps since the last settle."""

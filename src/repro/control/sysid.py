@@ -23,6 +23,7 @@ import numpy as np
 
 from ..machine import (
     ActuatorBank,
+    JointLevels,
     PlatformSpec,
     RaplSensor,
     SimulatedMachine,
@@ -147,10 +148,10 @@ def run_excitation(
     first, each hold is one :meth:`~SimulatedMachine.walk` (the app restarts
     whenever it completes), and the whole record's power and counter reads
     are one :func:`~repro.machine.batch_window_power` call (intervals as
-    rows) and one :func:`~repro.machine.measure_windows` call.  Both are
-    row-wise and the noise is drawn ahead in one
-    :func:`~repro.machine.draw_noise` call, so the record equals stepping
-    the run one interval at a time.
+    rows, each at its hold's joint level index) and one
+    :func:`~repro.machine.measure_windows` call.  Both are row-wise and
+    the noise is drawn ahead in one :func:`~repro.machine.draw_noise`
+    call, so the record equals stepping the run one interval at a time.
     """
     machine = SimulatedMachine(spec, workload, seed=seed, run_id=("sysid", workload.name))
     bank = machine.bank
@@ -185,9 +186,11 @@ def run_excitation(
             if machine.completed:
                 machine.reset()
 
+    levels = JointLevels(bank)
+    held_index = np.array([levels.index(settings) for settings in held], dtype=np.intp)
+    index = np.repeat(held_index, lengths)
     power_w = batch_window_power(
-        machine.power_model, activity, core_fraction,
-        np.repeat(np.reshape([tuple(settings) for settings in held], (-1, 3)), lengths, axis=0),
+        machine.power_model, activity, core_fraction, levels, index,
         power_noise_w.reshape(n_intervals, ticks),
     )
     y_rows = measure_windows(power_w[None], machine.tick_s, counter_noise_w)[0]

@@ -17,7 +17,13 @@ import numpy as np
 from ..control import ControllerFleet
 from ..core.config import MayaConfig
 from ..core.maya import MayaDesign, MayaInstance, build_maya_design
-from ..machine import ActuatorBank, ActuatorSettings, PlatformSpec, SimulatedMachine
+from ..machine import (
+    ActuatorBank,
+    ActuatorSettings,
+    JointLevels,
+    PlatformSpec,
+    SimulatedMachine,
+)
 from ..masks import MASK_FAMILIES
 from .base import Defense
 
@@ -223,12 +229,17 @@ class DefenseFleet:
     """The decisions of a lock-step fleet of prepared defenses.
 
     Built once per lock-step call and kept until its last row retires.
-    Maya rows are grouped by controller design; each group keeps its
-    Equation-1 state in one :class:`~repro.control.ControllerFleet` and its
-    mask targets in a ``(G, n)`` block that :meth:`draw` fills ahead (the
-    mask never sees a measurement).  Every other defense runs its own
-    :meth:`Defense.decide`.  Row ``k`` consumes exactly its own state and
-    RNG streams, so it gets the settings ``defenses[k].decide(measured_w[k])``
+    A decision is a joint level index into ``levels``
+    (:class:`~repro.machine.JointLevels`), whose grid rows are the
+    commands a Maya controller step returns.  Maya rows are grouped by
+    controller design; each group keeps its Equation-1 state in one
+    :class:`~repro.control.ControllerFleet`, whose commands pass through
+    as they are, and its mask targets in a ``(G, n)`` block that
+    :meth:`draw` fills ahead (the mask never sees a measurement).  Every
+    other defense runs its own :meth:`Defense.decide`, whose settings, like
+    every row's initial settings, ``levels`` indexes (an off-grid triple
+    is one more row).  Row ``k`` consumes exactly its own state and RNG
+    streams, so it gets the settings ``defenses[k].decide(measured_w[k])``
     would return.
 
     The controllers, ``current_target_w`` and diagnostics of Maya rows are
@@ -236,12 +247,14 @@ class DefenseFleet:
     for the rows it drops.
     """
 
-    def __init__(self, defenses: "list[Defense]") -> None:
+    def __init__(self, defenses: "list[Defense]", levels: JointLevels) -> None:
         self.defenses = list(defenses)
-        #: The ``(B, 3)`` levels in force: initial settings, then decisions.
-        self.levels = np.array(
-            [tuple(defense.initial_settings()) for defense in self.defenses], dtype=float
-        ).reshape(len(self.defenses), 3)
+        self.levels = levels
+        #: The ``(B,)`` joint level indices in force: initial settings, then decisions.
+        self.index = np.array(
+            [levels.index(defense.initial_settings()) for defense in self.defenses],
+            dtype=np.intp,
+        )
         #: Each row's current target (the last drawn mask value; NaN before).
         self.targets_w = np.array(
             [defense.current_target_w for defense in self.defenses], dtype=float
@@ -255,6 +268,9 @@ class DefenseFleet:
             else:
                 open_loop.append(index)
         self._groups = [_MayaGroup(self.defenses, indices) for indices in groups.values()]
+        for group in self._groups:
+            if not np.array_equal(group.controllers.levels, levels.triples[:levels.n_grid]):
+                raise ValueError("a Maya design's level grid differs from the fleet's")
         self._open_loop = open_loop
         self._column = 0
         self._solo = self._whole_group()
@@ -274,7 +290,7 @@ class DefenseFleet:
         self._column = 0
 
     def decide(self, measured_w: np.ndarray) -> np.ndarray:
-        """The ``(B, 3)`` levels of the next interval, given each row's measurement.
+        """The ``(B,)`` level indices of the next interval, given each row's measurement.
 
         Maya rows take the next column of their drawn targets.
         """
@@ -283,21 +299,21 @@ class DefenseFleet:
         if self._solo is not None:
             # One group holds every row, in fleet order: nothing to scatter.
             self.targets_w = self._solo.targets_w[:, column]
-            self.levels = self._solo.controllers.step(self.targets_w, measured_w)
-            return self.levels
-        levels = np.empty_like(self.levels)
+            self.index = self._solo.controllers.step(self.targets_w, measured_w)
+            return self.index
+        index = np.empty_like(self.index)
         for group in self._groups:
             targets_w = group.targets_w[:, column]
-            levels[group.positions] = group.controllers.step(
+            index[group.positions] = group.controllers.step(
                 targets_w, measured_w[group.positions]
             )
             self.targets_w[group.positions] = targets_w
-        for index in self._open_loop:
-            defense = self.defenses[index]
-            levels[index] = tuple(defense.decide(float(measured_w[index])))
-            self.targets_w[index] = defense.current_target_w
-        self.levels = levels
-        return levels
+        for k in self._open_loop:
+            defense = self.defenses[k]
+            index[k] = self.levels.index(defense.decide(float(measured_w[k])))
+            self.targets_w[k] = defense.current_target_w
+        self.index = index
+        return index
 
     def write_back(self, rows: "list[int] | None" = None) -> None:
         """Bring the defenses of ``rows`` (default: all) up to date."""
@@ -331,7 +347,7 @@ class DefenseFleet:
         self._open_loop = [int(remap[k]) for k in self._open_loop if remap[k] >= 0]
         self._solo = self._whole_group()
         self.defenses = [self.defenses[k] for k in rows]
-        self.levels = self.levels[rows]
+        self.index = self.index[rows]
         self.targets_w = self.targets_w[rows]
 
 

@@ -29,10 +29,20 @@ fleet at once:
   :class:`~repro.defenses.DefenseFleet` serves the whole call: it keeps
   the Equation-1 state of every Maya row sharing a design in one
   :class:`~repro.control.ControllerFleet`, whose stacked ``np.matmul``
-  makes per row the BLAS call of a one-row ``M @ x``.  The settings
-  travel as one ``(B, 3)`` level array.  What the loop never feeds back
-  -- mask targets, power noise, RAPL counter noise -- is drawn per row
-  :data:`BLOCK_INTERVALS` intervals ahead (:class:`_Block`).
+  makes per row the BLAS call of a one-row ``M @ x``.  What the loop
+  never feeds back -- mask targets, power noise, RAPL counter noise -- is
+  drawn per row :data:`BLOCK_INTERVALS` intervals ahead (:class:`_Block`).
+
+**Settings as level indices.**  Every decision is one row of the
+actuators' finite level grid, so both loops carry each row's settings as
+a joint level index into the call's :class:`~repro.machine.JointLevels`:
+a Maya group's controller step returns it, and open-loop decisions and
+initial settings are indexed, an off-grid triple as an appended row.  The
+power step gathers its operating points from one per-index table
+(:meth:`~repro.machine.PowerModel.operating_points`) at every fleet
+width, each interval writes its power and RAPL read straight into the
+block's staging buffers, and the staged indices become float settings
+only when a block is flushed into the rows' trace buffers.
 
 **Narrow fleets.**  A dynamic fleet of a few rows (Fig. 11's one row,
 Fig. 14's four Maya rows, every ``run_session``) pays per interval a fixed
@@ -41,28 +51,27 @@ call count small: the controller step gathers what it needs of each
 row's applied command from per-command tables and quantizes with one
 comparison against exact thresholds (DESIGN.md §7), a
 :class:`~repro.defenses.DefenseFleet` whose one Maya group holds every
-row steps it without scattering, and the power step builds its
-operating points in one pass.  None of this changes an operation on a
-value.
+row steps it without scattering, the power step gathers the operating
+points of the rows' indices, and each machine's cursor step reuses the
+progress rate of its phase at a grid index it has met before.  None of
+this changes an operation on a value.
 
 **Wide fleets.**  While a dynamic fleet has at least
 :data:`WIDE_FLEET_ROWS` active rows, its interval takes no Python step per
 row: a :class:`~repro.machine.CursorFleet` replaces the per-machine
-cursor walk, :class:`~repro.machine.OperatingPoints` tables replace the
-per-row operating-point lookups of the power step, and each block's AR(1)
-noise is filtered time-major.  The cursor fleet owns every row's phase
-index, work into the phase, work done, ``time_s`` and ``completed_at_s``
-while the fleet is wide; it writes them back to the machines only when a
-row retires, when the fleet turns narrow and at the end of the call, and
-completion is detected from its arrays.  Every table entry is computed
-once by the scalar code it stands for (``Phase.frequency_speedup``,
-``PowerModel.dvfs_scale``, ``static_power``, ``idle_scale``).  The path
-is chosen each time the loop rebuilds its active fleet; the fleet only
-shrinks, so it turns narrow at most once, and narrow fleets run the
-per-row code, which stays the oracle.
-The constant-settings fast-forward applies the same rule to its chunks'
-AR(1) noise: time-major while at least :data:`WIDE_FLEET_ROWS` rows are
-active.
+cursor walk, gathering each row's frequency speedup by its index's DVFS
+column from a table filled once per DVFS value and speedup function by
+``Phase.frequency_speedup`` itself, and each block's AR(1) noise is
+filtered time-major.  The cursor fleet owns every row's phase index, work
+into the phase, work done, ``time_s`` and ``completed_at_s`` while the
+fleet is wide; it writes them back to the machines only when a row
+retires, when the fleet turns narrow and at the end of the call, and
+completion is detected from its arrays.  The path is chosen each time
+the loop rebuilds its active fleet; the fleet only shrinks, so it turns
+narrow at most once, and narrow fleets run the per-row cursor code,
+which stays the oracle.  The constant-settings fast-forward applies the
+same rule to its chunks' AR(1) noise: time-major while at least
+:data:`WIDE_FLEET_ROWS` rows are active.
 
 **Per-row termination.**  A fixed-duration row records
 ``min(duration_s, max_duration_s)``; a completion-mode row (``duration_s
@@ -81,15 +90,17 @@ on another, and the AR(1) recursion carries each row's state across a
 multi-window block exactly like per-window calls, row by row or
 time-major.  So drawing a block of noise or mask targets ahead equals
 drawing it interval by interval, and the constant-settings path's
-multi-window RAPL reduction replays the per-window sums.  A row whose
-recording ends before what was drawn ahead for it (a completion-mode row
-whose deadline falls inside a dynamic block or a constant-settings
-chunk) takes one retire step, :func:`_rewind_noise`: its power model's
-bit-generator state and carried AR(1) level go back to where the draw
-began and only the intervals it ran are redrawn, so a reused machine
-enters its next session with the state a per-interval draw would leave;
-the mask and sensor streams belong to the session and are dropped with
-it.  So each row of a B-row call equals a one-row call, and the
+multi-window RAPL reduction replays the per-window sums.  A
+constant-settings chunk knows every row's stop before it draws (the walk
+sets a completing row's deadline first), so each row draws its power
+noise only up to its stop.  A row whose recording ends before what was
+drawn ahead for it (a completion-mode row whose deadline falls inside a
+dynamic block) takes one retire step, :func:`_rewind_noise`: its power
+model's bit-generator state and carried AR(1) level go back to where the
+draw began and only the intervals it ran are redrawn.  Either way a
+reused machine enters its next session with the state a per-interval
+draw would leave; the mask and sensor streams belong to the session and
+are dropped with it.  So each row of a B-row call equals a one-row call, and the
 constant-settings fast-forward equals the per-interval loop.  The golden
 trace digests (``tests/test_golden_traces.py``) pin the absolute bits.
 Three sites depend on the numpy build in the same way: a walk's folded
@@ -115,16 +126,16 @@ from ..defenses.designs import DefenseFactory, DefenseFleet
 from ..machine import (
     ActuatorSettings,
     CursorFleet,
-    OperatingPoints,
+    JointLevels,
     RaplSensor,
     SimulatedMachine,
     Trace,
     activity_profiles,
     batch_window_power,
     draw_noise,
-    measure_windows,
     spawn,
 )
+from ..machine.sensors import check_windows, read_windows
 from ..telemetry import profile
 from .jobs import SessionJob
 
@@ -149,8 +160,8 @@ DEFAULT_BATCH_SIZE = 48
 _COMPLETION_CAPACITY = 2048
 
 #: Fewest active rows of a dynamic fleet that run its interval as fleet
-#: passes (:class:`~repro.machine.CursorFleet`, level-indexed operating
-#: points, time-major AR(1) noise) rather than per-row Python: the measured
+#: passes (:class:`~repro.machine.CursorFleet`, time-major AR(1) noise)
+#: rather than per-row Python: the measured
 #: crossover of the two paths' per-interval cost.  A constant-settings
 #: chunk with this many active rows filters its noise time-major too.
 WIDE_FLEET_ROWS = 12
@@ -354,14 +365,16 @@ def _run_dynamic(rows: "list[SessionRow]") -> None:
     Every interval the machines run with their current settings, the
     sensors report each window's power and the defenses decide the
     settings of the next interval.  One :class:`~repro.defenses.DefenseFleet`
-    serves the whole call, and the settings travel as one ``(B, 3)`` level
-    array.  What the loop never feeds back -- mask targets, power noise
-    and RAPL counter noise -- is drawn a :class:`_Block` of intervals
-    ahead, and each interval is staged with one slice write per block
-    buffer; the block is copied into the rows' own buffers when it ends.
+    serves the whole call, and the settings travel as one ``(B,)`` array
+    of joint level indices into the call's :class:`~repro.machine.JointLevels`.
+    What the loop never feeds back -- mask targets, power noise and RAPL
+    counter noise -- is drawn a :class:`_Block` of intervals ahead, and
+    each interval writes its power, reading, target and level index
+    straight into the block's staging buffers; the block is copied into
+    the rows' own buffers, its indices turned into settings, when it ends.
     A fleet of at least :data:`WIDE_FLEET_ROWS` active rows advances its
-    cursors, looks up its operating points and filters its noise as fleet
-    passes (module docstring, "Wide fleets").
+    cursors and filters its noise as fleet passes (module docstring,
+    "Wide fleets").
 
     Each interval checks every row's termination at its top and drops rows
     whose recording has ended, so a retired row's machine, RNG streams and
@@ -371,16 +384,16 @@ def _run_dynamic(rows: "list[SessionRow]") -> None:
     """
     tick_s = rows[0].machine.tick_s
     ticks = rows[0].ticks_per_interval
-    # Supplies the operating-point scalars, a function of the platform.
+    # Supplies the operating-point table, a function of the platform.
     model = rows[0].machine.power_model
+    levels = JointLevels(rows[0].machine.bank)
     recordings = [_Recording(row, ticks) for row in rows]
     pending = [i for i, row in enumerate(rows) if row.tail is not None]
     active = list(range(len(rows)))
-    decisions = DefenseFleet([row.defense for row in rows])
-    levels = decisions.levels
-    # A wide fleet's phase cursors and operating-point tables.
+    decisions = DefenseFleet([row.defense for row in rows], levels)
+    index = decisions.index
+    # A wide fleet's phase cursors.
     cursors: "CursorFleet | None" = None
-    points: "OperatingPoints | None" = None
     block: "_Block | None" = None
     next_stop = 0  # the earliest interval at which an active row may stop
     interval_index = 0
@@ -410,7 +423,7 @@ def _run_dynamic(rows: "list[SessionRow]") -> None:
                 decisions.keep(kept)
                 if cursors is not None:
                     cursors.keep(kept)
-                levels = decisions.levels
+                index = decisions.index
                 active = [active[k] for k in kept]
             if not active:
                 break
@@ -424,10 +437,9 @@ def _run_dynamic(rows: "list[SessionRow]") -> None:
             wide = len(active) >= WIDE_FLEET_ROWS
             if wide and cursors is None:
                 cursors = CursorFleet(machines)
-                points = OperatingPoints(model)
             elif not wide and cursors is not None:
                 cursors.write_back()
-                cursors = points = None
+                cursors = None
             activity = np.empty((len(active), ticks))
             core_fraction = np.empty((len(active), ticks))
         if block is None or interval_index == block.end:
@@ -435,7 +447,8 @@ def _run_dynamic(rows: "list[SessionRow]") -> None:
                 for k, i in enumerate(active):
                     block.flush(k, recordings[i], block.length)
             block = _Block(
-                fleet, interval_index, min(BLOCK_INTERVALS, next_stop - interval_index), wide
+                fleet, levels, interval_index,
+                min(BLOCK_INTERVALS, next_stop - interval_index), wide,
             )
         column = interval_index - block.start
 
@@ -447,25 +460,25 @@ def _run_dynamic(rows: "list[SessionRow]") -> None:
         # (MAYA033).
         with span("kernel.fast_forward", interval=interval_index):
             if cursors is None:
-                activity_profiles(machines, ticks, levels, activity, core_fraction)
+                activity_profiles(machines, ticks, levels, index, activity, core_fraction)
             else:
-                cursors.advance(ticks, levels, activity, core_fraction)
+                cursors.advance(ticks, levels, index, activity, core_fraction)
         with span("kernel.power", interval=interval_index):
             if column == 0:
                 block.draw_power_noise()
             window_w = batch_window_power(
-                model, activity, core_fraction, levels, block.power_noise_w[:, column], points
+                model, activity, core_fraction, levels, index,
+                block.power_noise_w[:, column], out=block.power_w[:, column],
             )
         with span("kernel.measure", interval=interval_index):
             if column == 0:
                 block.draw_counter_noise()
-            measured_w = measure_windows(
-                window_w, tick_s, block.counter_noise_w[:, column]
+            measured_w = read_windows(
+                window_w, tick_s, block.counter_noise_w[:, column],
+                out=block.measured_w[:, column],
             )
-        block.power_w[:, column] = window_w
-        block.measured_w[:, column] = measured_w
         block.target_w[:, column] = decisions.targets_w
-        block.levels[:, column] = levels
+        block.index[:, column] = index
 
         with span("kernel.decide", interval=interval_index):
             if column == 0:
@@ -478,10 +491,10 @@ def _run_dynamic(rows: "list[SessionRow]") -> None:
                     interval_index,
                     block.target_w[k, column],
                     block.measured_w[k, column],
-                    ActuatorSettings(*levels[k].tolist()),
+                    ActuatorSettings(*levels.triples[index[k]].tolist()),
                     fleet[k].defense,
                 )
-        levels = decided
+        index = decided
         interval_index += 1
 
     for row, recording in zip(rows, recordings):
@@ -501,15 +514,19 @@ class _Block:
     a constant-settings chunk up to :data:`CONST_CHUNK_INTERVALS`.  Holds,
     per active row, the power and counter noise drawn ahead for the block
     (in the block's first interval, before any row can retire) and the
-    staging buffers the intervals are written to.  No block runs past an
-    active row's known stop, so only a row whose completion deadline falls
-    inside the block stops early.
+    staging buffers the intervals are written to, the settings as joint
+    level indices into ``levels``.  Its shapes are checked for the RAPL
+    read once, here.  No block runs past an active row's known stop, so
+    only a row whose completion deadline falls inside the block stops
+    early.
     """
 
     def __init__(
-        self, fleet: "list[SessionRow]", start: int, length: int, wide: bool
+        self, fleet: "list[SessionRow]", levels: JointLevels, start: int, length: int,
+        wide: bool,
     ) -> None:
         ticks = fleet[0].ticks_per_interval
+        self.levels = levels
         self.start = start
         self.length = length
         self.end = start + length
@@ -520,14 +537,21 @@ class _Block:
         self.power_w = np.empty((n_rows, length, ticks))
         self.measured_w = np.empty((n_rows, length))
         self.target_w = np.empty((n_rows, length))
-        self.levels = np.empty((n_rows, length, 3))
+        self.index = np.empty((n_rows, length), dtype=np.intp)
+        check_windows(self.power_w.shape, self.measured_w.shape)
 
-    def draw_power_noise(self) -> None:
-        """Draw every row's process noise for the block, saving where it began."""
+    def draw_power_noise(self, row_windows: "list[int] | None" = None) -> None:
+        """Draw every row's process noise for the block, saving where it began.
+
+        With ``row_windows``, row ``k`` draws only its first
+        ``row_windows[k]`` intervals (:func:`~repro.machine.draw_noise`).
+        """
         self._saved = [_noise_mark(model) for model in self.models]
+        self._drawn = [self.length] * len(self.models) if row_windows is None else row_windows
         ticks = self.power_w.shape[2]
         power_noise_w, _ = draw_noise(
-            self.models, [], self.length, ticks, time_major=self.wide
+            self.models, [], self.length, ticks, time_major=self.wide,
+            row_windows=row_windows,
         )
         self.power_noise_w = power_noise_w.reshape(len(self.models), self.length, ticks)
 
@@ -542,20 +566,20 @@ class _Block:
             self.power_w[k, :n_intervals],
             self.measured_w[k, :n_intervals],
             self.target_w[k, :n_intervals],
-            self.levels[k, :n_intervals],
+            self.levels.triples[self.index[k, :n_intervals]],
         )
 
     def retire(self, k: int, recording: "_Recording", interval_index: int) -> None:
         """Flush a row that stops at ``interval_index`` and rewind its draws.
 
-        A row that stops inside the block rewinds its power noise to the
-        block's start and redraws only the intervals it ran
-        (:func:`_rewind_noise`).  The counter-noise and mask streams
+        A row that stops before the intervals drawn for it rewinds its
+        power noise to the block's start and redraws only the intervals it
+        ran (:func:`_rewind_noise`).  The counter-noise and mask streams
         belong to the session alone.
         """
         ran = interval_index - self.start
         self.flush(k, recording, ran)
-        if ran < self.length:
+        if ran < self._drawn[k]:
             _rewind_noise(self.models[k], self._saved[k], ran, self.power_w.shape[2])
 
     def keep(self, rows: "list[int]") -> None:
@@ -563,8 +587,9 @@ class _Block:
         self.models = [self.models[k] for k in rows]
         self.sensors = [self.sensors[k] for k in rows]
         self._saved = [self._saved[k] for k in rows]
+        self._drawn = [self._drawn[k] for k in rows]
         for name in (
-            "power_w", "measured_w", "target_w", "levels",
+            "power_w", "measured_w", "target_w", "index",
             "power_noise_w", "counter_noise_w",
         ):
             setattr(self, name, getattr(self, name)[rows])
@@ -586,7 +611,7 @@ class _Recording:
         self.target_w = np.empty(capacity)
         self.settings = np.empty((capacity, 3))
 
-    def store(self, start, power_w, measured_w, target_w, levels) -> None:
+    def store(self, start, power_w, measured_w, target_w, settings) -> None:
         """Store intervals from ``start`` on (growing the buffers first if full)."""
         stop = start + measured_w.shape[0]
         capacity = self.measured_w.shape[0]
@@ -599,7 +624,7 @@ class _Recording:
         self.power_w[start:stop] = power_w
         self.measured_w[start:stop] = measured_w
         self.target_w[start:stop] = target_w
-        self.settings[start:stop] = levels
+        self.settings[start:stop] = settings
 
 
 def _noise_mark(model) -> tuple:
@@ -613,7 +638,7 @@ def _rewind_noise(model, mark: tuple, n_windows: int, window_ticks: int) -> None
     The retire step of a row whose recording ends before the intervals
     drawn ahead for it: its machine then carries the RNG position and AR(1)
     level a per-interval draw of the intervals it ran leaves into a later
-    session.  Both kernel paths use it, through :meth:`_Block.retire`.
+    session.  The dynamic loop uses it, through :meth:`_Block.retire`.
     """
     model._rng.bit_generator.state, model._noise_state = mark
     draw_noise([model], [], n_windows, window_ticks)
@@ -636,24 +661,27 @@ def _run_constant(rows: "list[SessionRow]") -> None:
     session evaluates in chunks of up to :data:`CONST_CHUNK_INTERVALS`
     intervals: each row's machine walks the chunk's windows
     (:meth:`~repro.machine.SimulatedMachine.walk`), then one fleet
-    ``batch_window_power`` and one multi-window ``measure_windows`` run per
-    chunk, over noise drawn ahead as one :class:`_Block`, filtered
-    time-major while at least :data:`WIDE_FLEET_ROWS` rows are active, as
-    in the dynamic loop.  AR(1) state and RNG streams carry across chunks
-    exactly as across single windows.  A chunk never runs past any active
-    row's cap, so a row can only overrun its recording when it completes
-    inside the chunk: the walk reports the window of completion, the row
-    starts its tail at the next interval's top
-    (:meth:`SessionRow.start_tail`, the per-interval loop's rule), its
-    machine coasts only up to that deadline and the block's retire step
-    rewinds its power noise there (:func:`_rewind_noise`), so its machine
-    ends where the per-interval loop leaves it.
+    ``batch_window_power`` (at each row's joint level index) and one
+    multi-window RAPL read run per chunk, over noise drawn ahead as one
+    :class:`_Block`, filtered time-major while at least
+    :data:`WIDE_FLEET_ROWS` rows are active, as in the dynamic loop.
+    AR(1) state and RNG streams carry across chunks exactly as across
+    single windows.  A chunk never runs past any active row's cap, so a
+    row can only overrun its recording when it completes inside the chunk:
+    the walk reports the window of completion, the row starts its tail at
+    the next interval's top (:meth:`SessionRow.start_tail`, the
+    per-interval loop's rule) and its machine coasts only up to that
+    deadline.  The walk runs before the block draws, so every row's stop
+    is known then, and each row draws its power noise only up to it:
+    its machine ends where the per-interval loop leaves it, with nothing
+    to rewind.
     """
     tick_s = rows[0].machine.tick_s
     ticks = rows[0].ticks_per_interval
     model = rows[0].machine.power_model
+    levels = JointLevels(rows[0].machine.bank)
     settings = [row.defense.initial_settings() for row in rows]
-    levels = np.array([tuple(applied) for applied in settings], dtype=float)
+    index = np.array([levels.index(applied) for applied in settings], dtype=np.intp)
     recordings = [_Recording(row, ticks) for row in rows]
     active = list(range(len(rows)))
     done = 0
@@ -679,21 +707,23 @@ def _run_constant(rows: "list[SessionRow]") -> None:
                         coast, ticks, settings[i], activity[k, start:], core_fraction[k, start:]
                     )
 
-        block = _Block([rows[i] for i in active], done, n_int, len(active) >= WIDE_FLEET_ROWS)
+        fleet = [rows[i] for i in active]
+        block = _Block(fleet, levels, done, n_int, len(active) >= WIDE_FLEET_ROWS)
+        ran = [min(row.stop(), block.end) - done for row in fleet]
         with profile.span("kernel.power", intervals=n_int):
-            block.draw_power_noise()
-            window_w = batch_window_power(
-                model, activity, core_fraction, levels[active],
+            block.draw_power_noise(ran)
+            batch_window_power(
+                model, activity, core_fraction, levels, index[active],
                 block.power_noise_w.reshape(len(active), n_ticks),
+                out=block.power_w.reshape(len(active), n_ticks),
             )
         with profile.span("kernel.measure", intervals=n_int):
             block.draw_counter_noise()
-            block.power_w[:] = window_w.reshape(block.power_w.shape)
-            block.measured_w[:] = measure_windows(block.power_w, tick_s, block.counter_noise_w)
-        block.target_w[:] = [[rows[i].defense.current_target_w] for i in active]
-        block.levels[:] = levels[active, None]
+            read_windows(block.power_w, tick_s, block.counter_noise_w, out=block.measured_w)
+        block.target_w[:] = [[row.defense.current_target_w] for row in fleet]
+        block.index[:] = index[active, None]
         for k, i in enumerate(active):
-            block.retire(k, recordings[i], min(rows[i].stop(), block.end))
+            block.retire(k, recordings[i], done + ran[k])
         done += n_int
         active = [i for i in active if rows[i].stop() > done]
 

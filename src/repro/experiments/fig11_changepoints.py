@@ -145,10 +145,26 @@ def _completion_score(samples: np.ndarray, interval_s: float, t_complete: float)
     before_means = np.array([samples[p:p + w].mean() for p in positions])
     if before_means.size < 5:
         return 0.0
-    center = float(np.median(before_means))
-    scale = float(np.median(np.abs(before_means - center))) * 1.4826
+    center = _median(before_means)
+    scale = _median(np.abs(before_means - center)) * 1.4826
     scale = max(scale, 0.05)
     return abs(after - center) / scale
+
+
+def _median(values) -> float:
+    """``np.median`` of a 1-D sequence, by one ``np.partition``.
+
+    The same value: the mean of the middle element, or for an even count
+    of the two middle ones (``(a + b) / 2.0``), taken as ``np.median``
+    takes it; NaN when any value is NaN.  ``np.median``'s first call
+    imports ``numpy.ma``, which would land inside a timed figure call.
+    """
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
+        return float("nan")
+    half = values.size // 2
+    middle = slice(half - 1 + values.size % 2, half + 1)
+    return float(np.mean(np.partition(values, (middle.start, half))[middle]))
 
 
 def run(
@@ -224,6 +240,6 @@ def run(
             completion_s=first_completion,
             recall=float(np.mean(recalls)),
             chance_hit=float(np.mean(chances)),
-            completion_score=float(np.median(scores)),
+            completion_score=_median(scores),
         )
     return Fig11Result(workload=workload, per_defense=per_defense)

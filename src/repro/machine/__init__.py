@@ -11,13 +11,12 @@ from .actuators import (
     BalloonTask,
     DvfsActuator,
     IdleInjector,
-    LevelTable,
+    JointLevels,
     QuantizedActuator,
 )
 from .machine import CursorFleet, SimulatedMachine, activity_profiles
 from .platform import PLATFORMS, SYS1, SYS2, SYS3, PlatformSpec, get_platform
 from .power import (
-    OperatingPoints,
     PowerBreakdown,
     PowerModel,
     batch_window_power,
@@ -34,7 +33,7 @@ __all__ = [
     "BalloonTask",
     "DvfsActuator",
     "IdleInjector",
-    "LevelTable",
+    "JointLevels",
     "QuantizedActuator",
     "CursorFleet",
     "SimulatedMachine",
@@ -45,7 +44,6 @@ __all__ = [
     "SYS3",
     "PlatformSpec",
     "get_platform",
-    "OperatingPoints",
     "PowerBreakdown",
     "PowerModel",
     "batch_window_power",

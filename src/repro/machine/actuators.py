@@ -17,6 +17,7 @@ implementation does when writing sysfs files.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ __all__ = [
     "BalloonTask",
     "ActuatorSettings",
     "ActuatorBank",
-    "LevelTable",
+    "JointLevels",
 ]
 
 
@@ -124,8 +125,9 @@ class ActuatorSettings:
     def __iter__(self):
         """Unpack as the ``(freq_ghz, idle_frac, balloon_level)`` triple.
 
-        The control loop holds a fleet's settings as rows of a ``(B, 3)``
-        level array; code that reads one session's settings unpacks either.
+        The control loop holds a fleet's settings as joint level indices
+        into the rows of :attr:`JointLevels.triples`; code that reads one
+        session's settings unpacks either form.
         """
         return iter((self.freq_ghz, self.idle_frac, self.balloon_level))
 
@@ -329,38 +331,78 @@ class ActuatorBank:
         )
 
 
-class LevelTable:
-    """Scalar functions of an actuator level, tabulated per level seen.
+#: A triple's and a value's bits, as the keys :class:`JointLevels` looks
+#: them up by (so ``-0.0`` and ``0.0`` stay apart).
+_TRIPLE_BITS = struct.Struct("3d").pack
+_VALUE_BITS = struct.Struct("d").pack
 
-    The lock-step kernel gathers per-row operating-point values from such
-    tables instead of calling the scalar code per row and interval.  Each
-    of ``functions`` is that scalar code itself (say
-    :meth:`~repro.machine.PowerModel.dvfs_scale`), called once per
-    distinct level the first time a lookup meets it, so a table entry has
-    the scalar code's bits and an off-grid level costs one more column
-    rather than a separate path.
+
+class JointLevels:
+    """Actuator triples by joint level index: a bank's grid, then off-grid triples.
+
+    The lock-step kernel carries each row's held settings as an index into
+    :attr:`triples`.  Rows ``0 .. n_grid - 1`` are the bank's
+    :meth:`~ActuatorBank.level_grid`, whose index
+    :meth:`~ActuatorBank.quantize_index_many`, and so a Maya controller
+    step, returns; a triple off that grid gets the next row the first time
+    :meth:`index` meets it, so it costs one more row rather than a second
+    path.  Per actuator, :attr:`values` lists the distinct values seen (the
+    actuator's levels, then any value off them) and :attr:`columns` holds
+    each row's position in those lists: per-level tables (the power step's
+    operating points, the phase cursor's frequency speedups) are computed
+    once per value by the scalar code they stand for and gathered by
+    these.  Values are told apart by their bits, so a row's triple is
+    exactly the one that was indexed.
     """
 
-    def __init__(self, functions) -> None:
-        self.functions = list(functions)
-        #: The levels tabulated so far, ascending, then a +inf sentinel
-        #: that keeps every search result a valid index.
-        self.levels = np.array([np.inf])
-        #: ``values[f, c]`` is ``functions[f](levels[c])``.
-        self.values = np.empty((len(self.functions), 0))
+    def __init__(self, bank: ActuatorBank) -> None:
+        #: ``(L, 3)``: row ``i`` is the (freq_ghz, idle_frac, balloon_level)
+        #: of joint index ``i``.  Replaced, never written, when it grows.
+        self.triples = bank.level_grid()
+        self.n_grid = len(self.triples)
+        self.values = [actuator.levels.tolist() for actuator in bank.actuators]
+        self._sizes = [len(values) for values in self.values]
+        #: ``(L, 3)``: each row's position in the per-actuator :attr:`values`.
+        self.columns = np.stack(np.unravel_index(np.arange(self.n_grid), self._sizes), axis=1)
+        self._positions = [
+            {_VALUE_BITS(value): column for column, value in enumerate(values)}
+            for values in self.values
+        ]
+        self._rows: dict[bytes, int] = {}
 
-    def columns(self, levels: np.ndarray) -> np.ndarray:
-        """The column of each of ``levels``, tabulating new levels first."""
-        index = self.levels.searchsorted(levels)
-        if np.count_nonzero(self.levels[index] != levels):
-            new = np.setdiff1d(levels, self.levels)
-            values = np.array([
-                [float(function(level)) for level in new.tolist()]
-                for function in self.functions
-            ]).reshape(len(self.functions), new.size)
-            merged = np.concatenate([self.levels[:-1], new])
-            order = np.argsort(merged, kind="stable")
-            self.levels = np.append(merged[order], np.inf)
-            self.values = np.concatenate([self.values, values], axis=1)[:, order]
-            index = self.levels.searchsorted(levels)
+    def __len__(self) -> int:
+        return len(self.triples)
+
+    def index(self, settings) -> int:
+        """The joint index of a ``(freq_ghz, idle_frac, balloon_level)`` triple.
+
+        ``settings`` is an :class:`ActuatorSettings` or any triple of
+        floats; a triple off the grid is appended first.
+        """
+        triple = tuple(settings)
+        key = _TRIPLE_BITS(*triple)
+        index = self._rows.get(key)
+        if index is None:
+            index = self._rows[key] = self._add(triple, key)
         return index
+
+    def _add(self, triple: tuple, key: bytes) -> int:
+        """The row of a triple not looked up before, appended if off the grid.
+
+        ``key`` is the triple's bits, eight bytes per value.
+        """
+        columns = []
+        for actuator, value in enumerate(triple):
+            positions = self._positions[actuator]
+            column = positions.get(key[8 * actuator:8 * actuator + 8])
+            if column is None:
+                column = positions[key[8 * actuator:8 * actuator + 8]] = len(positions)
+                self.values[actuator].append(value)
+            columns.append(column)
+        freq, idle, balloon = columns
+        n_freq, n_idle, n_balloon = self._sizes
+        if freq < n_freq and idle < n_idle and balloon < n_balloon:
+            return (freq * n_idle + idle) * n_balloon + balloon
+        self.triples = np.concatenate([self.triples, [triple]])
+        self.columns = np.concatenate([self.columns, [columns]])
+        return len(self.triples) - 1

@@ -13,12 +13,13 @@ control loop lives in :mod:`repro.exec.batch`.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from ..workloads.phases import Phase, PhaseProgram, oscillating_activity, throttled_rate
-from .actuators import ActuatorBank, ActuatorSettings, LevelTable
+from .actuators import ActuatorBank, ActuatorSettings, JointLevels
 from .platform import PlatformSpec
 from .power import PowerModel
 from .thermal import ThermalModel
@@ -52,8 +53,26 @@ class SimulatedMachine:
                 workload_jitter,
             )
         self.workload = workload
+        # activity_profiles' columns of each phase, by identity: core
+        # fraction, activity and the wave's amplitude and period (a flat
+        # phase as amplitude 0 with a placeholder period).
+        self._wave_columns = {
+            id(phase): (
+                phase.core_fraction,
+                phase.activity,
+                phase.osc_amplitude if phase.oscillates else 0.0,
+                phase.osc_period_s if phase.oscillates else 1.0,
+            )
+            for phase in workload.phases
+        }
         self.tick_s = tick_s
         self.bank = ActuatorBank(spec)
+        # next_segment's rate memo: work per tick by joint level index in
+        # the phase it holds for, and the size of the bank's level grid,
+        # the only indices that name the same triple in every kernel call.
+        self._rate_phase: Phase | None = None
+        self._rates: dict[int, float] = {}
+        self._n_grid = math.prod(actuator.levels.size for actuator in self.bank.actuators)
         self.power_model = PowerModel(
             spec, rng_mod.spawn(seed, "power", spec.name, workload.name, run_id)
         )
@@ -99,14 +118,17 @@ class SimulatedMachine:
             raise ValueError("duration shorter than one tick")
         self.walk(1, n_ticks, settings, activity_out, core_fraction_out)
 
-    def next_segment(self, ticks_left: int, settings) -> tuple:
+    def next_segment(self, ticks_left: int, settings, index: int = -1) -> tuple:
         """Advance the phase cursor by one segment of at most ``ticks_left``.
 
         The scalar half of :meth:`activity_profile`: a segment ends at the
         window's end or at the current phase's boundary, whichever comes
         first.  ``settings`` is the held ``(freq_ghz, idle_frac,
-        balloon_level)`` triple: an :class:`ActuatorSettings` or one row of
-        a fleet's level array.  Returns ``(phase, work_into_phase, work_per_tick,
+        balloon_level)`` triple: an :class:`ActuatorSettings` or a row of
+        :attr:`JointLevels.triples`.  ``index``, when given, is the
+        triple's joint level index (:class:`~repro.machine.JointLevels`):
+        within a phase, the progress rate of a grid index is computed once
+        and then reused.  Returns ``(phase, work_into_phase, work_per_tick,
         seg_ticks)``, where ``work_into_phase`` is the cursor *before* the
         segment; ``phase`` is ``None`` once the workload has completed,
         and the segment then coasts through the rest of the window.
@@ -118,17 +140,23 @@ class SimulatedMachine:
             return None, 0.0, 0.0, ticks_left
 
         phase = self.workload.phases[self._phase_index]
-        freq_ghz, idle_frac, balloon_level = settings
-        rate = phase.progress_rate(
-            freq_ghz / self.spec.freq_max_ghz, idle_frac, balloon_level
-        )
-        # Defensive clamp: a custom Phase whose progress_rate returns a
-        # zero, negative, or non-finite rate (e.g. idle_frac at its
-        # ceiling without the base class's own floor) would otherwise
-        # divide work_remaining by zero below.
-        if not (rate > 0.0) or not math.isfinite(rate):
-            rate = 1e-6
-        work_per_tick = rate * self.tick_s
+        work_per_tick = self._rates.get(index) if phase is self._rate_phase else None
+        if work_per_tick is None:
+            freq_ghz, idle_frac, balloon_level = settings
+            rate = phase.progress_rate(
+                freq_ghz / self.spec.freq_max_ghz, idle_frac, balloon_level
+            )
+            # Defensive clamp: a custom Phase whose progress_rate returns a
+            # zero, negative, or non-finite rate (e.g. idle_frac at its
+            # ceiling without the base class's own floor) would otherwise
+            # divide work_remaining by zero below.
+            if not (rate > 0.0) or not math.isfinite(rate):
+                rate = 1e-6
+            work_per_tick = rate * self.tick_s
+            if 0 <= index < self._n_grid:
+                if phase is not self._rate_phase:
+                    self._rate_phase, self._rates = phase, {}
+                self._rates[index] = work_per_tick
         work_into_phase = self._work_into_phase
         work_remaining = phase.work_units - work_into_phase
         ticks_in_phase = math.ceil(work_remaining / work_per_tick - 1e-12)
@@ -281,27 +309,29 @@ def _fill_spans(spans: list, activity_out: np.ndarray, core_fraction_out: np.nda
 def activity_profiles(
     machines: "list[SimulatedMachine]",
     n_ticks: int,
-    levels: np.ndarray,
+    levels: JointLevels,
+    index: np.ndarray,
     activity_out: np.ndarray,
     core_fraction_out: np.ndarray,
 ) -> None:
     """:meth:`SimulatedMachine.activity_profile` for every row of a fleet.
 
-    ``levels`` holds each row's settings as a ``(B, 3)`` array.  Row ``k``
-    of the ``(B, n_ticks)`` buffers and ``machines[k]``'s cursor end up
-    exactly as ``machines[k].activity_profile(n_ticks, ActuatorSettings(
-    *levels[k]), ...)`` leaves them.  Every row takes its first
-    :meth:`~SimulatedMachine.next_segment` step (the same scalar cursor
-    code).  A row whose first segment covers the whole window inside one
-    phase -- most rows, most windows -- joins one shared work-time grid
-    and one activity evaluation over per-row ``(R, 1)`` columns, both
-    elementwise in the one-row expression order; a flat-activity row
-    evaluates with amplitude 0, which gives exactly its phase's constant,
-    as :meth:`~repro.workloads.Phase.activity_at` returns it
-    (``a * (1.0 + 0.0 * wave) == a``, and clipping a valid activity to
-    ``[0, 1]`` keeps it).  Rows that cross a phase boundary, complete or coast
-    finish the window through :meth:`~SimulatedMachine.finish_window` and
-    the walk's span evaluator.
+    ``index`` holds each row's joint level index into ``levels``.  Row
+    ``k`` of the ``(B, n_ticks)`` buffers and ``machines[k]``'s cursor end
+    up exactly as ``machines[k].activity_profile(n_ticks, ActuatorSettings(
+    *levels.triples[index[k]]), ...)`` leaves them.  Every row takes its
+    first :meth:`~SimulatedMachine.next_segment` step (the same scalar
+    cursor code, given the row's index, so a phase's progress rate at a
+    grid level is computed once).  A row whose first segment covers
+    the whole window inside one phase -- most rows, most windows -- joins
+    one shared work-time grid and one activity evaluation over per-row
+    ``(R, 1)`` columns, both elementwise in the one-row expression order;
+    a flat-activity row evaluates with amplitude 0, which gives exactly
+    its phase's constant, as :meth:`~repro.workloads.Phase.activity_at`
+    returns it (``a * (1.0 + 0.0 * wave) == a``, and clipping a valid
+    activity to ``[0, 1]`` keeps it).  Rows that cross a phase boundary,
+    complete or coast finish the window through
+    :meth:`~SimulatedMachine.finish_window` and the walk's span evaluator.
 
     The stacked ``np.sin`` is the build caveat named once in DESIGN.md
     §7: elementwise ``np.sin`` gives the same bits at every array length
@@ -309,8 +339,9 @@ def activity_profiles(
     """
     inside: list[int] = []
     rows: list[tuple] = []
-    for k, (machine, held) in enumerate(zip(machines, levels.tolist())):
-        segment = machine.next_segment(n_ticks, held)
+    held_rows = levels.triples[index].tolist()
+    for k, (machine, held, row_index) in enumerate(zip(machines, held_rows, index.tolist())):
+        segment = machine.next_segment(n_ticks, held, row_index)
         phase, work_into_phase, work_per_tick, seg_ticks = segment
         if phase is None or seg_ticks != n_ticks:
             spans: list = []
@@ -318,49 +349,52 @@ def activity_profiles(
             _fill_spans(spans, activity_out[k], core_fraction_out[k])
             continue
         inside.append(k)
-        oscillates = phase.oscillates
-        # A flat row's wave has amplitude 0 and a placeholder period.
-        rows.append((
-            work_into_phase,
-            work_per_tick,
-            phase.core_fraction,
-            phase.activity,
-            phase.osc_amplitude if oscillates else 0.0,
-            phase.osc_period_s if oscillates else 1.0,
-        ))
+        rows.append((work_into_phase, work_per_tick, *machine._wave_columns[id(phase)]))
     if not inside:
         return
-    # Every row inside: write through a view instead of a gather.
-    index = inside if len(inside) < len(machines) else slice(None)
     columns = np.array(rows)
     # The one-row grid `wip + wpt * (arange + 1.0)`, one row per machine:
     # the tick numbers 1.0 .. n_ticks are exact either way, and the add
     # commutes.
-    work_times = columns[:, 1:2] * np.arange(1.0, n_ticks + 1.0)
+    work_times = columns[:, 1:2] * _tick_numbers(n_ticks)
     work_times += columns[:, 0:1]
-    activity_out[index] = oscillating_activity(
-        columns[:, 3:4], columns[:, 4:5], columns[:, 5:6], work_times
-    )
-    core_fraction_out[index] = columns[:, 2:3]
+    wave = (columns[:, 3:4], columns[:, 4:5], columns[:, 5:6], work_times)
+    if len(inside) == len(machines):
+        # Every row inside: write straight into the buffers.
+        oscillating_activity(*wave, out=activity_out)
+        core_fraction_out[:] = columns[:, 2:3]
+    else:
+        activity_out[inside] = oscillating_activity(*wave)
+        core_fraction_out[inside] = columns[:, 2:3]
+
+
+@functools.lru_cache(maxsize=8)
+def _tick_numbers(n_ticks: int) -> np.ndarray:
+    """The tick numbers ``1.0 .. n_ticks`` of a window, shared read-only."""
+    numbers = np.arange(1.0, n_ticks + 1.0)
+    numbers.flags.writeable = False
+    return numbers
 
 
 class CursorFleet:
     """The phase cursors of a wide lock-step fleet, held in ``(B,)`` arrays.
 
-    Built from ``machines`` and kept while they run lock-step.  Each row's
-    phase index, work into the phase, work done, ``time_s`` and
-    ``completed_at_s`` live here, not on its machine, until
-    :meth:`write_back` (or :meth:`keep`, for the rows it drops) brings the
-    machines up to date.  :meth:`advance` does what
-    :func:`activity_profiles` does, and every row ends up exactly as
-    ``machines[k].activity_profile`` would leave it, but a row whose window
-    stays inside one phase, or coasts after completion, takes no Python
-    step of its own:
+    Built from ``machines`` and kept while they run lock-step.  Each row's phase index, work into
+    the phase, work done, ``time_s`` and ``completed_at_s`` live here, not
+    on its machine, until :meth:`write_back` (or :meth:`keep`, for the
+    rows it drops) brings the machines up to date.  :meth:`advance` does
+    what :func:`activity_profiles` does, and every row ends up exactly as
+    ``machines[k].activity_profile`` would leave it, but a row whose
+    window stays inside one phase, or coasts after completion, takes no
+    Python step of its own:
 
     * the progress rate is :func:`~repro.workloads.phases.throttled_rate`
       of a gathered :meth:`~repro.workloads.Phase.frequency_speedup`,
-      tabulated per phase and DVFS level by that method itself
-      (:class:`~repro.machine.LevelTable`);
+      tabulated by that method itself per DVFS value of the joint levels
+      (:attr:`JointLevels.values`, gathered through each row's DVFS
+      column) and per distinct speedup function: one per ``memory_intensity``
+      for phases that keep the base class's method (jitter never changes
+      it), one per phase otherwise;
     * the rest of :meth:`SimulatedMachine.next_segment` (the ticks left in
       the phase, the work and clock updates and the ``1e-9`` boundary
       test) runs elementwise in its order, and the profile is the shared
@@ -375,7 +409,7 @@ class CursorFleet:
     def __init__(self, machines: "list[SimulatedMachine]") -> None:
         self.machines = list(machines)
         self.tick_s = self.machines[0].tick_s
-        freq_max_ghz = self.machines[0].spec.freq_max_ghz
+        self._freq_max_ghz = self.machines[0].spec.freq_max_ghz
         self.phase_index = np.array(
             [machine._phase_index for machine in self.machines], dtype=np.intp
         )
@@ -392,26 +426,34 @@ class CursorFleet:
         counts = [len(machine.workload.phases) for machine in self.machines]
         self.n_phases = np.array(counts, dtype=np.intp)
         self.first_slot = np.cumsum([0] + counts[:-1], axis=0).astype(np.intp)
-        # Per slot: the phase's scalars (a flat phase as amplitude 0 with a
-        # placeholder period), its boundary test's threshold and whether
-        # its rate is the base class's.
+        # Per slot: the phase's work and its boundary test's threshold, its
+        # wave columns (core fraction, activity, amplitude, period) and
+        # whether its rate is the base class's.
         self._phases = np.array([
             (
                 phase.work_units,
                 phase.work_units - 1e-9,
-                phase.core_fraction,
-                phase.activity,
-                phase.osc_amplitude if phase.oscillates else 0.0,
-                phase.osc_period_s if phase.oscillates else 1.0,
+                *machine._wave_columns[id(phase)],
                 type(phase).progress_rate is Phase.progress_rate,
             )
-            for phase in phases
+            for machine in self.machines
+            for phase in machine.workload.phases
         ], dtype=float).reshape(len(phases), 7)
-        self._speedups = LevelTable([
-            lambda freq_ghz, phase=phase: phase.frequency_speedup(freq_ghz / freq_max_ghz)
-            for phase in phases
-        ])
-        self._grid = np.empty(0)
+        # Per slot, the row of its speedup function in the speedup table.
+        functions: dict = {}
+        slot_function = []
+        self._speedup_phases: list[Phase] = []
+        for phase in phases:
+            key = (
+                phase.memory_intensity
+                if type(phase).frequency_speedup is Phase.frequency_speedup
+                else phase
+            )
+            slot_function.append(functions.setdefault(key, len(functions)))
+            if len(functions) > len(self._speedup_phases):
+                self._speedup_phases.append(phase)
+        self._slot_function = np.array(slot_function, dtype=np.intp)
+        self._speedups = np.empty((len(self._speedup_phases), 0))
         self._update_phases()
 
     @property
@@ -422,6 +464,7 @@ class CursorFleet:
     def _update_phases(self) -> None:
         """Gather each row's current-phase columns after a phase change."""
         self._slot = self.first_slot + np.minimum(self.phase_index, self.n_phases - 1)
+        self._function = self._slot_function[self._slot]
         columns = self._phases[self._slot]
         self._work_units = columns[:, 0]
         self._limit = columns[:, 1]
@@ -431,25 +474,37 @@ class CursorFleet:
         self._coasting = coasting if np.count_nonzero(coasting) else None
         self._runnable = ~coasting & (columns[:, 6] > 0.0)
 
+    def _tabulate_speedups(self, freqs: "list[float]") -> None:
+        """Extend the speedup table to the DVFS values ``freqs``."""
+        new = [
+            [phase.frequency_speedup(freq_ghz / self._freq_max_ghz)
+             for freq_ghz in freqs[self._speedups.shape[1]:]]
+            for phase in self._speedup_phases
+        ]
+        self._speedups = np.concatenate(
+            [self._speedups, np.array(new, dtype=float).reshape(len(new), -1)], axis=1
+        )
+
     def advance(
         self,
         n_ticks: int,
-        levels: np.ndarray,
+        levels: JointLevels,
+        index: np.ndarray,
         activity_out: np.ndarray,
         core_fraction_out: np.ndarray,
     ) -> None:
-        """Advance every row ``n_ticks`` at its ``(B, 3)`` levels and fill its profile."""
-        freq = self._speedups.columns(levels[:, 0])
-        speedup = self._speedups.values[self._slot, freq]
-        work_per_tick = throttled_rate(speedup, levels[:, 1], levels[:, 2]) * self.tick_s
+        """Advance every row ``n_ticks`` at its joint level ``index`` and fill its profile."""
+        if self._speedups.shape[1] != len(levels.values[0]):
+            self._tabulate_speedups(levels.values[0])
+        held = levels.triples[index]
+        speedup = self._speedups[self._function, levels.columns[index, 0]]
+        work_per_tick = throttled_rate(speedup, held[:, 1], held[:, 2]) * self.tick_s
         start = self.work_into_phase
         ticks_in_phase = np.ceil((self._work_units - start) / work_per_tick - 1e-12)
         inside = self._runnable & (ticks_in_phase >= n_ticks)
-        if self._grid.size != n_ticks:
-            self._grid = np.arange(n_ticks) + 1.0
         # The one-row grid `wip + wpt * (arange + 1.0)`, one row per machine.
-        work_times = start[:, None] + work_per_tick[:, None] * self._grid
-        activity_out[:] = oscillating_activity(*self._wave, work_times)
+        work_times = start[:, None] + work_per_tick[:, None] * _tick_numbers(n_ticks)
+        oscillating_activity(*self._wave, work_times, out=activity_out)
         core_fraction_out[:] = self._core_fraction
 
         advanced = work_per_tick * n_ticks
@@ -482,7 +537,7 @@ class CursorFleet:
             self.write_back([k])
             machine = self.machines[k]
             machine.activity_profile(
-                n_ticks, levels[k].tolist(), activity_out[k], core_fraction_out[k]
+                n_ticks, held[k].tolist(), activity_out[k], core_fraction_out[k]
             )
             self.phase_index[k] = machine._phase_index
             self.work_into_phase[k] = machine._work_into_phase

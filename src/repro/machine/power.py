@@ -21,13 +21,16 @@ The per-operating-point scalars (:meth:`PowerModel.dvfs_scale`,
 :meth:`PowerModel.static_power`, :meth:`PowerModel.idle_scale`) are
 memoized: the actuators only ever command a small discrete set of levels,
 so each value is computed once per model and then served from a dict.
+:meth:`PowerModel.operating_points` tabulates them per joint level index
+(:class:`~repro.machine.JointLevels`).
 
 :func:`batch_window_power` is the one implementation of the per-tick power
 step.  It evaluates B sessions' windows as one ``(B, ticks)`` array from
-their held actuator levels and their process noise; the lock-step kernel
-(:mod:`repro.exec.batch`) calls it for a whole fleet and
-:meth:`PowerModel.window_power` calls it with one row.  Rows never mix, so
-a row's result does not depend on which other rows share the call.
+the operating points of their held level indices and their process noise;
+the lock-step kernel (:mod:`repro.exec.batch`) calls it for a whole fleet
+and :meth:`PowerModel.window_power` calls it with one row.  Rows never
+mix, so a row's result does not depend on which other rows share the
+call.
 
 :func:`draw_noise` is the one noise draw of a session's sensing: each
 session's AR(1) process noise, drawn from its power model's own RNG and
@@ -49,11 +52,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actuators import LevelTable
+from .actuators import ActuatorBank, JointLevels
 from .platform import PlatformSpec
 
 __all__ = [
-    "OperatingPoints",
     "PowerBreakdown",
     "PowerModel",
     "batch_window_power",
@@ -102,6 +104,9 @@ class PowerModel:
         self._dvfs_scale_memo: dict[float, float] = {}
         self._static_power_memo: dict[float, float] = {}
         self._idle_scale_memo: dict[float, float] = {}
+        # The operating-point table of the last joint levels seen.
+        self._points_of: "JointLevels | None" = None
+        self._points = np.empty((3, 0))
 
     def dvfs_scale(self, freq_ghz: float) -> float:
         """Relative dynamic-power scale ``f V(f)^2 / (f_max V_max^2)``."""
@@ -181,6 +186,33 @@ class PowerModel:
             self._idle_scale_memo[idle_frac] = scale
         return scale
 
+    def operating_points(self, levels: JointLevels) -> np.ndarray:
+        """The ``(3, L)`` operating-point table of ``levels``, by joint index.
+
+        Column ``i`` holds ``dvfs_scale(f) * idle_scale(i)``,
+        ``static_power(f)`` and ``spec.max_balloon_dynamic_w * b`` of
+        triple ``i``: each scalar is computed once per distinct value by
+        those methods and each entry is one gather or product of them, so
+        it has the bits of the scalar expression.  The table is kept for the
+        last ``levels`` seen and extended when they have grown.
+        """
+        start = self._points.shape[1] if self._points_of is levels else 0
+        if start == len(levels):
+            return self._points
+        freq, idle = levels.columns[start:, 0], levels.columns[start:, 1]
+        freqs, idles = levels.values[0], levels.values[1]
+        dvfs_scale = np.array([self.dvfs_scale(freq_ghz) for freq_ghz in freqs])
+        static_w = np.array([self.static_power(freq_ghz) for freq_ghz in freqs])
+        idle_scale = np.array([self.idle_scale(idle_frac) for idle_frac in idles])
+        points = np.stack([
+            dvfs_scale[freq] * idle_scale[idle],
+            static_w[freq],
+            self.spec.max_balloon_dynamic_w * levels.triples[start:, 2],
+        ])
+        self._points = points if start == 0 else np.concatenate([self._points, points], axis=1)
+        self._points_of = levels
+        return self._points
+
     def window_power(
         self,
         activity: np.ndarray,
@@ -199,11 +231,14 @@ class PowerModel:
         """
         activity = np.asarray(activity, dtype=float)
         noise_w, _ = draw_noise([self], [], 1, activity.size)
+        # The joint levels this model last tabulated, if any: one table
+        # serves every later window.
+        levels = self._points_of
+        if levels is None:
+            levels = JointLevels(ActuatorBank(self.spec))
+        index = np.array([levels.index((freq_ghz, idle_frac, balloon_level))])
         return batch_window_power(
-            self,
-            activity[None, :],
-            np.asarray(core_fraction, dtype=float),
-            np.array([[freq_ghz, idle_frac, balloon_level]], dtype=float),
+            self, activity[None, :], np.asarray(core_fraction, dtype=float), levels, index,
             noise_w,
         )[0]
 
@@ -239,71 +274,45 @@ class PowerModel:
         return self.static_power(spec.freq_min_ghz)
 
 
-class OperatingPoints:
-    """A fleet's operating-point scalars, gathered by actuator level.
-
-    The wide lock-step fleet's tables for :func:`batch_window_power`:
-    :meth:`PowerModel.dvfs_scale` and :meth:`PowerModel.static_power` per
-    DVFS level and :meth:`PowerModel.idle_scale` per idle level, each entry
-    computed once by those methods (:class:`~repro.machine.LevelTable`).
-    """
-
-    def __init__(self, model: PowerModel) -> None:
-        self._freq = LevelTable([model.dvfs_scale, model.static_power])
-        self._idle = LevelTable([model.idle_scale])
-
-    def scale_and_static(self, levels: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-        """Each row's dynamic-power scale and static power at its ``(B, 3)`` levels."""
-        freq = self._freq.columns(levels[:, 0])
-        idle = self._idle.columns(levels[:, 1])
-        dvfs_scale, static_w = self._freq.values[:, freq]
-        return dvfs_scale * self._idle.values[0, idle], static_w
-
-
 def batch_window_power(
     model: PowerModel,
     activity: np.ndarray,
     core_fraction: np.ndarray,
-    levels: np.ndarray,
+    levels: "JointLevels",
+    index: np.ndarray,
     noise_w: np.ndarray,
-    points: "OperatingPoints | None" = None,
+    out: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Evaluate one window for B sessions as a ``(B, ticks)`` array.
 
     ``model`` is a :class:`PowerModel` of the sessions' platform; it only
-    supplies the memoized operating-point scalars, which depend on the
-    platform spec alone.  ``activity`` holds the sessions' per-tick
-    activity as a ``(B, ticks)`` array and ``core_fraction`` their
-    occupancy, broadcastable against it; ``levels`` the ``(B, 3)``
-    actuator levels (frequency, idle fraction, balloon level) held during
-    the window; ``noise_w`` each session's process noise over the window
-    (:func:`draw_noise`).  A wide fleet passes its :class:`OperatingPoints`
-    to gather the scalars rather than look them up row by row; both give
-    the same bits.  Every operation is elementwise or row-wise, so each row
-    equals a one-row call.
+    supplies the operating-point table (:meth:`PowerModel.operating_points`
+    of ``levels``), which depends on the platform spec alone.  ``activity``
+    holds the sessions' per-tick activity as a ``(B, ticks)`` array and
+    ``core_fraction`` their occupancy, broadcastable against it; ``index``
+    each session's joint level index into ``levels``, the actuator levels
+    held during the window; ``noise_w`` each session's process noise over
+    the window (:func:`draw_noise`).  The result is written to ``out`` when
+    given.  Every operation is a gather, elementwise or row-wise, so each
+    row equals a one-row call.
     """
     n_sessions, n_ticks = activity.shape
     if n_ticks == 0:
         return np.empty((n_sessions, 0))
-    spec = model.spec
-    if points is None:
-        # Each row's (scale, static power), in one pass over its levels.
-        scale, static_w = np.array([
-            (model.dvfs_scale(freq_ghz) * model.idle_scale(idle_frac),
-             model.static_power(freq_ghz))
-            for freq_ghz, idle_frac, _ in levels.tolist()
-        ]).reshape(n_sessions, 2).T
-    else:
-        scale, static_w = points.scale_and_static(levels)
-    balloon_peak_w = spec.max_balloon_dynamic_w * levels[:, 2]
-
-    app_w = spec.max_app_dynamic_w * activity * core_fraction * scale[:, None]
+    scale, static_w, balloon_peak_w = model.operating_points(levels)[:, index, None]
+    app_w = model.spec.max_app_dynamic_w * activity
+    app_w *= core_fraction
+    app_w *= scale
     occupancy = (1.0 - core_fraction) + PowerModel.SMT_BALLOON_SHARE * core_fraction
-    balloon_w = balloon_peak_w[:, None] * occupancy * scale[:, None]
-    power_w = static_w[:, None] + app_w + balloon_w + noise_w
+    balloon_w = balloon_peak_w * occupancy
+    balloon_w *= scale
+    # static + app + balloon + noise, summed left to right.
+    power_w = np.add(static_w, app_w, out=app_w)
+    power_w += balloon_w
+    power_w += noise_w
     # Power can never be negative; noise excursions are clipped the way
     # a physical sensor would never report below ~0 W.
-    return np.maximum(power_w, 0.1)
+    return np.maximum(power_w, 0.1, out=out)
 
 
 def draw_noise(
@@ -312,6 +321,7 @@ def draw_noise(
     n_windows: int,
     window_ticks: int,
     time_major: bool = False,
+    row_windows: "list[int] | None" = None,
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Sensing noise of ``n_windows`` consecutive windows, per session.
 
@@ -323,7 +333,10 @@ def draw_noise(
       the model's carried level, which it advances -- row by row through
       :func:`first_order_rows`, or with ``time_major`` (a wide fleet's
       blocks) all rows at once through :func:`first_order_columns`, which
-      gives the same bits;
+      gives the same bits.  With ``row_windows``, model ``k`` draws only
+      its first ``row_windows[k]`` windows (at most ``n_windows``) and
+      carries its level at its own last tick; its row is zero past them,
+      or, time-major, the recursion's unforced decay;
     * ``counter_noise_w`` is each RAPL sensor's counter noise, one value
       per window and row: one sized draw from the sensor's own RNG.
 
@@ -333,26 +346,31 @@ def draw_noise(
     draws nothing and leaves every model's state untouched.
     """
     n_ticks = n_windows * window_ticks
+    if row_windows is None:
+        row_ticks = [n_ticks] * len(models)
+    else:
+        row_ticks = [windows * window_ticks for windows in row_windows]
     power_noise_w = np.zeros((len(models), n_ticks))
     if n_ticks and time_major:
-        for row, model in enumerate(models):
-            power_noise_w[row] = model._rng.normal(0.0, model._shock_sigma_w, size=n_ticks)
-        power_noise_w, levels = first_order_columns(
-            1.0,
-            PowerModel.NOISE_RHO,
-            power_noise_w,
-            np.array([model._noise_state for model in models], dtype=float),
+        for row, (model, size) in enumerate(zip(models, row_ticks)):
+            power_noise_w[row, :size] = model._rng.normal(0.0, model._shock_sigma_w, size=size)
+        levels = [model._noise_state for model in models]
+        power_noise_w, last = first_order_columns(
+            1.0, PowerModel.NOISE_RHO, power_noise_w, np.array(levels, dtype=float)
         )
-        for model, level in zip(models, levels.tolist()):
-            model._noise_state = level
+        for row, (model, size) in enumerate(zip(models, row_ticks)):
+            if size == n_ticks:
+                model._noise_state = float(last[row])
+            elif size:
+                model._noise_state = float(power_noise_w[row, size - 1])
     elif n_ticks:
-        for row, model in enumerate(models):
+        for row, (model, size) in enumerate(zip(models, row_ticks)):
             # One row at a time: a block's shocks as Python floats stay small.
-            shocks = model._rng.normal(0.0, model._shock_sigma_w, size=n_ticks)
+            shocks = model._rng.normal(0.0, model._shock_sigma_w, size=size)
             noise_w, (model._noise_state,) = first_order_rows(
                 1.0, PowerModel.NOISE_RHO, [shocks.tolist()], [model._noise_state]
             )
-            power_noise_w[row] = noise_w[0]
+            power_noise_w[row, :size] = noise_w[0]
     counter_noise_w = np.empty((len(sensors), n_windows))
     for row, sensor in enumerate(sensors):
         counter_noise_w[row] = sensor._rng.normal(0.0, sensor.noise_w, size=n_windows)

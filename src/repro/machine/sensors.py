@@ -27,7 +27,14 @@ import numpy as np
 from .platform import PlatformSpec
 from .power import draw_noise
 
-__all__ = ["RaplSensor", "measure_windows", "OutletMeter", "window_means"]
+__all__ = [
+    "RaplSensor",
+    "check_windows",
+    "measure_windows",
+    "read_windows",
+    "OutletMeter",
+    "window_means",
+]
 
 
 def window_means(values: np.ndarray, window: int) -> np.ndarray:
@@ -86,9 +93,7 @@ class RaplSensor:
         return means + self._rng.normal(0.0, self.noise_w, size=means.size)
 
 
-def measure_windows(
-    tick_powers: np.ndarray, tick_s: float, noise_w: np.ndarray
-) -> np.ndarray:
+def measure_windows(tick_powers: np.ndarray, tick_s: float, noise_w: np.ndarray) -> np.ndarray:
     """Per-session average power over intervals, as the counters report it.
 
     ``tick_powers`` holds one row of per-tick power per session: a
@@ -98,22 +103,43 @@ def measure_windows(
     window's energy is summed and quantized to the RAPL energy unit, and
     ``noise_w`` (one counter-noise value per window, shaped like the
     result; :func:`~repro.machine.power.draw_noise`) is added.  Every
-    operation is row-wise, so each row equals a one-row call.
+    operation is row-wise, so each row equals a one-row call.  The shapes
+    are checked (:func:`check_windows`) before :func:`read_windows`
+    measures.
     """
     tick_powers = np.asarray(tick_powers, dtype=float)
-    if tick_powers.ndim not in (2, 3):
+    check_windows(tick_powers.shape, np.shape(noise_w))
+    return read_windows(tick_powers, tick_s, noise_w)
+
+
+def check_windows(power_shape: tuple, noise_shape: tuple) -> None:
+    """Raise unless :func:`measure_windows` can read blocks of these shapes.
+
+    The lock-step kernel checks its staging block's shapes once and then
+    measures every interval of the block with :func:`read_windows`.
+    """
+    if len(power_shape) not in (2, 3):
         raise ValueError("expected a (B, ticks) or (B, windows, ticks) block")
-    if np.shape(noise_w) != tick_powers.shape[:-1]:
+    if tuple(noise_shape) != tuple(power_shape[:-1]):
         raise ValueError("expected one counter-noise value per window")
-    window_ticks = tick_powers.shape[-1]
-    if window_ticks == 0:
+    if power_shape[-1] == 0:
         raise ValueError("cannot measure an empty window")
+
+
+def read_windows(
+    tick_powers: np.ndarray,
+    tick_s: float,
+    noise_w: np.ndarray,
+    out: "np.ndarray | None" = None,
+) -> np.ndarray:
+    """:func:`measure_windows` of a float block whose shapes are checked,
+    written into ``out`` when given."""
     quantum_j = RaplSensor.ENERGY_QUANTUM_J
     # np.add.reduce is what ndarray.sum runs, and np.rint what np.round
     # runs at zero decimals, without their Python-level wrappers.
     energy_j = np.add.reduce(tick_powers, axis=-1) * tick_s
     energy_j = np.rint(energy_j / quantum_j) * quantum_j
-    return energy_j / (window_ticks * tick_s) + noise_w
+    return np.add(energy_j / (tick_powers.shape[-1] * tick_s), noise_w, out=out)
 
 
 class OutletMeter:

@@ -115,18 +115,21 @@ def throttled_rate(speedup, idle_frac, balloon_level):
     return max(rate, 1e-6)
 
 
-def oscillating_activity(activity, amplitude, period_s, work_time: np.ndarray) -> np.ndarray:
+def oscillating_activity(
+    activity, amplitude, period_s, work_time: np.ndarray, out: "np.ndarray | None" = None
+) -> np.ndarray:
     """The activity of an oscillating phase at ``work_time``.
 
     :meth:`Phase.activity_at` calls it with one phase's scalars; the
     lock-step phase cursor (:func:`repro.machine.activity_profiles`) with
-    ``(R, 1)`` columns over an ``(R, ticks)`` work-time grid.  Every
-    operation is elementwise, so each row gets the one-phase bits.
+    ``(R, 1)`` columns over an ``(R, ticks)`` work-time grid, writing into
+    ``out``.  Every operation is elementwise, so each row gets the
+    one-phase bits.
     """
     wave = np.sin(2.0 * np.pi * work_time / period_s)
     # np.maximum/np.minimum clip like np.clip up to the sign of a zero,
     # which the power sum this activity feeds cannot see.
-    return np.minimum(np.maximum(activity * (1.0 + amplitude * wave), 0.0), 1.0)
+    return np.minimum(np.maximum(activity * (1.0 + amplitude * wave), 0.0), 1.0, out=out)
 
 
 @dataclass(frozen=True)

@@ -129,3 +129,49 @@ class TestGradients:
             clf.weights[layer][i, j] += eps
             numeric = (up - down) / (2 * eps)
             assert grads_w[layer][i, j] == pytest.approx(numeric, abs=1e-4)
+
+
+def reference_adam_step(weights, biases, state, grads_w, grads_b, step, config):
+    """The Adam step as one expression per array: the oracle of ``_adam_step``."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    for layer, moments in enumerate(state):
+        gw = grads_w[layer] + config.weight_decay * weights[layer]
+        gb = grads_b[layer]
+        moments["mw"] = beta1 * moments["mw"] + (1 - beta1) * gw
+        moments["vw"] = beta2 * moments["vw"] + (1 - beta2) * gw**2
+        moments["mb"] = beta1 * moments["mb"] + (1 - beta1) * gb
+        moments["vb"] = beta2 * moments["vb"] + (1 - beta2) * gb**2
+        corr1 = 1 - beta1**step
+        corr2 = 1 - beta2**step
+        weights[layer] -= config.learning_rate * (
+            (moments["mw"] / corr1) / (np.sqrt(moments["vw"] / corr2) + eps)
+        )
+        biases[layer] -= config.learning_rate * (
+            (moments["mb"] / corr1) / (np.sqrt(moments["vb"] / corr2) + eps)
+        )
+
+
+class TestAdamStep:
+    def test_matches_the_expression_bit_for_bit(self):
+        """The in-place step leaves the weights, biases and moments the
+        one-expression step leaves, over several steps of real gradients."""
+        x, y = blob_dataset(n_per_class=20, dim=12)
+        config = MLPConfig(hidden_sizes=(16, 8), weight_decay=1e-3, seed=4)
+        clf = MLPClassifier(x.shape[1], 3, config)
+        weights = [w.copy() for w in clf.weights]
+        biases = [b.copy() for b in clf.biases]
+        state = [
+            {"mw": np.zeros_like(w), "vw": np.zeros_like(w),
+             "mb": np.zeros_like(b), "vb": np.zeros_like(b)}
+            for w, b in zip(weights, biases)
+        ]
+        for step in range(1, 9):
+            log_probs, activations = clf._forward(x)
+            grads_w, grads_b = clf._backward(activations, log_probs, y)
+            clf._adam_step(grads_w, grads_b, step)
+            reference_adam_step(weights, biases, state, grads_w, grads_b, step, config)
+            for layer, moments in enumerate(state):
+                assert clf.weights[layer].tobytes() == weights[layer].tobytes()
+                assert clf.biases[layer].tobytes() == biases[layer].tobytes()
+                for name, value in moments.items():
+                    assert clf._adam_state[layer][name].tobytes() == value.tobytes()

@@ -21,7 +21,7 @@ from repro.control import ControllerFleet, MatrixController
 from repro.control.controller import _ERROR_EDGES
 from repro.defenses import DefenseFleet
 from repro.exec import SessionJob
-from repro.machine import SYS1, ActuatorBank, ActuatorSettings, spawn
+from repro.machine import SYS1, ActuatorBank, ActuatorSettings, JointLevels, spawn
 
 #: How a row's measurement relates to its target in one step.
 ERROR_KINDS = ("random", "zero", "tiny", "far_above", "far_below")
@@ -57,8 +57,10 @@ def _seed_state(controller, rail, rng):
     controller._u_applied = u_norm - controller._u_op
 
 
-def _settings(levels):
-    return [ActuatorSettings(*row) for row in levels.tolist()]
+def _settings(index, levels=None):
+    """The settings of joint level indices (default: SYS1's level grid)."""
+    triples = ActuatorBank(SYS1).level_grid() if levels is None else levels.triples
+    return [ActuatorSettings(*row) for row in triples[index].tolist()]
 
 
 def _assert_same(alone, fleet):
@@ -231,9 +233,10 @@ class TestCommandTables:
             assert getattr(one._grid, name) is getattr(two._grid, name)
         # Stepping leaves the rows on the shared grid; each fleet built only
         # its own starting commands' table.
-        levels = one.step(np.array([20.0]), np.array([18.0]))
+        command = one.step(np.array([20.0]), np.array([18.0]))
         assert one._tables is sys1_design.command_grid
-        assert levels.tolist() == [one._grid.levels[one._command[0]].tolist()]
+        assert command.tolist() == one._command.tolist()
+        assert one.levels is sys1_design.command_grid.levels
         assert two._tables.u_applied.shape == (2, 3)
 
 
@@ -371,15 +374,16 @@ class TestDecideBatch:
         batched = self._prepared(sys1_factory, machines)
         alone = self._prepared(sys1_factory, machines)
         rng = np.random.default_rng(3)
-        fleet = DefenseFleet(batched)
-        assert _settings(fleet.levels) == [d.initial_settings() for d in alone]
+        levels = JointLevels(ActuatorBank(SYS1))
+        fleet = DefenseFleet(batched, levels)
+        assert _settings(fleet.index, levels) == [d.initial_settings() for d in alone]
         # Blocks of mask targets of uneven length, drawn ahead.
         for block in (1, 7, 13, 19):
             fleet.draw(block)
             for _ in range(block):
                 measured_w = rng.uniform(5.0, 35.0, len(self.DEFENSES))
                 expected = [d.decide(float(m)) for d, m in zip(alone, measured_w)]
-                assert _settings(fleet.decide(measured_w)) == expected
+                assert _settings(fleet.decide(measured_w), levels) == expected
                 fleet.write_back()
                 for a, b in zip(alone, batched):
                     assert np.array_equal(a.current_target_w, b.current_target_w,
@@ -395,7 +399,8 @@ class TestDecideBatch:
         batched = self._prepared(sys1_factory, machines)
         alone = self._prepared(sys1_factory, machines)
         rng = np.random.default_rng(4)
-        fleet = DefenseFleet(batched)
+        levels = JointLevels(ActuatorBank(SYS1))
+        fleet = DefenseFleet(batched, levels)
         members = list(range(len(self.DEFENSES)))
         fleet.draw(30)
         for step in range(30):
@@ -410,7 +415,7 @@ class TestDecideBatch:
                     assert alone[index].diagnostics() == batched[index].diagnostics()
             measured_w = rng.uniform(5.0, 35.0, len(members))
             expected = [alone[index].decide(float(m)) for index, m in zip(members, measured_w)]
-            assert _settings(fleet.decide(measured_w)) == expected
+            assert _settings(fleet.decide(measured_w), levels) == expected
         fleet.write_back()
         for index in members:
             assert np.array_equal(alone[index].current_target_w,

@@ -7,6 +7,7 @@ from repro.control import identify_plant, run_excitation, training_programs
 from repro.control.sysid import ExcitationRecord
 from repro.machine import (
     SYS1,
+    JointLevels,
     SYS2,
     SYS3,
     RaplSensor,
@@ -29,6 +30,7 @@ def stepped_excitation(spec, workload, seed, n_intervals, interval_s=0.020, hold
     power_noise_w, counter_noise_w = draw_noise(
         [machine.power_model], [sensor], n_intervals, ticks
     )
+    levels = JointLevels(bank)
     activity = np.empty((1, ticks))
     core_fraction = np.empty((1, ticks))
     u_rows = np.empty((n_intervals, 3))
@@ -39,12 +41,12 @@ def stepped_excitation(spec, workload, seed, n_intervals, interval_s=0.020, hold
     for t in range(n_intervals):
         if hold_left == 0:
             settings = bank.random_settings(rng)
-            levels = np.array([tuple(settings)])
+            index = np.array([levels.index(settings)])
             hold_left = int(rng.integers(hold_range[0], hold_range[1] + 1))
         hold_left -= 1
         machine.activity_profile(ticks, settings, activity[0], core_fraction[0])
         power_w = batch_window_power(
-            machine.power_model, activity, core_fraction, levels,
+            machine.power_model, activity, core_fraction, levels, index,
             power_noise_w[:, t * ticks:(t + 1) * ticks],
         )
         u_rows[t] = bank.normalize(settings)

@@ -484,8 +484,8 @@ class TestWideFleet:
     ):
         """The constant-settings fast-forward filters a wide chunk's noise
         time-major and a narrow one row by row; completion-mode rows that
-        end inside a wide chunk are rewound to where one-row calls leave
-        them (RNG position, AR(1) level, clock)."""
+        end inside a wide chunk draw their noise only to their stop and end
+        where one-row calls leave them (RNG position, AR(1) level, clock)."""
 
         def constant_rows():
             completing = [
@@ -512,22 +512,24 @@ class TestWideFleet:
         layouts = []
         real = batch_mod.draw_noise
 
-        def spy(models, sensors, n_windows, window_ticks, time_major=False):
+        def spy(models, sensors, n_windows, window_ticks, time_major=False, row_windows=None):
             if models:
-                layouts.append((len(models), time_major))
-            return real(models, sensors, n_windows, window_ticks, time_major)
+                short = row_windows is not None and min(row_windows) < n_windows
+                layouts.append((len(models), time_major, short))
+            return real(models, sensors, n_windows, window_ticks, time_major, row_windows)
 
         monkeypatch.setattr(batch_mod, "draw_noise", spy)
         rows = constant_rows()
         assert len(rows) == 2 * WIDE_FLEET_ROWS
         traces = simulate(rows)
-        # Wide chunks first, then narrow ones once the completing rows left;
-        # the one-row rewinds of the retiring rows are never time-major.
-        chunks = [layout for layout in layouts if layout[0] > 1]
+        # Wide chunks first, then narrow ones once the completing rows left.
+        # A retiring row drew only to its stop, so no one-row rewind
+        # redraws it.
+        chunks = [(n, major) for n, major, _ in layouts]
         assert chunks[0] == (2 * WIDE_FLEET_ROWS, True)
         assert chunks[-1] == (WIDE_FLEET_ROWS - 3, False)
         assert all(major == (n >= WIDE_FLEET_ROWS) for n, major in chunks)
-        assert (1, False) in layouts
+        assert any(short for *_, short in layouts)
         for row, trace, (alone_trace, alone_state) in zip(rows, traces, alone):
             assert trace.equals(alone_trace)
             assert machine_state(row.machine) == alone_state
@@ -535,3 +537,44 @@ class TestWideFleet:
         # All but the slowest, which its cap cuts off, complete in the chunk.
         assert all(np.isfinite(row.trace.completed_at_s) for row in completed[:-1])
         assert np.isnan(completed[-1].trace.completed_at_s)
+
+
+def mixed_rows(factory, n_rows):
+    """``n_rows`` fresh rows cycling Maya GS, Random Inputs and a defense
+    whose frequency is off the DVFS grid (appended joint levels)."""
+    rows = []
+    apps = ("volrend", "water_nsquared", "bodytrack")
+    for run in range(n_rows):
+        workload = apps[run % 3]
+        if run % 3 == 2:
+            machine = make_job(factory, workload=workload, run=run).build_machine()
+            rows.append(SessionRow(
+                machine, _OffGridInputs(), seed=TEST_SEED, run_id=("mixed", run),
+                interval_s=0.02, duration_s=0.8, max_duration_s=2.0, tail_s=0.1,
+            ))
+        else:
+            defense = ("maya_gs", "random_inputs")[run % 3]
+            rows += build_fleet(
+                [make_job(factory, workload=workload, defense=defense, run=run, duration_s=0.8)],
+                factory,
+            )
+    return rows
+
+
+class TestLevelIndexFleets:
+    @pytest.mark.parametrize("n_rows", [3, WIDE_FLEET_ROWS + 3], ids=["narrow", "wide"])
+    def test_mixed_rows_equal_one_row_calls(self, sys1_factory, n_rows):
+        """Maya commands, open-loop decisions and off-grid settings share
+        one level index space; each row still records, and leaves its
+        machine, exactly as its one-row call."""
+        alone = []
+        for row in mixed_rows(sys1_factory, n_rows):
+            [trace] = simulate([row])
+            alone.append((trace, machine_state(row.machine)))
+        rows = mixed_rows(sys1_factory, n_rows)
+        traces = simulate(rows)
+        off_grid = traces[2].settings[:, 0]
+        assert not np.isin(off_grid, SYS1.freq_levels_ghz).any()
+        for row, trace, (alone_trace, alone_state) in zip(rows, traces, alone):
+            assert trace.equals(alone_trace)
+            assert machine_state(row.machine) == alone_state

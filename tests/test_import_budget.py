@@ -211,3 +211,25 @@ print(json.dumps(sorted(name for name in new if name.split(".")[0] == "repro")))
 
 def test_first_figure_call_imports_no_repro_module():
     assert json.loads(last_output_line(FIRST_CALL)) == []
+
+
+#: Builds Fig. 11's defense, runs the figure once, then prints whether
+#: ``numpy.ma`` (which ``np.median``'s first call imports) has loaded.
+FIG11_CALL = """
+import json
+import sys
+
+from repro.experiments import fig11_changepoints
+from repro.experiments.common import make_factory
+from repro.experiments.config import get_scale
+from repro.machine import SYS1
+
+factory = make_factory(SYS1, get_scale("smoke"), seed=7)
+factory.create("maya_gs")
+fig11_changepoints.run("smoke", seed=7, factory=factory, defenses=("maya_gs",), n_runs=1)
+print(json.dumps("numpy.ma" in sys.modules))
+"""
+
+
+def test_fig11_call_does_not_import_numpy_ma():
+    assert json.loads(last_output_line(FIG11_CALL)) is False

@@ -12,7 +12,7 @@ from repro.machine import (
     BalloonTask,
     DvfsActuator,
     IdleInjector,
-    LevelTable,
+    JointLevels,
     QuantizedActuator,
     SYS1,
     SYS2,
@@ -268,22 +268,34 @@ class TestVectorizedQuantization:
 
 
 
-class TestLevelTable:
-    def test_entries_are_the_scalar_values_computed_once(self):
-        calls = []
+class TestJointLevels:
+    def test_grid_rows_are_the_level_grid(self):
+        bank = ActuatorBank(SYS1)
+        levels = JointLevels(bank)
+        grid = bank.level_grid()
+        assert levels.n_grid == len(levels) == len(grid) == 9 * 13 * 11
+        assert levels.triples is grid
+        for index in (0, 1, 11, 143, 600, len(grid) - 1):
+            assert levels.index(ActuatorSettings(*grid[index].tolist())) == index
+            for actuator, (values, column) in enumerate(zip(levels.values, levels.columns[index])):
+                assert values[column] == grid[index, actuator]
+        assert [levels.index(row) for row in grid.tolist()] == list(range(len(grid)))
 
-        def scalar(level):
-            calls.append(level)
-            return level**0.7 + 1.0
-
-        table = LevelTable([scalar, lambda level: -level])
-        for levels in ([1.5, 1.2, 1.5, 2.0], [1.37, 2.0, 1.2], [2.0, 2.0]):
-            levels = np.array(levels)
-            columns = table.columns(levels)
-            assert table.values[0, columns].tolist() == [
-                level**0.7 + 1.0 for level in levels.tolist()
-            ]
-            assert table.values[1, columns].tolist() == (-levels).tolist()
-        # Each distinct level was tabulated once, the off-grid 1.37 too.
-        assert sorted(calls) == [1.2, 1.37, 1.5, 2.0]
-        assert table.levels[:-1].tolist() == [1.2, 1.37, 1.5, 2.0]
+    def test_off_grid_triples_are_appended_once(self):
+        levels = JointLevels(ActuatorBank(SYS1))
+        n_grid = levels.n_grid
+        off = (1.963, 0.04, 0.55)
+        assert levels.index(off) == n_grid
+        assert levels.index(ActuatorSettings(*off)) == n_grid
+        assert levels.triples[n_grid].tolist() == list(off)
+        # The DVFS and balloon values are new columns, the idle level is not.
+        assert [values[column] for values, column in zip(levels.values, levels.columns[-1])] \
+            == list(off)
+        assert levels.columns[-1, 1] == 1
+        # A grid triple keeps its grid index after appends.
+        assert levels.index((2.0, 0.0, 0.0)) == 8 * 13 * 11
+        # Signed zeros are different triples: each row keeps its bits.
+        negative = levels.index((2.0, -0.0, 0.0))
+        assert negative == n_grid + 1
+        assert np.signbit(levels.triples[negative, 1])
+        assert len(levels) == n_grid + 2

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.signal import lfilter
 
 from repro.machine import (
+    ActuatorBank,
     ActuatorSettings,
+    JointLevels,
     PowerModel,
     SYS1,
     batch_window_power,
@@ -119,9 +121,10 @@ class TestNoise:
         models = [make_model("a"), make_model("b")]
         rng_states = [model._rng.bit_generator.state for model in models]
         noise_w, _ = draw_noise(models, [], 1, 0)
+        levels = JointLevels(ActuatorBank(SYS1))
         window_w = batch_window_power(
-            models[0], np.empty((2, 0)), np.empty((2, 0)), np.array([[1.6, 0.1, 0.3]] * 2),
-            noise_w,
+            models[0], np.empty((2, 0)), np.empty((2, 0)), levels,
+            np.array([levels.index((1.6, 0.1, 0.3))] * 2), noise_w,
         )
         assert window_w.shape == (2, 0)
         assert [model._noise_state for model in models] == [0.0, 0.0]
@@ -279,6 +282,40 @@ class TestMemoization:
         a = cold.window_power(activity, 0.9, 1.2, 0.2, 0.5)
         b = warm.window_power(activity, 0.9, 1.2, 0.2, 0.5)
         assert np.array_equal(a, b)
+
+
+class TestOperatingPointTable:
+    def test_entries_are_the_scalar_values(self):
+        """Every grid row, and an appended off-grid triple, gathers the bits
+        of the scalar methods' expressions."""
+        model = make_model()
+        levels = JointLevels(ActuatorBank(SYS1))
+        off_grid = levels.index((1.963, 0.37, 0.55))
+        points = model.operating_points(levels)
+        assert points.shape == (3, levels.n_grid + 1) and off_grid == levels.n_grid
+        for index, (freq_ghz, idle_frac, balloon_level) in enumerate(levels.triples.tolist()):
+            expected = [
+                model.dvfs_scale(freq_ghz) * model.idle_scale(idle_frac),
+                model.static_power(freq_ghz),
+                SYS1.max_balloon_dynamic_w * balloon_level,
+            ]
+            assert bits(points[:, index]).tolist() == bits(expected).tolist()
+
+    def test_table_grows_with_the_levels(self):
+        model = make_model()
+        levels = JointLevels(ActuatorBank(SYS1))
+        points = model.operating_points(levels)
+        assert model.operating_points(levels) is points
+        index = levels.index((1.25, 0.5, 0.05))
+        grown = model.operating_points(levels)
+        assert grown.shape == (3, len(levels))
+        assert np.array_equal(bits(grown[:, :index]), bits(points))
+        fresh = make_model().operating_points(levels)
+        assert np.array_equal(bits(grown), bits(fresh))
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
 class TestRange:

@@ -28,7 +28,7 @@ from repro.machine import (
     ActuatorBank,
     ActuatorSettings,
     CursorFleet,
-    OperatingPoints,
+    JointLevels,
     PowerModel,
     RaplSensor,
     SimulatedMachine,
@@ -70,9 +70,10 @@ def random_window(seed, n_rows, n_ticks, window):
     return activity, core_fraction, held
 
 
-def levels_of(held):
-    """The ``(B, 3)`` level array of a list of settings."""
-    return np.array([tuple(settings) for settings in held], dtype=float)
+def indexed(held):
+    """Joint levels of SYS1 and the index of each of a list of settings."""
+    levels = JointLevels(ActuatorBank(SYS1))
+    return levels, np.array([levels.index(settings) for settings in held], dtype=np.intp)
 
 
 def rng_position(generator):
@@ -88,16 +89,15 @@ class TestPowerRows:
     )
     @settings(max_examples=40, deadline=None)
     def test_each_row_equals_a_one_row_call(self, seed, n_rows, windows, wide):
-        """Also with a wide fleet's operating-point tables and time-major
-        noise, whose tables see off-grid idle and balloon levels here."""
+        """Also with a wide fleet's time-major noise.  The off-grid idle and
+        balloon levels drawn here are appended rows of the joint levels."""
         fleet = [PowerModel(SYS1, spawn(seed, "power", i)) for i in range(n_rows)]
         solo = [PowerModel(SYS1, spawn(seed, "power", i)) for i in range(n_rows)]
-        points = OperatingPoints(fleet[0]) if wide else None
         for window, n_ticks in enumerate(windows):
             activity, core_fraction, held = random_window(seed, n_rows, n_ticks, window)
             noise_w, _ = draw_noise(fleet, [], 1, n_ticks, time_major=wide)
             batched_w = batch_window_power(
-                fleet[0], activity, core_fraction, levels_of(held), noise_w, points
+                fleet[0], activity, core_fraction, *indexed(held), noise_w
             )
             assert batched_w.shape == (n_rows, n_ticks)
             for row, model in enumerate(solo):
@@ -216,6 +216,35 @@ class TestNoiseBlocks:
             assert models[row]._noise_state == model._noise_state
             assert rng_position(models[row]._rng) == rng_position(model._rng)
             assert rng_position(sensors[row]._rng) == rng_position(sensor._rng)
+
+
+    @given(
+        seed=seeds,
+        row_windows=st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=30),
+        n_ticks=tick_counts,
+        time_major=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_drawn_to_their_own_stops(self, seed, row_windows, n_ticks, time_major):
+        """With ``row_windows`` each row draws what a draw of only its own
+        windows draws: the noise through them, the carried AR(1) level at
+        its own last tick and the RNG position."""
+        n_windows = max(row_windows)
+        models = [PowerModel(SYS1, spawn(seed, "power", i)) for i in range(len(row_windows))]
+        levels = spawn(seed, "level").normal(size=len(row_windows)).tolist()
+        for model, level in zip(models, levels):
+            model._noise_state = level
+        power_w, _ = draw_noise(
+            models, [], n_windows, n_ticks, time_major=time_major, row_windows=row_windows
+        )
+        assert power_w.shape == (len(row_windows), n_windows * n_ticks)
+        for row, windows in enumerate(row_windows):
+            model = PowerModel(SYS1, spawn(seed, "power", row))
+            model._noise_state = levels[row]
+            alone_w, _ = draw_noise([model], [], windows, n_ticks)
+            assert np.array_equal(bits(power_w[row, :windows * n_ticks]), bits(alone_w[0]))
+            assert models[row]._noise_state == model._noise_state
+            assert rng_position(models[row]._rng) == rng_position(model._rng)
 
 
 #: Where a row's cursor starts relative to its phase's end, for a window.
@@ -342,11 +371,11 @@ class TestPhaseCursorRows:
         fleet = [cursor_machine(row, index, n_ticks) for index, row in enumerate(rows)]
         solo = [cursor_machine(row, index, n_ticks) for index, row in enumerate(rows)]
         machines = [machine for machine, _ in fleet]
-        held = [row_settings for _, row_settings in fleet]
+        levels, index = indexed([row_settings for _, row_settings in fleet])
         for _ in range(windows):
             activity = np.empty((len(rows), n_ticks))
             core_fraction = np.empty((len(rows), n_ticks))
-            activity_profiles(machines, n_ticks, levels_of(held), activity, core_fraction)
+            activity_profiles(machines, n_ticks, levels, index, activity, core_fraction)
             for k, (machine, row_settings) in enumerate(solo):
                 alone_activity = np.empty(n_ticks)
                 alone_core = np.empty(n_ticks)
@@ -370,12 +399,12 @@ class TestPhaseCursorRows:
         fleet = [cursor_machine(row, index, n_ticks) for index, row in enumerate(rows)]
         solo = [cursor_machine(row, index, n_ticks) for index, row in enumerate(rows)]
         cursors = CursorFleet([machine for machine, _ in fleet])
-        held = levels_of([row_settings for _, row_settings in fleet])
+        levels, held = indexed([row_settings for _, row_settings in fleet])
         live = list(range(len(rows)))
         for window in range(windows):
             activity = np.empty((len(live), n_ticks))
             core_fraction = np.empty((len(live), n_ticks))
-            cursors.advance(n_ticks, held[live], activity, core_fraction)
+            cursors.advance(n_ticks, levels, held[live], activity, core_fraction)
             for k, index in enumerate(live):
                 machine, row_settings = solo[index]
                 alone_activity = np.empty(n_ticks)
